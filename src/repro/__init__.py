@@ -16,28 +16,36 @@ Quick start::
     run = system.run("bfs", source=0, compute_reference=True)
     print(run.describe())
 
+The names below resolve on first access (see :mod:`repro._lazy`), so
+importing a subpackage such as :mod:`repro.runner` does not load the
+engine, the baselines or the oracle.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.errors import (
-    ReproError,
-    GraphFormatError,
-    ConfigError,
-    PartitionError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.graph.csr import CSRGraph
-from repro.core.system import NovaSystem
-from repro.core.metrics import RunResult
-from repro.obs import ObsConfig
-from repro.sim.config import NovaConfig, paper_config, scaled_config
-from repro.baselines.polygraph import PolyGraphConfig, PolyGraphSystem
-from repro.baselines.ligra import LigraConfig, LigraModel
-from repro.workloads import get_workload, workload_names
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": (
+        "ReproError",
+        "GraphFormatError",
+        "ConfigError",
+        "PartitionError",
+        "SimulationError",
+        "WorkloadError",
+    ),
+    "repro.graph.csr": ("CSRGraph",),
+    "repro.core.system": ("NovaSystem",),
+    "repro.core.metrics": ("RunResult",),
+    "repro.obs.config": ("ObsConfig",),
+    "repro.sim.config": ("NovaConfig", "paper_config", "scaled_config"),
+    "repro.baselines.polygraph": ("PolyGraphConfig", "PolyGraphSystem"),
+    "repro.baselines.ligra": ("LigraConfig", "LigraModel"),
+    "repro.workloads": ("get_workload", "workload_names"),
+})
 
 __all__ = [
     "ReproError",

@@ -42,29 +42,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro import (
-    LigraConfig,
-    LigraModel,
-    NovaSystem,
-    PolyGraphConfig,
-    PolyGraphSystem,
-    scaled_config,
-)
-from repro.analysis.resources import terascale_requirements
 from repro.errors import ConfigError, ReproError
-from repro.graph import io as graph_io
-from repro.graph import suites
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import (
-    power_law,
-    rmat,
-    road_grid,
-    uniform_random,
-    with_uniform_weights,
-)
 from repro.units import KiB, MiB, bytes_to_human, rate_to_human
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
+
+# Each verb imports the subsystems it runs, inside its handler: a warm
+# ``repro run`` answers from the run cache without loading the engine,
+# the baselines, the service or scipy.
 
 _SIZE_UNITS = {"kib": KiB, "mib": MiB, "gib": 1 << 30, "b": 1}
 
@@ -78,8 +66,17 @@ def parse_size(text: str) -> int:
     return int(lowered)
 
 
-def build_graph(spec: str, seed: int = 42) -> CSRGraph:
+def build_graph(spec: str, seed: int = 42) -> "CSRGraph":
     """Resolve a graph specifier (see module docstring)."""
+    from repro.graph import io as graph_io
+    from repro.graph import suites
+    from repro.graph.generators import (
+        power_law,
+        rmat,
+        road_grid,
+        uniform_random,
+    )
+
     if ":" not in spec:
         if spec.endswith(".npz"):
             return graph_io.load_npz(spec)
@@ -108,19 +105,28 @@ def build_graph(spec: str, seed: int = 42) -> CSRGraph:
 def _run_config(args: argparse.Namespace):
     """The system config a ``repro run`` invocation describes."""
     if args.system == "nova":
+        from repro.sim.config import scaled_config
+
         config = scaled_config(num_gpns=args.gpns, scale=args.scale)
         if args.vmu_mode != "tracker":
             config = config.with_updates(vmu_mode=args.vmu_mode)
         return config
     if args.system == "polygraph":
+        from repro.baselines.polygraph import PolyGraphConfig
+
         onchip = (
             parse_size(args.onchip) if args.onchip else int(32 * MiB * args.scale)
         )
         return PolyGraphConfig(onchip_bytes=onchip)
+    from repro.baselines.ligra import LigraConfig
+
     return LigraConfig()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Reject flag combinations before paying for a graph build.
+    if args.engine != "vectorized" and args.system != "nova":
+        raise ConfigError("--engine applies to the nova system only")
     from repro.runner import GraphSpec, RunCache, RunSpec, execute_spec, spec_key
     from repro.runner.spec import resolve_source
 
@@ -137,8 +143,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if workload == "pr":
         kwargs["max_supersteps"] = args.pr_supersteps
     config = _run_config(args)
-    if args.engine != "vectorized" and args.system != "nova":
-        raise ConfigError("--engine applies to the nova system only")
 
     # Single runs go through the same content-addressed cache as sweeps
     # and service jobs, so a repeated run (from any front end) is a hit.
@@ -146,17 +150,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # reference counts the cache key does not distinguish.
     if args.verify or args.no_cache:
         if args.system == "nova":
+            from repro.core.system import NovaSystem
+
             system = NovaSystem(
                 config, graph, placement=args.placement, engine=args.engine
             )
             print(system.describe())
         elif args.system == "polygraph":
+            from repro.baselines.polygraph import PolyGraphSystem
+
             system = PolyGraphSystem(config, graph)
             print(
                 f"PolyGraph: on-chip {bytes_to_human(config.onchip_bytes)}, "
                 f"memory {rate_to_human(system.config.memory.peak_bandwidth)}"
             )
         else:
+            from repro.baselines.ligra import LigraModel
+
             system = LigraModel(config, graph)
             print("Ligra software model (8 cores, 32 MiB L3, 400 GB/s)")
         run = system.run(
@@ -205,8 +215,9 @@ def _sweep_grid(args: argparse.Namespace):
     ``(workload, gpns, source)`` aligned with the specs.
     """
     from repro.core.harness import sample_sources
-    from repro.obs import ObsConfig
+    from repro.obs.config import ObsConfig
     from repro.runner import GraphSpec, RunSpec
+    from repro.sim.config import scaled_config
 
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     known = ("bfs", "cc", "sssp", "pr", "bc")
@@ -451,6 +462,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.system import NovaSystem
     from repro.obs import (
         FAULT_COUNTERS,
         BottleneckReport,
@@ -458,9 +470,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         make_recorder,
         trace_span,
     )
-
     from repro.runner import GraphSpec
     from repro.runner.spec import resolve_source
+    from repro.sim.config import scaled_config
 
     workload = args.workload
     gspec = GraphSpec(
@@ -668,6 +680,9 @@ def _cmd_graph_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.graph import io as graph_io
+    from repro.graph.generators import with_uniform_weights
+
     graph = build_graph(args.kind, seed=args.seed)
     if args.weights:
         graph = with_uniform_weights(graph, seed=args.seed)
@@ -682,6 +697,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.sim.config import scaled_config
+
     config = scaled_config(num_gpns=args.gpns, scale=args.scale)
     print(f"NOVA configuration (Table II, scale {args.scale:g}):")
     print(f"  GPNs x PEs:        {config.num_gpns} x {config.pes_per_gpn}")
@@ -711,6 +728,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_resources(args: argparse.Namespace) -> int:
+    from repro.analysis.resources import terascale_requirements
+
     print("Resources to support WDC12 (Table IV):")
     for row in terascale_requirements():
         print("  " + row.row())

@@ -14,21 +14,27 @@ Fig 3:
 - **Message Generation Unit** (MGU phase) -- expands active vertices'
   edges from DDR4 and emits messages into the interconnect.
 
-Public entry point: :class:`~repro.core.system.NovaSystem`.
+Public entry point: :class:`~repro.core.system.NovaSystem`.  The names
+below resolve on first access, so loading :mod:`repro.core.metrics`
+(every cached result unpickles into one) does not load the engine.
 """
 
-from repro.core.layout import VertexMemoryLayout
-from repro.core.tracker import TrackerModule
-from repro.core.queues import (
-    MessageQueue,
-    PendingWork,
-    PooledMessageQueue,
-    PooledPendingWork,
-)
-from repro.core.metrics import RunResult
-from repro.core.engine import NovaEngine
-from repro.core.engine_scalar import ScalarNovaEngine
-from repro.core.system import NovaSystem
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.layout": ("VertexMemoryLayout",),
+    "repro.core.tracker": ("TrackerModule",),
+    "repro.core.queues": (
+        "MessageQueue",
+        "PendingWork",
+        "PooledMessageQueue",
+        "PooledPendingWork",
+    ),
+    "repro.core.metrics": ("RunResult",),
+    "repro.core.engine": ("NovaEngine",),
+    "repro.core.engine_scalar": ("ScalarNovaEngine",),
+    "repro.core.system": ("NovaSystem",),
+})
 
 __all__ = [
     "VertexMemoryLayout",

@@ -14,6 +14,9 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
+#: Largest vertex count whose ``src * V + dst`` edge keys fit in int64.
+_MAX_KEYED_VERTICES = 3_037_000_499  # floor(sqrt(2**63 - 1))
+
 
 class CSRGraph:
     """An immutable directed graph in CSR form.
@@ -86,9 +89,17 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a CSR graph from parallel source/destination arrays.
 
+        Edges are ordered by one sort of the combined int64 key
+        ``src * num_vertices + dst``, which orders them exactly as
+        ``np.lexsort((dst, src))`` did, at a fraction of the cost.
+        Unweighted edges sort the keys themselves (equal keys are
+        identical edges, so stability is moot); weighted edges take a
+        stable argsort so each weight keeps its edge's input order.
+
         Args:
             src, dst: edge endpoint arrays of equal length.
-            num_vertices: the vertex-id space size.
+            num_vertices: the vertex-id space size; ``num_vertices**2``
+                must fit in int64.
             weights: optional per-edge weights (kept through dedup by
                 taking the minimum weight of duplicate edges).
             dedup: drop duplicate (src, dst) pairs.
@@ -99,6 +110,12 @@ class CSRGraph:
             raise GraphFormatError("src and dst must be equal-length 1-D arrays")
         if num_vertices <= 0:
             raise GraphFormatError("num_vertices must be positive")
+        if num_vertices > _MAX_KEYED_VERTICES:
+            raise GraphFormatError(
+                f"num_vertices={num_vertices} exceeds "
+                f"{_MAX_KEYED_VERTICES}: src*V+dst edge keys would "
+                "overflow int64"
+            )
         if src.size:
             lo = min(src.min(), dst.min())
             hi = max(src.max(), dst.max())
@@ -109,26 +126,30 @@ class CSRGraph:
             if weights.shape != src.shape:
                 raise GraphFormatError("weights must match edges in length")
 
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if weights is not None:
-            weights = weights[order]
-        if dedup and src.size:
-            keep = np.empty(src.shape[0], dtype=bool)
+        key = src * num_vertices
+        key += dst
+        if weights is None:
+            key.sort()
+        else:
+            order = np.argsort(key, kind="stable")
+            key, weights = key[order], weights[order]
+        if dedup and key.size:
+            keep = np.empty(key.shape[0], dtype=bool)
             keep[0] = True
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
             if weights is not None:
                 # Duplicate edges keep their minimum weight.
                 group_ids = np.cumsum(keep) - 1
                 mins = np.full(group_ids[-1] + 1, np.inf)
                 np.minimum.at(mins, group_ids, weights)
                 weights = mins
-            src, dst = src[keep], dst[keep]
+            key = key[keep]
 
-        counts = np.bincount(src, minlength=num_vertices)
-        row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        return cls(row_ptr, dst, weights)
+        # Vertex v's edges are the keys in [v*V, (v+1)*V).
+        row_ptr = np.searchsorted(
+            key, np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
+        )
+        return cls(row_ptr, key % num_vertices, weights)
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -26,32 +26,39 @@ resulting JSONL spans back into one tree (``repro trace``);
 log-bucketed histograms next to the counters; and
 :mod:`repro.obs.prom` renders/validates the Prometheus text
 exposition the service serves on ``GET /metrics?format=prom``.
+
+The names below resolve on first access, so the run path's counters
+and tracing do not load the report, profile or bench-history layers.
 """
 
-from repro.obs.bench_history import BenchHistory, RegressionVerdict
-from repro.obs.config import ObsConfig, make_recorder
-from repro.obs.counters import (
-    DEFAULT_BUCKETS,
-    DEFAULT_HISTOGRAMS,
-    FAULT_COUNTERS,
-    CounterRegistry,
-    Histogram,
-    MetricsRegistry,
-    histogram_quantile,
-    render_counts,
-)
-from repro.obs.profile import BottleneckReport
-from repro.obs.prom import render_prometheus, validate_exposition
-from repro.obs.recorder import (
-    MetricsRecorder,
-    NullRecorder,
-    PhaseProfiler,
-    QuantumObservation,
-    TimelineRecorder,
-)
-from repro.obs.report import ReportEntry, SweepReport, entry_from_result
-from repro.obs.trace_context import TraceContext
-from repro.obs.tracing import trace_enabled, trace_event, trace_span
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.bench_history": ("BenchHistory", "RegressionVerdict"),
+    "repro.obs.config": ("ObsConfig", "make_recorder"),
+    "repro.obs.counters": (
+        "DEFAULT_BUCKETS",
+        "DEFAULT_HISTOGRAMS",
+        "FAULT_COUNTERS",
+        "CounterRegistry",
+        "Histogram",
+        "MetricsRegistry",
+        "histogram_quantile",
+        "render_counts",
+    ),
+    "repro.obs.profile": ("BottleneckReport",),
+    "repro.obs.prom": ("render_prometheus", "validate_exposition"),
+    "repro.obs.recorder": (
+        "MetricsRecorder",
+        "NullRecorder",
+        "PhaseProfiler",
+        "QuantumObservation",
+        "TimelineRecorder",
+    ),
+    "repro.obs.report": ("ReportEntry", "SweepReport", "entry_from_result"),
+    "repro.obs.trace_context": ("TraceContext",),
+    "repro.obs.tracing": ("trace_enabled", "trace_event", "trace_span"),
+})
 
 __all__ = [
     "ObsConfig",

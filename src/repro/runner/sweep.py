@@ -39,6 +39,7 @@ cache hit is bit-identical to recomputing.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
 import threading
@@ -148,6 +149,31 @@ register_system("ligra", _run_ligra)
 
 #: Systems whose engines thread a MetricsRecorder (timeline/profiling).
 _OBS_SYSTEMS = ("nova", "nova-jit")
+
+#: Modules the built-in executors import on their first run.  numpy
+#: itself imports ``numpy.random`` (random placement) and ``numpy.ma``
+#: (``np.unique``) on first use.
+_NOVA_MODULES = ("numpy.ma", "numpy.random", "repro.core.system")
+_EXECUTOR_MODULES: Dict[str, Tuple[str, ...]] = {
+    "nova": _NOVA_MODULES,
+    "nova-jit": _NOVA_MODULES + ("repro.core.engine_numba",),
+    "polygraph": ("repro.baselines.polygraph",),
+    "ligra": ("repro.baselines.ligra",),
+}
+
+
+def _preload_executors(systems) -> None:
+    """Import the named systems' executor modules in this process.
+
+    Executors import their engines on first use, so a process that
+    only answers from the cache never loads them.  A process about to
+    fork pool workers must load them first: forked workers inherit the
+    parent's modules, whereas an import left to the workers would be
+    paid by every one of them, inside a timed attempt.
+    """
+    for system in systems:
+        for module in _EXECUTOR_MODULES.get(system, ()):
+            importlib.import_module(module)
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
@@ -409,6 +435,10 @@ class SweepRunner:
                 "", "0", "false", "no",
             )
         self.batch = bool(batch)
+        if self.workers > 1:
+            # This runner forks its workers: load the default executor
+            # now, before any sweep starts its clock.
+            _preload_executors(("nova",))
 
     def run_one(self, spec: RunSpec) -> RunResult:
         results, _ = self.run([spec])
@@ -665,6 +695,8 @@ class SweepRunner:
     ) -> None:
         """Run one round, reporting each key's outcome as it settles."""
         timeout = self.policy.timeout_seconds
+        if self.workers > 1:
+            _preload_executors({spec.system for spec in batch.values()})
         pooled = [
             (key, spec) for key, spec in batch.items() if key not in suspects
         ]

@@ -6,6 +6,10 @@ algorithm traverses -- the numerator of the paper's work-efficiency
 metric (Section II-A).  Heavy lifting is delegated to scipy's compiled
 graph kernels where available; pure-Python fallbacks keep the package
 usable without scipy (at reduced speed).
+
+scipy is imported on the first oracle call that can use it, not when
+this module loads: importing it costs more than a warm ``repro run``,
+and only ``--verify`` / ``repro validate`` ever consult the oracle.
 """
 
 from __future__ import annotations
@@ -18,18 +22,29 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.graph.csr import CSRGraph
 
-try:  # scipy is an optional accelerator, not a hard dependency
-    from scipy.sparse import csr_matrix
-    from scipy.sparse import csgraph as _csgraph
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - environment without scipy
-    _HAVE_SCIPY = False
-
 UNREACHED = np.iinfo(np.int64).max
+
+#: ``scipy.sparse.csgraph`` once probed, ``False`` if scipy is missing,
+#: ``None`` until the first call that could use it.
+_CSGRAPH = None
+
+
+def _scipy_csgraph():
+    """scipy's compiled graph kernels, or ``None`` without scipy."""
+    global _CSGRAPH
+    if _CSGRAPH is None:
+        try:  # scipy is an optional accelerator, not a hard dependency
+            from scipy.sparse import csgraph
+
+            _CSGRAPH = csgraph
+        except ImportError:
+            _CSGRAPH = False
+    return _CSGRAPH or None
 
 
 def _as_scipy(graph: CSRGraph, weighted: bool):
+    from scipy.sparse import csr_matrix
+
     data = (
         graph.weights
         if (weighted and graph.weights is not None)
@@ -74,18 +89,19 @@ def sssp_distances(graph: CSRGraph, source: int) -> Tuple[np.ndarray, int]:
         raise WorkloadError("SSSP reference requires weights")
     if (graph.weights < 0).any():
         raise WorkloadError("Dijkstra requires non-negative weights")
-    if _HAVE_SCIPY:
-        dist = _csgraph.dijkstra(
+    csgraph = _scipy_csgraph()
+    if csgraph is not None:
+        dist = csgraph.dijkstra(
             _as_scipy(graph, weighted=True), directed=True, indices=source
         )
-    else:  # pragma: no cover - fallback
+    else:
         dist = _dijkstra_python(graph, source)
     reached = np.flatnonzero(np.isfinite(dist))
     edges = int(graph.out_degrees()[reached].sum())
     return dist, edges
 
 
-def _dijkstra_python(graph: CSRGraph, source: int) -> np.ndarray:  # pragma: no cover
+def _dijkstra_python(graph: CSRGraph, source: int) -> np.ndarray:
     dist = np.full(graph.num_vertices, np.inf)
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -110,11 +126,12 @@ def connected_components(graph: CSRGraph) -> Tuple[np.ndarray, int]:
     member id -- the fixed point of min-label propagation, which is what
     the accelerator's CC workload converges to.
     """
-    if _HAVE_SCIPY:
-        _, raw = _csgraph.connected_components(
+    csgraph = _scipy_csgraph()
+    if csgraph is not None:
+        _, raw = csgraph.connected_components(
             _as_scipy(graph, weighted=False), directed=False
         )
-    else:  # pragma: no cover - fallback
+    else:
         raw = _cc_python(graph)
     # Normalize: component id -> min vertex id inside it.
     mins = np.full(raw.max() + 1, np.iinfo(np.int64).max, dtype=np.int64)
@@ -123,7 +140,7 @@ def connected_components(graph: CSRGraph) -> Tuple[np.ndarray, int]:
     return labels, graph.num_edges
 
 
-def _cc_python(graph: CSRGraph) -> np.ndarray:  # pragma: no cover
+def _cc_python(graph: CSRGraph) -> np.ndarray:
     parent = np.arange(graph.num_vertices, dtype=np.int64)
 
     def find(x: int) -> int:

@@ -1,12 +1,16 @@
 """CSRGraph construction, validation, and transformations."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import power_law, rmat, road_grid
+from repro.runner.cache import graph_digest
 
 
 class TestConstruction:
@@ -179,6 +183,59 @@ def edge_lists(draw):
     return n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
 
 
+@st.composite
+def weighted_edge_lists(draw):
+    """Edge lists dense in duplicate pairs and self-loops, with optional
+    per-edge weights drawn independently (so duplicates disagree)."""
+    n, src, dst = draw(edge_lists())
+    weights = None
+    if draw(st.booleans()):
+        weights = np.asarray(
+            draw(st.lists(
+                st.floats(0.0, 8.0, allow_nan=False, width=32),
+                min_size=src.size, max_size=src.size,
+            )),
+            dtype=np.float64,
+        )
+    return n, src, dst, weights
+
+
+def lexsort_reference(src, dst, num_vertices, weights=None, dedup=False):
+    """The two-key ``np.lexsort`` build ``from_edges`` must reproduce
+    bit for bit: ``(row_ptr, col_idx, weights)``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)[order]
+    if dedup and src.size:
+        keep = np.empty(src.shape[0], dtype=bool)
+        keep[0] = True
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        if weights is not None:
+            group_ids = np.cumsum(keep) - 1
+            mins = np.full(group_ids[-1] + 1, np.inf)
+            np.minimum.at(mins, group_ids, weights)
+            weights = mins
+        src, dst = src[keep], dst[keep]
+    row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=row_ptr[1:])
+    return row_ptr, dst, weights
+
+
+def assert_bit_identical(graph, reference):
+    row_ptr, col_idx, weights = reference
+    for got, want in ((graph.row_ptr, row_ptr), (graph.col_idx, col_idx)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    if weights is None:
+        assert graph.weights is None
+    else:
+        assert graph.weights.dtype == weights.dtype
+        assert graph.weights.tobytes() == weights.tobytes()
+
+
 class TestPropertyBased:
     @given(edge_lists())
     @settings(max_examples=60, deadline=None)
@@ -206,3 +263,51 @@ class TestPropertyBased:
         g = CSRGraph.from_edges(src, dst, n)
         assert g.out_degrees().sum() == g.num_edges
         assert g.in_degrees().sum() == g.num_edges
+
+    @given(weighted_edge_lists(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example((1, np.zeros(3, np.int64), np.zeros(3, np.int64),
+              np.array([2.0, 1.0, 3.0])), False)
+    @example((1, np.zeros(0, np.int64), np.zeros(0, np.int64), None), True)
+    @example((4, np.array([2, 0, 2, 2]), np.array([1, 3, 1, 1]),
+              np.array([5.0, 1.0, -0.0, 0.0])), True)
+    def test_combined_key_matches_lexsort(self, data, dedup):
+        n, src, dst, weights = data
+        graph = CSRGraph.from_edges(src, dst, n, weights=weights, dedup=dedup)
+        assert_bit_identical(
+            graph, lexsort_reference(src, dst, n, weights, dedup)
+        )
+
+
+class TestBuildParity:
+    """The combined-key build leaves every graph digest unchanged, so
+    run-cache keys and published store artifacts stay valid."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: power_law(24000, 35.0, seed=11),
+        lambda: power_law(16000, 35.0, seed=12).symmetrized(),
+        lambda: road_grid(120, 120, seed=13),
+        lambda: rmat(15, 16, seed=14),
+    ], ids=["power_law", "power_law_symmetrized", "road_grid", "rmat"])
+    def test_generator_digest_matches_lexsort(self, monkeypatch, make):
+        builds = []
+        from_edges = CSRGraph.from_edges.__func__
+
+        def spy(cls, src, dst, num_vertices, weights=None, dedup=False):
+            graph = from_edges(cls, src, dst, num_vertices, weights, dedup)
+            reference = CSRGraph(
+                *lexsort_reference(src, dst, num_vertices, weights, dedup)
+            )
+            builds.append((graph_digest(graph), graph_digest(reference)))
+            return graph
+
+        monkeypatch.setattr(CSRGraph, "from_edges", classmethod(spy))
+        assert make().num_edges > 0
+        assert builds
+        for digest, reference_digest in builds:
+            assert digest == reference_digest
+
+    def test_vertex_count_whose_keys_overflow_int64(self):
+        too_many = math.isqrt(2**63 - 1) + 1
+        with pytest.raises(GraphFormatError, match="overflow"):
+            CSRGraph.from_edges(np.array([0]), np.array([1]), too_many)

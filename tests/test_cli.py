@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_graph, main, parse_size
-from repro.errors import ReproError
+from repro.cli import build_graph, main, make_parser, parse_size
+from repro.errors import ConfigError, ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat
 from repro.units import KiB, MiB
@@ -105,6 +105,20 @@ class TestCommands:
         assert "cache miss" in capsys.readouterr().out
         assert main(base + ["--seed", "1"]) == 0
         assert "cache hit" in capsys.readouterr().out
+
+    def test_run_rejects_engine_flag_before_building(
+        self, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(store))
+        args = make_parser().parse_args([
+            "run", "--system", "ligra", "--engine", "jit",
+            "--graph", "rmat:9:8", "--cache-dir", str(tmp_path / "cache"),
+        ])
+        with pytest.raises(ConfigError, match="--engine"):
+            args.func(args)
+        # The argument error came before any graph build or publish.
+        assert not store.exists() or not any(store.iterdir())
 
     def test_run_sssp_auto_weights(self, capsys):
         assert main(["run", "--graph", "rmat:10:8", "--workload", "sssp",

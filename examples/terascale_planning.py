@@ -4,9 +4,8 @@ Part 1 uses the analytical models (Eq 1-2, Table IV) to size NOVA,
 PolyGraph, and Dalorex installations for graphs from Twitter-scale up to
 WDC12 (128 B hyperlinks) -- the scaling argument of Section VI-E.
 
-Part 2 turns on the per-quantum trace recorder and shows where a real
-run's time goes (the Python-side equivalent of gem5's per-SimObject
-stats).
+Part 2 records a per-quantum timeline and shows where a real run's
+time goes (the Python-side equivalent of gem5's per-SimObject stats).
 
 Run:  python examples/terascale_planning.py
 """
@@ -22,6 +21,7 @@ from repro.analysis.resources import (
 )
 from repro.core.engine import NovaEngine
 from repro.graph.generators import power_law
+from repro.obs import BottleneckReport, ObsConfig, make_recorder
 from repro.units import MiB, bytes_to_human
 from repro.workloads import get_workload
 
@@ -49,7 +49,7 @@ def part1_resource_planning() -> None:
 
 
 def part2_pipeline_trace() -> None:
-    print("=== inside one run: per-quantum trace ===\n")
+    print("=== inside one run: per-quantum timeline ===\n")
     graph = power_law(100_000, avg_degree=20.0, seed=11)
     source = int(np.argmax(graph.out_degrees()))
     engine = NovaEngine(
@@ -57,18 +57,19 @@ def part2_pipeline_trace() -> None:
         graph,
         get_workload("bfs"),
         source=source,
-        trace=True,
+        recorder=make_recorder(ObsConfig(timeline=True)),
     )
     run = engine.run()
     print(run.describe())
-    print(engine.trace.summary())
+    print(BottleneckReport.from_timeline(run.timeline).render())
     # The busiest quantum, for flavour.
-    busiest = max(engine.trace.samples, key=lambda s: s.messages_reduced)
+    columns = run.timeline["columns"]
+    busiest = int(np.argmax(columns["messages_drained"]))
     print(
-        f"busiest quantum #{busiest.index}: reduced "
-        f"{busiest.messages_reduced:,} messages, expanded "
-        f"{busiest.edges_expanded:,} edges, inbox backlog "
-        f"{busiest.inbox_backlog:,}, bottleneck={busiest.bottleneck}"
+        f"busiest quantum #{columns['index'][busiest]}: drained "
+        f"{columns['messages_drained'][busiest]:,} messages, inbox backlog "
+        f"{columns['inbox_backlog'][busiest]:,}, "
+        f"bottleneck={columns['bottleneck'][busiest]}"
     )
 
 

@@ -124,19 +124,11 @@ def _run_config(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Reject flag combinations before paying for a graph build.
-    if args.engine != "vectorized" and args.system != "nova":
-        raise ConfigError("--engine applies to the nova system only")
     from repro.runner import GraphSpec, RunCache, RunSpec, execute_spec, spec_key
     from repro.runner.spec import resolve_source
 
     workload = args.workload
-    gspec = GraphSpec(
-        args.graph,
-        seed=args.seed,
-        weighted=(workload == "sssp"),
-        symmetrized=(workload == "cc"),
-    )
+    gspec = GraphSpec.for_workload(args.graph, workload, seed=args.seed)
     graph = gspec.build()
     source = resolve_source(graph, workload, args.source)
     kwargs = {}
@@ -152,9 +144,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.system == "nova":
             from repro.core.system import NovaSystem
 
-            system = NovaSystem(
-                config, graph, placement=args.placement, engine=args.engine
-            )
+            system = NovaSystem(config, graph, placement=args.placement)
             print(system.describe())
         elif args.system == "polygraph":
             from repro.baselines.polygraph import PolyGraphSystem
@@ -177,7 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             workload,
             gspec,
             config=config,
-            system="nova-jit" if args.engine == "jit" else args.system,
+            system=args.system,
             source=source,
             placement=args.placement,
             workload_kwargs=kwargs,
@@ -232,14 +222,6 @@ def _sweep_grid(args: argparse.Namespace):
         if getattr(args, "timeline", False)
         else None
     )
-
-    # --engine jit runs (and caches) under the nova-jit system key;
-    # report passes the same flag to recompute matching keys.
-    system = (
-        "nova-jit"
-        if getattr(args, "engine", "vectorized") == "jit"
-        else "nova"
-    )
     specs = []
     rows = []  # (workload, gpns, source) aligned with specs
     for workload in workloads:
@@ -247,12 +229,7 @@ def _sweep_grid(args: argparse.Namespace):
         # the build (and so into the content-addressed key) on every
         # path, and run/sweep/service submissions of the same inputs
         # digest to the same cache entry.
-        gspec = GraphSpec(
-            args.graph,
-            seed=args.seed,
-            weighted=(workload == "sssp"),
-            symmetrized=(workload == "cc"),
-        )
+        gspec = GraphSpec.for_workload(args.graph, workload, seed=args.seed)
         graph = gspec.build()
         if workload in ("cc", "pr"):
             sources = [None]
@@ -272,7 +249,6 @@ def _sweep_grid(args: argparse.Namespace):
                         workload,
                         gspec,
                         config=config,
-                        system=system,
                         source=source,
                         placement=args.placement,
                         workload_kwargs=kwargs,
@@ -475,12 +451,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.sim.config import scaled_config
 
     workload = args.workload
-    gspec = GraphSpec(
-        args.graph,
-        seed=args.seed,
-        weighted=(workload == "sssp"),
-        symmetrized=(workload == "cc"),
-    )
+    gspec = GraphSpec.for_workload(args.graph, workload, seed=args.seed)
     graph = gspec.build()
     source = resolve_source(graph, workload, args.source)
     kwargs = {}
@@ -545,12 +516,8 @@ def _graph_variants(args: argparse.Namespace):
         workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
         variants = {}
         for workload in workloads:
-            gspec = GraphSpec(
-                args.graph,
-                seed=args.seed,
-                scale=args.scale,
-                weighted=(workload == "sssp"),
-                symmetrized=(workload == "cc"),
+            gspec = GraphSpec.for_workload(
+                args.graph, workload, seed=args.seed, scale=args.scale
             )
             variants[gspec] = None  # de-dup, preserve order
         return list(variants)
@@ -1194,12 +1161,6 @@ def make_parser() -> argparse.ArgumentParser:
                      help="source vertex (default: highest out-degree)")
     run.add_argument("--pr-supersteps", type=int, default=10)
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--engine", default="vectorized",
-                     choices=("vectorized", "jit"),
-                     help="nova simulation engine: vectorized (default) "
-                          "or jit (numba-compiled kernels, falls back to "
-                          "vectorized without numba; cached under the "
-                          "nova-jit system key)")
     run.add_argument("--verify", action="store_true",
                      help="check results against the sequential oracle "
                           "(runs uncached)")
@@ -1231,12 +1192,6 @@ def make_parser() -> argparse.ArgumentParser:
                             help="instrument every run with a per-quantum "
                                  "timeline (cached separately; gives "
                                  "`repro report` bottleneck shares)")
-        parser.add_argument("--engine", default="vectorized",
-                            choices=("vectorized", "jit"),
-                            help="simulation engine: vectorized (default) "
-                                 "or jit (numba-compiled kernels, falls "
-                                 "back to vectorized without numba; cached "
-                                 "under the nova-jit system key)")
         parser.add_argument("--cache-dir", default=None,
                             help="run-cache root (default: REPRO_CACHE_DIR "
                                  "or ~/.cache/repro-nova)")
@@ -1302,7 +1257,7 @@ def make_parser() -> argparse.ArgumentParser:
                       choices=("interleave", "random", "load_balanced",
                                "locality"))
     prof.add_argument("--engine", default="vectorized",
-                      choices=("vectorized", "scalar", "jit"))
+                      choices=("vectorized", "scalar"))
     prof.add_argument("--source", type=int, default=None,
                       help="source vertex (default: highest out-degree)")
     prof.add_argument("--pr-supersteps", type=int, default=10)

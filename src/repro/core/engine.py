@@ -68,7 +68,6 @@ from repro.obs.recorder import (
 from repro.sim.config import NovaConfig
 from repro.sim.engine import QuantumClock, ResourcePool
 from repro.sim.stats import StatGroup
-from repro.sim.trace import QuantumSample, TraceRecorder
 from repro.workloads.base import VertexProgram, expand_edges
 
 
@@ -120,11 +119,6 @@ class _InboxView:
 class NovaEngine:
     """One end-to-end NOVA execution of a vertex program on a graph."""
 
-    #: CSR edge-range expansion hook.  Subclasses (the numba-compiled
-    #: engine) swap in an equivalent single-pass kernel; any override
-    #: must return bit-identical (owner, dests, weights) arrays.
-    _expand = staticmethod(expand_edges)
-
     def __init__(
         self,
         config: NovaConfig,
@@ -133,7 +127,6 @@ class NovaEngine:
         placement: Optional[VertexPlacement] = None,
         source: Optional[int] = None,
         max_quanta: int = 5_000_000,
-        trace: bool = False,
         recorder: Optional[MetricsRecorder] = None,
     ) -> None:
         program.check_graph(graph)
@@ -197,9 +190,6 @@ class NovaEngine:
                 * config.quantum_overlap
             ),
         )
-
-        self.trace = TraceRecorder() if trace else None
-        self._trace_prev = (0, 0, 0)
 
         #: Metrics recorder; the null default keeps the per-quantum cost
         #: at a single branch (see repro.obs).
@@ -419,7 +409,7 @@ class NovaEngine:
         )
         if vertices.shape[0] == 0:
             return
-        owner_idx, dests, weights = self._expand(
+        owner_idx, dests, weights = expand_edges(
             prop_graph, vertices, starts, ends
         )
         nedges = int(dests.shape[0])
@@ -477,12 +467,9 @@ class NovaEngine:
         }
         bottleneck = max(services, key=services.get)
         service = services[bottleneck]
-        start = self.clock.elapsed_seconds
         duration = self.clock.advance(service)
         if duration > service:
             bottleneck = "latency"
-        if self.trace is not None:
-            self._record_trace(start, duration, bottleneck, service)
         if self._obs_on:
             self._observe_quantum(services, duration, bottleneck)
         self.hbm.end_quantum(duration)
@@ -520,32 +507,6 @@ class NovaEngine:
                 inbox_backlog=self.inbox_pool.total,
                 buffer_occupancy=self.pending_pool.total_entries,
                 tracked_blocks=int(self.tracker.counters.sum()),
-            )
-        )
-
-    def _record_trace(
-        self, start: float, duration: float, bottleneck: str, service: float
-    ) -> None:
-        reduced, collected, expanded = (
-            self._messages_processed,
-            self._activations,
-            self._edges_traversed,
-        )
-        prev = self._trace_prev
-        self._trace_prev = (reduced, collected, expanded)
-        self.trace.record(
-            QuantumSample(
-                index=self.clock.quanta - 1,
-                start_seconds=start,
-                duration_seconds=duration,
-                messages_reduced=reduced - prev[0],
-                vertices_collected=collected - prev[1],
-                edges_expanded=expanded - prev[2],
-                inbox_backlog=self.inbox_pool.total,
-                buffer_occupancy=self.pending_pool.total_entries,
-                tracked_blocks=int(self.tracker.counters.sum()),
-                bottleneck=bottleneck,
-                bottleneck_seconds=service,
             )
         )
 

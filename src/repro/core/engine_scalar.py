@@ -41,7 +41,6 @@ from repro.obs.recorder import (
 from repro.sim.config import NovaConfig
 from repro.sim.engine import QuantumClock
 from repro.sim.stats import StatGroup
-from repro.sim.trace import QuantumSample, TraceRecorder
 from repro.workloads.base import VertexProgram, expand_edges
 
 
@@ -56,7 +55,6 @@ class ScalarNovaEngine:
         placement: Optional[VertexPlacement] = None,
         source: Optional[int] = None,
         max_quanta: int = 5_000_000,
-        trace: bool = False,
         recorder: Optional[MetricsRecorder] = None,
     ) -> None:
         program.check_graph(graph)
@@ -110,9 +108,6 @@ class ScalarNovaEngine:
         )
         sb_bytes = config.superblock_dim * config.block_bytes
         self._max_scans = max(1, int(scan_bytes_budget // sb_bytes))
-
-        self.trace = TraceRecorder() if trace else None
-        self._trace_prev = (0, 0, 0)
 
         #: Metrics recorder; the null default keeps the per-quantum cost
         #: at a single branch (see repro.obs).
@@ -381,12 +376,9 @@ class ScalarNovaEngine:
         }
         bottleneck = max(services, key=services.get)
         service = services[bottleneck]
-        start = self.clock.elapsed_seconds
         duration = self.clock.advance(service)
         if duration > service:
             bottleneck = "latency"
-        if self.trace is not None:
-            self._record_trace(start, duration, bottleneck, service)
         if self._obs_on:
             self._observe_quantum(services, duration, bottleneck)
         for channel in self.hbm:
@@ -430,32 +422,6 @@ class ScalarNovaEngine:
                 inbox_backlog=sum(len(inbox) for inbox in self.inboxes),
                 buffer_occupancy=sum(w.entries for w in self.pending),
                 tracked_blocks=int(self.tracker.counters.sum()),
-            )
-        )
-
-    def _record_trace(
-        self, start: float, duration: float, bottleneck: str, service: float
-    ) -> None:
-        reduced, collected, expanded = (
-            self._messages_processed,
-            self._activations,
-            self._edges_traversed,
-        )
-        prev = self._trace_prev
-        self._trace_prev = (reduced, collected, expanded)
-        self.trace.record(
-            QuantumSample(
-                index=self.clock.quanta - 1,
-                start_seconds=start,
-                duration_seconds=duration,
-                messages_reduced=reduced - prev[0],
-                vertices_collected=collected - prev[1],
-                edges_expanded=expanded - prev[2],
-                inbox_backlog=sum(len(inbox) for inbox in self.inboxes),
-                buffer_occupancy=sum(w.entries for w in self.pending),
-                tracked_blocks=int(self.tracker.counters.sum()),
-                bottleneck=bottleneck,
-                bottleneck_seconds=service,
             )
         )
 

@@ -60,13 +60,11 @@ class NovaSystem:
         graph: the input graph in CSR form.
         placement: either a prebuilt :class:`VertexPlacement` or a
             strategy name ("random" is the paper's default, Section V).
-        engine: "vectorized" (default, the flat-batched hot path),
+        engine: "vectorized" (default, the flat-batched hot path) or
             "scalar" (the per-PE-loop golden reference in
-            :mod:`repro.core.engine_scalar`), or "jit" (the optional
-            numba-compiled kernels in :mod:`repro.core.engine_numba`,
-            falling back to vectorized when numba is absent).  All
-            engines are bit-identical; scalar exists for equivalence
-            testing and as the perf baseline, jit for speed.
+            :mod:`repro.core.engine_scalar`).  The engines are
+            bit-identical; scalar exists for equivalence testing and as
+            the perf baseline.
     """
 
     def __init__(
@@ -88,14 +86,9 @@ class NovaSystem:
             from repro.core.engine_scalar import ScalarNovaEngine
 
             self._engine_cls = ScalarNovaEngine
-        elif engine == "jit":
-            from repro.core.engine_numba import resolve_jit_engine
-
-            self._engine_cls = resolve_jit_engine()
         else:
             raise ConfigError(
-                f"unknown engine {engine!r}; expected vectorized, scalar, "
-                "or jit"
+                f"unknown engine {engine!r}; expected vectorized or scalar"
             )
 
     def run(

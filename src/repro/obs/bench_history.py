@@ -2,12 +2,13 @@
 
 ``benchmarks/perf_smoke.py`` measures the hot path every run, but a
 single measurement only gates against its immediate predecessor.
-:class:`BenchHistory` keeps the trajectory: an append-only JSONL file
-(one git-SHA-stamped record per benchmark invocation) whose
-rolling-median baseline absorbs one-off machine noise, plus
-threshold-based :class:`RegressionVerdict` checks that turn "this build
-is slower" into a failing exit code with a rendered diff
-(``perf_smoke.py --against <history>`` and the CI workflow).
+:class:`BenchHistory` keeps the trajectory: a
+:class:`~repro.journal.Journal` (one git-SHA-stamped record per
+benchmark invocation) whose rolling-median baseline absorbs one-off
+machine noise, plus threshold-based :class:`RegressionVerdict` checks
+that turn "this build is slower" into a failing exit code with a
+rendered diff (``perf_smoke.py --against <history>`` and the CI
+workflow).
 
 Metric direction is inferred from the name: metrics containing
 ``overhead`` are lower-is-better and regress on an *absolute* increase
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.journal import Journal
 
 #: History record format version.
 HISTORY_SCHEMA = 1
@@ -102,6 +104,8 @@ class BenchHistory:
         self.path = path
         self.window = window
         self.threshold = threshold
+        # No header line: every record carries its own schema.
+        self._journal = Journal(path)
 
     @classmethod
     def at(cls, path: str, **kwargs) -> "BenchHistory":
@@ -115,27 +119,13 @@ class BenchHistory:
     # ------------------------------------------------------------------
 
     def records(self) -> List[Dict]:
-        """Every parseable history record, oldest first."""
-        out: List[Dict] = []
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn final line from a hard kill
-                    if (
-                        isinstance(record, dict)
-                        and record.get("schema") == HISTORY_SCHEMA
-                        and isinstance(record.get("metrics"), dict)
-                    ):
-                        out.append(record)
-        except OSError:
-            pass
-        return out
+        """Every complete history record of this schema, oldest first."""
+        return [
+            record
+            for record in self._journal.replay()
+            if record.get("schema") == HISTORY_SCHEMA
+            and isinstance(record.get("metrics"), dict)
+        ]
 
     def append(
         self,
@@ -165,10 +155,7 @@ class BenchHistory:
                 and last.get("metrics") == record["metrics"]
             ):
                 return last
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+        self._journal.append(record)
         return record
 
     # ------------------------------------------------------------------

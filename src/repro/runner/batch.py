@@ -97,13 +97,12 @@ def _group_execute(spec: RunSpec, systems: dict):
     from repro.runner import sweep as _sweep
 
     executor = _sweep._SYSTEM_EXECUTORS.get(spec.system)
-    if executor is _sweep._run_nova or executor is _sweep._run_nova_jit:
+    if executor is _sweep._run_nova:
         graph = spec.resolve_graph()
         token = _system_token(spec, graph)
         system = systems.get(token)
         if system is None:
-            engine = "jit" if spec.system == "nova-jit" else "vectorized"
-            system = _sweep._nova_system(spec, engine=engine)
+            system = _sweep._nova_system(spec)
             systems[token] = system
         return _sweep._nova_run(system, spec)
     return _sweep.execute_spec(spec)

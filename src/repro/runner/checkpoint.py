@@ -9,18 +9,20 @@ finds it, reports how much already finished, and the runner's
 cache-first pass recomputes only the missing keys.  A sweep that
 completes cleanly (no failures) removes its manifest.
 
-The manifest is append-only and idempotent: marking an already-marked
-key is a no-op, and each mark is a single short ``write`` append, so a
-sweep killed mid-mark loses at most one line (that run's result is
-still in the cache and costs one cache hit, never a recompute).
+The manifest is a :class:`~repro.journal.Journal` and idempotent:
+marking an already-marked key is a no-op, and each mark is one fsynced
+line, so a sweep killed mid-mark loses at most that mark (its run's
+result is still in the cache and costs one cache hit, never a
+recompute).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Dict, Iterable, Optional, Sequence, Set
+
+from repro.journal import Journal
 
 #: Manifest format version.
 CHECKPOINT_SCHEMA = 1
@@ -36,10 +38,11 @@ def sweep_id(keys: Sequence[str]) -> str:
 
 
 class SweepCheckpoint:
-    """Append-only manifest of one sweep's completed keys."""
+    """A :class:`~repro.journal.Journal` of one sweep's completed keys."""
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self._journal = Journal(path)
         self._marked: Set[str] = set()
         self._loaded = False
 
@@ -66,56 +69,40 @@ class SweepCheckpoint:
         if self._loaded:
             return
         self._loaded = True
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn final line from a hard kill
-                    key = record.get("key")
-                    if key:
-                        self._marked.add(key)
-        except OSError:
-            pass
+        for record in self._journal.replay():
+            key = record.get("key")
+            if key:
+                self._marked.add(key)
 
     def begin(self, total: int, meta: Optional[Dict[str, object]] = None) -> None:
         """Ensure the manifest exists, writing a header when fresh."""
         self._load()
         if self.exists():
             return
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
         header = {"schema": CHECKPOINT_SCHEMA, "total": int(total)}
         if meta:
             header.update(meta)
-        self._append(header)
+        self._journal.append(header)
 
     def mark(self, key: str) -> None:
-        """Record one completed key (idempotent)."""
+        """Record one completed key (idempotent).
+
+        A manifest removed by :meth:`finish` is recreated rather than
+        the mark lost.
+        """
         self._load()
         if key in self._marked:
             return
         self._marked.add(key)
-        if not self.exists():
-            # A concurrent finish() or manual cleanup removed the
-            # manifest: recreate rather than lose the mark.
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        self._append({"key": key})
+        self._journal.append({"key": key})
 
     def mark_many(self, keys: Iterable[str]) -> None:
         for key in keys:
             self.mark(key)
 
-    def _append(self, record: Dict[str, object]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(line)
-
     def finish(self) -> None:
         """Remove the manifest (the sweep completed with nothing left)."""
+        self._journal.close()
         try:
             os.unlink(self.path)
         except OSError:

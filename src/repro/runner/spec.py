@@ -52,6 +52,29 @@ class GraphSpec:
     symmetrized: bool = False
     weight_seed: int = 7
 
+    @classmethod
+    def for_workload(
+        cls,
+        spec: str,
+        workload: str,
+        seed: int = 42,
+        scale: Optional[float] = None,
+    ) -> "GraphSpec":
+        """The graph variant ``workload`` runs on.
+
+        sssp runs on the weighted variant and cc on the symmetrized
+        one.  Every front end (``repro run``, ``sweep``, ``profile``,
+        ``graph build`` and service jobs) derives its recipe here, so
+        the same inputs digest to the same cache key on every path.
+        """
+        return cls(
+            spec,
+            seed=seed,
+            scale=scale,
+            weighted=(workload == "sssp"),
+            symmetrized=(workload == "cc"),
+        )
+
     def build(self) -> CSRGraph:
         """Materialize the graph: memo, then artifact store, then build.
 

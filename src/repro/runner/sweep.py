@@ -74,7 +74,7 @@ def register_system(name: str, executor: Callable[[RunSpec], RunResult]) -> None
     _SYSTEM_EXECUTORS[name] = executor
 
 
-def _nova_system(spec: RunSpec, engine: str = "vectorized"):
+def _nova_system(spec: RunSpec):
     """Build the configured :class:`NovaSystem` for one spec."""
     from repro.core.system import NovaSystem
     from repro.sim.config import scaled_config
@@ -86,7 +86,6 @@ def _nova_system(spec: RunSpec, engine: str = "vectorized"):
         graph,
         placement=spec.placement,
         seed=spec.placement_seed,
-        engine=engine,
     )
 
 
@@ -113,17 +112,6 @@ def _run_nova(spec: RunSpec) -> RunResult:
     return _nova_run(_nova_system(spec), spec)
 
 
-def _run_nova_jit(spec: RunSpec) -> RunResult:
-    """The ``nova-jit`` system: numba-compiled kernels when available.
-
-    Falls back transparently to the vectorized engine when numba is
-    not importable (see :mod:`repro.core.engine_numba`), so specs keyed
-    ``system="nova-jit"`` are runnable on every host -- the cache key
-    still separates them from plain ``nova`` entries.
-    """
-    return _nova_run(_nova_system(spec, engine="jit"), spec)
-
-
 def _run_polygraph(spec: RunSpec) -> RunResult:
     from repro.baselines.polygraph import PolyGraphConfig, PolyGraphSystem
 
@@ -143,20 +131,14 @@ def _run_ligra(spec: RunSpec) -> RunResult:
 
 
 register_system("nova", _run_nova)
-register_system("nova-jit", _run_nova_jit)
 register_system("polygraph", _run_polygraph)
 register_system("ligra", _run_ligra)
-
-#: Systems whose engines thread a MetricsRecorder (timeline/profiling).
-_OBS_SYSTEMS = ("nova", "nova-jit")
 
 #: Modules the built-in executors import on their first run.  numpy
 #: itself imports ``numpy.random`` (random placement) and ``numpy.ma``
 #: (``np.unique``) on first use.
-_NOVA_MODULES = ("numpy.ma", "numpy.random", "repro.core.system")
 _EXECUTOR_MODULES: Dict[str, Tuple[str, ...]] = {
-    "nova": _NOVA_MODULES,
-    "nova-jit": _NOVA_MODULES + ("repro.core.engine_numba",),
+    "nova": ("numpy.ma", "numpy.random", "repro.core.system"),
     "polygraph": ("repro.baselines.polygraph",),
     "ligra": ("repro.baselines.ligra",),
 }
@@ -178,11 +160,7 @@ def _preload_executors(systems) -> None:
 
 def execute_spec(spec: RunSpec) -> RunResult:
     """Run one simulation to completion (the worker entry point)."""
-    if (
-        spec.system not in _OBS_SYSTEMS
-        and spec.obs is not None
-        and spec.obs.active
-    ):
+    if spec.system != "nova" and spec.obs is not None and spec.obs.active:
         raise ConfigError(
             "observability instrumentation is only supported for the "
             f"nova system, not {spec.system!r}"

@@ -324,7 +324,7 @@ class JobScheduler:
             )
         self._admitting += 1
         try:
-            job = self.store.create(spec, client=client, priority=priority)
+            job = self.store.mint(spec, client=client, priority=priority)
             FAULT_COUNTERS.increment("service.submitted")
             self._post_event(job.id, {"type": "state", "state": SUBMITTED})
 

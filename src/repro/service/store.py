@@ -18,21 +18,19 @@ State machine (see DESIGN.md for the full contract)::
          |\\----------------------------> done       (cache hit)
          \\-----------------------------> cancelled
 
-Durability is an append-only JSONL journal: every state change appends
-the job's full record, so recovery is "replay, last record per id
-wins" and a hard kill loses at most one torn trailing line.  The
-journal compacts automatically once it accumulates enough superseded
-records (rewrite-to-temp + ``os.replace``, crash-safe).  Results are
-*not* journaled -- they live in the run cache under the job's spec key,
+Durability is a :class:`~repro.journal.Journal`: every :meth:`JobStore.put`
+appends the job's full record, fsynced before the call returns, so
+recovery is "replay, last record per id wins" and a hard kill loses at
+most the one record it tore.  The service's first record for a job is
+its admission outcome (see :meth:`JobStore.mint`).  Results are *not*
+journaled -- they live in the run cache under the job's spec key,
 which the journal records.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import tempfile
 import threading
 import time
 import uuid
@@ -40,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import JobSpecError, JobStateError, UnknownJobError
+from repro.journal import Journal
 from repro.runner.spec import (
     SOURCELESS_WORKLOADS,
     GraphSpec,
@@ -82,6 +81,7 @@ TRANSITIONS: Dict[str, tuple] = {
 # ----------------------------------------------------------------------
 
 _KNOWN_WORKLOADS = ("bfs", "cc", "sssp", "pr", "bc")
+_SYSTEMS = ("nova", "polygraph", "ligra")
 _PLACEMENTS = ("interleave", "random", "load_balanced", "locality")
 
 
@@ -156,6 +156,11 @@ class JobSpec:
             )
         if not isinstance(self.graph, str) or not self.graph:
             raise JobSpecError("graph must be a non-empty specifier string")
+        if self.system not in _SYSTEMS:
+            raise JobSpecError(
+                f"unknown system {self.system!r}; choose from "
+                f"{', '.join(_SYSTEMS)}"
+            )
         if self.placement not in _PLACEMENTS:
             raise JobSpecError(
                 f"unknown placement {self.placement!r}; choose from "
@@ -227,11 +232,8 @@ class JobSpec:
                 },
                 graph_digest=self.graph_digest,
             )
-        gspec = GraphSpec(
-            self.graph,
-            seed=self.seed,
-            weighted=(self.workload == "sssp"),
-            symmetrized=(self.workload == "cc"),
+        gspec = GraphSpec.for_workload(
+            self.graph, self.workload, seed=self.seed
         )
         source = self.source
         if self.workload in SOURCELESS_WORKLOADS:
@@ -350,49 +352,31 @@ class Job:
 
 
 class JobStore:
-    """Append-only JSONL journal of job records with compaction.
+    """Job records in a :class:`~repro.journal.Journal`, last record wins.
 
     Every :meth:`put` appends the job's full record; the in-memory view
-    is "last record per id wins".  The journal compacts itself (atomic
-    rewrite) once superseded records outnumber
-    ``compact_slack * live-records`` past a floor, so steady-state disk
-    use is proportional to the number of jobs, not state changes.
-    Thread-safe: the scheduler writes from executor threads.
+    is "last record per id wins", and compaction keeps one record per
+    job, so steady-state disk use is proportional to the number of
+    jobs, not state changes.  Thread-safe: the scheduler writes from
+    executor threads.
     """
 
-    def __init__(
-        self,
-        root: str,
-        compact_min_records: int = 256,
-        compact_slack: float = 4.0,
-    ) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
         self.path = os.path.join(root, "jobs.jsonl")
-        self.compact_min_records = compact_min_records
-        self.compact_slack = compact_slack
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._seq = 0
-        self._records_on_disk = 0
-        self._load()
-
-    # -- loading --------------------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                lines = f.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a hard kill
-            self._records_on_disk += 1
+        self._journal = Journal(
+            self.path,
+            header={"op": "header", "schema": SERVICE_SCHEMA},
+            live_count=lambda: len(self._jobs),
+            live_records=lambda: (
+                {"op": "job", "job": job.to_dict()}
+                for job in sorted(self._jobs.values(), key=lambda j: j.seq)
+            ),
+        )
+        for record in self._journal.replay():
             if record.get("op") != "job":
                 continue  # header / future record kinds
             try:
@@ -411,6 +395,23 @@ class JobStore:
         priority: int = 0,
     ) -> Job:
         """Mint and persist a new job in the ``submitted`` state."""
+        job = self.mint(spec, client=client, priority=priority)
+        self.put(job)
+        return job
+
+    def mint(
+        self,
+        spec: JobSpec,
+        client: str = "anonymous",
+        priority: int = 0,
+    ) -> Job:
+        """Mint a new ``submitted`` job, live in memory but not journaled.
+
+        The scheduler journals a job once admission settles it (``done``
+        from the cache, ``queued`` or ``failed``): the cache-hit path
+        pays one fsync, and a submission that was never acknowledged
+        leaves nothing to recover.
+        """
         now = time.time()
         with self._lock:
             self._seq += 1
@@ -425,78 +426,17 @@ class JobStore:
                 updated_at=now,
             )
             self._jobs[job.id] = job
-            self._append(job)
         return job
 
     def put(self, job: Job) -> None:
         """Persist ``job``'s current record (after any state change)."""
         with self._lock:
             self._jobs[job.id] = job
-            self._append(job)
-
-    def _append(self, job: Job) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        fresh = not os.path.exists(self.path)
-        record = {"op": "job", "job": job.to_dict()}
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as f:
-            if fresh:
-                header = json.dumps(
-                    {"op": "header", "schema": SERVICE_SCHEMA},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                f.write(header + "\n")
-                self._records_on_disk += 1
-            f.write(line + "\n")
-        self._records_on_disk += 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        live = len(self._jobs) + 1  # + header
-        threshold = max(
-            self.compact_min_records, int(live * self.compact_slack)
-        )
-        if self._records_on_disk <= threshold:
-            return
-        self._compact()
-
-    def _compact(self) -> None:
-        """Atomically rewrite the journal to one record per live job."""
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".jobs-", suffix=".jsonl"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(
-                    json.dumps(
-                        {"op": "header", "schema": SERVICE_SCHEMA},
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-                for job in sorted(self._jobs.values(), key=lambda j: j.seq):
-                    record = {"op": "job", "job": job.to_dict()}
-                    f.write(
-                        json.dumps(
-                            record, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._records_on_disk = len(self._jobs) + 1
+            self._journal.append({"op": "job", "job": job.to_dict()})
 
     def compact(self) -> None:
         with self._lock:
-            self._compact()
+            self._journal.compact()
 
     # -- queries --------------------------------------------------------
 

@@ -2,11 +2,10 @@
 
 A *session* pins one base graph at the service and accepts a stream of
 :class:`~repro.stream.delta.EdgeDeltaBatch` updates against it.  The
-durable half (:class:`SessionStore`) is a JSONL journal with the same
-idiom as the job store -- session records are last-write-wins, delta
-records are append-only and replayable, recovery tolerates one torn
-trailing line, and compaction is an atomic rewrite.  The resident half
-(:class:`SessionManager`) keeps a live
+durable half (:class:`SessionStore`) is a :class:`~repro.journal.Journal`
+like the job store's -- session records are last-write-wins, delta
+records are append-only and replayable, one record per applied batch.
+The resident half (:class:`SessionManager`) keeps a live
 :class:`~repro.stream.overlay.DeltaOverlayGraph` plus per-workload
 incremental states per session, lazily rebuilt after a restart by
 replaying the journal.
@@ -27,9 +26,7 @@ sweep can never evict an artifact a live session still maps.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import tempfile
 import threading
 import time
 import uuid
@@ -50,6 +47,7 @@ from repro.graph.store import (
     spec_digest,
     unprotect_digest,
 )
+from repro.journal import Journal
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_span
 from repro.runner.spec import GraphSpec, resolve_source
@@ -109,142 +107,67 @@ class SessionRecord:
 
 
 class SessionStore:
-    """Append-only JSONL journal of sessions and their delta batches.
+    """Sessions and their delta batches in a :class:`~repro.journal.Journal`.
 
-    Two record kinds share the journal: ``session`` records are
-    last-write-wins per id (like job records), while ``delta`` records
-    are the session's replayable history -- compaction keeps every
-    delta of a live session and drops everything belonging to removed
-    ones.  Thread-safe: the HTTP layer appends from executor threads.
+    Three record kinds share the journal: ``session`` records are
+    last-write-wins per id (like job records); ``delta`` records are the
+    session's replayable history, each carrying the ``version`` digest
+    and ``seq`` it advanced the session to; a ``remove`` tombstone drops
+    a session and its history.  Compaction keeps every live session's
+    record and deltas.  Thread-safe: the HTTP layer appends from
+    executor threads.
     """
 
-    def __init__(
-        self,
-        root: str,
-        compact_min_records: int = 256,
-        compact_slack: float = 4.0,
-    ) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
         self.path = os.path.join(root, "sessions.jsonl")
-        self.compact_min_records = compact_min_records
-        self.compact_slack = compact_slack
         self._lock = threading.Lock()
         self._sessions: Dict[str, SessionRecord] = {}
+        #: session id -> its delta records, in apply order.
         self._deltas: Dict[str, List[Dict[str, Any]]] = {}
-        self._records_on_disk = 0
-        self._load()
-
-    # -- loading --------------------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                lines = f.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a hard kill
-            self._records_on_disk += 1
+        self._journal = Journal(
+            self.path,
+            header={"op": "header", "schema": STREAM_SCHEMA},
+            live_count=lambda: len(self._sessions)
+            + sum(map(len, self._deltas.values())),
+            live_records=self._live_records,
+        )
+        for record in self._journal.replay():
             op = record.get("op")
             try:
                 if op == "session":
                     session = SessionRecord.from_dict(record["session"])
                     self._sessions[session.id] = session
                 elif op == "delta":
-                    sid = record["session"]
-                    self._deltas.setdefault(sid, []).append(
-                        dict(record["batch"])
-                    )
+                    self._add_delta(record)
                 elif op == "remove":
-                    sid = record["session"]
-                    self._sessions.pop(sid, None)
-                    self._deltas.pop(sid, None)
+                    self._sessions.pop(record["session"], None)
+                    self._deltas.pop(record["session"], None)
             except Exception:
                 continue  # one bad record must not poison recovery
 
-    # -- journal plumbing ----------------------------------------------
+    def _add_delta(self, record: Dict[str, Any]) -> None:
+        session_id = record["session"]
+        record = dict(record, batch=dict(record["batch"]))
+        session = self._sessions.get(session_id)
+        # Journals written before deltas carried their version advance
+        # the session through the session record that followed them.
+        if session is not None and "version" in record:
+            seq = int(record["seq"])
+            session.version_digest = record["version"]
+            session.delta_seq = seq
+        self._deltas.setdefault(session_id, []).append(record)
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        fresh = not os.path.exists(self.path)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as f:
-            if fresh:
-                header = json.dumps(
-                    {"op": "header", "schema": STREAM_SCHEMA},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                f.write(header + "\n")
-                self._records_on_disk += 1
-            f.write(line + "\n")
-        self._records_on_disk += 1
-        self._maybe_compact()
-
-    def _live_records(self) -> int:
-        deltas = sum(len(d) for d in self._deltas.values())
-        return 1 + len(self._sessions) + deltas
-
-    def _maybe_compact(self) -> None:
-        threshold = max(
-            self.compact_min_records,
-            int(self._live_records() * self.compact_slack),
-        )
-        if self._records_on_disk <= threshold:
-            return
-        self._compact()
-
-    def _compact(self) -> None:
-        """Atomic rewrite: live sessions plus their full delta history."""
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".sessions-", suffix=".jsonl"
-        )
-
-        def dump(record: Dict[str, Any]) -> str:
-            return (
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(dump({"op": "header", "schema": STREAM_SCHEMA}))
-                for session in sorted(
-                    self._sessions.values(), key=lambda s: s.created_at
-                ):
-                    f.write(dump({"op": "session", "session": session.to_dict()}))
-                    for seq, batch in enumerate(
-                        self._deltas.get(session.id, []), start=1
-                    ):
-                        f.write(
-                            dump(
-                                {
-                                    "op": "delta",
-                                    "session": session.id,
-                                    "seq": seq,
-                                    "batch": batch,
-                                }
-                            )
-                        )
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._records_on_disk = self._live_records()
+    def _live_records(self):
+        for session in sorted(
+            self._sessions.values(), key=lambda s: s.created_at
+        ):
+            yield {"op": "session", "session": session.to_dict()}
+            yield from self._deltas.get(session.id, [])
 
     def compact(self) -> None:
         with self._lock:
-            self._compact()
+            self._journal.compact()
 
     # -- mutation -------------------------------------------------------
 
@@ -271,30 +194,43 @@ class SessionStore:
         )
         with self._lock:
             self._sessions[session.id] = session
-            self._append({"op": "session", "session": session.to_dict()})
+            self._journal.append(
+                {"op": "session", "session": session.to_dict()}
+            )
         return session
 
     def put(self, session: SessionRecord) -> None:
         session.updated_at = time.time()
         with self._lock:
             self._sessions[session.id] = session
-            self._append({"op": "session", "session": session.to_dict()})
+            self._journal.append(
+                {"op": "session", "session": session.to_dict()}
+            )
 
     def append_delta(
-        self, session_id: str, seq: int, batch: Dict[str, Any]
+        self,
+        session_id: str,
+        seq: int,
+        batch: Dict[str, Any],
+        version: str,
     ) -> None:
+        """Journal one applied batch and the version it advanced to.
+
+        One record per delta: the session's ``version_digest`` and
+        ``delta_seq`` move with it, in memory and on replay.
+        """
+        record = {
+            "op": "delta",
+            "session": session_id,
+            "seq": int(seq),
+            "batch": dict(batch),
+            "version": version,
+        }
         with self._lock:
             if session_id not in self._sessions:
                 raise UnknownSessionError(session_id)
-            self._deltas.setdefault(session_id, []).append(dict(batch))
-            self._append(
-                {
-                    "op": "delta",
-                    "session": session_id,
-                    "seq": seq,
-                    "batch": dict(batch),
-                }
-            )
+            self._add_delta(record)
+            self._journal.append(record)
 
     def remove(self, session_id: str) -> SessionRecord:
         """Drop a session and its delta history (journaled tombstone)."""
@@ -303,7 +239,7 @@ class SessionStore:
             if session is None:
                 raise UnknownSessionError(session_id)
             self._deltas.pop(session_id, None)
-            self._append({"op": "remove", "session": session_id})
+            self._journal.append({"op": "remove", "session": session_id})
         return session
 
     # -- queries --------------------------------------------------------
@@ -326,7 +262,8 @@ class SessionStore:
         with self._lock:
             if session_id not in self._sessions:
                 raise UnknownSessionError(session_id)
-            return [dict(b) for b in self._deltas.get(session_id, [])]
+            records = self._deltas.get(session_id, [])
+            return [dict(record["batch"]) for record in records]
 
 
 class SessionManager:
@@ -435,14 +372,16 @@ class SessionManager:
             inserts=batch.num_inserts,
             deletes=batch.num_deletes,
         ), FAULT_COUNTERS.time_histogram("stream.delta_apply_seconds"):
+            # Journal under the lock so the journal's delta order is
+            # the overlay's apply order.
             with self._lock:
                 overlay.apply(batch)
-                session.version_digest = overlay.version_digest
-                session.delta_seq = overlay.delta_seq
-            self.store.append_delta(
-                session_id, overlay.delta_seq, batch.to_dict()
-            )
-            self.store.put(session)
+                self.store.append_delta(
+                    session_id,
+                    overlay.delta_seq,
+                    batch.to_dict(),
+                    overlay.version_digest,
+                )
         FAULT_COUNTERS.increment("stream.deltas_applied")
         FAULT_COUNTERS.increment(
             "stream.edges_inserted", batch.num_inserts

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import journal
 from repro.errors import JobSpecError, JobStateError, UnknownJobError
 from repro.service.store import (
     CANCELLED,
@@ -60,9 +61,16 @@ class TestJobSpec:
         with pytest.raises(JobSpecError):
             make_spec(scale=-1.0)
 
-    def test_lowering_matches_sweep_keys(self):
-        """A job spec digests to the same key as the equivalent RunSpec."""
-        from repro.runner.cache import spec_key
+    def test_lowering_matches_sweep_keys(self, tmp_path):
+        """A job spec digests to the same key as the equivalent RunSpec,
+        and run, sweep and submit of the same inputs share one key."""
+        from repro.cli import (
+            _job_spec_from_args,
+            _sweep_grid,
+            main,
+            make_parser,
+        )
+        from repro.runner.cache import RunCache, spec_key
         from repro.runner.spec import GraphSpec, RunSpec
         from repro.sim.config import scaled_config
 
@@ -76,6 +84,26 @@ class TestJobSpec:
         )
         assert spec_key(lowered) == spec_key(manual)
 
+        parser = make_parser()
+        inputs = ["--graph", "rmat:6:4", "--gpns", "2"]
+        for workload in ("bfs", "cc", "sssp", "pr", "bc"):
+            specs, _ = _sweep_grid(parser.parse_args(
+                ["sweep", "--workloads", workload, "--sources", "1"] + inputs
+            ))
+            source = [] if specs[0].source is None else [
+                "--source", str(specs[0].source)
+            ]
+            cache = tmp_path / workload
+            argv = ["--workload", workload] + inputs + source
+            assert main(["run", "--cache-dir", str(cache)] + argv) == 0
+            (path, _, _), = RunCache(str(cache)).entries()
+            run_key = os.path.basename(path)[: -len(".pkl")]
+            job = JobSpec.from_dict(_job_spec_from_args(
+                parser.parse_args(["submit"] + argv)
+            ))
+            assert spec_key(specs[0]) == run_key, workload
+            assert spec_key(job.to_run_spec()) == run_key, workload
+
     def test_default_source_resolves_deterministically(self):
         a = make_spec(source=None).to_run_spec()
         b = make_spec(source=None).to_run_spec()
@@ -85,6 +113,15 @@ class TestJobSpec:
     def test_sourceless_workload_drops_source(self):
         spec = make_spec(workload="pr", source=3)
         assert spec.to_run_spec().source is None
+
+    def test_unknown_system_rejected(self):
+        # A retired system key (numba's nova-jit) is refused at
+        # admission, before any graph build or queue wait.
+        with pytest.raises(JobSpecError, match="unknown system"):
+            make_spec(system="nova-jit")
+        with pytest.raises(JobSpecError, match="unknown system"):
+            JobSpec.from_dict({"workload": "bfs", "graph": "rmat:6:4",
+                               "system": "nova-jit"})
 
 
 class TestStateMachine:
@@ -166,8 +203,9 @@ class TestJournal:
         with pytest.raises(UnknownJobError):
             again.get("j-torn")
 
-    def test_compaction_shrinks_journal(self, tmp_path):
-        store = JobStore(str(tmp_path), compact_min_records=8)
+    def test_compaction_shrinks_journal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal, "COMPACT_MIN_RECORDS", 8)
+        store = JobStore(str(tmp_path))
         job = store.create(make_spec())
         job.transition(QUEUED)
         store.put(job)
@@ -178,9 +216,9 @@ class TestJournal:
         with open(store.path, encoding="utf-8") as f:
             lines = [line for line in f if line.strip()]
         # Auto-compaction bounds the journal near the live-record count
-        # (threshold: max(compact_min_records, 4x live)) instead of the
+        # (threshold: max(COMPACT_MIN_RECORDS, 4x live)) instead of the
         # 23 records written.
-        assert len(lines) <= 1 + store.compact_min_records
+        assert len(lines) <= 1 + journal.COMPACT_MIN_RECORDS
         store.compact()
         with open(store.path, encoding="utf-8") as f:
             lines = [line for line in f if line.strip()]
@@ -188,8 +226,9 @@ class TestJournal:
         assert json.loads(lines[0])["op"] == "header"
         assert JobStore(str(tmp_path)).get(job.id).state == RUNNING
 
-    def test_compaction_is_atomic_snapshot(self, tmp_path):
-        store = JobStore(str(tmp_path), compact_min_records=4)
+    def test_compaction_is_atomic_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal, "COMPACT_MIN_RECORDS", 4)
+        store = JobStore(str(tmp_path))
         jobs = [store.create(make_spec(source=i)) for i in range(5)]
         store.compact()
         again = JobStore(str(tmp_path))

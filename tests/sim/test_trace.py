@@ -1,10 +1,10 @@
-"""Per-quantum execution traces."""
+"""Per-quantum execution traces: the engine's timeline recording."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import NovaEngine
-from repro.sim.trace import QuantumSample, TraceRecorder
+from repro.obs import BottleneckReport, ObsConfig, make_recorder
 from repro.workloads import get_workload
 
 
@@ -12,51 +12,48 @@ from repro.workloads import get_workload
 def traced_run(small_config, rmat_graph, rmat_source):
     engine = NovaEngine(
         small_config, rmat_graph, get_workload("bfs"),
-        source=rmat_source, trace=True,
+        source=rmat_source, recorder=make_recorder(ObsConfig(timeline=True)),
     )
     result = engine.run()
-    return engine, result
+    return result.timeline["columns"], result
 
 
 class TestEngineTracing:
     def test_one_sample_per_quantum(self, traced_run):
-        engine, result = traced_run
-        assert len(engine.trace) == result.quanta
+        columns, result = traced_run
+        assert columns["index"] == list(range(result.quanta))
 
     def test_durations_sum_to_elapsed(self, traced_run):
-        engine, result = traced_run
-        total = engine.trace.column("duration_seconds").sum()
+        columns, result = traced_run
+        total = sum(columns["duration_seconds"])
         assert total == pytest.approx(result.elapsed_seconds)
 
     def test_work_columns_sum_to_totals(self, traced_run):
-        engine, result = traced_run
-        assert engine.trace.column("messages_reduced").sum() == (
-            result.messages_processed
-        )
-        assert engine.trace.column("edges_expanded").sum() == (
-            result.edges_traversed
-        )
+        columns, result = traced_run
+        assert sum(columns["messages_drained"]) == result.messages_processed
+        assert sum(columns["spilled"]) == result.activations
 
     def test_start_times_monotone(self, traced_run):
-        engine, _ = traced_run
-        starts = engine.trace.column("start_seconds")
+        columns, _ = traced_run
+        starts = np.cumsum(columns["duration_seconds"])
         assert (np.diff(starts) > 0).all()
 
     def test_bottleneck_shares_sum_to_one(self, traced_run):
-        engine, _ = traced_run
-        shares = engine.trace.bottleneck_share()
-        assert sum(shares.values()) == pytest.approx(1.0)
+        columns, result = traced_run
+        report = BottleneckReport.from_timeline(result.timeline)
+        assert sum(report.resource_shares().values()) == pytest.approx(1.0)
         known = {"hbm", "ddr", "reduce_fu", "propagate_fu", "fabric", "latency"}
-        assert set(shares) <= known
+        assert set(columns["bottleneck"]) <= known
 
     def test_machine_drains_at_end(self, traced_run):
-        engine, _ = traced_run
-        last = engine.trace.samples[-1]
-        assert last.inbox_backlog == 0 or last.tracked_blocks == 0
+        columns, _ = traced_run
+        assert columns["inbox_backlog"][-1] == 0 or (
+            columns["tracked_blocks"][-1] == 0
+        )
 
     def test_summary_renders(self, traced_run):
-        engine, _ = traced_run
-        text = engine.trace.summary()
+        _, result = traced_run
+        text = BottleneckReport.from_timeline(result.timeline).render()
         assert "quanta" in text
         assert "bottleneck" in text
 
@@ -64,35 +61,5 @@ class TestEngineTracing:
         engine = NovaEngine(
             small_config, rmat_graph, get_workload("bfs"), source=rmat_source
         )
-        engine.run()
-        assert engine.trace is None
+        assert engine.run().timeline is None
 
-
-class TestRecorderStandalone:
-    def make_sample(self, i, duration, bottleneck):
-        return QuantumSample(
-            index=i, start_seconds=float(i), duration_seconds=duration,
-            messages_reduced=0, vertices_collected=0, edges_expanded=0,
-            inbox_backlog=i * 10, buffer_occupancy=0, tracked_blocks=0,
-            bottleneck=bottleneck, bottleneck_seconds=duration,
-        )
-
-    def test_bottleneck_share_weighted_by_time(self):
-        recorder = TraceRecorder()
-        recorder.record(self.make_sample(0, 3.0, "hbm"))
-        recorder.record(self.make_sample(1, 1.0, "ddr"))
-        shares = recorder.bottleneck_share()
-        assert shares["hbm"] == pytest.approx(0.75)
-        assert shares["ddr"] == pytest.approx(0.25)
-
-    def test_peak_backlog(self):
-        recorder = TraceRecorder()
-        for i in range(5):
-            recorder.record(self.make_sample(i, 1.0, "hbm"))
-        assert recorder.peak_backlog() == 40
-
-    def test_empty_recorder(self):
-        recorder = TraceRecorder()
-        assert recorder.bottleneck_share() == {}
-        assert recorder.peak_backlog() == 0
-        assert recorder.summary() == "empty trace"

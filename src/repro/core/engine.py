@@ -68,7 +68,7 @@ from repro.obs.recorder import (
 from repro.sim.config import NovaConfig
 from repro.sim.engine import QuantumClock, ResourcePool
 from repro.sim.stats import StatGroup
-from repro.workloads.base import VertexProgram, expand_edges
+from repro.workloads.base import VertexProgram, expand_edges, unique_ids
 
 
 def build_fabric(config: NovaConfig) -> Fabric:
@@ -538,7 +538,7 @@ class NovaEngine:
 
     def _run_async(self) -> None:
         prof = self.obs.phase_profiler
-        self._inject_active(np.unique(self.program.initial_active(self.state)))
+        self._inject_active(unique_ids(self.program.initial_active(self.state)))
         while self._messages_pending() or self._propagation_pending():
             self._check_quota()
             prop_graph = self.program.propagation_graph(self.state)
@@ -557,7 +557,7 @@ class NovaEngine:
     def _run_bsp(self) -> None:
         prof = self.obs.phase_profiler
         supersteps = 0
-        active = np.unique(self.program.initial_active(self.state))
+        active = unique_ids(self.program.initial_active(self.state))
         while active.shape[0]:
             self._inject_active(active)
             # Message generation (red block of Algorithm 1).
@@ -583,7 +583,7 @@ class NovaEngine:
                 else:
                     self._mpu_phase()
                     self._close_quantum(traffic)
-            active = np.unique(self.program.superstep_end(self.state))
+            active = unique_ids(self.program.superstep_end(self.state))
             supersteps += 1
         self.stats.set("supersteps", supersteps)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.core.layout import VertexMemoryLayout
+from repro.workloads.base import unique_ids
 
 
 @dataclass
@@ -84,7 +85,7 @@ class TrackerModule:
             return 0
         pes = self.layout.pe_of(vertices)
         blocks = self.layout.block_of(vertices)
-        keys = np.unique(pes * self.layout.blocks_per_pe + blocks)
+        keys = unique_ids(pes * self.layout.blocks_per_pe + blocks)
         key_pes = keys // self.layout.blocks_per_pe
         key_blocks = keys % self.layout.blocks_per_pe
         fresh = ~self.block_counted[key_pes, key_blocks]

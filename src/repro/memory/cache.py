@@ -7,18 +7,29 @@ timing model is an *exact* count of hits, misses, and dirty write-backs
 so that HBM traffic is charged correctly.
 
 :class:`CacheArray` models **all PEs' caches at once**: one batch of
-accesses tagged with (pe, block) resolves in a handful of numpy
-operations while reproducing in-order scalar cache semantics
-bit-for-bit:
+accesses tagged with (pe, block) resolves in a handful of O(n) numpy
+passes while reproducing in-order scalar cache semantics bit-for-bit:
 
-- Accesses are stably sorted by (pe, set).  Within one set's run, an
-  access hits iff the immediately preceding access in the run touched the
-  same block; the first access of a run consults the persistent tag
-  store.
+- Accesses are grouped by global set index ``pe * num_sets + block %
+  num_sets`` with numpy's stable argsort on 16-bit digits of that index,
+  which is a radix sort: one pass while all caches together have at most
+  2**16 sets, one more LSD pass per further 16 bits.  No comparison sort
+  is involved, and stability keeps each set's run in program order.
+- Within one set's run, an access hits iff the immediately preceding
+  access in the run touched the same block; the run's head consults the
+  persistent tag store.
 - Each maximal run of identical blocks within a set is a *tenancy*.  A
-  tenancy is dirty iff it inherited a dirty line (persistent-hit tenancy)
-  or any access in it was a write.  A miss that begins a new tenancy
-  writes back the previous tenancy's line iff that tenancy was dirty.
+  tenancy is dirty iff it inherited a dirty line (a hit at the run's
+  head) or any access in it was a write.  A miss at a run's head writes
+  back the resident line iff it is dirty; a miss inside the run writes
+  back the tenancy before it iff that tenancy was dirty.
+- With a scalar ``writes=True`` (the engines' call) every in-batch
+  tenancy is dirty, so every inside miss writes back and every touched
+  line ends dirty.  Otherwise one ``cumsum`` over tenancy starts numbers
+  the tenancies, and ``logical_or.reduceat`` over the writes gives their
+  dirty bits.
+- Misses and write-backs are counted per set run and summed per cache
+  from the run's set index, so the cache ids are never permuted.
 
 :class:`DirectMappedCache` is the single-cache convenience wrapper.
 """
@@ -53,6 +64,11 @@ class CacheArrayResult(CacheBatchResult):
     writebacks_per_cache: np.ndarray = None
 
 
+def _run_counts(flags: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Count of true ``flags`` in each run; ``heads`` are the runs' starts."""
+    return np.add.reduceat(flags.view(np.int8), heads, dtype=np.int64)
+
+
 class CacheArray:
     """``num_caches`` direct-mapped write-back caches, resolved together.
 
@@ -77,6 +93,10 @@ class CacheArray:
         self.line_bytes = line_bytes
         self.num_sets = capacity_bytes // line_bytes
         total_sets = num_caches * self.num_sets
+        #: Bit offsets of the radix digits that order a batch by set.
+        self._digit_shifts = tuple(
+            range(0, max(1, (total_sets - 1).bit_length()), 16)
+        )
         self._tags = np.full(total_sets, self._INVALID, dtype=np.int64)
         self._dirty = np.zeros(total_sets, dtype=bool)
         self.lifetime_hits = 0
@@ -105,88 +125,89 @@ class CacheArray:
         if blocks.ndim != 1 or caches.shape != blocks.shape:
             raise ConfigError("caches and blocks must be equal-length 1-D arrays")
         n = blocks.shape[0]
-        zeros = np.zeros(self.num_caches, dtype=np.int64)
+        num_caches = self.num_caches
         if n == 0:
+            zeros = np.zeros(num_caches, dtype=np.int64)
             return CacheArrayResult(0, 0, 0, zeros, zeros.copy())
-        if caches.size and (caches.min() < 0 or caches.max() >= self.num_caches):
+        if caches.min() < 0 or caches.max() >= num_caches:
             raise ConfigError("cache index out of range")
-        if np.isscalar(writes) or isinstance(writes, (bool, np.bool_)):
-            writes = np.full(n, bool(writes), dtype=bool)
+        scalar_writes = np.isscalar(writes) or isinstance(writes, (bool, np.bool_))
+        if scalar_writes:
+            writes = bool(writes)
         else:
             writes = np.asarray(writes, dtype=bool)
             if writes.shape != blocks.shape:
                 raise ConfigError("writes must match blocks in shape")
 
-        sets = caches * self.num_sets + blocks % self.num_sets
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        sorted_blocks = blocks[order]
-        sorted_writes = writes[order]
-        sorted_caches = caches[order]
+        num_sets = self.num_sets
+        sets = caches * num_sets + blocks % num_sets
+        order = self._set_order(sets)
+        sets = sets[order]
+        blocks = blocks[order]
 
-        first_of_set = np.empty(n, dtype=bool)
-        first_of_set[0] = True
-        first_of_set[1:] = sorted_sets[1:] != sorted_sets[:-1]
+        # Set runs: each set's accesses, contiguous and in program order.
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(sets[1:], sets[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        lasts = np.empty_like(heads)
+        lasts[:-1] = heads[1:] - 1
+        lasts[-1] = n - 1
+        run_sets = sets[heads]
+        resident = self._tags[run_sets]
+        resident_dirty = self._dirty[run_sets]
 
-        hits = np.empty(n, dtype=bool)
-        # Continuation accesses hit iff they repeat the previous block.
-        cont = ~first_of_set
-        hits[cont] = sorted_blocks[1:][cont[1:]] == sorted_blocks[:-1][cont[1:]]
-        # Run-leading accesses consult the persistent tag store.
-        lead_sets = sorted_sets[first_of_set]
-        hits[first_of_set] = self._tags[lead_sets] == sorted_blocks[first_of_set]
-
-        # A tenancy begins at every miss and at every persistent hit that
-        # leads a run (continuing a line resident before the batch).
-        tenancy_start = ~hits | first_of_set
-        start_idx = np.flatnonzero(tenancy_start)
-        seg_writes = np.logical_or.reduceat(sorted_writes, start_idx)
-        inherited = np.zeros(start_idx.shape[0], dtype=bool)
-        lead_hit_positions = np.flatnonzero(first_of_set & hits)
-        if lead_hit_positions.size:
-            match = np.searchsorted(start_idx, lead_hit_positions)
-            inherited[match] = self._dirty[sorted_sets[lead_hit_positions]]
-        seg_dirty = inherited | seg_writes
-
-        # Write-backs: a miss evicts the previous tenancy of its set if
-        # that tenancy was dirty -- either the persistent line (miss at a
-        # run head) or the in-batch tenancy immediately before it.
-        miss_at_head = first_of_set & ~hits
-        head_positions = np.flatnonzero(miss_at_head)
-        head_sets = sorted_sets[head_positions]
-        head_wb = (self._tags[head_sets] != self._INVALID) & self._dirty[head_sets]
-        wb_caches = [sorted_caches[head_positions][head_wb]]
-
-        miss_inside = ~first_of_set & ~hits
-        inside_positions = np.flatnonzero(miss_inside)
-        if inside_positions.size:
-            prev_seg = (
-                np.searchsorted(start_idx, inside_positions - 1, side="right") - 1
-            )
-            evicting = seg_dirty[prev_seg]
-            wb_caches.append(sorted_caches[inside_positions][evicting])
-        all_wb_caches = np.concatenate(wb_caches)
-        writebacks = int(all_wb_caches.shape[0])
+        # Inside a run an access misses iff it changes block; a run's head
+        # consults the persistent tag store.
+        misses = np.empty(n, dtype=bool)
+        np.not_equal(blocks[1:], blocks[:-1], out=misses[1:])
+        head_misses = resident != blocks[heads]
+        misses[heads] = head_misses
+        run_misses = _run_counts(misses, heads)
+        # A miss at a run head evicts the resident line; a miss inside a
+        # run evicts the in-batch tenancy before it.
+        run_writebacks = (
+            head_misses & resident_dirty & (resident != self._INVALID)
+        ).astype(np.int64)
+        if scalar_writes and writes:
+            # Every in-batch tenancy is written: every inside miss writes
+            # back and every touched line ends dirty.
+            run_writebacks += run_misses - head_misses
+            final_dirty = True
+        else:
+            # A tenancy begins at every miss and at every run head.  It is
+            # dirty iff one of its accesses writes or, for a head hit, the
+            # resident line it continues was dirty.
+            starts = misses | head
+            tenancy = np.cumsum(starts) - 1
+            if scalar_writes:
+                dirty = np.zeros(int(tenancy[-1]) + 1, dtype=bool)
+            else:
+                dirty = np.logical_or.reduceat(
+                    writes[order], np.flatnonzero(starts)
+                )
+            dirty[tenancy[heads]] |= ~head_misses & resident_dirty
+            inside = np.flatnonzero(misses & ~head)
+            evicts = np.zeros(n, dtype=bool)
+            evicts[inside] = dirty[tenancy[inside] - 1]
+            run_writebacks += _run_counts(evicts, heads)
+            final_dirty = dirty[tenancy[lasts]]
 
         # Persist final state: the last tenancy of each set run survives.
-        run_last = np.empty(n, dtype=bool)
-        run_last[-1] = True
-        run_last[:-1] = sorted_sets[1:] != sorted_sets[:-1]
-        last_positions = np.flatnonzero(run_last)
-        last_sets = sorted_sets[last_positions]
-        last_seg = np.searchsorted(start_idx, last_positions, side="right") - 1
-        self._tags[last_sets] = sorted_blocks[last_positions]
-        self._dirty[last_sets] = seg_dirty[last_seg]
+        self._tags[run_sets] = blocks[lasts]
+        self._dirty[run_sets] = final_dirty
 
-        hit_count = int(np.count_nonzero(hits))
-        miss_count = n - hit_count
+        run_caches = run_sets // num_sets
+        misses_per_cache = np.zeros(num_caches, dtype=np.int64)
+        np.add.at(misses_per_cache, run_caches, run_misses)
+        writebacks_per_cache = np.zeros(num_caches, dtype=np.int64)
+        np.add.at(writebacks_per_cache, run_caches, run_writebacks)
+        miss_count = int(run_misses.sum())
+        hit_count = n - miss_count
+        writebacks = int(run_writebacks.sum())
         self.lifetime_hits += hit_count
         self.lifetime_misses += miss_count
         self.lifetime_writebacks += writebacks
-        misses_per_cache = np.bincount(
-            sorted_caches[~hits], minlength=self.num_caches
-        )
-        writebacks_per_cache = np.bincount(all_wb_caches, minlength=self.num_caches)
         return CacheArrayResult(
             hits=hit_count,
             misses=miss_count,
@@ -194,6 +215,19 @@ class CacheArray:
             misses_per_cache=misses_per_cache,
             writebacks_per_cache=writebacks_per_cache,
         )
+
+    def _set_order(self, sets: np.ndarray) -> np.ndarray:
+        """Stable permutation sorting ``sets``: 16-bit LSD radix passes.
+
+        numpy's stable sort is a radix sort for integers of 16 bits or
+        fewer, so each pass is O(n); a comparison sort of the int64 keys
+        is not.
+        """
+        order = np.argsort(sets.astype(np.uint16), kind="stable")
+        for shift in self._digit_shifts[1:]:
+            digit = (sets[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+        return order
 
     def flush(self) -> int:
         """Invalidate everything; return dirty lines written back."""

@@ -13,7 +13,12 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.workloads import reference
-from repro.workloads.base import ProgramState, ReduceOutcome, VertexProgram
+from repro.workloads.base import (
+    ProgramState,
+    ReduceOutcome,
+    VertexProgram,
+    unique_ids,
+)
 
 
 class BFS(VertexProgram):
@@ -41,7 +46,7 @@ class BFS(VertexProgram):
         old = dist[dest]  # pre-batch values, per message
         np.minimum.at(dist, dest, values)
         useful = int(np.count_nonzero(values < old))
-        improved = np.unique(dest[dist[dest] < old])
+        improved = unique_ids(dest[dist[dest] < old])
         return ReduceOutcome(useful_messages=useful, improved=improved)
 
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:

@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.workloads import reference
-from repro.workloads.base import ProgramState, ReduceOutcome, VertexProgram
+from repro.workloads.base import (
+    ProgramState,
+    ReduceOutcome,
+    VertexProgram,
+    unique_ids,
+)
 
 
 class ConnectedComponents(VertexProgram):
@@ -39,7 +44,7 @@ class ConnectedComponents(VertexProgram):
         old = labels[dest]  # pre-batch values, per message
         np.minimum.at(labels, dest, values)
         useful = int(np.count_nonzero(values < old))
-        improved = np.unique(dest[labels[dest] < old])
+        improved = unique_ids(dest[labels[dest] < old])
         return ReduceOutcome(useful_messages=useful, improved=improved)
 
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:

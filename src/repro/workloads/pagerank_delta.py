@@ -25,7 +25,12 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.workloads import reference
-from repro.workloads.base import ProgramState, ReduceOutcome, VertexProgram
+from repro.workloads.base import (
+    ProgramState,
+    ReduceOutcome,
+    VertexProgram,
+    unique_ids,
+)
 
 
 class PageRankDelta(VertexProgram):
@@ -67,7 +72,7 @@ class PageRankDelta(VertexProgram):
         np.add.at(residual, dest, values)
         # Any destination now holding enough residual needs (re)pushing;
         # the engine's active flags deduplicate pending vertices.
-        hot = np.unique(dest[residual[dest] >= self.threshold])
+        hot = unique_ids(dest[residual[dest] >= self.threshold])
         return ReduceOutcome(useful_messages=len(dest), improved=hot)
 
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:

@@ -12,7 +12,12 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.workloads import reference
-from repro.workloads.base import ProgramState, ReduceOutcome, VertexProgram
+from repro.workloads.base import (
+    ProgramState,
+    ReduceOutcome,
+    VertexProgram,
+    unique_ids,
+)
 
 
 class SSSP(VertexProgram):
@@ -44,7 +49,7 @@ class SSSP(VertexProgram):
         old = dist[dest]  # pre-batch values, per message
         np.minimum.at(dist, dest, values)
         useful = int(np.count_nonzero(values < old))
-        improved = np.unique(dest[dist[dest] < old])
+        improved = unique_ids(dest[dist[dest] < old])
         return ReduceOutcome(useful_messages=useful, improved=improved)
 
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ class ScalarCache:
     """Textbook one-access-at-a-time direct-mapped write-back cache."""
 
     def __init__(self, num_sets: int) -> None:
-        self.tags = [None] * num_sets
-        self.dirty = [False] * num_sets
+        self.tags = {}  # set -> resident block
+        self.dirty = {}  # set -> dirty bit of the resident block
         self.num_sets = num_sets
         self.hits = 0
         self.misses = 0
@@ -22,16 +22,26 @@ class ScalarCache:
 
     def access(self, block: int, write: bool) -> None:
         s = block % self.num_sets
-        if self.tags[s] == block:
+        if self.tags.get(s) == block:
             self.hits += 1
         else:
             self.misses += 1
-            if self.tags[s] is not None and self.dirty[s]:
+            if self.dirty.get(s, False):
                 self.writebacks += 1
             self.tags[s] = block
             self.dirty[s] = False
         if write:
             self.dirty[s] = True
+
+    def flush(self) -> int:
+        dirty_lines = sum(self.dirty.values())
+        self.tags.clear()
+        self.dirty.clear()
+        self.writebacks += dirty_lines
+        return dirty_lines
+
+    def counts(self) -> tuple:
+        return self.hits, self.misses, self.writebacks
 
 
 class TestBasics:
@@ -168,3 +178,98 @@ class TestAgainstScalarReference:
         assert array.lifetime_hits == sum(r.hits for r in refs)
         assert array.lifetime_misses == sum(r.misses for r in refs)
         assert array.lifetime_writebacks == sum(r.writebacks for r in refs)
+
+
+#: (num_caches, num_sets).  The last has 2**17 sets in all, so grouping
+#: by set takes a second 16-bit radix pass: set s of cache 0 and set s of
+#: cache 1 share their low 16 bits and differ only in the high digit.
+GEOMETRIES = [(1, 4), (3, 8), (5, 32), (2, 1 << 16)]
+
+
+@st.composite
+def cache_batches(draw):
+    """Geometry plus batches of (unsorted caches, blocks, writes, flush)."""
+    num_caches, num_sets = draw(st.sampled_from(GEOMETRIES))
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 60))
+        caches = draw(
+            st.lists(st.integers(0, num_caches - 1), min_size=n, max_size=n)
+        )
+        # A handful of sets, each with a few conflicting blocks.
+        slots = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        tags = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        blocks = [slot + tag * num_sets for slot, tag in zip(slots, tags)]
+        writes = draw(
+            st.one_of(
+                st.booleans(),
+                st.lists(st.booleans(), min_size=n, max_size=n).map(
+                    lambda w: np.asarray(w, dtype=bool)
+                ),
+            )
+        )
+        batches.append((caches, blocks, writes, draw(st.booleans())))
+    return num_caches, num_sets, batches
+
+
+class TestEveryBatchAgainstScalarReference:
+    """Per-batch results and resident state equal per-cache scalar models.
+
+    Both engines call the same :class:`CacheArray`, so engine parity
+    cannot catch a bug in the walk; this checks it directly, with the
+    engines' scalar ``writes`` as well as per-access writes.
+    """
+
+    @given(cache_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_each_batch_matches_scalar_caches(self, workload):
+        num_caches, num_sets, batches = workload
+        array = CacheArray(num_caches, num_sets * 32, 32)
+        refs = [ScalarCache(num_sets) for _ in range(num_caches)]
+        for caches, blocks, writes, flush in batches:
+            before = [r.counts() for r in refs]
+            per_access = np.broadcast_to(writes, (len(blocks),))
+            result = array.access(
+                np.asarray(caches, dtype=np.int64),
+                np.asarray(blocks, dtype=np.int64),
+                writes,
+            )
+            for c, b, w in zip(caches, blocks, per_access):
+                refs[c].access(b, bool(w))
+            delta = np.array(
+                [np.subtract(r.counts(), b) for r, b in zip(refs, before)]
+            )
+            assert (result.hits, result.misses, result.writebacks) == tuple(
+                delta.sum(axis=0)
+            )
+            assert result.misses_per_cache.tolist() == delta[:, 1].tolist()
+            assert result.writebacks_per_cache.tolist() == delta[:, 2].tolist()
+            self.assert_same_lines(array, refs)
+            if flush:
+                assert array.flush() == sum(r.flush() for r in refs)
+                self.assert_same_lines(array, refs)
+        assert array.lifetime_hits == sum(r.hits for r in refs)
+        assert array.lifetime_misses == sum(r.misses for r in refs)
+        assert array.lifetime_writebacks == sum(r.writebacks for r in refs)
+
+    @staticmethod
+    def assert_same_lines(array, refs):
+        tags = array._tags.reshape(len(refs), -1)
+        dirty = array._dirty.reshape(len(refs), -1)
+        for c, ref in enumerate(refs):
+            resident = np.flatnonzero(tags[c] != CacheArray._INVALID)
+            assert dict(zip(resident.tolist(), tags[c, resident].tolist())) == ref.tags
+            assert np.flatnonzero(dirty[c]).tolist() == sorted(
+                s for s, d in ref.dirty.items() if d
+            )
+
+    def test_high_radix_digit_separates_caches(self):
+        """Same low 16 bits of set index, different cache: no shared line."""
+        num_sets = 1 << 16
+        array = CacheArray(2, num_sets * 32, 32)
+        caches = np.array([0, 1, 0, 1], dtype=np.int64)
+        blocks = np.array([5, 5, 5, 5 + num_sets], dtype=np.int64)
+        result = array.access(caches, blocks, writes=True)
+        assert (result.hits, result.misses, result.writebacks) == (1, 3, 1)
+        assert result.misses_per_cache.tolist() == [1, 2]
+        assert result.writebacks_per_cache.tolist() == [0, 1]

@@ -1,14 +1,15 @@
-"""Vertex-program base utilities: edge expansion and combine semantics."""
+"""Vertex-program base utilities: edge expansion, id dedupe, combine semantics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.workloads import get_workload, workload_names
-from repro.workloads.base import expand_edges
+from repro.workloads.base import expand_edges, unique_ids
 
 
 class TestExpandEdges:
@@ -70,6 +71,28 @@ class TestExpandEdges:
                 naive_dests.append(int(u))
         assert list(owner) == naive_owner
         assert list(dests) == naive_dests
+
+
+class TestUniqueIds:
+    @given(
+        arrays(
+            dtype=st.sampled_from([np.int64, np.int32, np.uint16, np.int8]),
+            shape=st.integers(0, 40),
+        )
+    )
+    @example(np.empty(0, dtype=np.int64))
+    @example(np.array([7], dtype=np.int64))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_np_unique(self, ids):
+        got = unique_ids(ids)
+        want = np.unique(ids)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_input_untouched(self):
+        ids = np.array([3, 1, 3, 2], dtype=np.int64)
+        assert unique_ids(ids).tolist() == [1, 2, 3]
+        assert ids.tolist() == [3, 1, 3, 2]
 
 
 class TestProgramMetadata:

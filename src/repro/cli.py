@@ -287,7 +287,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         policy=policy,
-        batch=args.batch,
     )
 
     checkpoint = None
@@ -764,7 +763,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quota_max_active=args.quota_max_active,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
-        batch_limit=args.batch_limit,
     )
 
     pool: Optional[LocalWorkerPool] = None
@@ -1217,12 +1215,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_RUN_RETRIES or 1)")
     sweep.add_argument("--no-progress", action="store_true",
                        help="suppress the live progress line on stderr")
-    sweep.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="group same-graph cells into one worker task "
-                            "each round, amortizing dispatch and system "
-                            "construction (default: REPRO_SWEEP_BATCH, "
-                            "else off)")
     sweep.set_defaults(func=_cmd_sweep)
 
     rep = sub.add_parser(
@@ -1292,8 +1284,8 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--job-workers", type=int, default=2,
                        help="jobs executed concurrently")
     serve.add_argument("--run-workers", type=int, default=1,
-                       help="SweepRunner processes per job; >=2 adds "
-                            "per-job process isolation")
+                       help="forked child processes per job (every job "
+                            "runs in a supervised child)")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to let running jobs finish on "
                             "SIGTERM before giving up")
@@ -1316,11 +1308,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "(token bucket; 429 above it)")
     serve.add_argument("--quota-burst", type=float, default=None,
                        help="token-bucket burst size (default: rate)")
-    serve.add_argument("--batch-limit", type=int, default=1,
-                       help="same-graph batch lane width: a job worker "
-                            "claims up to this many queued jobs sharing "
-                            "one graph and runs them as a single sweep "
-                            "(1 disables; fleet dispatch unaffected)")
     serve.set_defaults(func=_cmd_serve)
 
     worker = sub.add_parser(
@@ -1345,7 +1332,7 @@ def make_parser() -> argparse.ArgumentParser:
     worker.add_argument("--job-workers", type=int, default=1,
                         help="jobs executed concurrently")
     worker.add_argument("--run-workers", type=int, default=1,
-                        help="SweepRunner processes per job")
+                        help="forked child processes per job")
     worker.add_argument("--capacity", type=int, default=1,
                         help="in-flight dispatches advertised to the "
                              "coordinator's router")

@@ -108,7 +108,7 @@ class ExperimentHarness:
 
     With a :class:`~repro.runner.sweep.SweepRunner` attached, the trial
     runs execute through the runner instead -- cached across harness
-    invocations and fanned out over its worker pool.  (Trials over
+    invocations and fanned out over its forked children.  (Trials over
     different sources are independent simulations, so this is exact.)
 
     An :class:`~repro.obs.ObsConfig` instruments every trial (NOVA

@@ -105,6 +105,17 @@ _PROTECTED_DIGESTS: Dict[str, int] = {}
 _PROTECTED_LOCK = threading.Lock()
 
 
+def _unlock_in_child() -> None:
+    # A forked sweep child must not inherit the lock held by another
+    # thread of its parent at the fork: it would hang in its first prune.
+    global _PROTECTED_LOCK
+    _PROTECTED_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unlock_in_child)
+
+
 def protect_digest(digest: str) -> None:
     """Pin ``digest`` against pruning until :func:`unprotect_digest`."""
     with _PROTECTED_LOCK:

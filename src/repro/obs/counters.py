@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -288,3 +289,14 @@ FAULT_COUNTERS = MetricsRegistry()
 for _name in DEFAULT_HISTOGRAMS:
     FAULT_COUNTERS.declare_histogram(_name)
 del _name
+
+
+def _unlock_in_child() -> None:
+    # A lock another thread held at a fork stays held forever in the
+    # child, so a forked sweep child would hang at its first count.
+    # One hook for the process-wide registry, not one per instance.
+    FAULT_COUNTERS._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unlock_in_child)

@@ -48,6 +48,17 @@ ENV_VAR = "REPRO_TRACE"
 _STDERR_VALUES = ("1", "true", "stderr")
 _lock = threading.Lock()
 
+
+def _unlock_in_child() -> None:
+    # A forked sweep child must not inherit the lock held by another
+    # thread of its parent at the fork: it would hang at its first span.
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unlock_in_child)
+
 # (pid, parsed sink) -- parsed once per process, dropped by refresh().
 _SINK_CACHE: Optional[Tuple[int, Optional[str]]] = None
 

@@ -3,14 +3,14 @@
 The simulator's experiments (scaling curves, sensitivity sweeps,
 multi-source harness runs) are embarrassingly parallel: every
 (config, graph, workload, source) combination is an independent
-simulation.  This subsystem runs such sweeps across a
-:class:`concurrent.futures.ProcessPoolExecutor` worker pool and caches
-each completed :class:`~repro.core.metrics.RunResult` on disk, keyed by
-a digest of everything that determines the outcome -- so re-invoking a
-benchmark suite recomputes nothing that already ran.
+simulation.  This subsystem runs such sweeps in supervised forked
+children and caches each completed
+:class:`~repro.core.metrics.RunResult` on disk, keyed by a digest of
+everything that determines the outcome -- so re-invoking a benchmark
+suite recomputes nothing that already ran.
 
 Execution is fault-tolerant: a spec that raises, exceeds its timeout,
-or kills its worker yields a structured
+or kills its child process yields a structured
 :class:`~repro.runner.fault.RunFailure` while sibling runs complete and
 store normally; transient failures retry with exponential backoff
 (:class:`~repro.runner.fault.RetryPolicy`); and completed results flush
@@ -20,15 +20,13 @@ recomputation (:class:`~repro.runner.checkpoint.SweepCheckpoint` +
 
 Environment knobs:
 
-- ``REPRO_WORKERS``: worker-process count (default: ``os.cpu_count()``).
-- ``REPRO_SWEEP_BATCH``: truthy enables batched same-graph execution
-  (cells sharing a graph dispatch as one worker task per round; see
-  :mod:`repro.runner.batch`).
+- ``REPRO_WORKERS``: most child processes per sweep round (default:
+  ``os.cpu_count()``).
 - ``REPRO_CACHE_DIR``: cache root (default ``~/.cache/repro-nova``).
 - ``REPRO_CACHE_MAX_BYTES``: if set, prune least-recently-used entries
   past this size after each sweep.
-- ``REPRO_RUN_TIMEOUT``: per-run wall-clock timeout in seconds
-  (default: none).
+- ``REPRO_RUN_TIMEOUT``: per-run wall-clock timeout in seconds, enforced
+  by killing the run's child (default: none).
 - ``REPRO_RUN_RETRIES``: extra attempts granted to transient failures
   (default 1).
 - ``REPRO_RETRY_BACKOFF``: base backoff seconds between retry rounds
@@ -44,7 +42,6 @@ Public entry points: :class:`~repro.runner.sweep.SweepRunner`,
 :class:`~repro.runner.spec.RunSpec`, :class:`~repro.runner.spec.GraphSpec`.
 """
 
-from repro.runner.batch import group_cells
 from repro.runner.cache import RunCache, default_cache_dir, graph_digest, spec_key
 from repro.runner.checkpoint import SweepCheckpoint, sweep_id
 from repro.runner.fault import RetryPolicy, RunFailure
@@ -70,7 +67,6 @@ __all__ = [
     "default_cache_dir",
     "execute_spec",
     "graph_digest",
-    "group_cells",
     "register_system",
     "spec_key",
     "sweep_id",

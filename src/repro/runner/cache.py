@@ -11,7 +11,7 @@ returned, only orphaned.
 
 Layout: ``<root>/<key[:2]>/<key>.pkl`` -- two-level fan-out keeps
 directories small on large sweeps.  Files are written to a temp name and
-``os.replace``d, so concurrent writers (worker pools, parallel pytest)
+``os.replace``d, so concurrent writers (sweep children, parallel pytest)
 can never expose a torn entry.  Each file carries a magic tag and a
 payload digest; a corrupt or truncated entry fails verification, is
 unlinked, and reads as a miss (the run is recomputed).

@@ -4,9 +4,12 @@ A sweep run can end three ways short of a result:
 
 - the spec itself raises (``kind="error"``) -- deterministic, never
   retried;
-- the run exceeds the policy's wall-clock timeout (``kind="timeout"``);
-- the forked worker process dies mid-run -- an ``os._exit``, an OOM
-  kill, a segfault in an extension (``kind="worker-died"``).
+- the run exceeds the policy's wall-clock timeout (``kind="timeout"``):
+  the sweep's parent process kills the run's forked child at the
+  deadline, whichever thread drives the sweep;
+- the forked child dies mid-run -- an ``os._exit``, an OOM kill, a
+  segfault in an extension (``kind="worker-died"``).  Only the run that
+  child was executing is charged.
 
 The last two, plus ``OSError`` / ``MemoryError`` (cache I/O hiccups,
 transient allocation failures), are classified *transient* and retried
@@ -79,7 +82,7 @@ class RetryPolicy:
     """Per-run timeout and bounded exponential-backoff retry.
 
     ``timeout_seconds`` bounds one attempt's wall clock (``None``
-    disables the watchdog); ``retries`` is the number of *extra*
+    disables the deadline); ``retries`` is the number of *extra*
     attempts granted to transient failures, so every key executes at
     most ``1 + retries`` times.  Retry round *n* sleeps
     ``backoff_seconds * backoff_factor**(n-1)`` capped at

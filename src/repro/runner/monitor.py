@@ -114,18 +114,6 @@ class SweepMonitor:
         self.status[key] = PENDING
         self._emit()
 
-    def requeue(self, key: str) -> None:
-        """One key was bounced back to pending at no retry cost.
-
-        Innocent siblings of a pool collapse (their process did not
-        die, the shared pool did) re-queue without burning retry
-        budget, so the monitor resets them to pending *without*
-        counting a retry -- the retried tally must match the runner's
-        budget accounting.
-        """
-        self.status[key] = PENDING
-        self._emit()
-
     def finish(self, key: str, ok: bool, elapsed_seconds: float = 0.0) -> None:
         """One key settled for good (computed or permanently failed)."""
         self.status[key] = COMPUTED if ok else FAILED

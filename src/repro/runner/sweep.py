@@ -1,4 +1,4 @@
-"""Execute independent simulations across a process pool, cache-first.
+"""Execute independent simulations in supervised forked children, cache-first.
 
 :class:`SweepRunner` takes a list of :class:`~repro.runner.spec.RunSpec`
 and returns their :class:`~repro.core.metrics.RunResult` in order:
@@ -7,34 +7,33 @@ and returns their :class:`~repro.core.metrics.RunResult` in order:
    arrays + workload + source + code version, see
    :mod:`repro.runner.cache`);
 2. cached results are loaded and counted as *hits*;
-3. the remaining unique keys are computed -- inline when one worker
-   suffices, otherwise fanned out over a
-   :class:`concurrent.futures.ProcessPoolExecutor` -- and each result
-   is flushed to the cache *the moment it finishes* (futures-based
-   submission, not a batch map), so an interrupted sweep resumes with
-   zero recomputation.
+3. the remaining unique keys run in forked children, at most
+   ``workers`` at a time, and each child stores its result in the
+   cache *the moment it finishes*, so an interrupted sweep resumes
+   with zero recomputation.
 
-Execution is fault-isolated: one spec that raises, times out, or kills
-its forked worker does not abort its siblings.  Failed keys yield
-structured :class:`~repro.runner.fault.RunFailure` records; transient
-failures (worker deaths, OOM, cache I/O, timeouts) are retried with
-exponential backoff per the runner's
-:class:`~repro.runner.fault.RetryPolicy`.  Suspected worker-killing
-specs are re-run in single-task isolation pools so a poisoned spec
-cannot take sibling retries down with it.  ``on_failure="raise"``
-(default) raises :class:`~repro.errors.SweepFailure` *after* every
-sibling has completed and stored; ``on_failure="return"`` places the
-``RunFailure`` records in the results list instead.
+Every computed cell runs the same way, whatever ``workers`` is: once a
+round's cells are known, the parent forks up to ``min(workers, cells)``
+children, sends each one cell index at a time, and enforces each cell's
+deadline by killing its child.  One spec that raises, times out, or
+kills its child does not abort its siblings: a death charges only the
+cell that child was running, and a fresh child takes the remaining
+cells.  Failed keys yield structured
+:class:`~repro.runner.fault.RunFailure` records; transient failures
+(child deaths, OOM, cache I/O, timeouts) are retried with exponential
+backoff per the runner's :class:`~repro.runner.fault.RetryPolicy`.
+``on_failure="raise"`` (default) raises :class:`~repro.errors.SweepFailure`
+*after* every sibling has completed and stored; ``on_failure="return"``
+places the ``RunFailure`` records in the results list instead.
 
-Workers never rebuild graphs: computing the cache keys resolves every
+Children never rebuild graphs: computing the cache keys resolves every
 :class:`~repro.runner.spec.GraphSpec` recipe in the parent through the
 content-addressed :class:`~repro.graph.store.GraphStore`, which builds
 each distinct graph at most once per host and maps it back as read-only
-``np.memmap`` arrays.  Forked workers inherit those mappings, and the
-kernel page cache shares the underlying bytes across every worker (and
-every other process) using the same artifact -- in-memory graphs are
-still inherited copy-on-write.  Simulations are deterministic, so a
-cache hit is bit-identical to recomputing.
+``np.memmap`` arrays.  Forked children inherit those mappings, the
+graph memo, the registered executors, the environment and the trace
+context, so the parent only ever sends an index.  Simulations are
+deterministic, so a cache hit is bit-identical to recomputing.
 """
 
 from __future__ import annotations
@@ -44,13 +43,12 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.metrics import RunResult
-from repro.errors import ConfigError, RunTimeoutError, SweepFailure
+from repro.errors import ConfigError, SweepFailure
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_event, trace_span
 from repro.runner.cache import RunCache, spec_key
@@ -63,8 +61,8 @@ from repro.runner.spec import RunSpec
 # System executors
 # ----------------------------------------------------------------------
 
-#: system name -> executor(spec) -> RunResult.  Forked workers inherit
-#: registrations made in the parent before the pool spawns, so tests and
+#: system name -> executor(spec) -> RunResult.  Forked children inherit
+#: registrations made in the parent before the round starts, so tests and
 #: extensions can plug in executors without touching this module.
 _SYSTEM_EXECUTORS: Dict[str, Callable[[RunSpec], RunResult]] = {}
 
@@ -74,31 +72,18 @@ def register_system(name: str, executor: Callable[[RunSpec], RunResult]) -> None
     _SYSTEM_EXECUTORS[name] = executor
 
 
-def _nova_system(spec: RunSpec):
-    """Build the configured :class:`NovaSystem` for one spec."""
+def _run_nova(spec: RunSpec) -> RunResult:
     from repro.core.system import NovaSystem
+    from repro.obs.config import make_recorder
     from repro.sim.config import scaled_config
 
-    graph = spec.resolve_graph()
     config = spec.config if spec.config is not None else scaled_config()
-    return NovaSystem(
+    system = NovaSystem(
         config,
-        graph,
+        spec.resolve_graph(),
         placement=spec.placement,
         seed=spec.placement_seed,
     )
-
-
-def _nova_run(system, spec: RunSpec) -> RunResult:
-    """Execute one spec on a prebuilt (possibly reused) system.
-
-    ``NovaSystem.run`` constructs a fresh engine per call, so reusing
-    one system across a batch of cells sharing (graph, config,
-    placement) is bit-identical to building a system per cell -- only
-    the placement construction is amortized.
-    """
-    from repro.obs.config import make_recorder
-
     return system.run(
         spec.workload,
         source=spec.source,
@@ -106,10 +91,6 @@ def _nova_run(system, spec: RunSpec) -> RunResult:
         recorder=make_recorder(spec.obs),
         **spec.workload_kwargs,
     )
-
-
-def _run_nova(spec: RunSpec) -> RunResult:
-    return _nova_run(_nova_system(spec), spec)
 
 
 def _run_polygraph(spec: RunSpec) -> RunResult:
@@ -136,7 +117,7 @@ register_system("ligra", _run_ligra)
 
 #: Modules the built-in executors import on their first run.  numpy
 #: itself imports ``numpy.random`` (random placement) and ``numpy.ma``
-#: (``np.unique``) on first use.
+#: (``np.unique``, in locality placement) on first use.
 _EXECUTOR_MODULES: Dict[str, Tuple[str, ...]] = {
     "nova": ("numpy.ma", "numpy.random", "repro.core.system"),
     "polygraph": ("repro.baselines.polygraph",),
@@ -147,10 +128,9 @@ _EXECUTOR_MODULES: Dict[str, Tuple[str, ...]] = {
 def _preload_executors(systems) -> None:
     """Import the named systems' executor modules in this process.
 
-    Executors import their engines on first use, so a process that
-    only answers from the cache never loads them.  A process about to
-    fork pool workers must load them first: forked workers inherit the
-    parent's modules, whereas an import left to the workers would be
+    Executors import their engines on first use.  A process about to
+    fork children must load them first: forked children inherit the
+    parent's modules, whereas an import left to the children would be
     paid by every one of them, inside a timed attempt.
     """
     for system in systems:
@@ -159,7 +139,7 @@ def _preload_executors(systems) -> None:
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one simulation to completion (the worker entry point)."""
+    """Run one simulation to completion in this process."""
     if spec.system != "nova" and spec.obs is not None and spec.obs.active:
         raise ConfigError(
             "observability instrumentation is only supported for the "
@@ -175,7 +155,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
 
 # ----------------------------------------------------------------------
-# Worker attempt wrapper
+# Supervised children
 # ----------------------------------------------------------------------
 
 
@@ -191,129 +171,151 @@ class _Outcome:
     timed_out: bool = False
     worker_died: bool = False
     elapsed_seconds: float = 0.0
-    #: True when the producing worker already flushed the result to the
-    #: run cache (batched execution stores worker-side for crash
-    #: durability); the parent then skips the redundant store.
+    #: True when the child already stored the result in the run cache;
+    #: the parent then skips the redundant store.
     stored: bool = False
 
 
-def _execute_with_timeout(
-    spec: RunSpec,
-    timeout: Optional[float],
-    run: Callable[[RunSpec], RunResult] = None,
-) -> RunResult:
-    """Run a spec under a SIGALRM watchdog (main-thread only).
-
-    Pool workers always run tasks in their process's main thread, so
-    the alarm is available there; an inline runner invoked off the main
-    thread silently skips enforcement rather than crashing.
-
-    A non-positive timeout raises :class:`ConfigError` -- ``0`` used to
-    silently disable enforcement, which read as "timeout immediately".
-    A pre-existing ``ITIMER_REAL`` (a caller's own watchdog) is re-armed
-    on exit with whatever time it had left rather than being clobbered
-    to zero.
-    """
-    if run is None:
-        run = execute_spec
-    if timeout is not None and timeout <= 0:
-        raise ConfigError(
-            f"timeout must be positive (or None to disable), got {timeout:g}"
-        )
-    if (
-        timeout is None
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        return run(spec)
-
-    def _on_alarm(signum, frame):
-        raise RunTimeoutError(f"run exceeded {timeout:g}s timeout")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    prior_timer = signal.setitimer(signal.ITIMER_REAL, timeout)
-    started = time.monotonic()
-    try:
-        return run(spec)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-        if prior_timer[0] > 0.0:
-            # Re-arm the interrupted watchdog with its remaining time
-            # (floored so an already-expired timer still fires promptly
-            # instead of being disarmed by a 0.0 value).
-            remaining = max(prior_timer[0] - (time.monotonic() - started), 1e-6)
-            signal.setitimer(signal.ITIMER_REAL, remaining, prior_timer[1])
-
-
-def _attempt(
-    spec: RunSpec,
-    timeout: Optional[float],
-    run: Callable[[RunSpec], RunResult] = None,
-) -> _Outcome:
-    """Run one spec, converting exceptions into a structured outcome.
-
-    Exceptions are flattened to (type name, message) in the worker so
-    unpicklable exception payloads can never poison the result queue.
-    """
-    start = time.perf_counter()
-    try:
-        result = _execute_with_timeout(spec, timeout, run=run)
-    except Exception as exc:
-        return _Outcome(
-            ok=False,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            transient=is_transient(exc),
-            timed_out=isinstance(exc, RunTimeoutError),
-            elapsed_seconds=time.perf_counter() - start,
-        )
+def _failed(exc: BaseException, elapsed_seconds: float = 0.0) -> _Outcome:
+    """Flatten an exception to (type name, message): never unpicklable."""
     return _Outcome(
-        ok=True, result=result, elapsed_seconds=time.perf_counter() - start
+        ok=False,
+        error_type=type(exc).__name__,
+        message=str(exc),
+        transient=is_transient(exc),
+        elapsed_seconds=elapsed_seconds,
     )
 
 
-_WORKER_DIED = _Outcome(
-    ok=False,
-    error_type="BrokenProcessPool",
-    message="worker process died before returning a result",
-    transient=True,
-    worker_died=True,
-)
+def _attempt(key: str, spec: RunSpec, cache: Optional[RunCache]) -> _Outcome:
+    """Run one cell in this child and store its result in the cache."""
+    start = time.perf_counter()
+    try:
+        result = execute_spec(spec)
+        elapsed = time.perf_counter() - start
+        stored = False
+        if cache is not None:
+            try:
+                cache.store(key, result)
+                stored = True
+            except OSError:
+                pass  # the parent retries the store
+    except Exception as exc:
+        return _failed(exc, time.perf_counter() - start)
+    return _Outcome(
+        ok=True, result=result, elapsed_seconds=elapsed, stored=stored
+    )
 
 
-def _traced_attempt(
-    spec: RunSpec, timeout: Optional[float], trace_dir: str, token: str
-) -> _Outcome:
-    """:func:`_attempt` plus start/done breadcrumbs for victim forensics.
+#: Signals a child restores to their defaults; blocked across the fork,
+#: so none can reach the child before it has.
+_CHILD_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
-    When a shared pool collapses, *every* in-flight future raises
-    ``BrokenProcessPool`` -- the parent cannot tell from the futures
-    alone which task's process actually died.  Each task therefore
-    drops a ``<token>.start`` marker (holding its worker pid) the
-    moment it begins and a ``<token>.done`` marker when it returns;
-    after the collapse the parent joins the markers against worker
-    exit codes to charge only the true victim (see
-    :meth:`SweepRunner._classify_collapse`).  Marker I/O failures are
-    swallowed: forensics degrade to the conservative pre-fix behavior,
-    they never fail a run.
+
+def _child_main(conn, cells, cache, inherited, mask) -> None:
+    """Body of one forked child: run each cell index the parent sends.
+
+    The child exits on a ``None`` index or on EOF, so it never outlives
+    its parent.
     """
-    try:
-        with open(
-            os.path.join(trace_dir, token + ".start"), "w", encoding="utf-8"
-        ) as f:
-            f.write(str(os.getpid()))
-    except OSError:
-        pass
-    outcome = _attempt(spec, timeout)
-    try:
-        with open(
-            os.path.join(trace_dir, token + ".done"), "w", encoding="utf-8"
-        ) as f:
-            f.write("")
-    except OSError:
-        pass
-    return outcome
+    # A child forked from ``repro serve`` inherits asyncio's wakeup fd:
+    # a SIGTERM sent to the child would run the parent's drain handler.
+    signal.set_wakeup_fd(-1)
+    for signum in _CHILD_SIGNALS:
+        signal.signal(signum, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    # The parent's ends of this runner's pipes: holding them would hide
+    # the parent's exit from this child (and from its siblings).
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        if index is None:
+            return
+        outcome = _attempt(*cells[index], cache)
+        try:
+            conn.send(outcome)
+        except OSError:
+            return  # the parent is gone
+        except Exception as exc:  # e.g. an unpicklable result
+            conn.send(_failed(exc, outcome.elapsed_seconds))
+
+
+#: Serializes forks across threads, so no thread's child inherits the
+#: child-side pipe ends of another thread's child (which would hide that
+#: child's death from its parent).
+_FORK_LOCK = threading.Lock()
+
+
+class _Child:
+    """One forked child and the cell it is running."""
+
+    def __init__(self, context, cells, cache, siblings) -> None:
+        with _FORK_LOCK:
+            self.conn, child_conn = context.Pipe()
+            inherited = [child.conn for child in siblings] + [self.conn]
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _CHILD_SIGNALS)
+            try:
+                self.process = context.Process(
+                    target=_child_main,
+                    args=(child_conn, cells, cache, inherited, mask),
+                )
+                self.process.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                child_conn.close()
+        self.index: Optional[int] = None
+        self.started = 0.0
+        self.deadline: Optional[float] = None
+        self.exitcode: Optional[int] = None
+
+    def assign(self, index: int, timeout: Optional[float]) -> None:
+        self.index = index
+        self.started = time.monotonic()
+        self.deadline = None if timeout is None else self.started + timeout
+        try:
+            self.conn.send(index)
+        except OSError:
+            pass  # already dead: its sentinel charges the cell
+
+    def receive(self) -> Optional[_Outcome]:
+        """The child's answer, or ``None`` when it died without one."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def close(self, kill: bool = False) -> None:
+        """Stop the child (at once if ``kill``) and reap it."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        self.conn.close()
+        self.process.join()
+        self.exitcode = self.process.exitcode
+        self.process.close()
+
+    def died(self) -> _Outcome:
+        code = self.exitcode
+        if code is not None and code < 0:
+            how = f"killed by {signal.Signals(-code).name}"
+        else:
+            how = f"exit code {code}"
+        return _Outcome(
+            ok=False,
+            error_type="WorkerDied",
+            message=f"child process died ({how}) before returning a result",
+            transient=True,
+            worker_died=True,
+            elapsed_seconds=time.monotonic() - self.started,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -326,12 +328,6 @@ def _default_workers() -> int:
     if env is not None:
         return env
     return os.cpu_count() or 1
-
-
-#: Free re-pool passes an innocent collapse sibling gets before it is
-#: charged as a suspect anyway -- bounds the rounds a pool that keeps
-#: collapsing before any task starts can spin without consuming budget.
-_MAX_FREE_REQUEUES = 3
 
 
 @dataclass
@@ -371,14 +367,17 @@ class SweepStats:
 
 
 class SweepRunner:
-    """Run independent simulations with caching, process parallelism,
-    and per-run fault isolation.
+    """Run independent simulations with caching, forked children, and
+    per-run fault isolation.
+
+    Every computed cell runs in a forked child under the policy's
+    deadline, also with ``workers=1``: so a runner driven from a thread
+    (as ``repro serve`` drives its jobs) still enforces timeouts, and a
+    spec that kills its process kills only its child.
 
     Args:
-        workers: worker-process count; ``None`` reads ``REPRO_WORKERS``
-            and falls back to ``os.cpu_count()``.  ``1`` runs inline
-            (note: inline runs share the parent process, so a worker
-            death cannot be isolated there).
+        workers: most children forked per round; ``None`` reads
+            ``REPRO_WORKERS`` and falls back to ``os.cpu_count()``.
         cache_dir: cache root; ``None`` uses
             :func:`~repro.runner.cache.default_cache_dir`.
         use_cache: set ``False`` to always recompute (and not store).
@@ -386,13 +385,6 @@ class SweepRunner:
             ``REPRO_RUN_TIMEOUT`` / ``REPRO_RUN_RETRIES`` /
             ``REPRO_RETRY_BACKOFF`` with defaults (no timeout, one
             retry for transient failures).
-        batch: group cells sharing a graph into one worker task each
-            (see :mod:`repro.runner.batch`): the worker maps the graph
-            once, reuses the system per config, and runs the group's
-            cells back-to-back, flushing each result to the cache
-            individually.  ``None`` reads ``REPRO_SWEEP_BATCH``
-            (default off).  Results are bit-identical to unbatched
-            execution; only per-task fixed costs are amortized.
     """
 
     def __init__(
@@ -401,22 +393,15 @@ class SweepRunner:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         policy: Optional[RetryPolicy] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         self.workers = workers if workers is not None else _default_workers()
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         self.cache = RunCache(cache_dir) if use_cache else None
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        if batch is None:
-            batch = os.environ.get("REPRO_SWEEP_BATCH", "").strip() not in (
-                "", "0", "false", "no",
-            )
-        self.batch = bool(batch)
-        if self.workers > 1:
-            # This runner forks its workers: load the default executor
-            # now, before any sweep starts its clock.
-            _preload_executors(("nova",))
+        # This runner forks its children: load the default executor now,
+        # before any sweep starts its clock.
+        _preload_executors(("nova",))
 
     def run_one(self, spec: RunSpec) -> RunResult:
         results, _ = self.run([spec])
@@ -526,18 +511,15 @@ class SweepRunner:
         checkpoint: Optional[SweepCheckpoint],
         monitor: Optional[SweepMonitor] = None,
     ) -> Dict[str, Union[RunResult, RunFailure]]:
-        """Round-based attempt loop: submit, drain, classify, retry."""
+        """Round-based attempt loop: run, classify, retry."""
         policy = self.policy
         resolved: Dict[str, Union[RunResult, RunFailure]] = {}
         attempts: Dict[str, int] = {key: 0 for key in todo}
-        last_outcome: Dict[str, _Outcome] = {}
-        requeue_counts: Dict[str, int] = {}
         pending: Dict[str, RunSpec] = dict(todo)
         round_index = 0
 
         def complete(key: str, outcome: _Outcome) -> None:
             attempts[key] += 1
-            last_outcome[key] = outcome
             if outcome.ok:
                 resolved[key] = outcome.result
                 self._flush(key, outcome.result, checkpoint,
@@ -598,44 +580,14 @@ class SweepRunner:
                 if delay:
                     time.sleep(delay)
             retries: Dict[str, RunSpec] = {}
-            requeues: Dict[str, RunSpec] = {}
-
-            def requeue(key: str) -> None:
-                # An innocent sibling of a pool collapse: its process did
-                # not die, it only lost its seat when the shared pool
-                # broke.  Re-queue it for the next round without touching
-                # its attempt count or the retry budget.  The free pass
-                # is bounded so a pathological pool that keeps collapsing
-                # before any task starts still terminates.
-                if requeue_counts.get(key, 0) >= _MAX_FREE_REQUEUES:
-                    complete(key, _WORKER_DIED)
-                    return
-                requeue_counts[key] = requeue_counts.get(key, 0) + 1
-                requeues[key] = todo[key]
-                FAULT_COUNTERS.increment("sweep.requeues")
-                if monitor is not None:
-                    monitor.requeue(key)
-                trace_event(
-                    "sweep.requeue", key=key, free_pass=requeue_counts[key]
-                )
-
-            # Keys whose worker died are suspects: re-run each in its own
-            # single-task pool so a poisoned spec cannot keep breaking the
-            # shared pool and draining sibling retry budgets.
-            suspects = {
-                key
-                for key in pending
-                if last_outcome.get(key) is not None
-                and last_outcome[key].worker_died
-            }
             if monitor is not None:
                 for key in pending:
                     monitor.running(key)
             with trace_span(
                 "sweep.execute", runs=len(pending), round=round_index
             ):
-                self._run_round(pending, suspects, complete, requeue)
-            pending = {**retries, **requeues}
+                self._run_round(pending, complete)
+            pending = retries
             round_index += 1
         return resolved
 
@@ -649,8 +601,8 @@ class SweepRunner:
         """Checkpoint one completed run the moment it finishes."""
         if self.cache is not None:
             if stored:
-                # A batch worker already flushed this result to the
-                # cache; count the flush, skip the redundant store.
+                # The child already stored this result; count the
+                # flush, skip the redundant store.
                 FAULT_COUNTERS.increment("sweep.checkpoint_flushes")
             else:
                 try:
@@ -666,245 +618,78 @@ class SweepRunner:
 
     def _run_round(
         self,
-        batch: Dict[str, RunSpec],
-        suspects: set,
+        pending: Dict[str, RunSpec],
         complete: Callable[[str, _Outcome], None],
-        requeue: Callable[[str], None],
     ) -> None:
-        """Run one round, reporting each key's outcome as it settles."""
-        timeout = self.policy.timeout_seconds
-        if self.workers > 1:
-            _preload_executors({spec.system for spec in batch.values()})
-        pooled = [
-            (key, spec) for key, spec in batch.items() if key not in suspects
-        ]
-        if pooled:
-            if self.batch and len(pooled) > 1:
-                self._run_grouped(pooled, timeout, complete, requeue)
-            elif self.workers == 1:
-                # Explicit single-worker mode runs inline (no isolation
-                # from worker death, by construction).
-                for key, spec in pooled:
-                    complete(key, _attempt(spec, timeout))
-            elif len(pooled) == 1:
-                # Never run a lone leftover inline when the caller asked
-                # for process isolation: a worker-killing spec would
-                # take the parent down with it.
-                key, spec = pooled[0]
-                complete(key, self._run_isolated(spec, timeout))
-            else:
-                self._run_pooled(pooled, timeout, complete, requeue)
-        for key in suspects:
-            complete(key, self._run_isolated(batch[key], timeout))
+        """Run one round's cells in forked children under their deadlines.
 
-    def _run_grouped(
-        self,
-        items: List[Tuple[str, RunSpec]],
-        timeout: Optional[float],
-        complete: Callable[[str, _Outcome], None],
-        requeue: Callable[[str], None],
-    ) -> None:
-        """Batched execution: one worker task per same-graph cell group."""
-        import multiprocessing
-
-        from repro.runner.batch import (
-            attempt_group,
-            group_cells,
-            recover_group,
-        )
-
-        groups = group_cells(items, self.workers)
-        cache_root = self.cache.root if self.cache is not None else None
-        trace_event(
-            "sweep.batch_groups", cells=len(items), groups=len(groups)
-        )
-        if self.workers == 1:
-            for group in groups:
-                for key, outcome in attempt_group(group, timeout, cache_root):
-                    complete(key, outcome)
-            return
-        context = multiprocessing.get_context("fork")
-        pool_size = min(self.workers, len(groups))
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(attempt_group, group, timeout, cache_root): index
-                for index, group in enumerate(groups)
-            }
-            for future in as_completed(futures):
-                group = groups[futures[future]]
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool:
-                    # The group's worker died mid-batch.  Cells already
-                    # flushed to the cache are recovered as completions;
-                    # the first unflushed cell (execution is in order)
-                    # is the suspect; the rest re-queue for free.
-                    for key, action in recover_group(group, self.cache):
-                        if action == "requeue":
-                            requeue(key)
-                        else:
-                            complete(key, action)
-                    continue
-                except Exception as exc:
-                    outcomes = [
-                        (
-                            key,
-                            _Outcome(
-                                ok=False,
-                                error_type=type(exc).__name__,
-                                message=str(exc),
-                                transient=is_transient(exc),
-                            ),
-                        )
-                        for key, _ in group
-                    ]
-                for key, outcome in outcomes:
-                    complete(key, outcome)
-
-    def _run_pooled(
-        self,
-        items: List[Tuple[str, RunSpec]],
-        timeout: Optional[float],
-        complete: Callable[[str, _Outcome], None],
-        requeue: Callable[[str], None],
-    ) -> None:
+        Each child gets one cell index at a time.  An answer settles the
+        cell and the child gets the next index; a passed deadline kills
+        the child and settles its cell as a timeout; a child that dies
+        without answering settles exactly its own cell as a death.  A
+        fresh child takes the remaining cells.
+        """
         # Fork keeps parent-built graphs shared copy-on-write and is the
         # only start method that needs no spawn-safe __main__ guard in
         # callers (pytest, notebooks).
         import multiprocessing
-        import shutil
-        import tempfile
+        from multiprocessing.connection import wait
 
+        cells = list(pending.items())
+        _preload_executors({spec.system for _, spec in cells})
         context = multiprocessing.get_context("fork")
-        pool_size = min(self.workers, len(items))
-        trace_dir = tempfile.mkdtemp(prefix="repro-sweep-trace-")
-        broken: List[str] = []
-        procs: Dict[int, object] = {}
+        timeout = self.policy.timeout_seconds
+        slots = min(self.workers, len(cells))
+        todo = deque(range(len(cells)))
+        children: List[_Child] = []
+        settled: List[Tuple[int, _Outcome]] = []
         try:
-            with ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=context
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _traced_attempt, spec, timeout, trace_dir, key
-                    ): key
-                    for key, spec in items
-                }
-                # Snapshot worker Process objects while the pool is
-                # healthy: after a collapse their exit codes identify
-                # the process that actually died (stdlib-private but
-                # stable; forensics degrade gracefully without it).
-                try:
-                    procs = dict(getattr(pool, "_processes", None) or {})
-                except Exception:
-                    procs = {}
-                for future in as_completed(futures):
-                    key = futures[future]
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        broken.append(key)
-                        continue
-                    except Exception as exc:  # e.g. an unpicklable result
+            while True:
+                # Hand out the next cells before settling the last ones,
+                # so no child idles while the parent checkpoints.
+                for child in children:
+                    if child.index is None and todo:
+                        child.assign(todo.popleft(), timeout)
+                while todo and len(children) < slots:
+                    child = _Child(context, cells, self.cache, children)
+                    children.append(child)
+                    child.assign(todo.popleft(), timeout)
+                for index, outcome in settled:
+                    complete(cells[index][0], outcome)
+                settled = []
+                busy = [child for child in children if child.index is not None]
+                if not busy:
+                    break
+                deadlines = [c.deadline for c in busy if c.deadline is not None]
+                ready = wait(
+                    [c.conn for c in busy] + [c.process.sentinel for c in busy],
+                    None if not deadlines
+                    else max(0.0, min(deadlines) - time.monotonic()),
+                )
+                now = time.monotonic()
+                for child in busy:
+                    exited = child.process.sentinel in ready
+                    if child.conn in ready:
+                        outcome = child.receive()
+                    elif exited:
+                        outcome = None
+                    elif child.deadline is not None and now >= child.deadline:
+                        exited = True
                         outcome = _Outcome(
                             ok=False,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            transient=is_transient(exc),
+                            error_type="RunTimeoutError",
+                            message=f"run exceeded {timeout:g}s timeout",
+                            transient=True,
+                            timed_out=True,
+                            elapsed_seconds=now - child.started,
                         )
-                    complete(key, outcome)
-            if broken:
-                self._settle_collapse(
-                    broken, trace_dir, procs, complete, requeue
-                )
+                    else:
+                        continue
+                    if exited or outcome is None:
+                        child.close(kill=True)
+                        children.remove(child)
+                    settled.append((child.index, outcome or child.died()))
+                    child.index = None
         finally:
-            shutil.rmtree(trace_dir, ignore_errors=True)
-
-    @staticmethod
-    def _settle_collapse(
-        broken_keys: List[str],
-        trace_dir: str,
-        procs: Dict[int, object],
-        complete: Callable[[str, _Outcome], None],
-        requeue: Callable[[str], None],
-    ) -> None:
-        """Charge only the collapse's true victim(s); free the innocents.
-
-        One worker death breaks the whole shared pool, so every
-        unfinished future raises ``BrokenProcessPool``.  The
-        :func:`_traced_attempt` breadcrumbs separate three populations:
-
-        - never started (no ``.start`` marker): queued behind the
-          collapse -- innocent, re-pooled for free;
-        - started and finished (``.done`` marker): the result was lost
-          in the collapse but the process did not die -- innocent;
-        - started, never finished: *candidate* victims.  A candidate is
-          charged as ``worker_died`` only if its recorded worker pid
-          exited abnormally (the pool's cleanup SIGTERMs the surviving
-          workers, so exit codes ``0`` and ``-SIGTERM`` mark
-          bystanders).  If no candidate's exit code is conclusive the
-          whole candidate set is charged -- the conservative pre-fix
-          behavior, never worse.
-        """
-        started_pid: Dict[str, int] = {}
-        done: set = set()
-        for key in broken_keys:
-            start_path = os.path.join(trace_dir, key + ".start")
-            if os.path.exists(start_path):
-                try:
-                    with open(start_path, encoding="utf-8") as f:
-                        started_pid[key] = int(f.read().strip() or "0")
-                except (OSError, ValueError):
-                    started_pid[key] = 0
-            if os.path.exists(os.path.join(trace_dir, key + ".done")):
-                done.add(key)
-        candidates = [
-            key for key in broken_keys
-            if key in started_pid and key not in done
-        ]
-        abnormal_pids = set()
-        for pid, proc in procs.items():
-            exitcode = getattr(proc, "exitcode", None)
-            if exitcode is None:
-                continue
-            if exitcode != 0 and exitcode != -int(signal.SIGTERM):
-                abnormal_pids.add(pid)
-        victims = {
-            key for key in candidates if started_pid.get(key) in abnormal_pids
-        }
-        if not victims:
-            victims = set(candidates)
-        trace_event(
-            "sweep.pool_collapse",
-            broken=len(broken_keys),
-            victims=len(victims),
-            requeued=len(broken_keys) - len(victims),
-        )
-        for key in broken_keys:
-            if key in victims:
-                complete(key, _WORKER_DIED)
-            else:
-                requeue(key)
-
-    def _run_isolated(
-        self, spec: RunSpec, timeout: Optional[float]
-    ) -> _Outcome:
-        """Re-run one worker-death suspect in a disposable one-task pool."""
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            future = pool.submit(_attempt, spec, timeout)
-            try:
-                return future.result()
-            except BrokenProcessPool:
-                return _WORKER_DIED
-            except Exception as exc:
-                return _Outcome(
-                    ok=False,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    transient=is_transient(exc),
-                )
+            for child in children:
+                child.close(kill=child.index is not None)

@@ -788,7 +788,6 @@ class ReproService:
         quota_rate: Optional[float] = None,
         quota_burst: Optional[float] = None,
         reap_interval: Optional[float] = None,
-        batch_limit: int = 1,
     ) -> None:
         from repro.service.fleet import FleetDispatcher, TenantQuotas
         from repro.service.registry import WorkerRegistry
@@ -825,7 +824,6 @@ class ReproService:
             fleet=self.fleet,
             quotas=quotas,
             reap_interval=reap_interval,
-            batch_limit=batch_limit,
             sessions=self.sessions,
         )
         self.http = ServiceHTTP(

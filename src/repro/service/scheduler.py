@@ -4,8 +4,12 @@ The scheduler is the concurrency seam of the service: an asyncio front
 end (submission, cancellation, long-poll events, shutdown drain) over
 the existing *blocking* sweep machinery
 (:class:`~repro.runner.sweep.SweepRunner` driven inside
-``loop.run_in_executor``), so per-run fault isolation, timeouts, and
-retries come from :class:`~repro.runner.fault.RetryPolicy` unchanged.
+``loop.run_in_executor``).  The runner forks each job's run into a
+supervised child from the executor thread, so per-run timeouts
+(``REPRO_RUN_TIMEOUT``), crash isolation, and retries come from
+:class:`~repro.runner.fault.RetryPolicy` unchanged: a hanging job
+fails as ``timeout`` and a spec that kills its process fails as
+``worker-died``, while the coordinator keeps serving.
 
 Scheduling order is **priority, then per-client fairness, then FIFO**:
 among queued jobs the highest ``priority`` wins; among clients at that
@@ -123,10 +127,10 @@ class JobScheduler:
 
     Args:
         store: durable job records.
-        runner: the blocking executor back end.  ``runner.workers == 1``
-            runs each job inline in its executor thread;  ``>= 2`` gives
-            every job its own forked worker process (fault isolation
-            from worker death, SIGALRM timeouts).
+        runner: the blocking executor back end.  Each local job's run
+            executes in a child the runner forks from the job's executor
+            thread, so the run's timeout is enforced and a crashing spec
+            fails only its own job.
         max_queue_depth: waiting jobs admitted before backpressure.
         job_workers: concurrently running jobs (asyncio workers, each
             occupying one executor thread while its job runs).
@@ -137,14 +141,6 @@ class JobScheduler:
             applied per client at admission.
         reap_interval: seconds between worker-lease expiry sweeps
             (default: lease/4, floor 50 ms).
-        batch_limit: same-graph batch lane width.  When > 1, a worker
-            that picks a job also claims up to ``batch_limit - 1``
-            queued jobs sharing the lead job's (graph, seed) and drives
-            them through **one** ``runner.run`` call, amortizing graph
-            resolution and (with a batching runner) per-cell dispatch.
-            Jobs still settle individually.  1 disables the lane.  The
-            lane only engages for locally executed jobs; fleet
-            dispatch already shards by spec key.
     """
 
     def __init__(
@@ -156,7 +152,6 @@ class JobScheduler:
         fleet=None,
         quotas=None,
         reap_interval: Optional[float] = None,
-        batch_limit: int = 1,
         sessions=None,
     ) -> None:
         self.store = store
@@ -164,11 +159,10 @@ class JobScheduler:
         #: Optional :class:`~repro.stream.session.SessionManager`; jobs
         #: whose spec names a session execute against its resident
         #: overlay (always locally -- the overlay lives in this
-        #: process, so fleet dispatch and batch lanes skip them).
+        #: process, so fleet dispatch skips them).
         self.sessions = sessions
         self.max_queue_depth = max(1, int(max_queue_depth))
         self.job_workers = max(1, int(job_workers))
-        self.batch_limit = max(1, int(batch_limit))
         self.fleet = fleet
         self.quotas = quotas
         self.reap_interval = reap_interval
@@ -446,32 +440,6 @@ class JobScheduler:
             self._queued.remove(best.id)
         return best
 
-    def _pick_batchmates(self, lead: Job) -> List[Job]:
-        """Claim queued jobs sharing the lead job's graph, in queue order.
-
-        The lane key is (graph specifier, seed): those fields alone
-        determine which store artifact the lowered spec resolves --
-        workload variants (weighted/symmetrized) may still split the
-        batch into sub-groups, which the batching runner handles.
-        Claimed jobs leave ``_queued`` here, atomically with the lead
-        pick (both run under the scheduler condition lock).
-        """
-        mates: List[Job] = []
-        lane = (lead.spec.graph, lead.spec.seed)
-        for job_id in list(self._queued):
-            if len(mates) >= self.batch_limit - 1:
-                break
-            try:
-                job = self.store.get(job_id)
-            except Exception:
-                continue
-            if job.spec.session is not None:
-                continue  # session jobs run solo against their overlay
-            if (job.spec.graph, job.spec.seed) == lane:
-                self._queued.remove(job_id)
-                mates.append(job)
-        return mates
-
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
@@ -487,19 +455,7 @@ class JobScheduler:
                 job = self._pick_next()
                 if job is None:
                     continue
-                mates: List[Job] = []
-                if (
-                    self.batch_limit > 1
-                    and job.spec.session is None
-                    and not (
-                        self.fleet is not None and self.fleet.has_workers()
-                    )
-                ):
-                    mates = self._pick_batchmates(job)
-            if mates:
-                await self._execute_batch([job] + mates)
-            else:
-                await self._execute(job)
+            await self._execute(job)
             if self.draining:
                 return
 
@@ -607,92 +563,6 @@ class JobScheduler:
             self._post_event(job.id, {"type": "state", "state": DONE})
         trace_event("service.settled", job=job.id, state=job.state)
 
-    async def _execute_batch(self, jobs: List[Job]) -> None:
-        """Drive a same-graph batch through one ``runner.run`` call.
-
-        Every job transitions, counts, and settles exactly as it would
-        through :meth:`_execute`; only the executor trip is shared.
-        The RUNNING transitions happen synchronously (before the first
-        ``await``), so cancellation can never race a claimed batchmate.
-        """
-        loop = asyncio.get_running_loop()
-        for job in jobs:
-            FAULT_COUNTERS.observe(
-                "service.queue_wait_seconds",
-                max(0.0, time.time() - job.updated_at),
-            )
-            job.transition(RUNNING)
-            job.attempts += 1
-            self.store.put(job)
-            self._running.add(job.id)
-            self._fairness[job.client] = (
-                self._fairness.get(job.client, 0) + 1
-            )
-            FAULT_COUNTERS.increment("service.dispatched")
-            self._post_event(job.id, {"type": "state", "state": RUNNING})
-        self._publish_gauges()
-        FAULT_COUNTERS.increment("service.batch_dispatched")
-
-        def post_all(payload: Dict[str, Any]) -> None:
-            for job in jobs:
-                self._post_event(job.id, payload)
-
-        monitor = _JobMonitor(post_all, loop)
-        run_start = time.perf_counter()
-        # The batch shares the lead job's trace context (batchmates keep
-        # their own trace ids on their specs; the shared executor trip
-        # can only follow one).
-        with activate(parse_traceparent(jobs[0].spec.trace)):
-            trace_event(
-                "service.batch_dispatch",
-                jobs=[job.id for job in jobs],
-                graph=jobs[0].spec.graph,
-            )
-            try:
-                outcomes = await loop.run_in_executor(
-                    None, self._run_blocking_batch, jobs, monitor
-                )
-            except Exception as exc:  # defensive: the runner returns failures
-                outcomes = [
-                    RunFailure(
-                        key=job.key or "",
-                        spec=None,
-                        kind="error",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                    )
-                    for job in jobs
-                ]
-            finally:
-                for job in jobs:
-                    self._running.discard(job.id)
-                self._publish_gauges()
-            batch_seconds = time.perf_counter() - run_start
-            for job, outcome in zip(jobs, outcomes):
-                FAULT_COUNTERS.observe("service.run_seconds", batch_seconds)
-                self._settle(job, outcome)
-
-    def _run_blocking_batch(self, jobs: List[Job], monitor: SweepMonitor):
-        """Executor-thread half of the batch lane: one sweep, N jobs."""
-        delay_ms = os.environ.get("REPRO_SERVICE_JOB_DELAY_MS")
-        if delay_ms:
-            time.sleep(max(0.0, float(delay_ms)) / 1000.0)
-        run_specs = []
-        for job in jobs:
-            run_spec = job.spec.to_run_spec()
-            if job.key is None:
-                job.key = spec_key(run_spec)
-            run_specs.append(run_spec)
-        # Executor thread: re-join the lead job's trace explicitly.
-        with activate(parse_traceparent(jobs[0].spec.trace)):
-            with trace_span(
-                "service.batch_run", jobs=[job.id for job in jobs]
-            ):
-                results, stats = self.runner.run(
-                    run_specs, on_failure="return", monitor=monitor
-                )
-        return results
-
     async def _requeue_lost(self, job: Job, exc: WorkerLostError) -> bool:
         """Put a worker-lost job back in the queue (bounded per job).
 
@@ -763,7 +633,7 @@ class JobScheduler:
             job.key = spec_key(run_spec)
         # Executor thread: re-join the job's trace explicitly (the
         # loop task's contextvars do not cross run_in_executor).  The
-        # runner's own sweep.run span -- and, via fork, the worker's
+        # runner's own sweep.run span -- and, via fork, the child's
         # nova.run span -- nest under service.run.
         with activate(parse_traceparent(job.spec.trace)):
             with trace_span("service.run", job=job.id):
@@ -847,7 +717,6 @@ class JobScheduler:
             "max_queue_depth": self.max_queue_depth,
             "running": len(self._running),
             "job_workers": self.job_workers,
-            "batch_limit": self.batch_limit,
             "jobs": counts,
             "fairness": self.fairness_snapshot(),
         }

@@ -1,30 +1,26 @@
-"""Batched same-graph sweep execution, and the bugfixes that rode in
-with it: pool-collapse victim forensics, the graph-digest memo, and
-SIGALRM timer restoration.
+"""Sweeps over a batch of cells on the supervised run path.
 
-Batch mode (``SweepRunner(batch=True)`` / ``repro sweep --batch``)
-groups a round's cells by graph and dispatches each group as one worker
-task.  The contract under test: results, cache keys, checkpointing, and
-fault isolation are all indistinguishable from the unbatched path --
-only the dispatch overhead changes.
+Every computed cell runs in a forked child, whatever the worker count.
+The contract under test: results and cache keys are identical for one
+and two children, every child stores its own results, and a failing or
+dying cell fails alone -- a death charges only the cell its child was
+running.  Also here: the graph-digest memo, and a sweep's deadline
+leaving the host's own ``ITIMER_REAL`` alone.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.obs import FAULT_COUNTERS
-from repro.runner.batch import attempt_group, group_cells, recover_group
-from repro.runner.cache import RunCache, _DIGEST_MEMO, graph_digest, spec_key
+from repro.runner.cache import _DIGEST_MEMO, graph_digest, spec_key
 from repro.runner.fault import RetryPolicy, RunFailure
 from repro.runner.spec import GraphSpec, RunSpec, _GRAPH_MEMO
-from repro.runner.sweep import SweepRunner, _execute_with_timeout
+from repro.runner.sweep import SweepRunner
 from repro.graph.generators import rmat
 from repro.sim.config import scaled_config
 
@@ -55,44 +51,7 @@ def _reset_fault_counters():
 
 
 # ----------------------------------------------------------------------
-# Grouping
-# ----------------------------------------------------------------------
-
-
-def test_group_cells_groups_by_graph_and_chunks(graph, config):
-    spec_a = GraphSpec("rmat:9:8", seed=1)
-    spec_b = GraphSpec("rmat:9:8", seed=2)
-    items = [
-        (f"a{i}", RunSpec("bfs", spec_a, config=config, source=i))
-        for i in range(4)
-    ] + [
-        (f"b{i}", RunSpec("bfs", spec_b, config=config, source=i))
-        for i in range(2)
-    ]
-    groups = group_cells(items, workers=2)
-    # chunk = ceil(6 / 2) = 3: graph A splits 3+1, graph B stays whole.
-    assert sorted(len(g) for g in groups) == [1, 2, 3]
-    for group in groups:
-        graphs = {spec.graph for _, spec in group}
-        assert len(graphs) == 1  # never mixes graphs
-    # Submission order survives within each group (crash recovery
-    # depends on in-order execution).
-    flat = [key for group in groups for key, _ in group]
-    assert [k for k in flat if k.startswith("a")] == [f"a{i}" for i in range(4)]
-
-    # Prebuilt in-memory graphs group by object identity.
-    other = rmat(9, 8, seed=6)
-    items = [
-        ("x", RunSpec("bfs", graph, config=config, source=0)),
-        ("y", RunSpec("bfs", other, config=config, source=0)),
-        ("z", RunSpec("bfs", graph, config=config, source=1)),
-    ]
-    groups = group_cells(items, workers=1)
-    assert sorted(len(g) for g in groups) == [1, 2]
-
-
-# ----------------------------------------------------------------------
-# Parity: batched == unbatched, bit for bit
+# Parity: one child == two children, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -108,26 +67,24 @@ def _parity_specs(config):
 
 
 @pytest.mark.slow
-def test_batched_sweep_matches_unbatched_bit_for_bit(tmp_path, config):
+def test_one_and_two_workers_match_bit_for_bit(tmp_path, config):
     specs = _parity_specs(config)
     keys = [spec_key(spec) for spec in specs]
 
-    plain = SweepRunner(
-        workers=2, cache_dir=str(tmp_path / "plain"), policy=FAST_POLICY,
-        batch=False,
+    one = SweepRunner(
+        workers=1, cache_dir=str(tmp_path / "one"), policy=FAST_POLICY
     )
-    plain_results, plain_stats = plain.run(specs)
+    one_results, one_stats = one.run(specs)
 
-    batched = SweepRunner(
-        workers=2, cache_dir=str(tmp_path / "batched"), policy=FAST_POLICY,
-        batch=True,
+    two = SweepRunner(
+        workers=2, cache_dir=str(tmp_path / "two"), policy=FAST_POLICY
     )
-    batch_results, batch_stats = batched.run(specs)
+    two_results, two_stats = two.run(specs)
 
-    assert (batch_stats.total, batch_stats.computed, batch_stats.failed) == (
-        plain_stats.total, plain_stats.computed, plain_stats.failed
+    assert (two_stats.total, two_stats.computed, two_stats.failed) == (
+        one_stats.total, one_stats.computed, one_stats.failed
     )
-    for a, b in zip(plain_results, batch_results):
+    for a, b in zip(one_results, two_results):
         assert a.elapsed_seconds == b.elapsed_seconds
         assert a.quanta == b.quanta
         assert np.array_equal(a.result, b.result)
@@ -135,25 +92,16 @@ def test_batched_sweep_matches_unbatched_bit_for_bit(tmp_path, config):
         assert a.traffic == b.traffic
         assert a.utilization == b.utilization
 
-    # Keys are computed identically, and the batch worker flushed every
-    # cell to the cache itself: a rerun is pure hits.
-    assert all(batched.cache.load(key) is not None for key in keys)
-    _, again = batched.run(specs)
-    assert (again.hits, again.computed) == (len(specs), 0)
-
-
-def test_batch_flag_reads_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_BATCH", "1")
-    assert SweepRunner(workers=1, use_cache=False).batch is True
-    monkeypatch.setenv("REPRO_SWEEP_BATCH", "0")
-    assert SweepRunner(workers=1, use_cache=False).batch is False
-    monkeypatch.delenv("REPRO_SWEEP_BATCH")
-    assert SweepRunner(workers=1, use_cache=False).batch is False
-    assert SweepRunner(workers=1, use_cache=False, batch=True).batch is True
+    # Every cell was stored by the child that ran it (the parent counts
+    # the flush without storing again): a rerun is pure hits.
+    for runner in (one, two):
+        assert all(runner.cache.load(key) is not None for key in keys)
+        _, again = runner.run(specs)
+        assert (again.hits, again.computed) == (len(specs), 0)
 
 
 # ----------------------------------------------------------------------
-# Fault isolation inside a batch
+# Fault isolation: a failing or dying cell fails alone
 # ----------------------------------------------------------------------
 
 
@@ -167,7 +115,7 @@ def test_batched_cell_failure_is_isolated(tmp_path, config):
         RunSpec("bfs", gspec, config=config, source=1),
     ]
     runner = SweepRunner(
-        workers=2, cache_dir=str(tmp_path), policy=FAST_POLICY, batch=True
+        workers=2, cache_dir=str(tmp_path), policy=FAST_POLICY
     )
     results, stats = runner.run(specs, on_failure="return")
     assert (stats.computed, stats.failed) == (2, 1)
@@ -180,6 +128,7 @@ def test_batched_cell_failure_is_isolated(tmp_path, config):
 
 @pytest.mark.slow
 def test_batched_worker_death_recovers_flushed_prefix(tmp_path, config):
+    """The cells a child finished before it died stay stored."""
     gspec = GraphSpec("rmat:9:8", seed=11)
     specs = [RunSpec("bfs", gspec, config=config, source=s) for s in range(6)]
     specs[1] = RunSpec(
@@ -187,58 +136,25 @@ def test_batched_worker_death_recovers_flushed_prefix(tmp_path, config):
     )
     keys = [spec_key(spec) for spec in specs]
     policy = RetryPolicy(retries=1, backoff_seconds=0.0)
-    runner = SweepRunner(
-        workers=2, cache_dir=str(tmp_path), policy=policy, batch=True
-    )
+    runner = SweepRunner(workers=2, cache_dir=str(tmp_path), policy=policy)
     results, stats = runner.run(specs, on_failure="return")
     assert (stats.computed, stats.failed) == (5, 1)
     failure = results[1]
     assert isinstance(failure, RunFailure)
     assert failure.kind == "worker-died"
-    assert failure.attempts == 2  # one retry, in isolation
+    assert failure.attempts == 2  # one retry
     for slot in (0, 2, 3, 4, 5):
         assert results[slot].workload == "bfs"
         assert runner.cache.load(keys[slot]) is not None
-    # Batchmates that had already flushed before the crash were
-    # recovered from the cache, not recomputed from scratch.
     _, again = runner.run(specs, on_failure="return")
     assert (again.hits, again.computed, again.failed) == (5, 0, 1)
 
 
-def test_recover_group_classifies_flushed_suspect_requeue(tmp_path, config):
-    gspec = GraphSpec("rmat:9:8", seed=11)
-    group = [
-        (f"k{i}", RunSpec("bfs", gspec, config=config, source=i))
-        for i in range(3)
-    ]
-    cache = RunCache(str(tmp_path))
-    # Simulate a worker that flushed cell 0 and died inside cell 1.
-    done = attempt_group(group[:1], None, cache.root)
-    assert done[0][1].ok and done[0][1].stored
-
-    verdicts = recover_group(group, cache)
-    assert verdicts[0][1].ok  # recovered from the flush trail
-    assert verdicts[1][1].worker_died  # first unflushed: the suspect
-    assert verdicts[2][1] == "requeue"  # innocent tail: free re-run
-
-    # Without a cache there is no trail: charge the head, requeue the rest.
-    verdicts = recover_group(group, None)
-    assert verdicts[0][1].worker_died
-    assert verdicts[1][1] == "requeue"
-    assert verdicts[2][1] == "requeue"
-
-
-# ----------------------------------------------------------------------
-# Pool-collapse forensics (unbatched): one victim, no innocent retries
-# ----------------------------------------------------------------------
-
-
 @pytest.mark.slow
 def test_pool_collapse_charges_only_the_victim(tmp_path, graph, config):
-    """Regression: one worker death used to break the shared pool and
-    mark every in-flight sibling ``worker_died``, burning their retry
-    budget.  Only the actual victim may be charged; innocents re-queue
-    free of charge.
+    """Regression: one worker death used to mark every in-flight sibling
+    ``worker_died`` and burn their retry budget.  A death charges only
+    the cell its child was running; the siblings complete and store.
     """
     policy = RetryPolicy(retries=1, backoff_seconds=0.0)
     runner = SweepRunner(
@@ -255,13 +171,14 @@ def test_pool_collapse_charges_only_the_victim(tmp_path, graph, config):
     assert isinstance(results[1], RunFailure)
     assert results[1].kind == "worker-died"
 
-    # The killer dies once in the shared pool and once isolated -- and
-    # nobody else is ever declared dead.
+    # The killer dies once per attempt -- and nobody else is ever
+    # declared dead.
     assert FAULT_COUNTERS.get("sweep.worker_deaths") == 2
-    # Exactly one retry was spent, by the victim.  Innocents either
-    # finished before the collapse or re-queued for free.
+    # Exactly one retry was spent, by the victim.
     assert FAULT_COUNTERS.get("sweep.retries") == 1
     assert stats.retried == 1
+    for slot in (0, 2, 3):
+        assert runner.cache.load(spec_key(specs[slot])) is not None
 
 
 # ----------------------------------------------------------------------
@@ -302,36 +219,34 @@ def test_graph_digest_memoizes_store_artifacts(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# SIGALRM watchdog hygiene
+# The host's own ITIMER_REAL
 # ----------------------------------------------------------------------
 
-
-@pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="needs SIGALRM watchdog"
+#: A sweep with a deadline: the parent enforces it by killing children,
+#: so it never arms, disarms or re-arms the caller's interval timer.
+DEADLINE_POLICY = RetryPolicy(
+    timeout_seconds=30.0, retries=0, backoff_seconds=0.0
 )
-def test_timeout_rejects_nonpositive():
-    spec = RunSpec("bfs", rmat(6, 4, seed=1), source=0)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ConfigError, match="timeout"):
-            _execute_with_timeout(spec, bad, run=lambda s: "never")
 
 
 @pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="needs SIGALRM watchdog"
+    not hasattr(signal, "setitimer"), reason="needs ITIMER_REAL"
 )
-def test_timeout_restores_preexisting_itimer():
-    """Regression: the watchdog used to disarm any ITIMER_REAL the host
-    application had armed.  It must re-arm the remaining time instead.
+def test_timeout_restores_preexisting_itimer(graph, config):
+    """Regression: the old in-process watchdog disarmed any ITIMER_REAL
+    the host application had armed.  A sweep must leave it running.
     """
-    spec = RunSpec("bfs", rmat(6, 4, seed=1), source=0)
     fired = []
     previous = signal.signal(signal.SIGALRM, lambda *a: fired.append(1))
     try:
         signal.setitimer(signal.ITIMER_REAL, 60.0)
-        out = _execute_with_timeout(spec, 5.0, run=lambda s: "ran")
-        assert out == "ran"
+        armed = time.monotonic()
+        runner = SweepRunner(
+            workers=1, use_cache=False, policy=DEADLINE_POLICY
+        )
+        assert runner.run_one(nova_spec(graph, config)).workload == "bfs"
         remaining, interval = signal.getitimer(signal.ITIMER_REAL)
-        assert 0.0 < remaining <= 60.0
+        assert 0.0 < remaining <= 60.0 - (time.monotonic() - armed) + 0.01
         assert interval == 0.0
         assert not fired
     finally:
@@ -340,10 +255,10 @@ def test_timeout_restores_preexisting_itimer():
 
 
 @pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="needs SIGALRM watchdog"
+    not hasattr(signal, "setitimer"), reason="needs ITIMER_REAL"
 )
-def test_timeout_leaves_timer_disarmed_when_none_existed():
-    spec = RunSpec("bfs", rmat(6, 4, seed=1), source=0)
+def test_timeout_leaves_timer_disarmed_when_none_existed(graph, config):
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-    _execute_with_timeout(spec, 5.0, run=lambda s: "ran")
+    runner = SweepRunner(workers=1, use_cache=False, policy=DEADLINE_POLICY)
+    runner.run_one(nova_spec(graph, config, source=1))
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

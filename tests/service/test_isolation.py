@@ -1,0 +1,127 @@
+"""A live service survives a hanging job, a crashing job, and a SIGTERM
+sent to a job's child.
+
+Each test boots an in-process :class:`ReproService` the way ``repro
+serve`` does -- ``serve_forever``, with its SIGTERM/SIGINT drain
+handlers installed -- on an ephemeral port, with a runner whose
+deadline is short.  A scripted ``nova`` executor hangs or exits on
+chosen sources.  After each case ``/healthz`` must answer ``ok`` and a
+normal job must still settle ``done``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import multiprocessing
+import os
+import signal
+import time
+
+from repro.runner.fault import RetryPolicy
+from repro.runner.sweep import SweepRunner, _run_nova, register_system
+from repro.service.client import ServiceClient
+from repro.service.http import ReproService
+
+#: Sources the scripted executor hangs on or exits on; others run.
+HANG, EXIT = 1, 2
+
+
+def _scripted_nova(spec):
+    if spec.source == HANG:
+        time.sleep(10.0)
+    elif spec.source == EXIT:
+        os._exit(13)
+    return _run_nova(spec)
+
+
+def make_spec(source):
+    return dict(
+        workload="bfs",
+        graph="rmat:6:4",
+        source=source,
+        scale=1.0 / 1024.0,
+        max_quanta=200_000,
+    )
+
+
+async def call(fn, *args, **kwargs):
+    loop = asyncio.get_running_loop()
+    return await loop.run_in_executor(None, lambda: fn(*args, **kwargs))
+
+
+def serve(tmp_path, body, timeout):
+    """Boot a service as ``repro serve`` does, run ``await body(client)``,
+    check the service still serves, then drain it."""
+
+    async def main():
+        runner = SweepRunner(
+            workers=1,
+            cache_dir=str(tmp_path / "cache"),
+            policy=RetryPolicy(timeout_seconds=timeout, retries=0),
+        )
+        svc = ReproService(str(tmp_path / "state"), runner=runner)
+        ready = asyncio.get_running_loop().create_future()
+        server = asyncio.ensure_future(
+            svc.serve_forever(port=0, on_ready=ready.set_result)
+        )
+        port = await asyncio.wait_for(ready, 30.0)
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        try:
+            await body(client)
+            assert not server.done(), "the service drained"
+            health = await call(client.health)
+            assert health["status"] == "ok"
+            job = await call(client.submit, make_spec(0))
+            job = await call(client.wait, job["id"], timeout=60.0)
+            assert job["state"] == "done"
+        finally:
+            svc.shutdown()
+            await server
+
+    register_system("nova", _scripted_nova)
+    try:
+        asyncio.run(main())
+    finally:
+        register_system("nova", _run_nova)
+
+
+def test_hanging_job_times_out(tmp_path):
+    async def body(client):
+        job = await call(client.submit, make_spec(HANG))
+        job = await call(client.wait, job["id"], timeout=60.0)
+        assert job["state"] == "failed"
+        assert job["error_kind"] == "timeout"
+
+    serve(tmp_path, body, timeout=0.5)
+
+
+def test_crashing_job_fails_alone(tmp_path):
+    async def body(client):
+        job = await call(client.submit, make_spec(EXIT))
+        job = await call(client.wait, job["id"], timeout=60.0)
+        assert job["state"] == "failed"
+        assert job["error_kind"] == "worker-died"
+
+    serve(tmp_path, body, timeout=5.0)
+
+
+def test_sigterm_to_a_job_child_does_not_drain(tmp_path):
+    """Regression: the child inherited asyncio's wakeup fd, so a SIGTERM
+    sent to it ran the service's own drain handler."""
+
+    async def body(client):
+        job = await call(client.submit, make_spec(HANG))
+        children = []
+        deadline = time.monotonic() + 4.0
+        while not children and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+            children = multiprocessing.active_children()
+        assert children, "the job did not run in a child process"
+        for child in children:
+            os.kill(child.pid, signal.SIGTERM)
+        job = await call(client.wait, job["id"], timeout=60.0)
+        assert job["state"] == "failed"
+        assert job["error_kind"] == "worker-died"
+        assert "SIGTERM" in job["error_message"]
+
+    serve(tmp_path, body, timeout=5.0)

@@ -167,7 +167,7 @@ def test_pool_workers_fork_with_the_engine_loaded(env, tmp_path):
                     source=source)
             for source in (1, 2, 3)
         ]
-        SweepRunner(workers=2, use_cache=False, batch=False).run(specs)
+        SweepRunner(workers=2, use_cache=False).run(specs)
         """
     )
     out_dir = tmp_path / "probes"

@@ -2,15 +2,14 @@
 
 This is the original per-PE-loop implementation of the decoupled
 MPU / VMU / MGU pipeline, preserved verbatim when the hot path in
-:mod:`repro.core.engine` was vectorized across PEs.  It serves two
-purposes:
-
-1. **Golden equivalence**: ``tests/core/test_engine_parity.py`` runs
-   both engines on the same inputs and asserts bit-identical results
-   (same ``elapsed_seconds``, message counters, and vertex state) --
-   the vectorized engine is an optimization, not a semantic change.
-2. **Perf baseline**: ``benchmarks/perf_smoke.py`` measures the
-   vectorized engine's quanta/sec against this one.
+:mod:`repro.core.engine` was vectorized across PEs.  It is the golden
+reference: ``tests/core/test_engine_parity.py`` runs both engines on
+the same inputs, from 1 to 8 GPNs, and asserts bit-identical results
+(same ``elapsed_seconds``, message counters, and vertex state), and
+every e2ebench run checks the same parity on all five workloads before
+it measures anything -- the vectorized engine is an optimization, not
+a semantic change.  Its last committed speed measurement against this
+engine (commit 450beb9, 64 PEs) was 2.36-2.59x the quanta per second.
 
 See :mod:`repro.core.engine` for the pipeline documentation; the two
 files implement the same model.

@@ -1,10 +1,11 @@
 """The durable JSONL journal behind every log the program keeps.
 
-The job store, the session store, sweep checkpoints and the benchmark
-history each persist their state as a :class:`Journal`.  The journal
+The job store, the session store and sweep checkpoints each persist
+their state as a :class:`Journal`, and ``benchmarks/record.py``
+appends the committed benchmark history through one.  The journal
 owns the line format and its durability; each owner keeps only its
-record semantics (last record wins, a key set, a schema filter) and
-its own lock -- a journal is not thread-safe by itself.
+record semantics (last record wins, a key set) and its own lock -- a
+journal is not thread-safe by itself.
 
 The contract (DESIGN.md, "Journal"):
 

@@ -14,9 +14,7 @@ bottleneck-attribution report (the ``repro profile`` CLI subcommand).
 
 On top of the per-run layer, :mod:`repro.obs.report` aggregates a whole
 sweep's results into grouped bottleneck/outlier reports (the ``repro
-report`` CLI subcommand) and :mod:`repro.obs.bench_history` tracks the
-benchmark trajectory across commits with rolling-median regression
-verdicts (``benchmarks/perf_smoke.py --against``).
+report`` CLI subcommand).
 
 The distributed layer: :mod:`repro.obs.trace_context` propagates
 W3C-traceparent-shaped trace/span ids across threads, forks, HTTP
@@ -28,13 +26,12 @@ log-bucketed histograms next to the counters; and
 exposition the service serves on ``GET /metrics?format=prom``.
 
 The names below resolve on first access, so the run path's counters
-and tracing do not load the report, profile or bench-history layers.
+and tracing do not load the report or profile layers.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.obs.bench_history": ("BenchHistory", "RegressionVerdict"),
     "repro.obs.config": ("ObsConfig", "make_recorder"),
     "repro.obs.counters": (
         "DEFAULT_BUCKETS",
@@ -63,7 +60,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "ObsConfig",
     "make_recorder",
-    "BenchHistory",
     "BottleneckReport",
     "CounterRegistry",
     "DEFAULT_BUCKETS",
@@ -75,7 +71,6 @@ __all__ = [
     "NullRecorder",
     "PhaseProfiler",
     "QuantumObservation",
-    "RegressionVerdict",
     "ReportEntry",
     "SweepReport",
     "TimelineRecorder",

@@ -50,7 +50,7 @@ from repro.graph.store import (
 from repro.journal import Journal
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_span
-from repro.runner.spec import GraphSpec, resolve_source
+from repro.runner.spec import SOURCELESS_WORKLOADS, GraphSpec, resolve_source
 from repro.stream.delta import EdgeDeltaBatch, net_delta
 from repro.stream.incremental import (
     BfsState,
@@ -425,15 +425,20 @@ class SessionManager:
     def resolve_job_source(
         self, session_id: str, workload: str, source: Optional[int]
     ) -> Optional[int]:
-        """Deterministic default source from the session's *base* graph.
+        """Deterministic default source from the session's *original* base.
 
-        Resolved against the base (not the overlay) so the default is
-        stable across versions of one session -- resubmitting the same
-        query at a new version changes only the version digest in the
-        cache key, never the source.
+        Resolved against the graph the session was opened on -- not the
+        overlay, and not the merged graph a compaction re-bases onto --
+        so the default is stable across versions, compactions and
+        restarts of one session: resubmitting the same query at a new
+        version changes only the version digest in the cache key, never
+        the source.
         """
-        overlay = self.overlay(session_id)
-        return resolve_source(overlay.base, workload, source)
+        if source is not None or workload in SOURCELESS_WORKLOADS:
+            return resolve_source(None, workload, source)
+        session = self.store.get(session_id)
+        base = GraphSpec(session.graph, seed=session.seed).build()
+        return resolve_source(base, workload)
 
     def execute_job(self, spec: Any) -> RunResult:
         """Run one session query described by a (duck-typed) job spec.
@@ -451,6 +456,11 @@ class SessionManager:
             spec.workload_kwargs or {}
         ).get("mode", "incremental")
         overlay = self.overlay(session_id)
+        source = (
+            self.resolve_job_source(session_id, workload, spec.source)
+            if workload == "bfs"
+            else None
+        )
         with trace_span(
             "stream.query",
             session=session_id,
@@ -469,9 +479,6 @@ class SessionManager:
                         state="version_mismatch",
                     )
                 start = time.perf_counter()
-                source = spec.source if workload == "bfs" else None
-                if workload == "bfs" and source is None:
-                    source = resolve_source(overlay.base, workload, None)
                 if mode == "cold":
                     answer = cold_answer(
                         workload, overlay.materialize(), source=source

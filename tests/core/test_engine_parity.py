@@ -5,7 +5,8 @@ The flat-batched :class:`~repro.core.engine.NovaEngine` must be
 -- same simulated time, same quanta count, same counters, same vertex
 state -- on every workload and graph shape.  These tests compare full
 runs across traversal (bfs, sssp) and iterative (pr) workloads on
-power-law, grid, and uniform-random graphs.
+power-law, grid, and uniform-random graphs, from 1 GPN up to 8 (64
+PEs), and check that instrumenting a run does not change it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.system import NovaSystem
-from repro.graph.generators import with_uniform_weights
+from repro.graph.generators import rmat, with_uniform_weights
+from repro.obs import ObsConfig, make_recorder
+from repro.sim.config import scaled_config
 
 
 def run_both(config, graph, workload, source=None, **kwargs):
@@ -93,3 +96,24 @@ def test_vectorized_answers_match_reference_oracle(two_gpn_config, rmat_graph):
         two_gpn_config, rmat_graph, placement="random", engine="vectorized"
     )
     system.run("bfs", source=source, compute_reference=True)
+
+
+@pytest.mark.parametrize(
+    "workload, scale, source, kwargs",
+    [("bfs", 13, 0, {}), ("pr", 12, None, {"max_supersteps": 20})],
+    ids=["bfs_rmat13", "pr_rmat12"],
+)
+def test_eight_gpn_parity_and_instrumented_run(workload, scale, source, kwargs):
+    """64 PEs: scalar == vectorized, and a vectorized run with the
+    timeline recorder and phase profiler attached == the plain run."""
+    config = scaled_config(num_gpns=8, scale=1.0 / 256.0)
+    graph = rmat(scale, 8, seed=5)
+    scalar, vectorized = run_both(config, graph, workload, source, **kwargs)
+    assert_identical(scalar, vectorized)
+    recorder = make_recorder(ObsConfig(timeline=True, phases=True))
+    system = NovaSystem(config, graph, placement="random", engine="vectorized")
+    instrumented = system.run(
+        workload, source=source, recorder=recorder, **kwargs
+    )
+    assert instrumented.timeline is not None
+    assert_identical(vectorized, instrumented)

@@ -192,6 +192,42 @@ class TestDeltasAndQueries:
         serve(tmp_path, body)
 
 
+class TestDefaultSource:
+    def test_default_source_survives_compaction_and_restart(self, tmp_path):
+        """An omitted BFS source resolves against the session's original
+        base.  Compaction re-bases the live overlay onto the merged
+        graph, while a restart replays onto the original base: the two
+        managers must still agree at the same version digest."""
+        from repro.runner.spec import GraphSpec
+        from repro.stream.delta import EdgeDeltaBatch
+        from repro.stream.session import SessionManager, SessionStore
+
+        graph = "rmat:9:8"
+        base = GraphSpec(graph, seed=42).build()
+        degrees = np.asarray(base.out_degrees())
+        top = int(np.argmax(degrees))
+        # Give vertex 3 more out-edges than the base's top vertex has.
+        present = set(base.neighbors(3).tolist())
+        targets = [
+            v for v in range(base.num_vertices) if v != 3 and v not in present
+        ]
+        inserts = [(3, v) for v in targets[: degrees[top] - degrees[3] + 1]]
+
+        def manager():
+            return SessionManager(SessionStore(str(tmp_path / "svc")))
+
+        live = manager()
+        sid = live.create(graph, seed=42).id
+        before = live.resolve_job_source(sid, "bfs", None)
+        live.apply(sid, EdgeDeltaBatch(inserts=inserts))
+        live.compact(sid)
+        assert int(np.argmax(live.overlay(sid).base.out_degrees())) == 3
+        after = live.resolve_job_source(sid, "bfs", None)
+        restarted = manager().resolve_job_source(sid, "bfs", None)
+        live.close(sid)  # release the process-wide store pins
+        assert before == after == restarted == top
+
+
 class TestJournalRecovery:
     def test_sessions_survive_restart(self, tmp_path):
         inserts = find_absent_edges(GRAPH, 4)

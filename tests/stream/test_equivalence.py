@@ -163,6 +163,29 @@ class TestIncrementalEquivalence:
             )
             assert stats["fallback"] == 0, workload
 
+    def test_small_insert_batches_relax_a_frontier_not_the_graph(self):
+        """A work bound instead of a wall-clock gate: after an 8-edge
+        insert-only batch, incremental BFS on a resident rmat:14:8
+        relaxes at most 1% of the edges (0-1 at this seed), where a
+        silent full recompute would relax nearly all of them."""
+        base = rmat(14, 8, seed=5)
+        overlay = DeltaOverlayGraph(base, base_digest="test")
+        source = int(np.argmax(base.out_degrees()))
+        state = seed_state("bfs", overlay, source=source)[0]
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            overlay.apply(random_batch(overlay, rng, 8, 0))
+            ins, dels = net_delta(overlay.batches[state.seq:])
+            answer, stats = incremental_update(
+                "bfs", overlay, state, ins, dels
+            )
+            assert stats["fallback"] == 0
+            assert stats["relaxations"] <= 0.01 * overlay.num_edges
+            assert np.array_equal(
+                answer,
+                cold_answer("bfs", overlay.materialize(), source=source),
+            )
+
     def test_tight_bfs_deletion_falls_back_and_still_matches(self):
         # 0->1->2 chain: deleting 1->2 lengthens 2's distance.
         from repro.graph.csr import CSRGraph

@@ -21,7 +21,6 @@ import pytest
 from repro import journal
 from repro.graph import store as graph_store
 from repro.journal import Journal
-from repro.obs.bench_history import BenchHistory
 from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.spec import GraphSpec
 from repro.service.store import QUEUED, RUNNING, JobSpec, JobStore
@@ -401,22 +400,6 @@ def test_sweep_checkpoint(tmp_path):
             calls=[lambda c: c.begin(total=3)] + [mark(k) for k in keys[:3]],
             state=lambda c: c.completed_keys(),
             extra=mark(keys[3]),
-        ),
-        tmp_path,
-    )
-
-
-def test_bench_history(tmp_path):
-    def append(n: int):
-        return lambda h: h.append({"m": float(n)}, sha=f"sha{n}")
-
-    check_owner(
-        Owner(
-            open=lambda root: BenchHistory(os.path.join(root, "h.jsonl")),
-            path=lambda root: os.path.join(root, "h.jsonl"),
-            calls=[append(n) for n in range(3)],
-            state=lambda h: h.records(),
-            extra=append(9),
         ),
         tmp_path,
     )

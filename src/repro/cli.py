@@ -742,19 +742,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from repro.runner import SweepRunner, default_cache_dir
+    from repro.runner import default_cache_dir
     from repro.service import ReproService
     from repro.service.worker import LocalWorkerPool
 
-    runner = SweepRunner(
-        workers=args.run_workers, cache_dir=args.cache_dir
-    )
     state_dir = args.state_dir or os.path.join(
         args.cache_dir or default_cache_dir(), "service"
     )
     service = ReproService(
         state_dir,
-        runner=runner,
+        cache_dir=args.cache_dir,
         max_queue_depth=args.queue_depth,
         job_workers=args.job_workers,
         drain_timeout=args.drain_timeout,
@@ -774,12 +771,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         print(f"  state: {state_dir}", flush=True)
-        print(f"  cache: {runner.cache.root}", flush=True)
+        print(f"  cache: {service.runner.cache.root}", flush=True)
         if args.workers > 0:
             pool = LocalWorkerPool(
                 f"http://{args.host}:{port}",
                 count=args.workers,
-                cache_dir=runner.cache.root,
+                cache_dir=service.runner.cache.root,
                 state_root=os.path.join(state_dir, "fleet"),
                 host=args.host,
                 lease_seconds=args.lease,
@@ -811,19 +808,16 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from repro.runner import SweepRunner, default_cache_dir
+    from repro.runner import default_cache_dir
     from repro.service import ReproService
     from repro.service.worker import WorkerAgent
 
-    runner = SweepRunner(
-        workers=args.run_workers, cache_dir=args.cache_dir
-    )
     state_dir = args.state_dir or os.path.join(
         args.cache_dir or default_cache_dir(), "worker"
     )
     service = ReproService(
         state_dir,
-        runner=runner,
+        cache_dir=args.cache_dir,
         max_queue_depth=args.queue_depth,
         job_workers=args.job_workers,
         drain_timeout=args.drain_timeout,
@@ -845,7 +839,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             flush=True,
         )
         print(f"  coordinator: {args.coordinator}", flush=True)
-        print(f"  cache: {runner.cache.root}", flush=True)
+        print(f"  cache: {service.runner.cache.root}", flush=True)
         assert service._stop is not None
         await service._stop.wait()
         await agent.stop()
@@ -1283,9 +1277,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="waiting jobs admitted before 429 backpressure")
     serve.add_argument("--job-workers", type=int, default=2,
                        help="jobs executed concurrently")
-    serve.add_argument("--run-workers", type=int, default=1,
-                       help="forked child processes per job (every job "
-                            "runs in a supervised child)")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to let running jobs finish on "
                             "SIGTERM before giving up")
@@ -1331,8 +1322,6 @@ def make_parser() -> argparse.ArgumentParser:
     worker.add_argument("--queue-depth", type=int, default=64)
     worker.add_argument("--job-workers", type=int, default=1,
                         help="jobs executed concurrently")
-    worker.add_argument("--run-workers", type=int, default=1,
-                        help="forked child processes per job")
     worker.add_argument("--capacity", type=int, default=1,
                         help="in-flight dispatches advertised to the "
                              "coordinator's router")

@@ -39,6 +39,10 @@ from repro.runner.spec import GraphSpec, RunSpec
 
 #: Bump when the digest recipe or entry format changes.
 CACHE_SCHEMA = 2
+#: Bump when a session version digest may name a different graph than
+#: before (2: a re-insert after compaction restores every copy of a
+#: multigraph pair); it keys session queries only.
+SESSION_QUERY_SCHEMA = 2
 _MAGIC = b"RNC1"
 
 
@@ -175,7 +179,7 @@ def spec_key(spec: RunSpec) -> str:
     if getattr(spec, "graph_digest", None):
         # Streaming session specs carry their version digest: the graph
         # is resident at the service and must not be rebuilt to key.
-        graph_part = str(spec.graph_digest)
+        graph_part = f"session{SESSION_QUERY_SCHEMA}:{spec.graph_digest}"
     else:
         graph_part = graph_digest(spec.resolve_graph())
     kwargs = sorted(spec.workload_kwargs.items())

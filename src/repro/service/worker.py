@@ -127,7 +127,6 @@ class LocalWorkerPool:
         state_root: str,
         host: str = "127.0.0.1",
         job_workers: int = 1,
-        run_workers: int = 1,
         lease_seconds: Optional[float] = None,
         env: Optional[Dict[str, str]] = None,
     ) -> None:
@@ -137,7 +136,6 @@ class LocalWorkerPool:
         self.state_root = state_root
         self.host = host
         self.job_workers = job_workers
-        self.run_workers = run_workers
         self.lease_seconds = lease_seconds
         self.env = env
         self._procs: List[subprocess.Popen] = []
@@ -162,7 +160,6 @@ class LocalWorkerPool:
                 "--state-dir", state_dir,
                 "--cache-dir", self.cache_dir,
                 "--job-workers", str(self.job_workers),
-                "--run-workers", str(self.run_workers),
             ]
             if self.lease_seconds is not None:
                 argv += ["--lease", str(self.lease_seconds)]

@@ -22,25 +22,28 @@ Correctness contract (the randomized equivalence suite in
   only merge components: min-label propagation seeded at the inserted
   endpoints converges to the exact post-delta labeling.  Any deletion
   may split a component, so deletions always fall back to cold.
-- **PageRank** -- reuses the residual-push machinery of
-  :class:`~repro.workloads.pagerank_delta.PageRankDelta`: the push
-  invariant ``p[v] + r[v] = (1-d)/n + d * sum_{(u,v)} p[u]/deg[u]`` is
-  *repaired* after an edge-set change by adjusting residuals at the
-  changed sources' neighbors (degree rescaling for retained edges,
-  ``+d*p[u]/deg_new`` for inserts, ``-d*p[u]/deg_old`` for deletes --
-  both signs of residual push fine), then pushed back under the
-  threshold.  Inserts **and** deletes are handled; no fallback needed.
-  The fixed point is the same as a cold push on the post-delta graph
-  up to the residual bound ``d/(1-d) * n * threshold`` -- with the
-  default ``threshold=1e-12`` that is orders of magnitude below any
-  meaningful tolerance, and the equivalence suite asserts it.
+- **PageRank** -- repair, then the cold loop on the merged CSR.  Each
+  query merges the overlay into a CSR (``materialize()``, O(E), as a
+  cold answer does).  On it the residual-push invariant of
+  :class:`~repro.workloads.pagerank_delta.PageRankDelta`, ``p[v] + r[v]
+  = (1-d)/n + d * sum_{(u,v)} p[u]/deg[u]``, is *repaired* by adjusting
+  residuals at the changed sources' neighbors: degree rescaling for
+  retained edges, ``+d*p[u]/deg_new`` per inserted copy and
+  ``-d*p[u]/deg_old`` per deleted copy.  Then :func:`push_residuals`,
+  the loop a cold answer runs from the uniform start, pushes it back
+  under the threshold; both signs of residual push fine.  Inserts
+  **and** deletes are handled; no fallback needed.  The fixed point is
+  the same as a cold push on the post-delta graph up to the residual
+  bound ``d/(1-d) * n * threshold`` -- with the default
+  ``threshold=1e-12`` that is orders of magnitude below any meaningful
+  tolerance, and the equivalence suite asserts it.
 
 Cold recomputation runs on the overlay's materialized CSR through the
 same oracles the rest of the repo trusts
-(:mod:`repro.workloads.reference` for BFS/CC, the vectorized
-:func:`push_pagerank` below for PR), so "incremental == cold" is a
-statement about the *published* semantics, not a private pair of
-algorithms agreeing with each other.
+(:mod:`repro.workloads.reference` for BFS/CC, :func:`push_pagerank`
+below for PR), so "incremental == cold" is a statement about the
+*published* semantics, not a private pair of algorithms agreeing with
+each other.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "CCState",
     "PRState",
     "push_pagerank",
+    "push_residuals",
     "cold_answer",
     "seed_state",
     "incremental_update",
@@ -103,7 +107,7 @@ class PRState:
 
 
 # ----------------------------------------------------------------------
-# Vectorized residual-push PageRank (cold path / state seeding)
+# Vectorized residual-push PageRank (cold, seeded and incremental)
 # ----------------------------------------------------------------------
 
 
@@ -121,32 +125,36 @@ def _scatter_add(residual: np.ndarray, idx: np.ndarray, vals) -> None:
         np.add.at(residual, idx, vals)
 
 
-def push_pagerank(
+def push_residuals(
     graph: CSRGraph,
+    rank: np.ndarray,
+    residual: np.ndarray,
     damping: float = PR_DAMPING,
     threshold: float = PR_THRESHOLD,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Residual-push PageRank on a CSR graph, fully vectorized.
+) -> Tuple[int, int]:
+    """Push ``(rank, residual)`` on ``graph`` until every ``|residual| <
+    threshold``, in place; the one residual push, cold or incremental.
 
     Same semantics as :class:`~repro.workloads.pagerank_delta.
-    PageRankDelta` (dangling mass leaks through ``safe_deg``), driven
-    to ``|residual| < threshold`` everywhere.  Returns ``(rank,
-    residual, rounds)``; the converged answer is ``rank + residual``.
+    PageRankDelta` (dangling mass leaks through ``safe_deg``): each
+    round harvests every active vertex's residual into its rank and
+    scatters ``d * r / safe_deg`` over its out-edges, one copy per
+    multigraph edge.  Either sign of residual pushes, so a repaired
+    incremental state converges like a fresh one.  Returns ``(rounds,
+    pushes)``, pushes counting harvested vertices.
     """
-    n = graph.num_vertices
     row_ptr = np.asarray(graph.row_ptr)
     col_idx = np.asarray(graph.col_idx)
     safe = np.maximum(
         np.asarray(graph.out_degrees(), dtype=np.int64), 1
     ).astype(np.float64)
-    rank = np.zeros(n, dtype=np.float64)
-    residual = np.full(n, (1.0 - damping) / max(n, 1), dtype=np.float64)
-    rounds = 0
+    rounds = pushes = 0
     while rounds < _PR_MAX_ROUNDS:
         active = np.nonzero(np.abs(residual) >= threshold)[0]
         if active.size == 0:
             break
         rounds += 1
+        pushes += int(active.size)
         harvested = residual[active].copy()
         rank[active] += harvested
         residual[active] = 0.0
@@ -161,88 +169,24 @@ def push_pagerank(
                 col_idx[pos],
                 np.repeat(damping * harvested / safe[active], lens),
             )
-    return rank, residual, rounds
-
-
-#: Frontier size below which per-vertex pushes beat a vectorized round.
-_SCALAR_FRONTIER = 64
-
-
-def _overlay_push(
-    overlay: DeltaOverlayGraph,
-    rank: np.ndarray,
-    residual: np.ndarray,
-    safe: np.ndarray,
-    damping: float,
-    threshold: float,
-) -> Tuple[int, int]:
-    """Push residuals to convergence using overlay adjacency.
-
-    Hybrid per round: a small active frontier is drained with scalar
-    per-vertex pushes (work proportional to the frontier -- the whole
-    point of the incremental path), but once the residual cascade
-    widens, the round is pushed with the same vectorized base-CSR
-    gather as :func:`push_pagerank`, with a scalar fix-up for the few
-    vertices whose out-adjacency the overlay modified
-    (:meth:`~repro.stream.overlay.DeltaOverlayGraph.dirty_out_vertices`).
-    Tiny thresholds make wide cascades routine even for small deltas,
-    and a scalar full-graph round costs more than cold recomputation.
-    Returns ``(rounds, pushes)``.
-    """
-    row_ptr = np.asarray(overlay.base.row_ptr)
-    col_idx = np.asarray(overlay.base.col_idx)
-    dirty = overlay.dirty_out_vertices()
-    rounds = pushes = 0
-    while rounds < _PR_MAX_ROUNDS:
-        active = np.nonzero(np.abs(residual) >= threshold)[0]
-        if active.size == 0:
-            break
-        rounds += 1
-        if active.size <= _SCALAR_FRONTIER:
-            for v in active:
-                v = int(v)
-                r = float(residual[v])
-                if abs(r) < threshold:
-                    continue  # drained by an earlier push this round
-                residual[v] = 0.0
-                rank[v] += r
-                pushes += 1
-                nbrs = overlay.neighbors(v)
-                if nbrs.size:
-                    # add.at, not fancy-index +=: multigraph bases
-                    # repeat neighbors and each copy carries mass.
-                    np.add.at(residual, nbrs, damping * r / safe[v])
-            continue
-        harvested = residual[active].copy()
-        rank[active] += harvested
-        residual[active] = 0.0
-        pushes += int(active.size)
-        if dirty.size:
-            is_dirty = np.isin(active, dirty)
-            clean = active[~is_dirty]
-            h_clean = harvested[~is_dirty]
-        else:
-            is_dirty = None
-            clean, h_clean = active, harvested
-        starts = row_ptr[clean]
-        lens = row_ptr[clean + 1] - starts
-        total = int(lens.sum())
-        if total:
-            offsets = np.repeat(np.cumsum(lens) - lens, lens)
-            pos = np.arange(total) - offsets + np.repeat(starts, lens)
-            _scatter_add(
-                residual,
-                col_idx[pos],
-                np.repeat(damping * h_clean / safe[clean], lens),
-            )
-        if is_dirty is not None:
-            for v, r in zip(active[is_dirty], harvested[is_dirty]):
-                nbrs = overlay.neighbors(int(v))
-                if nbrs.size:
-                    np.add.at(
-                        residual, nbrs, damping * float(r) / safe[v]
-                    )
     return rounds, pushes
+
+
+def push_pagerank(
+    graph: CSRGraph,
+    damping: float = PR_DAMPING,
+    threshold: float = PR_THRESHOLD,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Residual-push PageRank on a CSR graph from the uniform start.
+
+    Returns ``(rank, residual, rounds)``; the converged answer is
+    ``rank + residual``.
+    """
+    n = graph.num_vertices
+    rank = np.zeros(n, dtype=np.float64)
+    residual = np.full(n, (1.0 - damping) / max(n, 1), dtype=np.float64)
+    rounds, _ = push_residuals(graph, rank, residual, damping, threshold)
+    return rank, residual, rounds
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +329,8 @@ def _incremental_pr(
     deletes: np.ndarray,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     damping, threshold = state.damping, state.threshold
+    graph = overlay.materialize()
+    out_deg = np.asarray(graph.out_degrees(), dtype=np.int64)
     rank = state.rank.copy()
     residual = state.residual.copy()
     # Group edge changes by source: the push invariant is repaired one
@@ -398,10 +344,10 @@ def _incremental_pr(
     for u, (ins, dels) in changed.items():
         p = float(rank[u])
         safe_old = float(max(int(state.out_deg[u]), 1))
-        safe_new = float(max(overlay.out_degree(u), 1))
+        safe_new = float(max(int(out_deg[u]), 1))
         if p != 0.0:
             if safe_new != safe_old:
-                current = overlay.neighbors(u)
+                current = graph.neighbors(u)
                 retained = (
                     current[~np.isin(current, np.asarray(ins, np.int64))]
                     if ins
@@ -415,8 +361,8 @@ def _incremental_pr(
                         retained,
                         damping * p * (1.0 / safe_new - 1.0 / safe_old),
                     )
-            # A pair delete masks every base copy and an undelete
-            # restores them all, so weight by the copy count.
+            # A present pair holds pair_copies copies (its original-base
+            # multiplicity), so weight each change by the copy count.
             for v in ins:
                 residual[v] += (
                     overlay.pair_copies(u, v) * damping * p / safe_new
@@ -425,13 +371,12 @@ def _incremental_pr(
                 residual[v] -= (
                     overlay.pair_copies(u, v) * damping * p / safe_old
                 )
-    safe = np.maximum(overlay.out_degrees(), 1).astype(np.float64)
-    rounds, pushes = _overlay_push(
-        overlay, rank, residual, safe, damping, threshold
+    rounds, pushes = push_residuals(
+        graph, rank, residual, damping, threshold
     )
     state.rank = rank
     state.residual = residual
-    state.out_deg = np.asarray(safe, dtype=np.int64)
+    state.out_deg = out_deg
     return rank + residual, {"rounds": rounds, "pushes": pushes}
 
 

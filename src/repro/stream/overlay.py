@@ -7,7 +7,8 @@ never written (it typically *cannot* be -- store artifacts are
 read-only ``np.memmap`` views), and all mutation lives in small
 per-vertex side structures:
 
-- ``_extra[v]``   -- out-neighbors inserted on top of the base row
+- ``_extra[v]``   -- out-neighbors inserted on top of the base row,
+  one entry per copy
 - ``_deleted[v]`` -- base out-neighbors masked out
 
 plus mirrored in-direction structures so undirected traversal
@@ -29,9 +30,12 @@ computed at one version can never alias another.
 and publishes it through the content-addressed
 :class:`~repro.graph.store.GraphStore` under the *current version
 digest*; the overlay then re-bases onto the published (mmap-backed)
-artifact with empty deltas.  The version digest is unchanged -- the
-logical graph is the same -- so cached results stay valid across
-compaction.
+artifact with empty deltas.  The version digest is unchanged, and so
+is the graph it names: how many copies of a pair an insert adds is
+read from the original base (:attr:`DeltaOverlayGraph.origin`), which
+compaction never replaces, so compacted, uncompacted and
+journal-replayed overlays hold the same edge multiset at every
+version and cached results stay valid across compaction and restart.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ from repro.graph.csr import CSRGraph
 from repro.stream.delta import EdgeDeltaBatch, edge_keys
 
 __all__ = ["DeltaOverlayGraph", "chain_digest"]
+
+
+def _row_count(graph: CSRGraph, u: int, v: int) -> int:
+    """Copies of ``(u, v)`` in ``graph`` (rows are sorted)."""
+    nbrs = graph.neighbors(u)
+    return int(np.searchsorted(nbrs, v, side="right")) - int(
+        np.searchsorted(nbrs, v, side="left")
+    )
 
 
 def chain_digest(version: str, batch: EdgeDeltaBatch) -> str:
@@ -63,13 +75,15 @@ class DeltaOverlayGraph:
     (which weight wins on re-insert?) have no consumer yet.
 
     Base graphs may be multigraphs (the R-MAT generator emits duplicate
-    edges).  Deltas operate on *pairs*: deleting ``(u, v)`` masks every
-    base copy, re-inserting it unmasks them all, and inserting a pair
-    absent from the base adds exactly one copy.  Degree and edge-count
-    bookkeeping track copies (see :meth:`base_multiplicity`) so the
-    overlay always agrees with its own :meth:`materialize` -- PageRank
-    is multiplicity-sensitive, so this is a correctness contract, not
-    an accounting nicety.
+    edges).  Deltas operate on *pairs*, and a present pair always holds
+    :meth:`pair_copies` copies -- its multiplicity in the original base,
+    or one if it was never there: deleting ``(u, v)`` removes every
+    copy, re-inserting it brings that many back, whether the pair is
+    restored from the current base or added as overlay copies after a
+    compaction dropped it.  Edge counts track copies so the overlay
+    always agrees with its own :meth:`materialize` -- PageRank is
+    multiplicity-sensitive, so this is a correctness contract, not an
+    accounting nicety.
     """
 
     def __init__(self, base: CSRGraph, base_digest: Optional[str] = None) -> None:
@@ -82,6 +96,10 @@ class DeltaOverlayGraph:
 
             base_digest = graph_digest(base)
         self.base = base
+        #: The base the overlay was opened on; :meth:`compact` replaces
+        #: :attr:`base` but never this, so :meth:`pair_copies` answers
+        #: the same at every version.
+        self.origin = base
         self.base_digest = base_digest
         self.version_digest = base_digest
         self.delta_seq = 0
@@ -122,20 +140,17 @@ class DeltaOverlayGraph:
         return self.base_multiplicity(u, v) > 0
 
     def base_multiplicity(self, u: int, v: int) -> int:
-        """Copies of ``(u, v)`` in the base row (0 when absent).
-
-        The number of copies a delete of the pair masks, or an
-        undelete restores; a pair carried by ``_extra`` always has
-        exactly one copy.
-        """
-        nbrs = self.base.neighbors(u)
-        lo = int(np.searchsorted(nbrs, v, side="left"))
-        hi = int(np.searchsorted(nbrs, v, side="right"))
-        return hi - lo
+        """Copies of ``(u, v)`` in the current base row (0 when absent)."""
+        return _row_count(self.base, u, v)
 
     def pair_copies(self, u: int, v: int) -> int:
-        """Copies a delete/insert of pair ``(u, v)`` removes/restores."""
-        return max(self.base_multiplicity(u, v), 1)
+        """Copies a delete/insert of pair ``(u, v)`` removes/restores.
+
+        Its multiplicity in the original base, or one for a pair that
+        base never held -- never read from the current base, which
+        compaction rebuilds without deleted pairs.
+        """
+        return max(_row_count(self.origin, u, v), 1)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Current sorted out-neighbors of ``v`` (base - deleted + extra)."""
@@ -171,32 +186,6 @@ class DeltaOverlayGraph:
             np.concatenate([self.neighbors(v), self.in_neighbors(v)])
         )
 
-    def dirty_out_vertices(self) -> np.ndarray:
-        """Sorted vertex ids whose out-adjacency differs from the base.
-
-        For every other vertex :meth:`neighbors` is exactly the base CSR
-        row, so bulk consumers (the incremental PageRank push) can
-        gather straight from ``base.row_ptr`` / ``base.col_idx`` and
-        fall back to per-vertex queries only here.
-        """
-        keys = set(self._extra) | set(self._deleted)
-        return np.fromiter(sorted(keys), dtype=np.int64, count=len(keys))
-
-    def out_degree(self, v: int) -> int:
-        start, end = self.base.edge_range(v)
-        masked = sum(
-            self.base_multiplicity(v, w) for w in self._deleted.get(v, ())
-        )
-        return end - start - masked + len(self._extra.get(v, ()))
-
-    def out_degrees(self) -> np.ndarray:
-        degrees = np.asarray(self.base.out_degrees(), dtype=np.int64).copy()
-        for v, dead in self._deleted.items():
-            degrees[v] -= sum(self.base_multiplicity(v, w) for w in dead)
-        for v, extra in self._extra.items():
-            degrees[v] += len(extra)
-        return degrees
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -228,21 +217,22 @@ class DeltaOverlayGraph:
             dead = self._deleted.get(u)
             if dead is not None and v in dead:
                 # Re-inserting a base pair: undelete (restoring every
-                # base copy) instead of stacking an extra copy.
+                # base copy) instead of stacking extra copies.
                 dead.discard(v)
                 self._deleted_in[v].discard(u)
                 self._num_edges += self.base_multiplicity(u, v)
             else:
-                self._extra.setdefault(u, []).append(v)
-                self._extra_in.setdefault(v, []).append(u)
-                self._num_edges += 1
+                copies = self.pair_copies(u, v)
+                self._extra.setdefault(u, []).extend([v] * copies)
+                self._extra_in.setdefault(v, []).extend([u] * copies)
+                self._num_edges += copies
         for u, v in batch.deletes:
             u, v = int(u), int(v)
             extra = self._extra.get(u)
             if extra is not None and v in extra:
-                extra.remove(v)
-                self._extra_in[v].remove(u)
-                self._num_edges -= 1
+                self._num_edges -= extra.count(v)
+                self._extra[u] = [w for w in extra if w != v]
+                self._extra_in[v] = [w for w in self._extra_in[v] if w != u]
             else:
                 self._deleted.setdefault(u, set()).add(v)
                 self._deleted_in.setdefault(v, set()).add(u)
@@ -289,7 +279,8 @@ class DeltaOverlayGraph:
         The artifact is published to the
         :class:`~repro.graph.store.GraphStore` under the current
         version digest, then mapped back so the new base is
-        memmap-backed like any other artifact.  Returns ``(digest,
+        memmap-backed like any other artifact; :attr:`origin` stays
+        the original base.  Returns ``(digest,
         graph)``; on a publish failure (full disk) the in-memory merge
         becomes the base and the digest is still returned -- the next
         compaction retries the publish.

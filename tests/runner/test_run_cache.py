@@ -76,6 +76,25 @@ class TestSpecKey:
         by_graph = spec_key(RunSpec("bfs", built, config=config, source=0))
         assert by_recipe == by_graph
 
+    def test_session_schema_keys_session_queries_only(
+        self, graph, config, monkeypatch
+    ):
+        import repro.runner.cache as cache
+
+        session = RunSpec(
+            "pr",
+            GraphSpec("rmat:8:4"),
+            system="stream",
+            workload_kwargs={"mode": "incremental"},
+            graph_digest="v" * 64,
+        )
+        before = spec_key(session), spec_key(bfs_spec(graph, config))
+        monkeypatch.setattr(
+            cache, "SESSION_QUERY_SCHEMA", cache.SESSION_QUERY_SCHEMA + 1
+        )
+        assert spec_key(session) != before[0]
+        assert spec_key(bfs_spec(graph, config)) == before[1]
+
     def test_graph_digest_covers_weights(self, graph):
         assert graph_digest(graph) != graph_digest(
             with_uniform_weights(graph, seed=7)

@@ -47,7 +47,7 @@ def popen_fleet(tmp_path, workers=2, delay_ms=1200, lease=2.0,
             "--host", "127.0.0.1", "--port", "0",
             "--state-dir", str(tmp_path / "state"),
             "--cache-dir", str(tmp_path / "cache"),
-            "--job-workers", "2", "--run-workers", "1",
+            "--job-workers", "2",
             "--workers", str(workers),
             "--lease", str(lease),
             "--drain-timeout", "60",

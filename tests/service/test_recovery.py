@@ -75,7 +75,7 @@ def popen_serve(tmp_path, extra=()):
             "--host", "127.0.0.1", "--port", "0",
             "--state-dir", str(tmp_path / "state"),
             "--cache-dir", str(tmp_path / "cache"),
-            "--job-workers", "1", "--run-workers", "1",
+            "--job-workers", "1",
             "--drain-timeout", "60",
             *extra,
         ],

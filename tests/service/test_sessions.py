@@ -230,20 +230,40 @@ class TestDefaultSource:
 
 class TestJournalRecovery:
     def test_sessions_survive_restart(self, tmp_path):
+        from repro.runner.spec import GraphSpec
+
         inserts = find_absent_edges(GRAPH, 4)
+        # A pair the base holds several times: deleted, compacted away,
+        # then re-inserted, it must come back with every copy, as the
+        # restart's uncompacted replay restores it.
+        base = GraphSpec(GRAPH, seed=42).build()
+        pair = next(
+            [u, int(v)]
+            for u in range(base.num_vertices)
+            for v in np.unique(base.neighbors(u))
+            if np.count_nonzero(base.neighbors(u) == v) > 1
+        )
         state: dict = {}
+
+        def edges(svc, sid):
+            graph = svc.sessions.overlay(sid).materialize()
+            return np.asarray(graph.row_ptr), np.asarray(graph.col_idx)
 
         async def first(svc, port):
             client = ServiceClient(f"http://127.0.0.1:{port}")
             record = await call(client.create_session, GRAPH, 42, "t")
             sid = record["id"]
-            await call(client.apply_delta, sid, inserts[:2], [])
-            advanced = await call(client.apply_delta, sid, inserts[2:], [])
+            await call(client.apply_delta, sid, inserts[:2], [pair])
+            await call(client.compact_session, sid)
+            advanced = await call(
+                client.apply_delta, sid, inserts[2:] + [pair], []
+            )
             job = await call(client.session_submit, sid, "pr")
             job = await call(client.wait, job["id"])
             assert job["state"] == "done"
             state["sid"] = sid
             state["version"] = advanced["version_digest"]
+            state["edges"] = await call(edges, svc, sid)
 
         async def second(svc, port):
             client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -251,6 +271,10 @@ class TestJournalRecovery:
             # The journal replays to the exact same version digest...
             assert record["version_digest"] == state["version"]
             assert record["delta_seq"] == 2
+            # ...which names the same graph as before the restart...
+            row_ptr, col_idx = await call(edges, svc, state["sid"])
+            assert np.array_equal(row_ptr, state["edges"][0])
+            assert np.array_equal(col_idx, state["edges"][1])
             # ...so a resubmit at that version is a cache hit across
             # the restart.
             job = await call(client.session_submit, state["sid"], "pr")

@@ -71,12 +71,15 @@ def emit(title: str, lines: List[str]) -> None:
 # Graphs and sources
 # ----------------------------------------------------------------------
 
+_GRAPH_CACHE: Dict[str, object] = {}
 _WEIGHTED_CACHE: Dict[str, object] = {}
 _SOURCE_CACHE: Dict[str, int] = {}
 
 
 def bench_graph(name: str):
-    return suites.build_graph(name, scale=BENCH_SCALE)
+    if name not in _GRAPH_CACHE:
+        _GRAPH_CACHE[name] = suites.build_graph(name, scale=BENCH_SCALE)
+    return _GRAPH_CACHE[name]
 
 
 def bench_weighted_graph(name: str):

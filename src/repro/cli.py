@@ -35,6 +35,9 @@ Graph specifiers (for ``run --graph`` and ``generate --kind``)::
     road:WIDTH:HEIGHT             e.g. road:300:300
     suite:NAME                    Table III stand-in (road/twitter/...)
     PATH                          .npz / .txt edge list / .gr DIMACS
+
+``--scale`` scales a ``suite:`` graph together with the system's
+capacities (DESIGN section 6); other specifiers ignore it.
 """
 
 from __future__ import annotations
@@ -66,8 +69,14 @@ def parse_size(text: str) -> int:
     return int(lowered)
 
 
-def build_graph(spec: str, seed: int = 42) -> "CSRGraph":
-    """Resolve a graph specifier (see module docstring)."""
+def build_graph(
+    spec: str, seed: int = 42, scale: Optional[float] = None
+) -> "CSRGraph":
+    """Resolve a graph specifier (see module docstring).
+
+    ``scale`` applies to ``suite:`` specifiers only (``None`` is the
+    suite default); other specifiers ignore it.
+    """
     from repro.graph import io as graph_io
     from repro.graph import suites
     from repro.graph.generators import (
@@ -98,7 +107,9 @@ def build_graph(spec: str, seed: int = 42) -> "CSRGraph":
     if kind == "road":
         return road_grid(int(args[0]), int(args[1]), seed=seed)
     if kind == "suite":
-        return suites.build_graph(args[0], seed=seed)
+        if scale is None:
+            scale = suites.DEFAULT_SCALE
+        return suites.build_graph(rest, scale=scale, seed=seed)
     raise ReproError(f"unknown graph kind: {kind!r}")
 
 
@@ -128,7 +139,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner.spec import resolve_source
 
     workload = args.workload
-    gspec = GraphSpec.for_workload(args.graph, workload, seed=args.seed)
+    gspec = GraphSpec.for_workload(
+        args.graph, workload, seed=args.seed, scale=args.scale
+    )
     graph = gspec.build()
     source = resolve_source(graph, workload, args.source)
     kwargs = {}
@@ -229,7 +242,9 @@ def _sweep_grid(args: argparse.Namespace):
         # the build (and so into the content-addressed key) on every
         # path, and run/sweep/service submissions of the same inputs
         # digest to the same cache entry.
-        gspec = GraphSpec.for_workload(args.graph, workload, seed=args.seed)
+        gspec = GraphSpec.for_workload(
+            args.graph, workload, seed=args.seed, scale=args.scale
+        )
         graph = gspec.build()
         if workload in ("cc", "pr"):
             sources = [None]
@@ -450,7 +465,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.sim.config import scaled_config
 
     workload = args.workload
-    gspec = GraphSpec.for_workload(args.graph, workload, seed=args.seed)
+    gspec = GraphSpec.for_workload(
+        args.graph, workload, seed=args.seed, scale=args.scale
+    )
     graph = gspec.build()
     source = resolve_source(graph, workload, args.source)
     kwargs = {}
@@ -705,7 +722,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.validation import validate_all
 
-    graph = build_graph(args.graph, seed=args.seed)
+    graph = build_graph(args.graph, seed=args.seed, scale=args.scale)
     reports = validate_all(graph, scale=args.scale)
     failed = 0
     for report in reports:
@@ -1141,7 +1158,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="graph specifier (see --help header)")
     run.add_argument("--gpns", type=int, default=1)
     run.add_argument("--scale", type=float, default=1 / 256,
-                     help="capacity scale vs Table II")
+                     help="capacity (and suite: graph) scale vs Table II")
     run.add_argument("--placement", default="random",
                      choices=("interleave", "random", "load_balanced",
                               "locality"))
@@ -1238,7 +1255,7 @@ def make_parser() -> argparse.ArgumentParser:
                       help="graph specifier (see --help header)")
     prof.add_argument("--gpns", type=int, default=1)
     prof.add_argument("--scale", type=float, default=1 / 256,
-                      help="capacity scale vs Table II")
+                      help="capacity (and suite: graph) scale vs Table II")
     prof.add_argument("--placement", default="random",
                       choices=("interleave", "random", "load_balanced",
                                "locality"))

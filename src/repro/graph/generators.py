@@ -99,8 +99,8 @@ def power_law(
         raise GraphFormatError("exponent must be > 1")
     rng = _rng(seed)
     # Pareto(alpha) has mean alpha/(alpha-1) for alpha>1; rescale to hit
-    # the requested average degree, and cap at sqrt(V*E) to keep the
-    # Chung-Lu edge probabilities valid.
+    # the requested average degree, and cap at the square root of the
+    # weight sum (~sqrt(E)) to keep the Chung-Lu edge probabilities valid.
     alpha = exponent - 1.0
     raw = rng.pareto(alpha, size=num_vertices) + 1.0
     weights = raw * (avg_degree / raw.mean())
@@ -111,9 +111,59 @@ def power_law(
     # cumulative weight vector.
     cum = np.cumsum(weights)
     cum /= cum[-1]
-    src = np.searchsorted(cum, rng.random(num_edges)).astype(np.int64)
-    dst = np.searchsorted(cum, rng.random(num_edges)).astype(np.int64)
+    guide = _guide_table(cum)
+    src = _inverse_cdf(cum, guide, rng.random(num_edges))
+    dst = _inverse_cdf(cum, guide, rng.random(num_edges))
+    # The CSR build sets this generator's peak memory: enter it holding
+    # only the endpoints, not the per-vertex arrays or the guide table.
+    del raw, weights, cum, guide
     return CSRGraph.from_edges(src, dst, num_vertices, dedup=dedup)
+
+
+#: Draws per pass of :func:`_inverse_cdf`; bounds its temporaries.
+_SAMPLE_CHUNK = 1 << 16
+
+
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """Chen-Asau guide table over ``2 * len(cum)`` equal-width buckets.
+
+    Entry ``k`` is the first index whose cumulative weight reaches the
+    bucket's lower edge ``k / M``: ``searchsorted(cum, k / M)``.
+    """
+    buckets = 2 * cum.shape[0]
+    return np.searchsorted(cum, np.arange(buckets) / buckets)
+
+
+def _inverse_cdf(
+    cum: np.ndarray, guide: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """Exactly ``np.searchsorted(cum, draws)`` for draws in ``[0, cum[-1]]``.
+
+    Each draw starts at its bucket's guide entry, which can only lie at
+    or before the answer, and steps forward to the first ``cum[i] >=
+    u``.  Rounding of ``u * M`` can put a draw one bucket too high (its
+    ``u`` is below that bucket's lower edge); those few draws take the
+    binary search instead.  A bucket spans ~1/2 vertex of mass on
+    average, so the scan is a handful of vectorized steps, where an
+    unsorted binary search pays ~log2(V) cache misses per draw.
+    """
+    buckets = guide.shape[0]
+    out = np.empty(draws.shape[0], dtype=np.int64)
+    for lo in range(0, draws.shape[0], _SAMPLE_CHUNK):
+        u = draws[lo:lo + _SAMPLE_CHUNK]
+        bucket = (u * buckets).astype(np.int64)
+        np.minimum(bucket, buckets - 1, out=bucket)
+        idx = guide[bucket]
+        # Same expression as the table's edges, so the check is exact.
+        high = np.flatnonzero(u < bucket / buckets)
+        if high.size:
+            idx[high] = np.searchsorted(cum, u[high])
+        step = np.flatnonzero(cum[idx] < u)
+        while step.size:
+            idx[step] += 1
+            step = step[cum[idx[step]] < u[step]]
+        out[lo:lo + _SAMPLE_CHUNK] = idx
+    return out
 
 
 def road_grid(width: int, height: int, seed: int = 1, diagonal_fraction: float = 0.02) -> CSRGraph:

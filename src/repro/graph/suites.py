@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
@@ -93,9 +93,6 @@ _SUITE: Tuple[GraphSpec, ...] = (
     GraphSpec("urand", 134_200_000, 4_200_000_000, 16, "uniform", _urand_builder),
 )
 
-_CACHE: Dict[Tuple[str, float, int], CSRGraph] = {}
-
-
 def paper_suite() -> Tuple[GraphSpec, ...]:
     """The five Table III graphs, in paper order."""
     return _SUITE
@@ -111,22 +108,17 @@ def get_spec(name: str) -> GraphSpec:
 
 
 def build_graph(
-    name: str, scale: float = DEFAULT_SCALE, seed: int = 42, cache: bool = True
+    name: str, scale: float = DEFAULT_SCALE, seed: int = 42
 ) -> CSRGraph:
-    """Build (and memoize) one suite graph at the given scale."""
+    """Build one suite graph at the given scale.
+
+    Nothing is memoized here: ``GraphSpec.build`` resolves suite graphs
+    through the artifact store and its per-process LRU, so a built
+    graph lives no longer than its caller holds it.
+    """
     if scale <= 0 or scale > 1:
         raise ConfigError("scale must be in (0, 1]")
-    key = (name, scale, seed)
-    if cache and key in _CACHE:
-        return _CACHE[key]
-    graph = get_spec(name).build(scale, seed)
-    if cache:
-        _CACHE[key] = graph
-    return graph
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
+    return get_spec(name).build(scale, seed)
 
 
 def temporal_slices(

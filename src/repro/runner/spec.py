@@ -42,7 +42,9 @@ class GraphSpec:
     ``spec`` uses the CLI's specifier syntax (``rmat:14:16``,
     ``urand:100000:3000000``, ``suite:twitter``, or a file path -- see
     :func:`repro.cli.build_graph`).  ``scale`` applies to ``suite:``
-    graphs only (the Table III stand-ins are scale-parameterized).
+    graphs only (the Table III stand-ins are scale-parameterized); a
+    suite spec at the suite's default scale stores ``None``, so both
+    spellings name one recipe, one store artifact and one cache key.
     """
 
     spec: str
@@ -51,6 +53,13 @@ class GraphSpec:
     weighted: bool = False
     symmetrized: bool = False
     weight_seed: int = 7
+
+    def __post_init__(self) -> None:
+        if self.scale is not None and self.spec.startswith("suite:"):
+            from repro.graph.suites import DEFAULT_SCALE
+
+            if self.scale == DEFAULT_SCALE:
+                object.__setattr__(self, "scale", None)
 
     @classmethod
     def for_workload(
@@ -66,11 +75,13 @@ class GraphSpec:
         one.  Every front end (``repro run``, ``sweep``, ``profile``,
         ``graph build`` and service jobs) derives its recipe here, so
         the same inputs digest to the same cache key on every path.
+        ``scale`` (the front end's ``--scale``) reaches ``suite:``
+        specs only; other specs ignore it.
         """
         return cls(
             spec,
             seed=seed,
-            scale=scale,
+            scale=scale if spec.startswith("suite:") else None,
             weighted=(workload == "sssp"),
             symmetrized=(workload == "cc"),
         )
@@ -100,24 +111,11 @@ class GraphSpec:
 
     def build_uncached(self) -> CSRGraph:
         """Materialize the graph in process memory, bypassing the store."""
-        if self.spec.startswith("suite:"):
-            from repro.graph import suites
+        if self.scale is not None and not self.spec.startswith("suite:"):
+            raise ConfigError("GraphSpec.scale only applies to suite: graphs")
+        from repro.cli import build_graph
 
-            name = self.spec.partition(":")[2]
-            if self.scale is not None:
-                graph = suites.build_graph(
-                    name, scale=self.scale, seed=self.seed
-                )
-            else:
-                graph = suites.build_graph(name, seed=self.seed)
-        else:
-            if self.scale is not None:
-                raise ConfigError(
-                    "GraphSpec.scale only applies to suite: graphs"
-                )
-            from repro.cli import build_graph
-
-            graph = build_graph(self.spec, seed=self.seed)
+        graph = build_graph(self.spec, seed=self.seed, scale=self.scale)
         if self.symmetrized:
             graph = graph.symmetrized()
         if self.weighted and not graph.has_weights:

@@ -91,7 +91,8 @@ class JobSpec:
 
     Mirrors the knobs of ``repro run`` / one sweep-grid cell.  ``gpns``
     and ``scale`` parameterize the NOVA config (``onchip`` the
-    PolyGraph one); ``timeline`` requests an instrumented run whose
+    PolyGraph one), and ``scale`` also sizes a ``suite:`` graph;
+    ``timeline`` requests an instrumented run whose
     result carries a per-quantum timeline.  ``source=None`` on a
     traversal workload resolves to the graph's highest-out-degree
     vertex at admission (the same default every CLI path uses), so the
@@ -233,7 +234,7 @@ class JobSpec:
                 graph_digest=self.graph_digest,
             )
         gspec = GraphSpec.for_workload(
-            self.graph, self.workload, seed=self.seed
+            self.graph, self.workload, seed=self.seed, scale=self.scale
         )
         source = self.source
         if self.workload in SOURCELESS_WORKLOADS:

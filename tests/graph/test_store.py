@@ -72,6 +72,24 @@ class TestDigest:
         digests.add(spec_digest(SPEC))
         assert len(digests) == len(variants) + 1
 
+    def test_default_suite_scale_is_one_recipe(self):
+        from repro.graph.suites import DEFAULT_SCALE
+
+        implicit = GraphSpec("suite:road", seed=5)
+        explicit = GraphSpec("suite:road", seed=5, scale=DEFAULT_SCALE)
+        assert explicit == implicit and explicit.scale is None
+        assert spec_digest(explicit) == spec_digest(implicit)
+        assert spec_digest(
+            GraphSpec("suite:road", seed=5, scale=DEFAULT_SCALE / 4)
+        ) != spec_digest(implicit)
+
+    def test_for_workload_scales_suite_specs_only(self):
+        scaled = GraphSpec.for_workload("suite:road", "bfs", scale=1 / 1024)
+        assert scaled.scale == 1 / 1024
+        assert GraphSpec.for_workload(
+            "rmat:10:8", "bfs", scale=1 / 1024
+        ) == GraphSpec("rmat:10:8")
+
     def test_file_spec_digest_tracks_content(self, tmp_path):
         from repro.graph import io as graph_io
 

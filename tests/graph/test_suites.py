@@ -44,17 +44,9 @@ class TestSliceCounts:
 class TestBuilders:
     @pytest.mark.parametrize("name", [s.name for s in suites.paper_suite()])
     def test_builds_at_tiny_scale(self, name):
-        g = suites.build_graph(name, scale=1 / 8192, cache=False)
+        g = suites.build_graph(name, scale=1 / 8192)
         assert g.num_vertices > 0
         assert g.num_edges > 0
-
-    def test_cache_returns_same_object(self):
-        a = suites.build_graph("road", scale=1 / 8192)
-        b = suites.build_graph("road", scale=1 / 8192)
-        assert a is b
-        suites.clear_cache()
-        c = suites.build_graph("road", scale=1 / 8192)
-        assert c is not a
 
     def test_unknown_graph(self):
         with pytest.raises(ConfigError):

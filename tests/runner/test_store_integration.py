@@ -6,6 +6,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -152,6 +153,29 @@ class TestGraphMemo:
         spec = GraphSpec("rmat:7:4", seed=5)
         spec.build()
         assert len(_GRAPH_MEMO) == 0
+
+    def test_store_backed_build_keeps_no_in_memory_graph(self, monkeypatch):
+        """Once published, only the mapped artifact stays referenced:
+        the in-memory suite build is freed when build() returns."""
+        from repro.graph import suites
+
+        built = []
+        build_graph = suites.build_graph
+
+        def spy(*args, **kwargs):
+            graph = build_graph(*args, **kwargs)
+            built.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(suites, "build_graph", spy)
+        spec = GraphSpec("suite:twitter", seed=3, scale=1 / 4096)
+        graph = spec.build()
+        assert len(built) == 1
+        assert built[0]() is None
+        assert _GRAPH_MEMO.get(spec) is graph
+        assert isinstance(graph.col_idx.base, np.memmap) or isinstance(
+            graph.col_idx, np.memmap
+        )
 
     def test_memo_hit_skips_store(self, isolated_store):
         spec = GraphSpec("rmat:7:4", seed=6)

@@ -104,6 +104,17 @@ class TestJobSpec:
             assert spec_key(specs[0]) == run_key, workload
             assert spec_key(job.to_run_spec()) == run_key, workload
 
+    def test_suite_scale_reaches_the_graph(self):
+        """A suite graph is built at the job's scale, as ``repro run``
+        builds it; other graphs keep ignoring scale."""
+        from repro.runner.spec import GraphSpec
+
+        suite = make_spec(graph="suite:road", scale=1.0 / 1024.0)
+        assert suite.to_run_spec().graph == GraphSpec(
+            "suite:road", scale=1.0 / 1024.0
+        )
+        assert make_spec(scale=1.0 / 1024.0).to_run_spec().graph.scale is None
+
     def test_default_source_resolves_deterministically(self):
         a = make_spec(source=None).to_run_spec()
         b = make_spec(source=None).to_run_spec()

@@ -106,6 +106,14 @@ class TestCommands:
         assert main(base + ["--seed", "1"]) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_run_scales_suite_graphs(self, tmp_path, capsys):
+        # --scale sizes the suite graph along with the capacities:
+        # road at 1/1024 is a 153 x 153 grid (V=93,636 at 1/256).
+        assert main(["run", "--workload", "bfs", "--graph", "suite:road",
+                     "--scale", "0.0009765625",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert "V=23,409 " in capsys.readouterr().out
+
     def test_run_sssp_auto_weights(self, capsys):
         assert main(["run", "--graph", "rmat:10:8", "--workload", "sssp",
                      "--verify"]) == 0

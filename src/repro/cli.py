@@ -43,6 +43,7 @@ capacities (DESIGN section 6); other specifiers ignore it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -67,6 +68,38 @@ def parse_size(text: str) -> int:
         if lowered.endswith(suffix):
             return int(float(lowered[: -len(suffix)]) * unit)
     return int(lowered)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+#: Generator specifiers: kind -> (expected form, one parser per field,
+#: number of required fields).  The generators check the ranges.
+_GENERATOR_FORMS = {
+    "rmat": ("rmat:SCALE[:EDGE_FACTOR]", (int, int), 1),
+    "urand": ("urand:VERTICES:EDGES", (int, int), 2),
+    "powerlaw": ("powerlaw:VERTICES:AVG_DEGREE", (int, _finite_float), 2),
+    "road": ("road:WIDTH:HEIGHT", (int, int), 2),
+}
+
+
+def _generator_args(spec: str) -> list:
+    """Parse a generator specifier's fields, or raise naming its form."""
+    kind, _, rest = spec.partition(":")
+    form, parsers, required = _GENERATOR_FORMS[kind]
+    fields = rest.split(":") if rest else []
+    try:
+        if not required <= len(fields) <= len(parsers):
+            raise ValueError
+        return [parse(text) for parse, text in zip(parsers, fields)]
+    except ValueError:
+        raise ReproError(
+            f"malformed graph specifier {spec!r}; expected {form}"
+        ) from None
 
 
 def build_graph(
@@ -95,17 +128,15 @@ def build_graph(
             return graph_io.load_edge_list(spec)
         raise ReproError(f"unrecognized graph specifier: {spec!r}")
     kind, _, rest = spec.partition(":")
-    args = rest.split(":") if rest else []
-    if kind == "rmat":
-        scale = int(args[0])
-        edge_factor = int(args[1]) if len(args) > 1 else 16
-        return rmat(scale, edge_factor, seed=seed)
-    if kind == "urand":
-        return uniform_random(int(args[0]), int(args[1]), seed=seed)
-    if kind == "powerlaw":
-        return power_law(int(args[0]), float(args[1]), seed=seed)
-    if kind == "road":
-        return road_grid(int(args[0]), int(args[1]), seed=seed)
+    if kind in _GENERATOR_FORMS:
+        args = _generator_args(spec)
+        generator = {
+            "rmat": rmat,
+            "urand": uniform_random,
+            "powerlaw": power_law,
+            "road": road_grid,
+        }[kind]
+        return generator(*args, seed=seed)
     if kind == "suite":
         if scale is None:
             scale = suites.DEFAULT_SCALE

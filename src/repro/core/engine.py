@@ -161,6 +161,13 @@ class NovaEngine:
         self.cache = CacheArray(
             p, config.cache_bytes_per_pe, config.cache_line_bytes
         )
+        # Per-run address tables: each vertex's owner PE as a narrow
+        # sort key, and its global cache set (CacheArray.set_index).
+        owner = self.layout.placement.owner
+        self._owner_key = owner.astype(np.min_scalar_type(p - 1))
+        self._vertex_set = self.cache.set_index(
+            owner, self.layout.block_of(np.arange(graph.num_vertices))
+        )
         self.hbm = BandwidthChannelArray(config.vertex_channel, p)
         self.ddr = BandwidthChannelArray(config.edge_pool, config.num_gpns)
         self.reduce_pool, self.propagate_pool = make_fu_pools(config)
@@ -203,7 +210,8 @@ class NovaEngine:
         self._useful_messages = 0
         self._coalesced = 0
         self._activations = 0
-        self._outbox: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: Per MGU call: (dests, values, owner keys, messages per PE).
+        self._outbox: List[Tuple[np.ndarray, ...]] = []
 
     @property
     def inboxes(self) -> List[_InboxView]:
@@ -258,16 +266,17 @@ class NovaEngine:
     def _mpu_phase(self) -> None:
         """Pop one flat message batch across PEs, reduce, track activations."""
         config = self.config
-        pes, dest, values = self.inbox_pool.pop_all(config.mpu_batch_per_pe)
+        counts, dest, values = self.inbox_pool.pop_all(config.mpu_batch_per_pe)
         if dest.shape[0] == 0:
             return
-        counts = np.bincount(pes, minlength=config.num_pes)
-        per_gpn = counts.reshape(config.num_gpns, config.pes_per_gpn)
-        for g, pool in enumerate(self.reduce_pool):
-            pool.charge_many(per_gpn[g])
+        self._charge_gpn_pools(self.reduce_pool, counts)
         # Vertex access stream through the per-PE direct-mapped caches.
-        blocks = self.layout.block_of(dest)
-        cache_out = self.cache.access(pes, blocks, writes=True)
+        cache_out = self.cache.access(
+            None,
+            self.layout.block_of(dest),
+            writes=True,
+            sets=self._vertex_set[dest],
+        )
         line = config.cache_line_bytes
         self.hbm.charge_read_many(
             self._pe_ids, cache_out.misses_per_cache * line
@@ -282,9 +291,7 @@ class NovaEngine:
         outcome = self.program.reduce(self.state, dest, values)
         self._messages_processed += int(dest.shape[0])
         self._useful_messages += outcome.useful_messages
-        improved = outcome.improved
-        if improved.shape[0]:
-            self._inject_active(improved[~self.active_now[improved]])
+        self._inject_active(outcome.improved)
 
     def _vmu_phase(self, prop_graph: CSRGraph) -> None:
         """Prefetch active blocks into under-filled active buffers.
@@ -338,9 +345,8 @@ class NovaEngine:
         vpb = self.layout.vertices_per_block
         flat = candidates.ravel()
         row_flat = np.repeat(collected.active_rows, vpb)
-        valid = flat >= 0
-        flat, row_flat = flat[valid], row_flat[valid]
-        is_active = self.active_now[flat]
+        # Padding slots (-1) index the last vertex; the mask drops them.
+        is_active = (flat >= 0) & self.active_now[flat]
         active, act_rows = flat[is_active], row_flat[is_active]
         n_rows = pes.shape[0]
         active_counts = np.bincount(act_rows, minlength=n_rows)
@@ -409,61 +415,71 @@ class NovaEngine:
         )
         if vertices.shape[0] == 0:
             return
-        owner_idx, dests, weights = expand_edges(
-            prop_graph, vertices, starts, ends
-        )
+        _, dests, weights = expand_edges(prop_graph, vertices, starts, ends)
         nedges = int(dests.shape[0])
         if nedges == 0:
             return
         num_pes = config.num_pes
-        src_pe = pes[owner_idx]
-        edges_per_pe = np.bincount(src_pe, minlength=num_pes)
+        degrees = ends - starts
+        dst_pe = self._owner_key[dests]
+        pairs = np.bincount(
+            np.repeat(pes, degrees) * num_pes + dst_pe,
+            minlength=num_pes * num_pes,
+        ).reshape(num_pes, num_pes)
+        edges_per_pe = pairs.sum(axis=1)
         self.ddr.charge_read_many(
             self._gpn_of_pe, edges_per_pe * config.edge_bytes, sequential=True
         )
-        per_gpn = edges_per_pe.reshape(config.num_gpns, config.pes_per_gpn)
-        for g, pool in enumerate(self.propagate_pool):
-            pool.charge_many(per_gpn[g])
+        self._charge_gpn_pools(self.propagate_pool, edges_per_pe)
         msg_values = self.program.propagate_values(
-            self.state, values[owner_idx], weights
+            self.state, np.repeat(values, degrees), weights
         )
         self._edges_traversed += nedges
         self._messages_sent += nedges
-        dst_pe = self.layout.pe_of(dests)
-        traffic += (
-            np.bincount(src_pe * num_pes + dst_pe, minlength=num_pes * num_pes)
-            .reshape(num_pes, num_pes)
-            * config.message_bytes
-        )
-        self._outbox.append((dests, msg_values, dst_pe))
+        traffic += pairs * config.message_bytes
+        self._outbox.append((dests, msg_values, dst_pe, pairs.sum(axis=0)))
+
+    def _charge_gpn_pools(
+        self, pools: List[ResourcePool], per_pe: np.ndarray
+    ) -> None:
+        """Charge each GPN's functional-unit pool its PEs' op counts."""
+        per_gpn = per_pe.reshape(self.config.num_gpns, -1).sum(axis=1)
+        for pool, ops in zip(pools, per_gpn.tolist()):
+            pool.charge(ops)
 
     def _deliver(self) -> None:
-        """Move the quantum's generated messages into destination inboxes."""
+        """Move the quantum's generated messages into destination inboxes.
+
+        One stable argsort on the narrow owner key (a radix sort) orders
+        the messages PE-major; only the payload columns are gathered.
+        """
         if not self._outbox:
             return
         if len(self._outbox) == 1:
-            dests, values, dst_pe = self._outbox[0]
+            dests, values, dst_pe, counts = self._outbox[0]
         else:
-            dests = np.concatenate([part[0] for part in self._outbox])
-            values = np.concatenate([part[1] for part in self._outbox])
-            dst_pe = np.concatenate([part[2] for part in self._outbox])
+            dests, values, dst_pe = (
+                np.concatenate([part[i] for part in self._outbox])
+                for i in range(3)
+            )
+            counts = sum(part[3] for part in self._outbox)
         self._outbox.clear()
-        # Narrow sort key: PE ids fit uint16 and the stable permutation
-        # is dtype-independent, but radix passes are not.
-        order = np.argsort(dst_pe.astype(np.uint16), kind="stable")
-        self.inbox_pool.push_sorted(dst_pe[order], dests[order], values[order])
+        order = np.argsort(dst_pe, kind="stable")
+        self.inbox_pool.push_sorted(counts, dests[order], values[order])
 
     def _close_quantum(self, traffic: np.ndarray) -> None:
+        # Each resource's service time, computed once for the quantum.
+        hbm = self.hbm.service_times()
+        ddr = self.ddr.service_times()
+        reduce_fu = [p.quantum_service_time() for p in self.reduce_pool]
+        propagate_fu = [p.quantum_service_time() for p in self.propagate_pool]
+        fabric = self.fabric.service_time(traffic)
         services = {
-            "hbm": self.hbm.max_service_time(),
-            "ddr": self.ddr.max_service_time(),
-            "reduce_fu": max(
-                p.quantum_service_time() for p in self.reduce_pool
-            ),
-            "propagate_fu": max(
-                p.quantum_service_time() for p in self.propagate_pool
-            ),
-            "fabric": self.fabric.service_time(traffic),
+            "hbm": float(hbm.max()),
+            "ddr": float(ddr.max()),
+            "reduce_fu": max(reduce_fu),
+            "propagate_fu": max(propagate_fu),
+            "fabric": fabric,
         }
         bottleneck = max(services, key=services.get)
         service = services[bottleneck]
@@ -472,13 +488,13 @@ class NovaEngine:
             bottleneck = "latency"
         if self._obs_on:
             self._observe_quantum(services, duration, bottleneck)
-        self.hbm.end_quantum(duration)
-        self.ddr.end_quantum(duration)
-        for pool in self.reduce_pool:
-            pool.end_quantum(duration)
-        for pool in self.propagate_pool:
-            pool.end_quantum(duration)
-        self.fabric.record(traffic)
+        self.hbm.end_quantum(duration, hbm)
+        self.ddr.end_quantum(duration, ddr)
+        for pool, pool_service in zip(self.reduce_pool, reduce_fu):
+            pool.end_quantum(duration, pool_service)
+        for pool, pool_service in zip(self.propagate_pool, propagate_fu):
+            pool.end_quantum(duration, pool_service)
+        self.fabric.record(traffic, fabric)
         self._deliver()
 
     def _observe_quantum(

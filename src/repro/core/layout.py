@@ -48,6 +48,22 @@ class VertexMemoryLayout:
         self._pe_offsets = np.zeros(config.num_pes + 1, dtype=np.int64)
         np.cumsum(counts, out=self._pe_offsets[1:])
 
+        # Per-run address tables for the batch lookups (8 B per vertex
+        # each): every vertex's block, and every (PE, local slot)'s
+        # vertex with -1 marking the padding slots.
+        self._block = placement.local_id // self.vertices_per_block
+        owners = placement.owner[self._flat_global]
+        slots = np.arange(placement.num_vertices, dtype=np.int64)
+        slots -= self._pe_offsets[owners]
+        self._slot_vertex = np.full(
+            (config.num_pes, self.blocks_per_pe, self.vertices_per_block),
+            -1,
+            dtype=np.int64,
+        )
+        self._slot_vertex.reshape(config.num_pes, -1)[owners, slots] = (
+            self._flat_global
+        )
+
     # ------------------------------------------------------------------
     # Per-vertex lookups (vectorized)
     # ------------------------------------------------------------------
@@ -60,7 +76,7 @@ class VertexMemoryLayout:
 
     def block_of(self, vertices: np.ndarray) -> np.ndarray:
         """Local block index (within the owning PE's channel)."""
-        return self.placement.local_id[vertices] // self.vertices_per_block
+        return self._block[vertices]
 
     def superblock_of(self, vertices: np.ndarray) -> np.ndarray:
         return self.block_of(vertices) // self.superblock_dim
@@ -99,30 +115,9 @@ class VertexMemoryLayout:
     # Cross-PE batch lookups (the vectorized engine's hot path)
     # ------------------------------------------------------------------
 
-    def globals_of_many(self, pes: np.ndarray, local_ids: np.ndarray) -> np.ndarray:
-        """Global vertex ids for aligned ``(pe, local_id)`` pairs.
-
-        ``pes`` broadcasts against ``local_ids``; padding slots (local
-        ids at or past the owning PE's shard size) come back as -1.
-        """
-        local_ids = np.asarray(local_ids, dtype=np.int64)
-        pes = np.broadcast_to(np.asarray(pes, dtype=np.int64), local_ids.shape)
-        valid = local_ids < self.vertices_on_pe[pes]
-        out = np.full(local_ids.shape, -1, dtype=np.int64)
-        flat_idx = self._pe_offsets[pes[valid]] + local_ids[valid]
-        out[valid] = self._flat_global[flat_idx]
-        return out
-
     def block_vertices_many(self, pes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """Global ids of every vertex slot in aligned ``(pe, block)`` pairs.
 
         Shape: (len(blocks), vertices_per_block); -1 marks padding.
         """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        locals_2d = (
-            blocks[:, None] * self.vertices_per_block
-            + np.arange(self.vertices_per_block, dtype=np.int64)[None, :]
-        )
-        return self.globals_of_many(
-            np.asarray(pes, dtype=np.int64)[:, None], locals_2d
-        )
+        return self._slot_vertex[pes, blocks]

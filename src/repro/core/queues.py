@@ -221,19 +221,21 @@ class PooledMessageQueue:
         return bool(self._sizes.any())
 
     def push_sorted(
-        self, pes: np.ndarray, dest: np.ndarray, values: np.ndarray
+        self, counts: np.ndarray, dest: np.ndarray, values: np.ndarray
     ) -> None:
-        """Append one batch whose rows are sorted by ``pes`` (ascending)."""
-        n = pes.shape[0]
-        if dest.shape[0] != n or values.shape[0] != n:
-            raise SimulationError("pes, dest and values must have equal length")
-        if n == 0:
-            return
-        counts = np.bincount(pes, minlength=self.num_pes)
-        if counts.shape[0] != self.num_pes:
-            raise SimulationError("pes contains out-of-range PE ids")
+        """Append one PE-major batch: ``counts[pe]`` rows for each PE."""
+        n = dest.shape[0]
+        if values.shape[0] != n:
+            raise SimulationError("dest and values must have equal length")
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (self.num_pes,) or (counts < 0).any():
+            raise SimulationError("counts must give each PE's row count")
         offsets = np.zeros(self.num_pes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
+        if offsets[-1] != n:
+            raise SimulationError("counts must sum to the batch length")
+        if n == 0:
+            return
         self._batches.append(
             [dest, values, offsets, np.zeros(self.num_pes, dtype=np.int64)]
         )
@@ -245,52 +247,53 @@ class PooledMessageQueue:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pop up to ``budget`` messages *per PE*.
 
-        Returns ``(pes, dest, values)`` in PE-major order, FIFO within
-        each PE.
+        Returns ``(counts, dest, values)``: the messages popped per PE,
+        then the messages in PE-major order, FIFO within each PE.  A
+        batch drained whole comes back as pushed, without a copy.
         """
-        empty = np.empty(0, dtype=np.int64)
-        if budget <= 0 or not self._sizes.any():
-            return empty, empty.copy(), np.empty(0)
-        remaining = np.minimum(self._sizes, budget)
-        pe_parts: List[np.ndarray] = []
-        dest_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        pe_ids = np.arange(self.num_pes, dtype=np.int64)
-        popped = np.zeros(self.num_pes, dtype=np.int64)
+        counts = np.minimum(self._sizes, max(budget, 0))
+        total = int(counts.sum())
+        if total == 0:
+            return counts, np.empty(0, dtype=np.int64), np.empty(0)
+        parts: List[Tuple[np.ndarray, ...]] = []
+        remaining = counts.copy()
         for batch in self._batches:
             if not remaining.any():
                 break
             dest, values, offsets, consumed = batch
-            avail = (offsets[1:] - offsets[:-1]) - consumed
-            take = np.minimum(avail, remaining)
-            total = int(take.sum())
-            if total == 0:
+            take = np.minimum((offsets[1:] - offsets[:-1]) - consumed, remaining)
+            taken = int(take.sum())
+            if taken == 0:
                 continue
-            idx = _ragged_arange(offsets[:-1] + consumed, take, total)
-            pe_parts.append(np.repeat(pe_ids, take))
-            dest_parts.append(dest[idx])
-            val_parts.append(values[idx])
+            if taken == dest.shape[0]:
+                parts.append((take, dest, values))
+            else:
+                rows = _ragged_arange(offsets[:-1] + consumed, take, taken)
+                parts.append((take, dest[rows], values[rows]))
             consumed += take
             remaining -= take
-            popped += take
         while self._batches:
             _, _, offsets, consumed = self._batches[0]
             if int(consumed.sum()) != int(offsets[-1]):
                 break
             self._batches.popleft()
-        if not pe_parts:
-            return empty, empty.copy(), np.empty(0)
-        self._sizes -= popped
-        self.popped += int(popped.sum())
-        if len(pe_parts) == 1:
-            pes, dest, values = pe_parts[0], dest_parts[0], val_parts[0]
-        else:
-            pes = np.concatenate(pe_parts)
-            dest = np.concatenate(dest_parts)
-            values = np.concatenate(val_parts)
-            order = np.argsort(pes.astype(np.uint16), kind="stable")
-            pes, dest, values = pes[order], dest[order], values[order]
-        return pes, dest, values
+        self._sizes -= counts
+        self.popped += total
+        if len(parts) == 1:
+            _, dest, values = parts[0]
+            return counts, dest, values
+        # Several batches: scatter each one's per-PE runs behind the
+        # earlier batches' runs of the same PE.
+        dest = np.empty(total, dtype=np.result_type(*(p[1] for p in parts)))
+        values = np.empty(total, dtype=np.result_type(*(p[2] for p in parts)))
+        start = np.zeros(self.num_pes, dtype=np.int64)
+        np.cumsum(counts[:-1], out=start[1:])
+        for take, part_dest, part_values in parts:
+            slots = _ragged_arange(start, take, part_dest.shape[0])
+            dest[slots] = part_dest
+            values[slots] = part_values
+            start += take
+        return counts, dest, values
 
 
 class PooledPendingWork:

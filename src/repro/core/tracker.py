@@ -15,7 +15,8 @@ the superblock's counter is exhausted, exactly like Listing 1's
 ``prefetch``.
 
 All state is vectorized across PEs: ``counters`` is ``(P, S)`` and the
-per-block "counted" bitmap is ``(P, B)``.
+per-block "counted" bitmap ``block_counted`` is ``(P, B)``, a view of a
+bitmap padded to ``S * superblock_dim`` blocks per PE.
 """
 
 from __future__ import annotations
@@ -54,11 +55,20 @@ class TrackerModule:
     def __init__(self, layout: VertexMemoryLayout) -> None:
         self.layout = layout
         num_pes = layout.config.num_pes
+        dim = layout.superblock_dim
         self.counters = np.zeros(
             (num_pes, layout.superblocks_per_pe), dtype=np.int64
         )
-        self.block_counted = np.zeros(
-            (num_pes, layout.blocks_per_pe), dtype=bool
+        # The counted bitmap, padded to whole superblocks so that each
+        # superblock is one row of ``(P, S, dim)``; the padding blocks
+        # past ``blocks_per_pe`` are never counted.
+        padded = layout.superblocks_per_pe * dim
+        self._bitmap = np.zeros((num_pes, padded), dtype=bool)
+        self.block_counted = self._bitmap[:, : layout.blocks_per_pe]
+        #: Each vertex's block as an index into the flat padded bitmap;
+        #: ``key // dim`` is its superblock's index into the flat counters.
+        self._block_key = layout.placement.owner * padded + layout.block_of(
+            np.arange(layout.placement.num_vertices)
         )
         self._cursor = np.zeros(num_pes, dtype=np.int64)
         self.superblock_dim = layout.superblock_dim
@@ -83,19 +93,14 @@ class TrackerModule:
         """
         if vertices.shape[0] == 0:
             return 0
-        pes = self.layout.pe_of(vertices)
-        blocks = self.layout.block_of(vertices)
-        keys = unique_ids(pes * self.layout.blocks_per_pe + blocks)
-        key_pes = keys // self.layout.blocks_per_pe
-        key_blocks = keys % self.layout.blocks_per_pe
-        fresh = ~self.block_counted[key_pes, key_blocks]
-        key_pes, key_blocks = key_pes[fresh], key_blocks[fresh]
-        if key_blocks.shape[0] == 0:
+        keys = unique_ids(self._block_key[vertices])
+        bitmap = self._bitmap.reshape(-1)
+        keys = keys[~bitmap[keys]]
+        if keys.shape[0] == 0:
             return 0
-        self.block_counted[key_pes, key_blocks] = True
-        superblocks = key_blocks // self.superblock_dim
-        np.add.at(self.counters, (key_pes, superblocks), 1)
-        return int(key_blocks.shape[0])
+        bitmap[keys] = True
+        np.add.at(self.counters.reshape(-1), keys // self.superblock_dim, 1)
+        return int(keys.shape[0])
 
     # ------------------------------------------------------------------
     # Retrieval (called from the VMU prefetch side)
@@ -224,13 +229,12 @@ class TrackerModule:
             return BatchCollectOutcome(empty, empty.copy(), zeros, zeros.copy())
         dim = self.superblock_dim
         pe_per_sb = pes[rows]
-        base = superblocks[:, None] * dim + np.arange(dim, dtype=np.int64)[None, :]
-        in_range = base < self.layout.blocks_per_pe
-        pe_2d = np.broadcast_to(pe_per_sb[:, None], base.shape)
-        counted = np.zeros_like(in_range)
-        counted[in_range] = self.block_counted[pe_2d[in_range], base[in_range]]
+        # One row per (PE, superblock), in flat counter order.
+        superblock_bits = self._bitmap.reshape(-1, dim)
+        flat_sb = pe_per_sb * self.counters.shape[1] + superblocks
+        counted = superblock_bits[flat_sb]
         per_sb = counted.sum(axis=1)
-        if (per_sb != self.counters[pe_per_sb, superblocks]).any():
+        if (per_sb != self.counters.reshape(-1)[flat_sb]).any():
             raise SimulationError("tracker counters diverged from bitmap")
         has_any = per_sb > 0
         last_counted = np.where(
@@ -239,17 +243,21 @@ class TrackerModule:
         chunks_needed = np.where(
             has_any, (last_counted // self.chunk_blocks) + 1, 0
         )
-        limit = np.minimum(chunks_needed * self.chunk_blocks, in_range.sum(axis=1))
+        in_range = np.minimum(dim, self.layout.blocks_per_pe - superblocks * dim)
+        limit = np.minimum(chunks_needed * self.chunk_blocks, in_range)
         blocks_read = np.zeros(n_rows, dtype=np.int64)
         np.add.at(blocks_read, rows, limit)
         active_per_row = np.zeros(n_rows, dtype=np.int64)
         np.add.at(active_per_row, rows, per_sb)
-        active_blocks = base[counted]
-        active_rows = np.repeat(rows, per_sb)
+        sb_index, within = np.nonzero(counted)
+        active_blocks = superblocks[sb_index] * dim + within
+        active_rows = rows[sb_index]
         self.prefetch_hits += int(per_sb.sum())
         self.prefetch_misses += int((blocks_read - active_per_row).sum())
-        self.block_counted[np.repeat(pe_per_sb, per_sb), active_blocks] = False
-        self.counters[pe_per_sb, superblocks] = 0
+        # Consume: every counted block of a selected superblock leaves
+        # the tracker, so the superblock's whole row clears.
+        superblock_bits[flat_sb] = False
+        self.counters.reshape(-1)[flat_sb] = 0
         return BatchCollectOutcome(
             active_blocks=active_blocks,
             active_rows=active_rows,
@@ -263,13 +271,9 @@ class TrackerModule:
 
     def check_invariants(self) -> None:
         """Counters must equal counted blocks per superblock, everywhere."""
-        num_pes, blocks = self.block_counted.shape
-        dim = self.superblock_dim
-        padded = blocks if blocks % dim == 0 else blocks + dim - blocks % dim
-        counted = np.zeros((num_pes, padded), dtype=np.int64)
-        counted[:, :blocks] = self.block_counted
-        per_sb = counted.reshape(num_pes, -1, dim).sum(axis=2)
-        if per_sb.shape[1] != self.counters.shape[1]:
-            raise SimulationError("superblock geometry mismatch")
+        if self._bitmap[:, self.layout.blocks_per_pe :].any():
+            raise SimulationError("tracker counted a padding block")
+        num_pes, num_superblocks = self.counters.shape
+        per_sb = self._bitmap.reshape(num_pes, num_superblocks, -1).sum(axis=2)
         if (per_sb != self.counters).any():
             raise SimulationError("tracker invariant violated")

@@ -97,40 +97,64 @@ class CacheArray:
         self._digit_shifts = tuple(
             range(0, max(1, (total_sets - 1).bit_length()), 16)
         )
+        self._set_dtype = np.min_scalar_type(total_sets - 1)
         self._tags = np.full(total_sets, self._INVALID, dtype=np.int64)
         self._dirty = np.zeros(total_sets, dtype=bool)
         self.lifetime_hits = 0
         self.lifetime_misses = 0
         self.lifetime_writebacks = 0
 
+    def set_index(self, caches: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Global set index ``cache * num_sets + block % num_sets``.
+
+        Returned in the narrowest unsigned dtype that holds every set of
+        the array, which is the key :meth:`access` radix-sorts on.
+        """
+        caches = np.asarray(caches, dtype=np.int64)
+        blocks = np.asarray(blocks, dtype=np.int64)
+        sets = caches * self.num_sets + blocks % self.num_sets
+        return sets.astype(self._set_dtype)
+
     def access(
         self,
-        caches: np.ndarray,
+        caches: np.ndarray | None,
         blocks: np.ndarray,
         writes: np.ndarray | bool,
+        sets: np.ndarray | None = None,
     ) -> CacheArrayResult:
         """Resolve a batch of in-order accesses across all caches.
 
         Args:
-            caches: int array selecting the cache of each access.
+            caches: int array selecting the cache of each access; not
+                read when ``sets`` is given.
             blocks: int64 block numbers, in program order per cache.
             writes: bool array (or scalar) marking write accesses.
+            sets: optional :meth:`set_index` of each access, for callers
+                that keep it in a per-address table.
 
         Returns:
             Aggregate and per-cache hit/miss/write-back counts.  Lifetime
             counters and persistent tag/dirty state update in place.
         """
         blocks = np.asarray(blocks, dtype=np.int64)
-        caches = np.asarray(caches, dtype=np.int64)
-        if blocks.ndim != 1 or caches.shape != blocks.shape:
-            raise ConfigError("caches and blocks must be equal-length 1-D arrays")
+        if sets is None:
+            caches = np.asarray(caches, dtype=np.int64)
+            if blocks.ndim != 1 or caches.shape != blocks.shape:
+                raise ConfigError(
+                    "caches and blocks must be equal-length 1-D arrays"
+                )
+            if blocks.shape[0] and (
+                caches.min() < 0 or caches.max() >= self.num_caches
+            ):
+                raise ConfigError("cache index out of range")
+            sets = self.set_index(caches, blocks)
+        elif blocks.ndim != 1 or sets.shape != blocks.shape:
+            raise ConfigError("sets and blocks must be equal-length 1-D arrays")
         n = blocks.shape[0]
         num_caches = self.num_caches
         if n == 0:
             zeros = np.zeros(num_caches, dtype=np.int64)
             return CacheArrayResult(0, 0, 0, zeros, zeros.copy())
-        if caches.min() < 0 or caches.max() >= num_caches:
-            raise ConfigError("cache index out of range")
         scalar_writes = np.isscalar(writes) or isinstance(writes, (bool, np.bool_))
         if scalar_writes:
             writes = bool(writes)
@@ -140,7 +164,6 @@ class CacheArray:
                 raise ConfigError("writes must match blocks in shape")
 
         num_sets = self.num_sets
-        sets = caches * num_sets + blocks % num_sets
         order = self._set_order(sets)
         sets = sets[order]
         blocks = blocks[order]
@@ -153,7 +176,7 @@ class CacheArray:
         lasts = np.empty_like(heads)
         lasts[:-1] = heads[1:] - 1
         lasts[-1] = n - 1
-        run_sets = sets[heads]
+        run_sets = sets[heads].astype(np.intp)
         resident = self._tags[run_sets]
         resident_dirty = self._dirty[run_sets]
 
@@ -220,10 +243,11 @@ class CacheArray:
         """Stable permutation sorting ``sets``: 16-bit LSD radix passes.
 
         numpy's stable sort is a radix sort for integers of 16 bits or
-        fewer, so each pass is O(n); a comparison sort of the int64 keys
-        is not.
+        fewer, so each pass is O(n); a comparison sort of wider keys is
+        not.  A key of 16 bits or fewer is its own first digit.
         """
-        order = np.argsort(sets.astype(np.uint16), kind="stable")
+        low = sets if sets.dtype.itemsize <= 2 else sets.astype(np.uint16)
+        order = np.argsort(low, kind="stable")
         for shift in self._digit_shifts[1:]:
             digit = (sets[order] >> shift).astype(np.uint16)
             order = order[np.argsort(digit, kind="stable")]

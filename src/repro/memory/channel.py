@@ -269,9 +269,6 @@ class BandwidthChannelArray:
             return np.maximum(read, write)
         return read + write
 
-    def max_service_time(self) -> float:
-        return float(self.service_times().max())
-
     def quantum_utilizations(self, quantum_seconds: float) -> np.ndarray:
         """Per-channel busy fraction of the *current* quantum.
 
@@ -282,8 +279,16 @@ class BandwidthChannelArray:
             return np.zeros(self.count)
         return self.service_times() / quantum_seconds
 
-    def end_quantum(self, quantum_seconds: float) -> None:
-        service = self.service_times()
+    def end_quantum(
+        self, quantum_seconds: float, service: np.ndarray | None = None
+    ) -> None:
+        """Close the quantum: record busy time and reset the charges.
+
+        ``service`` is this quantum's :meth:`service_times` when the
+        caller already computed it.
+        """
+        if service is None:
+            service = self.service_times()
         worst = float(service.max())
         if worst > quantum_seconds + 1e-15:
             raise SimulationError(

@@ -49,17 +49,22 @@ class Fabric:
         """Seconds needed to deliver ``traffic`` (bottleneck resource)."""
         raise NotImplementedError
 
-    def record(self, traffic: np.ndarray) -> None:
+    def record(
+        self, traffic: np.ndarray, service_time: float | None = None
+    ) -> None:
         """Accumulate lifetime statistics for a delivered quantum.
 
         Diagonal entries (messages a PE sends to itself) never enter the
-        fabric and are excluded from the byte totals.
+        fabric and are excluded from the byte totals.  ``service_time``
+        is ``service_time(traffic)`` when the caller already computed it.
         """
         traffic = self._check(traffic)
         off_diagonal = traffic.copy()
         np.fill_diagonal(off_diagonal, 0.0)
         self.total_bytes += int(off_diagonal.sum())
-        self.busy_seconds += self.service_time(traffic)
+        if service_time is None:
+            service_time = self.service_time(traffic)
+        self.busy_seconds += service_time
 
 
 class IdealFabric(Fabric):
@@ -115,6 +120,11 @@ class HierarchicalFabric(Fabric):
         self.pes_per_gpn = pes_per_gpn
         self.link_bandwidth = link_bandwidth
         self.port_bandwidth = port_bandwidth
+        gpn = np.arange(self.num_pes) // pes_per_gpn
+        #: The intra-GPN pairwise links: same GPN, not a self-message.
+        self._links = (gpn[:, None] == gpn[None, :]) & ~np.eye(
+            self.num_pes, dtype=bool
+        )
 
     def _gpn_traffic(self, traffic: np.ndarray) -> np.ndarray:
         """Collapse the PE matrix into a (num_gpns, num_gpns) byte matrix."""
@@ -125,13 +135,7 @@ class HierarchicalFabric(Fabric):
     def service_time(self, traffic: np.ndarray) -> float:
         traffic = self._check(traffic)
         # Intra-GPN pairwise links (diagonal blocks, self-messages free).
-        worst_link = 0.0
-        p = self.pes_per_gpn
-        for gpn in range(self.num_gpns):
-            block = traffic[gpn * p : (gpn + 1) * p, gpn * p : (gpn + 1) * p].copy()
-            np.fill_diagonal(block, 0.0)
-            if block.size:
-                worst_link = max(worst_link, float(block.max()))
+        worst_link = float(traffic.max(where=self._links, initial=0.0))
         link_time = worst_link / self.link_bandwidth
 
         if self.num_gpns == 1:

@@ -18,8 +18,6 @@ time and exposes it in cycles and seconds.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError, SimulationError
 
 
@@ -45,21 +43,6 @@ class ResourcePool:
         self._quantum_ops += ops
         self.total_ops += ops
 
-    def charge_many(self, ops) -> None:
-        """Charge a whole array of op counts in one call.
-
-        Equivalent to one :meth:`charge` per element (the counts are
-        integers, so float summation is exact).
-        """
-        ops = np.asarray(ops)
-        if ops.size == 0:
-            return
-        if (ops < 0).any():
-            raise SimulationError(f"{self.name}: negative op charge")
-        total = float(ops.sum())
-        self._quantum_ops += total
-        self.total_ops += total
-
     def quantum_service_time(self) -> float:
         return self._quantum_ops / self.rate_per_second
 
@@ -72,8 +55,12 @@ class ResourcePool:
             return 0.0
         return self.quantum_service_time() / quantum_seconds
 
-    def end_quantum(self, quantum_seconds: float) -> None:
-        service = self.quantum_service_time()
+    def end_quantum(
+        self, quantum_seconds: float, service: float | None = None
+    ) -> None:
+        """Close the quantum; ``service`` is its precomputed service time."""
+        if service is None:
+            service = self.quantum_service_time()
         if service > quantum_seconds + 1e-15:
             raise SimulationError(
                 f"{self.name}: service {service:.3e}s exceeds quantum "

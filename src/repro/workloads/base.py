@@ -208,13 +208,13 @@ def expand_edges(
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, (np.empty(0) if graph.weights is not None else None)
-    # Edge offsets: for each range, starts[i] + 0..counts[i]-1.
+    # Edge offsets: for each range, starts[i] + 0..counts[i]-1, i.e. each
+    # edge's output position shifted by its range's start minus the
+    # output position of the range's first edge (one repeat).
     owner = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), counts)
-    base = np.repeat(starts, counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
+    offsets = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
     )
-    offsets = base + within
     dests = graph.col_idx[offsets]
     weights = graph.weights[offsets] if graph.weights is not None else None
     return owner, dests, weights

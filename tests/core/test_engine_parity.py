@@ -117,3 +117,30 @@ def test_eight_gpn_parity_and_instrumented_run(workload, scale, source, kwargs):
     )
     assert instrumented.timeline is not None
     assert_identical(vectorized, instrumented)
+
+
+@pytest.mark.parametrize(
+    "workload, num_gpns, config_scale, graph_scale",
+    [("bfs", 33, None, 10), ("cc", 8, 1.0, 12)],
+    ids=["bfs_264_pes", "cc_full_size_cache"],
+)
+def test_wide_key_parity(workload, num_gpns, config_scale, graph_scale):
+    """Where the vectorized engine's narrow sort keys widen: 264 PEs need
+    a 16-bit owner key, and 64 full-size caches (2048 sets each) have
+    2**17 sets in all, so grouping a batch by set takes two radix passes."""
+    if config_scale is None:
+        config = scaled_config(num_gpns=num_gpns)
+    else:
+        config = scaled_config(num_gpns=num_gpns, scale=config_scale)
+    sets = config.num_pes * config.cache_bytes_per_pe // config.cache_line_bytes
+    assert config.num_pes > 256 or sets > 1 << 16
+    graph = rmat(graph_scale, 8, seed=5)
+    source = None
+    if workload == "cc":
+        graph = graph.symmetrized()
+    else:
+        source = int(np.argmax(graph.out_degrees()))
+    scalar, vectorized = run_both(config, graph, workload, source)
+    assert vectorized.quanta >= 3
+    assert vectorized.edges_traversed > graph.num_edges // 2
+    assert_identical(scalar, vectorized)

@@ -91,3 +91,41 @@ class TestValidation:
         placement = interleave_placement(10, 4)  # 4 != 8 PEs
         with pytest.raises(ConfigError):
             VertexMemoryLayout(placement, cfg)
+
+
+class TestBatchTables:
+    """The per-run tables behind the batch lookups equal the per-PE paths."""
+
+    @pytest.mark.parametrize("num_vertices, seed", [(333, 9), (500, 3), (97, 1)])
+    def test_block_vertices_many_stacks_block_vertices(self, num_vertices, seed):
+        cfg = scaled_config(num_gpns=2, scale=1 / 1024)
+        placement = random_placement(num_vertices, cfg.num_pes, seed=seed)
+        layout = VertexMemoryLayout(placement, cfg)
+        blocks = np.arange(layout.blocks_per_pe)
+        stacked = np.concatenate(
+            [layout.block_vertices(pe, blocks) for pe in range(cfg.num_pes)]
+        )
+        many = layout.block_vertices_many(
+            np.repeat(np.arange(cfg.num_pes), blocks.shape[0]),
+            np.tile(blocks, cfg.num_pes),
+        )
+        assert (stacked == -1).any()  # padding slots are compared too
+        assert many.dtype == stacked.dtype
+        assert np.array_equal(many, stacked)
+        rng = np.random.default_rng(seed)
+        pes = rng.integers(0, cfg.num_pes, size=50)
+        picks = rng.integers(0, layout.blocks_per_pe, size=50)
+        assert np.array_equal(
+            layout.block_vertices_many(pes, picks),
+            stacked[pes * layout.blocks_per_pe + picks],
+        )
+
+    def test_block_of_is_local_block(self):
+        cfg = scaled_config(num_gpns=2, scale=1 / 1024)
+        placement = random_placement(500, cfg.num_pes, seed=3)
+        layout = VertexMemoryLayout(placement, cfg)
+        vertices = np.arange(500)
+        assert np.array_equal(
+            layout.block_of(vertices),
+            placement.local_id // layout.vertices_per_block,
+        )

@@ -20,6 +20,7 @@ from repro.core.queues import (
     PooledMessageQueue,
     PooledPendingWork,
 )
+from repro.errors import SimulationError
 
 P = 5
 
@@ -29,16 +30,21 @@ def pe_sorted(rng, n):
     return np.sort(rng.integers(0, P, size=n))
 
 
+def per_pe(pes, num_pes=P):
+    """Rows per PE of a PE-sorted column (the inbox's push argument)."""
+    return np.bincount(pes, minlength=num_pes)
+
+
 class TestPooledMessageQueue:
     def reference_pop_all(self, queues, budget):
-        pes, dest, values = [], [], []
-        for pe, queue in enumerate(queues):
+        counts, dest, values = [], [], []
+        for queue in queues:
             d, v = queue.pop(budget)
-            pes.append(np.full(d.shape[0], pe, dtype=np.int64))
+            counts.append(d.shape[0])
             dest.append(d)
             values.append(v)
         return (
-            np.concatenate(pes),
+            np.array(counts, dtype=np.int64),
             np.concatenate(dest),
             np.concatenate(values),
         )
@@ -54,7 +60,7 @@ class TestPooledMessageQueue:
                 pes = pe_sorted(rng, n)
                 dest = rng.integers(0, 1000, size=n)
                 values = rng.random(n)
-                pooled.push_sorted(pes, dest, values)
+                pooled.push_sorted(per_pe(pes), dest, values)
                 for pe in range(P):
                     mask = pes == pe
                     reference[pe].push(dest[mask], values[mask])
@@ -71,19 +77,65 @@ class TestPooledMessageQueue:
 
     def test_pop_all_caps_per_pe_not_globally(self):
         pooled = PooledMessageQueue(2)
-        pes = np.array([0, 0, 0, 1, 1])
-        pooled.push_sorted(pes, np.arange(5), np.arange(5.0))
-        got_pes, got_dest, _ = pooled.pop_all(2)
-        assert list(got_pes) == [0, 0, 1, 1]
+        pooled.push_sorted(np.array([3, 2]), np.arange(5), np.arange(5.0))
+        got_counts, got_dest, _ = pooled.pop_all(2)
+        assert list(got_counts) == [2, 2]
         assert list(got_dest) == [0, 1, 3, 4]
         assert list(pooled.sizes) == [1, 0]
 
     def test_fifo_across_batches(self):
         pooled = PooledMessageQueue(1)
-        pooled.push_sorted(np.zeros(2, dtype=np.int64), np.array([10, 11]), np.zeros(2))
-        pooled.push_sorted(np.zeros(1, dtype=np.int64), np.array([12]), np.zeros(1))
+        pooled.push_sorted(np.array([2]), np.array([10, 11]), np.zeros(2))
+        pooled.push_sorted(np.array([1]), np.array([12]), np.zeros(1))
         _, dest, _ = pooled.pop_all(10)
         assert list(dest) == [10, 11, 12]
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pops_spanning_batches_match_per_pe_queues(self, seed):
+        """Several batches queue up before most pops, so a pop assembles
+        each PE's run from two or more batches."""
+        rng = np.random.default_rng(seed)
+        pooled = PooledMessageQueue(P)
+        reference = [MessageQueue() for _ in range(P)]
+        spanning = 0
+        for _ in range(30):
+            for _ in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(0, 25))
+                pes = pe_sorted(rng, n)
+                dest = rng.integers(0, 1000, size=n)
+                values = rng.random(n)
+                pooled.push_sorted(per_pe(pes), dest, values)
+                for pe in range(P):
+                    reference[pe].push(dest[pes == pe], values[pes == pe])
+            spanning += len(pooled._batches) >= 2
+            budget = int(rng.integers(1, 20))
+            got = pooled.pop_all(budget)
+            want = self.reference_pop_all(reference, budget)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+            assert list(pooled.sizes) == [len(q) for q in reference]
+            assert pooled.popped == sum(q.popped for q in reference)
+        assert spanning >= 10
+
+    def test_whole_batch_drains_without_copy(self):
+        pooled = PooledMessageQueue(2)
+        dest, values = np.array([5, 6, 7]), np.array([0.5, 0.6, 0.7])
+        pooled.push_sorted(np.array([1, 2]), dest, values)
+        counts, got_dest, got_values = pooled.pop_all(8)
+        assert got_dest is dest and got_values is values
+        assert list(counts) == [1, 2]
+        assert not pooled.any()
+
+    def test_push_rejects_counts_that_miss_the_batch(self):
+        pooled = PooledMessageQueue(2)
+        with pytest.raises(SimulationError):
+            pooled.push_sorted(np.array([1, 1]), np.arange(3), np.zeros(3))
+        with pytest.raises(SimulationError):
+            pooled.push_sorted(np.array([3]), np.arange(3), np.zeros(3))
+        with pytest.raises(SimulationError):
+            pooled.push_sorted(np.array([4, -1]), np.arange(3), np.zeros(3))
 
 
 class TestPooledPendingWork:

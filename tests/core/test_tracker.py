@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.layout import VertexMemoryLayout
 from repro.core.tracker import TrackerModule
-from repro.graph.partition import interleave_placement
+from repro.graph.partition import interleave_placement, random_placement
 from repro.sim.config import scaled_config
 
 
@@ -147,3 +147,84 @@ class TestPropertyBased:
             block = int(layout.block_of(np.array([v]))[0])
             expected_blocks.add((pe, block))
         assert tracker.counters.sum() == len(expected_blocks)
+
+
+@st.composite
+def twin_schedules(draw):
+    """A tracker geometry and a random schedule of track/scan steps.
+
+    The geometries end each PE's block range inside a superblock, so the
+    last superblock is partial and the padded bitmap has padding blocks.
+    """
+    num_vertices = draw(st.sampled_from([8 * 2 * 13, 8 * 2 * 21 - 5, 8 * 2 * 9]))
+    dim = draw(st.sampled_from([2, 4, 8]))
+    chunk = draw(st.sampled_from([1, 2, 3, 16]))
+    placement_seed = draw(st.integers(0, 3))
+    steps = []
+    for _ in range(draw(st.integers(1, 25))):
+        if draw(st.booleans()):
+            steps.append(("track", draw(st.lists(
+                st.integers(0, num_vertices - 1), max_size=40))))
+        else:
+            pes = sorted(draw(st.sets(st.integers(0, 7), min_size=1)))
+            counts = [draw(st.integers(1, 4)) for _ in pes]
+            steps.append(("scan", (pes, counts)))
+    return num_vertices, dim, chunk, placement_seed, steps
+
+
+class TestBatchedAgainstPerPE:
+    """``select_superblocks_many``/``collect_many`` equal the per-PE calls.
+
+    Both engines share :meth:`TrackerModule.track`, and only the
+    vectorized engine scans through the batched calls, so engine parity
+    checks neither directly.  Twin trackers run one schedule, one through
+    the batched calls and one PE by PE, and a set of (PE, block) pairs
+    models what ``track`` must count.
+    """
+
+    @given(twin_schedules())
+    @settings(max_examples=120, deadline=None)
+    def test_twins_agree_after_every_step(self, schedule):
+        num_vertices, dim, chunk, seed, steps = schedule
+        cfg = scaled_config(num_gpns=1, scale=1 / 1024).with_updates(
+            superblock_dim=dim, prefetch_chunk_blocks=chunk
+        )
+        placement = random_placement(num_vertices, cfg.num_pes, seed=seed)
+        layout = VertexMemoryLayout(placement, cfg)
+        assert layout.blocks_per_pe % dim  # a partial last superblock
+        batched, per_pe = TrackerModule(layout), TrackerModule(layout)
+        model = set()
+        for op, arg in steps:
+            if op == "track":
+                vertices = np.asarray(arg, dtype=np.int64)
+                pairs = {
+                    (int(placement.owner[v]),
+                     int(placement.local_id[v]) // layout.vertices_per_block)
+                    for v in arg
+                }
+                fresh = len(pairs - model)
+                model |= pairs
+                assert batched.track(vertices) == fresh
+                assert per_pe.track(vertices) == fresh
+            else:
+                pes, counts = (np.asarray(a, dtype=np.int64) for a in arg)
+                rows, superblocks = batched.select_superblocks_many(pes, counts)
+                got = batched.collect_many(pes, rows, superblocks)
+                for row, (pe, count) in enumerate(zip(pes, counts)):
+                    chosen = per_pe.select_superblocks(int(pe), int(count))
+                    want = per_pe.collect(int(pe), chosen)
+                    assert superblocks[rows == row].tolist() == chosen.tolist()
+                    blocks = got.active_blocks[got.active_rows == row]
+                    assert blocks.tolist() == want.active_blocks.tolist()
+                    assert got.blocks_read[row] == want.blocks_read
+                    assert got.wasteful_blocks[row] == want.wasteful_blocks
+                    model -= {(int(pe), int(b)) for b in blocks}
+            for tracker in (batched, per_pe):
+                tracker.check_invariants()
+                counted = {tuple(p) for p in np.argwhere(tracker.block_counted).tolist()}
+                assert counted == model
+            assert np.array_equal(batched.counters, per_pe.counters)
+            assert np.array_equal(batched.block_counted, per_pe.block_counted)
+            assert np.array_equal(batched._cursor, per_pe._cursor)
+            assert batched.prefetch_hits == per_pe.prefetch_hits
+            assert batched.prefetch_misses == per_pe.prefetch_misses

@@ -180,15 +180,18 @@ class TestAgainstScalarReference:
         assert array.lifetime_writebacks == sum(r.writebacks for r in refs)
 
 
-#: (num_caches, num_sets).  The last has 2**17 sets in all, so grouping
-#: by set takes a second 16-bit radix pass: set s of cache 0 and set s of
-#: cache 1 share their low 16 bits and differ only in the high digit.
-GEOMETRIES = [(1, 4), (3, 8), (5, 32), (2, 1 << 16)]
+#: (num_caches, num_sets).  Set keys are uint8 up to 256 sets in all and
+#: uint16 up to 2**16 (16 x 32: the 2-GPN engine's).  The last has 2**17
+#: sets in all, so grouping by set takes a second 16-bit radix pass: set
+#: s of cache 0 and set s of cache 1 share their low 16 bits and differ
+#: only in the high digit.
+GEOMETRIES = [(1, 4), (3, 8), (5, 32), (16, 32), (2, 1 << 16)]
 
 
 @st.composite
 def cache_batches(draw):
-    """Geometry plus batches of (unsorted caches, blocks, writes, flush)."""
+    """Geometry plus batches of (unsorted caches, blocks, writes, flush,
+    whether the batch passes precomputed ``sets``)."""
     num_caches, num_sets = draw(st.sampled_from(GEOMETRIES))
     batches = []
     for _ in range(draw(st.integers(1, 5))):
@@ -208,7 +211,9 @@ def cache_batches(draw):
                 ),
             )
         )
-        batches.append((caches, blocks, writes, draw(st.booleans())))
+        batches.append(
+            (caches, blocks, writes, draw(st.booleans()), draw(st.booleans()))
+        )
     return num_caches, num_sets, batches
 
 
@@ -217,7 +222,8 @@ class TestEveryBatchAgainstScalarReference:
 
     Both engines call the same :class:`CacheArray`, so engine parity
     cannot catch a bug in the walk; this checks it directly, with the
-    engines' scalar ``writes`` as well as per-access writes.
+    engines' scalar ``writes`` as well as per-access writes, and with
+    ``caches`` as well as the vectorized engine's precomputed ``sets``.
     """
 
     @given(cache_batches())
@@ -226,14 +232,19 @@ class TestEveryBatchAgainstScalarReference:
         num_caches, num_sets, batches = workload
         array = CacheArray(num_caches, num_sets * 32, 32)
         refs = [ScalarCache(num_sets) for _ in range(num_caches)]
-        for caches, blocks, writes, flush in batches:
+        for caches, blocks, writes, flush, precomputed in batches:
             before = [r.counts() for r in refs]
             per_access = np.broadcast_to(writes, (len(blocks),))
-            result = array.access(
-                np.asarray(caches, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                writes,
-            )
+            caches = np.asarray(caches, dtype=np.int64)
+            blocks = np.asarray(blocks, dtype=np.int64)
+            if precomputed:
+                sets = array.set_index(caches, blocks)
+                assert sets.tolist() == (
+                    caches * num_sets + blocks % num_sets
+                ).tolist()
+                result = array.access(None, blocks, writes, sets=sets)
+            else:
+                result = array.access(caches, blocks, writes)
             for c, b, w in zip(caches, blocks, per_access):
                 refs[c].access(b, bool(w))
             delta = np.array(
@@ -262,6 +273,17 @@ class TestEveryBatchAgainstScalarReference:
             assert np.flatnonzero(dirty[c]).tolist() == sorted(
                 s for s, d in ref.dirty.items() if d
             )
+
+    @pytest.mark.parametrize(
+        "num_caches, num_sets, dtype",
+        [(8, 32, np.uint8), (16, 32, np.uint16), (264, 32, np.uint16),
+         (64, 2048, np.uint32)],
+    )
+    def test_set_key_is_narrowest_unsigned(self, num_caches, num_sets, dtype):
+        array = CacheArray(num_caches, num_sets * 32, 32)
+        last = array.set_index(np.array([num_caches - 1]), np.array([-1]))
+        assert last.dtype == dtype
+        assert last.tolist() == [num_caches * num_sets - 1]
 
     def test_high_radix_digit_separates_caches(self):
         """Same low 16 bits of set index, different cache: no shared line."""

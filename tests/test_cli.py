@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,21 @@ class TestParseSize:
 
 
 class TestGraphSpecs:
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            ("rmat:", "rmat:SCALE[:EDGE_FACTOR]"),
+            ("rmat:4:4:4", "rmat:SCALE[:EDGE_FACTOR]"),
+            ("urand:10", "urand:VERTICES:EDGES"),
+            ("powerlaw:10:x", "powerlaw:VERTICES:AVG_DEGREE"),
+            ("powerlaw:10:nan", "powerlaw:VERTICES:AVG_DEGREE"),
+            ("road:3:", "road:WIDTH:HEIGHT"),
+        ],
+    )
+    def test_malformed_generator_specifier_names_its_form(self, spec, form):
+        with pytest.raises(ReproError, match=re.escape(f"expected {form}")):
+            build_graph(spec)
+
     def test_rmat(self):
         g = build_graph("rmat:8:4", seed=1)
         assert g.num_vertices == 256
@@ -152,6 +169,22 @@ class TestCommands:
     def test_error_path(self, capsys):
         assert main(["run", "--graph", "nope:1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "graph", ["rmat:", "powerlaw:10", "rmat:x", "rmat:5:x", "road:a:b"]
+    )
+    def test_malformed_generator_specifier_is_one_error_line(
+        self, graph, tmp_path, capsys
+    ):
+        argvs = (
+            ["run", "--workload", "bfs", "--graph", graph, "--no-cache"],
+            ["generate", "--kind", graph, "--out", str(tmp_path / "g.npz")],
+        )
+        for argv in argvs:
+            assert main(argv) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: malformed graph specifier '{graph}'")
 
     def test_status_unreachable_service(self, capsys):
         # Nothing listens on a reserved port: a clean error, not a dump.

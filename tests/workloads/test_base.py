@@ -73,6 +73,38 @@ class TestExpandEdges:
         assert list(dests) == naive_dests
 
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_partial_ranges_match_per_range_loop(self, weighted_graph, data):
+        """Arbitrary sub-ranges (partial, empty, whole) of weighted rows,
+        in any vertex order with repeats: the MGU's active-buffer pops."""
+        graph = weighted_graph
+        vertices = data.draw(
+            st.lists(st.integers(0, graph.num_vertices - 1), max_size=30)
+        )
+        starts, ends = [], []
+        for v in vertices:
+            lo, hi = int(graph.row_ptr[v]), int(graph.row_ptr[v + 1])
+            start = data.draw(st.integers(lo, hi))
+            starts.append(start)
+            ends.append(data.draw(st.integers(start, hi)))
+        owner, dests, weights = expand_edges(
+            graph,
+            np.asarray(vertices, dtype=np.int64),
+            np.asarray(starts, dtype=np.int64),
+            np.asarray(ends, dtype=np.int64),
+        )
+        want_owner, want_dests, want_weights = [], [], []
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            for offset in range(start, end):
+                want_owner.append(i)
+                want_dests.append(int(graph.col_idx[offset]))
+                want_weights.append(float(graph.weights[offset]))
+        assert owner.tolist() == want_owner
+        assert dests.tolist() == want_dests
+        assert weights.tolist() == want_weights
+
+
 class TestUniqueIds:
     @given(
         arrays(

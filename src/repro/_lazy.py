@@ -9,6 +9,9 @@ pair as its module-level ``__getattr__`` / ``__dir__``; a name's module
 is imported the first time the name is looked up, and the value is
 then cached in the package namespace so later lookups are plain
 attribute reads.  ``from repro import NovaSystem`` keeps working.
+
+Every package ``__init__`` follows this one rule: it exports through
+:func:`lazy_exports` and imports no submodule of its own.
 """
 
 from __future__ import annotations

@@ -7,29 +7,35 @@
   estimates of Table V.
 - :mod:`repro.analysis.tradeoffs` -- the spilling-method trade-off
   comparison of Table I.
+
+The names below resolve on first access (see :mod:`repro._lazy`).
 """
 
-from repro.analysis.resources import (
-    WDC12,
-    GraphScale,
-    tracker_requirements,
-    bitvector_bits,
-    active_block_bits,
-    terascale_requirements,
-)
-from repro.analysis.fpga import FPGA_UNITS, U280, gpn_fpga_report
-from repro.analysis.tradeoffs import SpillingMethod, spilling_comparison
-from repro.analysis.preprocessing import (
-    AmortizationReport,
-    amortization,
-    preprocessing_seconds,
-)
-from repro.analysis.energy import (
-    EnergyBreakdown,
-    EnergyReport,
-    estimate_energy,
-    gpn_pipeline_watts,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.resources": (
+        "WDC12",
+        "GraphScale",
+        "tracker_requirements",
+        "bitvector_bits",
+        "active_block_bits",
+        "terascale_requirements",
+    ),
+    "repro.analysis.fpga": ("FPGA_UNITS", "U280", "gpn_fpga_report"),
+    "repro.analysis.tradeoffs": ("SpillingMethod", "spilling_comparison"),
+    "repro.analysis.preprocessing": (
+        "AmortizationReport",
+        "amortization",
+        "preprocessing_seconds",
+    ),
+    "repro.analysis.energy": (
+        "EnergyBreakdown",
+        "EnergyReport",
+        "estimate_energy",
+        "gpn_pipeline_watts",
+    ),
+})
 
 __all__ = [
     "WDC12",

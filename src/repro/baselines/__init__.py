@@ -9,12 +9,18 @@
   reference).
 - :mod:`repro.baselines.dalorex` -- Dalorex [34] resource model
   (on-chip-only storage; Table IV).
+
+The names below resolve on first access (see :mod:`repro._lazy`).
 """
 
-from repro.baselines.slicing import TemporalSlicing
-from repro.baselines.polygraph import PolyGraphConfig, PolyGraphSystem
-from repro.baselines.ligra import LigraConfig, LigraModel
-from repro.baselines.dalorex import dalorex_requirements
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.slicing": ("TemporalSlicing",),
+    "repro.baselines.polygraph": ("PolyGraphConfig", "PolyGraphSystem"),
+    "repro.baselines.ligra": ("LigraConfig", "LigraModel"),
+    "repro.baselines.dalorex": ("dalorex_requirements",),
+})
 
 __all__ = [
     "TemporalSlicing",

@@ -27,121 +27,29 @@ Commands:
 - ``info``      print the system configuration (Table II) and tracker sizing
 - ``resources`` print Table IV terascale requirements
 
-Graph specifiers (for ``run --graph`` and ``generate --kind``)::
-
-    rmat:SCALE[:EDGE_FACTOR]      e.g. rmat:16:16
-    urand:VERTICES:EDGES          e.g. urand:100000:3000000
-    powerlaw:VERTICES:AVG_DEGREE  e.g. powerlaw:100000:35
-    road:WIDTH:HEIGHT             e.g. road:300:300
-    suite:NAME                    Table III stand-in (road/twitter/...)
-    PATH                          .npz / .txt edge list / .gr DIMACS
-
-``--scale`` scales a ``suite:`` graph together with the system's
-capacities (DESIGN section 6); other specifiers ignore it.
+Graph specifiers (``run --graph``, ``generate --kind``: ``rmat:16:16``,
+``suite:twitter``, a file path, ...) are listed and parsed in
+:mod:`repro.graph.specifier`.  ``--scale`` scales a ``suite:`` graph
+together with the system's capacities (DESIGN section 6); other
+specifiers ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
+import importlib
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from repro.errors import ConfigError, ReproError
-from repro.units import KiB, MiB, bytes_to_human, rate_to_human
+from repro.errors import ReproError
+from repro.units import MiB, bytes_to_human, parse_size, rate_to_human
 
-if TYPE_CHECKING:
-    from repro.graph.csr import CSRGraph
-
-# Each verb imports the subsystems it runs, inside its handler: a warm
-# ``repro run`` answers from the run cache without loading the engine,
-# the baselines, the service or scipy.
-
-_SIZE_UNITS = {"kib": KiB, "mib": MiB, "gib": 1 << 30, "b": 1}
-
-
-def parse_size(text: str) -> int:
-    """Parse '64KiB' / '1.5MiB' / '4096' into bytes."""
-    lowered = text.strip().lower()
-    for suffix, unit in _SIZE_UNITS.items():
-        if lowered.endswith(suffix):
-            return int(float(lowered[: -len(suffix)]) * unit)
-    return int(lowered)
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-#: Generator specifiers: kind -> (expected form, one parser per field,
-#: number of required fields).  The generators check the ranges.
-_GENERATOR_FORMS = {
-    "rmat": ("rmat:SCALE[:EDGE_FACTOR]", (int, int), 1),
-    "urand": ("urand:VERTICES:EDGES", (int, int), 2),
-    "powerlaw": ("powerlaw:VERTICES:AVG_DEGREE", (int, _finite_float), 2),
-    "road": ("road:WIDTH:HEIGHT", (int, int), 2),
-}
-
-
-def _generator_args(spec: str) -> list:
-    """Parse a generator specifier's fields, or raise naming its form."""
-    kind, _, rest = spec.partition(":")
-    form, parsers, required = _GENERATOR_FORMS[kind]
-    fields = rest.split(":") if rest else []
-    try:
-        if not required <= len(fields) <= len(parsers):
-            raise ValueError
-        return [parse(text) for parse, text in zip(parsers, fields)]
-    except ValueError:
-        raise ReproError(
-            f"malformed graph specifier {spec!r}; expected {form}"
-        ) from None
-
-
-def build_graph(
-    spec: str, seed: int = 42, scale: Optional[float] = None
-) -> "CSRGraph":
-    """Resolve a graph specifier (see module docstring).
-
-    ``scale`` applies to ``suite:`` specifiers only (``None`` is the
-    suite default); other specifiers ignore it.
-    """
-    from repro.graph import io as graph_io
-    from repro.graph import suites
-    from repro.graph.generators import (
-        power_law,
-        rmat,
-        road_grid,
-        uniform_random,
-    )
-
-    if ":" not in spec:
-        if spec.endswith(".npz"):
-            return graph_io.load_npz(spec)
-        if spec.endswith(".gr"):
-            return graph_io.load_dimacs(spec)
-        if spec.endswith(".txt") or spec.endswith(".el"):
-            return graph_io.load_edge_list(spec)
-        raise ReproError(f"unrecognized graph specifier: {spec!r}")
-    kind, _, rest = spec.partition(":")
-    if kind in _GENERATOR_FORMS:
-        args = _generator_args(spec)
-        generator = {
-            "rmat": rmat,
-            "urand": uniform_random,
-            "powerlaw": power_law,
-            "road": road_grid,
-        }[kind]
-        return generator(*args, seed=seed)
-    if kind == "suite":
-        if scale is None:
-            scale = suites.DEFAULT_SCALE
-        return suites.build_graph(rest, scale=scale, seed=seed)
-    raise ReproError(f"unknown graph kind: {kind!r}")
+# Every verb names its handler as "module:function".  ``run``'s lives
+# here; every other verb's is in a repro.commands module that main
+# imports only when that verb runs.  Each handler imports the
+# subsystems it runs: a warm ``repro run`` answers from the run cache
+# without loading the engine, the sweep supervisor, the baselines, the
+# service or scipy.
 
 
 def _run_config(args: argparse.Namespace):
@@ -157,7 +65,9 @@ def _run_config(args: argparse.Namespace):
         from repro.baselines.polygraph import PolyGraphConfig
 
         onchip = (
-            parse_size(args.onchip) if args.onchip else int(32 * MiB * args.scale)
+            parse_size(args.onchip)
+            if args.onchip is not None
+            else int(32 * MiB * args.scale)
         )
         return PolyGraphConfig(onchip_bytes=onchip)
     from repro.baselines.ligra import LigraConfig
@@ -166,8 +76,8 @@ def _run_config(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runner import GraphSpec, RunCache, RunSpec, execute_spec, spec_key
-    from repro.runner.spec import resolve_source
+    from repro.runner.cache import RunCache, spec_key
+    from repro.runner.spec import GraphSpec, RunSpec, resolve_source
 
     workload = args.workload
     gspec = GraphSpec.for_workload(
@@ -223,6 +133,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"cache hit {key[:12]} ({cache.root})")
         else:
             print(f"cache miss {key[:12]}")
+            from repro.runner.execute import execute_spec
+
             run = execute_spec(spec)
             try:
                 cache.store(key, run)
@@ -236,940 +148,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  util {name:>7}: {value:8.1%}")
     if args.verify:
         print("  result verified against the sequential oracle")
-    return 0
-
-
-def _sweep_grid(args: argparse.Namespace):
-    """Build the (spec, row) grid shared by ``sweep`` and ``report``.
-
-    Both subcommands must resolve the *same* grid from the same
-    arguments -- ``repro report`` recomputes the sweep's cache keys to
-    read its results without re-running anything -- so the grid logic
-    lives here.  Returns ``(specs, rows)`` with rows of
-    ``(workload, gpns, source)`` aligned with the specs.
-    """
-    from repro.core.harness import sample_sources
-    from repro.obs.config import ObsConfig
-    from repro.runner import GraphSpec, RunSpec
-    from repro.sim.config import scaled_config
-
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    known = ("bfs", "cc", "sssp", "pr", "bc")
-    for workload in workloads:
-        if workload not in known:
-            raise ConfigError(
-                f"unknown workload {workload!r}; choose from {', '.join(known)}"
-            )
-    gpn_counts = [int(g) for g in args.gpns.split(",")]
-    obs = (
-        ObsConfig(timeline=True)
-        if getattr(args, "timeline", False)
-        else None
-    )
-    specs = []
-    rows = []  # (workload, gpns, source) aligned with specs
-    for workload in workloads:
-        # One GraphSpec recipe per workload variant: --seed flows into
-        # the build (and so into the content-addressed key) on every
-        # path, and run/sweep/service submissions of the same inputs
-        # digest to the same cache entry.
-        gspec = GraphSpec.for_workload(
-            args.graph, workload, seed=args.seed, scale=args.scale
-        )
-        graph = gspec.build()
-        if workload in ("cc", "pr"):
-            sources = [None]
-        else:
-            sources = [
-                int(s)
-                for s in sample_sources(graph, args.sources, seed=args.seed)
-            ]
-        kwargs = (
-            {"max_supersteps": args.pr_supersteps} if workload == "pr" else {}
-        )
-        for gpns in gpn_counts:
-            config = scaled_config(num_gpns=gpns, scale=args.scale)
-            for source in sources:
-                specs.append(
-                    RunSpec(
-                        workload,
-                        gspec,
-                        config=config,
-                        source=source,
-                        placement=args.placement,
-                        workload_kwargs=kwargs,
-                        obs=obs,
-                    )
-                )
-                rows.append((workload, gpns, source))
-    return specs, rows
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.obs import render_counts
-    from repro.runner import (
-        RetryPolicy,
-        RunFailure,
-        SweepCheckpoint,
-        SweepMonitor,
-        SweepRunner,
-        spec_key,
-    )
-
-    specs, rows = _sweep_grid(args)
-
-    policy = RetryPolicy.from_env()
-    if args.timeout is not None or args.retries is not None:
-        updates = {}
-        if args.timeout is not None:
-            updates["timeout_seconds"] = args.timeout
-        if args.retries is not None:
-            updates["retries"] = args.retries
-        import dataclasses
-
-        policy = dataclasses.replace(policy, **updates)
-    runner = SweepRunner(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        policy=policy,
-    )
-
-    checkpoint = None
-    if runner.cache is not None:
-        keys = [spec_key(spec) for spec in specs]
-        checkpoint = SweepCheckpoint.for_keys(runner.cache.root, keys)
-        if args.resume:
-            if not checkpoint.exists():
-                raise ConfigError(
-                    "no interrupted sweep to resume (checkpoint "
-                    f"{checkpoint.sweep_id[:12]} not found); run without "
-                    "--resume to start it"
-                )
-            done = len(checkpoint.completed_keys() & set(keys))
-            print(
-                f"resuming sweep {checkpoint.sweep_id[:12]}: "
-                f"{done}/{len(set(keys))} runs already checkpointed"
-            )
-    elif args.resume:
-        raise ConfigError("--resume needs the run cache (drop --no-cache)")
-
-    monitor = (
-        None
-        if args.no_progress
-        else SweepMonitor(stream=sys.stderr, interval_seconds=1.0)
-    )
-    results, stats = runner.run(
-        specs, on_failure="return", checkpoint=checkpoint, monitor=monitor
-    )
-
-    print(f"{'workload':>8} {'gpns':>4} {'source':>8} {'time(ms)':>10} {'GTEPS':>8}")
-    failures = []
-    for (workload, gpns, source), run in zip(rows, results):
-        src = "-" if source is None else str(source)
-        if isinstance(run, RunFailure):
-            failures.append(run)
-            print(
-                f"{workload:>8} {gpns:>4} {src:>8} "
-                f"{'FAILED':>10} {run.kind:>8}"
-            )
-            continue
-        print(
-            f"{workload:>8} {gpns:>4} {src:>8} "
-            f"{run.elapsed_seconds * 1e3:>10.4f} {run.gteps:>8.2f}"
-        )
-    print(stats)
-    if stats.failed or stats.retried:
-        # Per-sweep counter deltas, not the process-cumulative registry:
-        # consecutive sweeps in one process each report their own counts.
-        print(render_counts(stats.fault_counters))
-        seen = set()
-        for failure in failures:
-            if failure.key in seen:
-                continue
-            seen.add(failure.key)
-            print(f"  failed: {failure.describe()}")
-    if checkpoint is not None:
-        if stats.failed:
-            print(
-                f"checkpoint kept ({checkpoint.sweep_id[:12]}); fix and "
-                "rerun with --resume to recompute only unfinished runs"
-            )
-        else:
-            checkpoint.finish()
-    return 1 if stats.failed else 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import (
-        GROUPABLE_DIMS,
-        SweepReport,
-        entry_from_result,
-    )
-    from repro.runner import RunCache, SweepCheckpoint, spec_key
-
-    group_by = tuple(
-        dim.strip() for dim in args.group_by.split(",") if dim.strip()
-    )
-    for dim in group_by:
-        if dim not in GROUPABLE_DIMS:
-            raise ConfigError(
-                f"cannot group by {dim!r}; choose from "
-                f"{', '.join(GROUPABLE_DIMS)}"
-            )
-
-    specs, rows = _sweep_grid(args)
-    cache = RunCache(args.cache_dir)
-    keys = [spec_key(spec) for spec in specs]
-
-    # An interrupted sweep leaves its checkpoint manifest behind; note
-    # it so a partial report is never mistaken for a complete one.
-    checkpoint = SweepCheckpoint.for_keys(cache.root, keys)
-    if checkpoint.exists():
-        done = len(checkpoint.completed_keys() & set(keys))
-        print(
-            f"note: sweep {checkpoint.sweep_id[:12]} is incomplete "
-            f"({done}/{len(set(keys))} runs checkpointed); reporting on "
-            "what finished",
-            file=sys.stderr,
-        )
-
-    entries = []
-    seen = set()
-    found = 0
-    for spec, key, (workload, gpns, source) in zip(specs, keys, rows):
-        if key in seen:  # duplicate slots alias one cache entry
-            continue
-        seen.add(key)
-        result = cache.load(key)
-        if result is not None:
-            found += 1
-        entries.append(
-            entry_from_result(
-                key=key,
-                workload=workload,
-                graph=args.graph,
-                gpns=gpns,
-                source=source,
-                result=result,
-                pes=spec.config.num_pes if spec.config is not None else None,
-            )
-        )
-    if not found:
-        print(
-            "error: no cached runs found for this grid; run the matching "
-            "`repro sweep` first (same --graph/--workloads/--gpns/... "
-            "arguments, including --timeline)",
-            file=sys.stderr,
-        )
-        return 1
-
-    report = SweepReport(
-        entries, group_by=group_by, z_threshold=args.z_threshold
-    )
-    markdown = report.render_markdown()
-    print(markdown, end="")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(report.to_json())
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.md:
-        with open(args.md, "w", encoding="utf-8") as f:
-            f.write(markdown)
-        print(f"wrote {args.md}", file=sys.stderr)
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.system import NovaSystem
-    from repro.obs import (
-        FAULT_COUNTERS,
-        BottleneckReport,
-        ObsConfig,
-        make_recorder,
-        trace_span,
-    )
-    from repro.runner import GraphSpec
-    from repro.runner.spec import resolve_source
-    from repro.sim.config import scaled_config
-
-    workload = args.workload
-    gspec = GraphSpec.for_workload(
-        args.graph, workload, seed=args.seed, scale=args.scale
-    )
-    graph = gspec.build()
-    source = resolve_source(graph, workload, args.source)
-    kwargs = {}
-    if workload == "pr":
-        kwargs["max_supersteps"] = args.pr_supersteps
-
-    obs = ObsConfig(
-        timeline=True,
-        timeline_capacity=args.timeline_capacity,
-        phases=not args.no_phases,
-        phase_sample_every=args.phase_every,
-    )
-    recorder = make_recorder(obs)
-    config = scaled_config(num_gpns=args.gpns, scale=args.scale)
-    system = NovaSystem(
-        config, graph, placement=args.placement, engine=args.engine
-    )
-    # `--json` with no path streams the machine-readable report to
-    # stdout; the rendered view moves to stderr so stdout stays pure
-    # JSON for pipelines (`repro profile --json | jq ...`).
-    json_stdout = args.json == "-"
-    view = sys.stderr if json_stdout else sys.stdout
-    print(system.describe(), file=view)
-    with trace_span("cli.profile", workload=workload, graph=args.graph):
-        run = system.run(workload, source=source, recorder=recorder, **kwargs)
-    print(run.describe(), file=view)
-    print(file=view)
-    report = BottleneckReport.from_timeline(run.timeline)
-    print(report.render(), file=view)
-    profiler = recorder.phase_profiler
-    if profiler is not None:
-        print(file=view)
-        print(profiler.render(), file=view)
-    # Sweep-level fault/retry/timeout accounting (nonzero only when this
-    # process also drove instrumented sweeps, e.g. via the runner API).
-    print(FAULT_COUNTERS.render(), file=view)
-    if json_stdout:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    elif args.json:
-        payload = {
-            "report": report.to_dict(),
-            "timeline": run.timeline,
-            "phases": profiler.to_dict() if profiler is not None else None,
-            "fault_counters": FAULT_COUNTERS.snapshot(),
-        }
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0
-
-
-def _graph_variants(args: argparse.Namespace):
-    """The GraphSpec recipes a ``repro graph build`` invocation names.
-
-    ``--workloads`` mirrors the sweep grid's per-workload variants
-    (sssp runs weighted, cc symmetrized), so prebuilding with the same
-    workload list guarantees the sweep's exact artifacts exist.
-    """
-    from repro.runner import GraphSpec
-
-    if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        variants = {}
-        for workload in workloads:
-            gspec = GraphSpec.for_workload(
-                args.graph, workload, seed=args.seed, scale=args.scale
-            )
-            variants[gspec] = None  # de-dup, preserve order
-        return list(variants)
-    return [
-        GraphSpec(
-            args.graph,
-            seed=args.seed,
-            scale=args.scale,
-            weighted=args.weighted,
-            symmetrized=args.symmetrized,
-        )
-    ]
-
-
-def _cmd_graph_build(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.graph.store import GraphStore, spec_digest
-
-    store = GraphStore(args.store_dir)
-    for gspec in _graph_variants(args):
-        digest = spec_digest(gspec)
-        known = store.load(digest) is not None
-        start = time.perf_counter()
-        graph = store.get_or_build(gspec, gspec.build_uncached)
-        elapsed = time.perf_counter() - start
-        action = "mapped" if known else "built"
-        flags = "".join(
-            label
-            for label, on in (
-                ("+w", gspec.weighted),
-                ("+sym", gspec.symmetrized),
-            )
-            if on
-        )
-        print(
-            f"{action} {digest[:12]} {gspec.spec}{flags} "
-            f"V={graph.num_vertices} E={graph.num_edges} "
-            f"({elapsed:.2f}s, {store.root})"
-        )
-    return 0
-
-
-def _cmd_graph_ls(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.graph.store import GraphStore
-
-    store = GraphStore(args.store_dir)
-    entries = list(store.entries())
-    if getattr(args, "json", False):
-        import json
-
-        now = time.time()
-        rows = []
-        for digest, size, mtime, manifest in sorted(
-            entries, key=lambda item: item[2], reverse=True
-        ):
-            prov = manifest.get("provenance") or {}
-            spec_fields = prov.get("spec") or {}
-            rows.append({
-                "digest": digest,
-                "spec": spec_fields.get("spec"),
-                "weighted": bool(spec_fields.get("weighted")),
-                "symmetrized": bool(spec_fields.get("symmetrized")),
-                "num_vertices": manifest.get("num_vertices", 0),
-                "num_edges": manifest.get("num_edges", 0),
-                "bytes": size,
-                "age_seconds": max(0.0, now - mtime),
-            })
-        payload = {
-            "root": str(store.root),
-            "artifacts": rows,
-            "total_bytes": sum(row["bytes"] for row in rows),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if not entries:
-        print(f"no graph artifacts in {store.root}")
-        return 0
-    print(f"{'digest':>12} {'spec':>24} {'V':>9} {'E':>11} {'size':>10} "
-          f"{'last use':>9}")
-    total = 0
-    now = time.time()
-    for digest, size, mtime, manifest in sorted(
-        entries, key=lambda item: item[2], reverse=True
-    ):
-        total += size
-        prov = manifest.get("provenance") or {}
-        spec_fields = prov.get("spec") or {}
-        label = spec_fields.get("spec", "?")
-        if spec_fields.get("weighted"):
-            label += "+w"
-        if spec_fields.get("symmetrized"):
-            label += "+sym"
-        age = max(0.0, now - mtime)
-        if age < 120:
-            age_text = f"{age:.0f}s ago"
-        elif age < 7200:
-            age_text = f"{age / 60:.0f}m ago"
-        else:
-            age_text = f"{age / 3600:.0f}h ago"
-        print(
-            f"{digest[:12]:>12} {label:>24} "
-            f"{manifest.get('num_vertices', 0):>9} "
-            f"{manifest.get('num_edges', 0):>11} "
-            f"{bytes_to_human(size):>10} {age_text:>9}"
-        )
-    print(f"{len(entries)} artifact(s), {bytes_to_human(total)} in {store.root}")
-    return 0
-
-
-def _cmd_graph_gc(args: argparse.Namespace) -> int:
-    from repro.graph.store import GraphStore
-
-    store = GraphStore(args.store_dir)
-    max_bytes = parse_size(args.max_bytes)
-    before = store.total_bytes()
-    removed = store.prune(max_bytes)
-    after = store.total_bytes()
-    print(
-        f"evicted {removed} artifact(s): {bytes_to_human(before)} -> "
-        f"{bytes_to_human(after)} (budget {bytes_to_human(max_bytes)}, "
-        f"{store.root})"
-    )
-    return 0
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.graph import io as graph_io
-    from repro.graph.generators import with_uniform_weights
-
-    graph = build_graph(args.kind, seed=args.seed)
-    if args.weights:
-        graph = with_uniform_weights(graph, seed=args.seed)
-    if args.out.endswith(".npz"):
-        graph_io.save_npz(graph, args.out)
-    elif args.out.endswith(".gr"):
-        graph_io.save_dimacs(graph, args.out)
-    else:
-        graph_io.save_edge_list(graph, args.out)
-    print(f"wrote {graph} to {args.out}")
-    return 0
-
-
-def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.sim.config import scaled_config
-
-    config = scaled_config(num_gpns=args.gpns, scale=args.scale)
-    print(f"NOVA configuration (Table II, scale {args.scale:g}):")
-    print(f"  GPNs x PEs:        {config.num_gpns} x {config.pes_per_gpn}")
-    print(f"  frequency:         {config.frequency_hz / 1e9:.1f} GHz")
-    print(f"  cache / PE:        {bytes_to_human(config.cache_bytes_per_pe)}")
-    print(
-        f"  vertex channel:    {bytes_to_human(config.vertex_channel.capacity_bytes)}"
-        f" @ {rate_to_human(config.vertex_channel.peak_bandwidth)}"
-    )
-    print(
-        f"  edge pool / GPN:   {bytes_to_human(config.edge_pool.capacity_bytes)}"
-        f" @ {rate_to_human(config.edge_pool.peak_bandwidth)}"
-    )
-    print(
-        f"  FUs / GPN:         {config.reduce_fus_per_gpn} reduce + "
-        f"{config.propagate_fus_per_gpn} propagate"
-    )
-    print(
-        f"  tracker:           superblock_dim={config.superblock_dim}, "
-        f"{config.tracker_capacity_bits() / 8 / 1024:.1f} KiB per PE "
-        f"(Eq 1-2)"
-    )
-    print(
-        f"  on-chip / GPN:     {bytes_to_human(config.onchip_bytes_per_gpn())}"
-    )
-    return 0
-
-
-def _cmd_resources(args: argparse.Namespace) -> int:
-    from repro.analysis.resources import terascale_requirements
-
-    print("Resources to support WDC12 (Table IV):")
-    for row in terascale_requirements():
-        print("  " + row.row())
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.validation import validate_all
-
-    graph = build_graph(args.graph, seed=args.seed, scale=args.scale)
-    reports = validate_all(graph, scale=args.scale)
-    failed = 0
-    for report in reports:
-        print(report.summary())
-        if not report.passed:
-            failed += 1
-    print(
-        f"{len(reports) - failed}/{len(reports)} workloads validated "
-        "across functional/NOVA/PolyGraph/Ligra"
-    )
-    return 1 if failed else 0
-
-
-def _job_spec_from_args(args: argparse.Namespace) -> dict:
-    """A JSON job spec mirroring one ``repro run`` invocation."""
-    spec = {
-        "workload": args.workload,
-        "graph": args.graph,
-        "seed": args.seed,
-        "system": args.system,
-        "gpns": args.gpns,
-        "scale": args.scale,
-        "placement": args.placement,
-        "timeline": args.timeline,
-    }
-    if args.source is not None:
-        spec["source"] = args.source
-    if args.workload == "pr":
-        spec["workload_kwargs"] = {"max_supersteps": args.pr_supersteps}
-    return spec
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import os
-
-    from repro.runner import default_cache_dir
-    from repro.service import ReproService
-    from repro.service.worker import LocalWorkerPool
-
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "service"
-    )
-    service = ReproService(
-        state_dir,
-        cache_dir=args.cache_dir,
-        max_queue_depth=args.queue_depth,
-        job_workers=args.job_workers,
-        drain_timeout=args.drain_timeout,
-        lease_seconds=args.lease,
-        max_requeues=args.max_requeues,
-        quota_max_active=args.quota_max_active,
-        quota_rate=args.quota_rate,
-        quota_burst=args.quota_burst,
-    )
-
-    pool: Optional[LocalWorkerPool] = None
-
-    def on_ready(port: int) -> None:
-        nonlocal pool
-        print(
-            f"repro service listening on http://{args.host}:{port}",
-            flush=True,
-        )
-        print(f"  state: {state_dir}", flush=True)
-        print(f"  cache: {service.runner.cache.root}", flush=True)
-        if args.workers > 0:
-            pool = LocalWorkerPool(
-                f"http://{args.host}:{port}",
-                count=args.workers,
-                cache_dir=service.runner.cache.root,
-                state_root=os.path.join(state_dir, "fleet"),
-                host=args.host,
-                lease_seconds=args.lease,
-            )
-            pids = pool.start()
-            print(
-                f"  fleet: {args.workers} local worker(s), pids "
-                f"{','.join(str(p) for p in pids)}",
-                flush=True,
-            )
-
-    try:
-        summary = asyncio.run(
-            service.serve_forever(args.host, args.port, on_ready=on_ready)
-        )
-    finally:
-        if pool is not None:
-            pool.stop()
-    print(
-        "drained: running "
-        + ("finished" if summary["drained"] else "interrupted")
-        + f", {summary['queued']} queued job(s) persisted for restart",
-        flush=True,
-    )
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import asyncio
-    import os
-
-    from repro.runner import default_cache_dir
-    from repro.service import ReproService
-    from repro.service.worker import WorkerAgent
-
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "worker"
-    )
-    service = ReproService(
-        state_dir,
-        cache_dir=args.cache_dir,
-        max_queue_depth=args.queue_depth,
-        job_workers=args.job_workers,
-        drain_timeout=args.drain_timeout,
-    )
-
-    async def main() -> dict:
-        port = await service.start(args.host, args.port)
-        service._install_signal_handlers()
-        advertise = args.advertise or f"http://{args.host}:{port}"
-        agent = WorkerAgent(
-            args.coordinator,
-            advertise,
-            capacity=args.capacity,
-            lease_seconds=args.lease,
-        )
-        agent_task = asyncio.create_task(agent.run())
-        print(
-            f"repro worker listening on http://{args.host}:{port}",
-            flush=True,
-        )
-        print(f"  coordinator: {args.coordinator}", flush=True)
-        print(f"  cache: {service.runner.cache.root}", flush=True)
-        assert service._stop is not None
-        await service._stop.wait()
-        await agent.stop()
-        agent_task.cancel()
-        try:
-            await agent_task
-        except asyncio.CancelledError:
-            pass
-        return await service.stop()
-
-    summary = asyncio.run(main())
-    print(
-        "worker drained: running "
-        + ("finished" if summary["drained"] else "interrupted")
-        + f", {summary['queued']} queued job(s) persisted",
-        flush=True,
-    )
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import TERMINAL_STATES
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    job = client.submit(
-        _job_spec_from_args(args), client=args.client, priority=args.priority
-    )
-    suffix = " (served from cache)" if job.get("cached") else ""
-    print(f"job {job['id']}: {job['state']}{suffix}")
-    if args.wait and job["state"] not in TERMINAL_STATES:
-        job = client.wait(job["id"], timeout=args.wait_timeout)
-        print(f"job {job['id']}: {job['state']}")
-    if job["state"] == "done" and (args.wait or job.get("cached")):
-        print(client.result(job["id"])["result"]["summary"])
-    if job["state"] == "failed":
-        print(
-            f"error: {job.get('error_type')}: {job.get('error_message')}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    if args.job:
-        print(json.dumps(client.job(args.job), indent=2, sort_keys=True))
-        return 0
-    health = client.health()
-    print(
-        f"service {health['status']} | queue "
-        f"{health['queue_depth']}/{health['max_queue_depth']} | "
-        f"running {health['running']}/{health['job_workers']}"
-    )
-    jobs = client.jobs()
-    if not jobs:
-        print("no jobs")
-        return 0
-    print(f"{'id':>16} {'state':>10} {'client':>12} {'prio':>4}  spec")
-    for job in jobs:
-        spec = job["spec"]
-        cached = " (cached)" if job.get("cached") else ""
-        print(
-            f"{job['id']:>16} {job['state']:>10} {job['client']:>12} "
-            f"{job['priority']:>4}  {spec['system']}/{spec['workload']} "
-            f"{spec['graph']}{cached}"
-        )
-    return 0
-
-
-def _cmd_fetch(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    payload = client.result(args.job)
-    print(payload["result"]["summary"], file=sys.stderr)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.json}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.stitch import (
-        load_trace_records,
-        render_tree,
-        resolve_trace_id,
-        stitch,
-    )
-
-    files = list(args.files)
-    if not files:
-        target = os.environ.get("REPRO_TRACE", "").strip()
-        if target and target.lower() not in ("1", "true", "stderr"):
-            files = [target]
-    if not files:
-        print(
-            "error: no trace files -- pass paths or set REPRO_TRACE "
-            "to a file path",
-            file=sys.stderr,
-        )
-        return 1
-    missing = [path for path in files if not os.path.exists(path)]
-    if missing:
-        print(f"error: no such trace file: {missing[0]}", file=sys.stderr)
-        return 1
-    records = load_trace_records(files)
-    trace_id = resolve_trace_id(records, args.id)
-    if trace_id is None:
-        print(
-            f"error: no trace matching {args.id!r} among "
-            f"{len(records)} records",
-            file=sys.stderr,
-        )
-        return 1
-    roots, orphans = stitch(records, trace_id)
-    print(render_tree(roots, orphans, trace_id))
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-    from repro.service.top import ServiceTop
-
-    top = ServiceTop(
-        ServiceClient(args.url),
-        stream=sys.stdout,
-        interval_seconds=args.interval,
-    )
-    iterations = 1 if args.once else args.iterations
-    top.run(iterations=iterations)
-    return 0
-
-
-def _parse_edge_list(text: Optional[str]) -> list:
-    """``"1:2,3:4"`` -> ``[[1, 2], [3, 4]]`` (empty/None -> ``[]``)."""
-    if not text:
-        return []
-    edges = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            src, dst = part.split(":")
-            edges.append([int(src), int(dst)])
-        except ValueError:
-            raise ReproError(
-                f"bad edge {part!r}: expected src:dst, e.g. 1:2"
-            ) from None
-    return edges
-
-
-def _print_session(record: dict) -> None:
-    print(
-        f"session {record['id']}: {record['state']} {record['graph']} "
-        f"seed={record['seed']} version={record['version_digest'][:12]} "
-        f"deltas={record['delta_seq']}"
-    )
-
-
-def _cmd_stream_session(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    record = client.create_session(
-        args.graph, seed=args.seed, client=args.client
-    )
-    _print_session(record)
-    return 0
-
-
-def _cmd_stream_ls(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    records = client.sessions()
-    if not records:
-        print("no sessions")
-        return 0
-    print(f"{'id':>16} {'state':>7} {'graph':>20} {'version':>12} "
-          f"{'deltas':>6}  client")
-    for record in records:
-        print(
-            f"{record['id']:>16} {record['state']:>7} "
-            f"{record['graph']:>20} {record['version_digest'][:12]:>12} "
-            f"{record['delta_seq']:>6}  {record['client']}"
-        )
-    return 0
-
-
-def _cmd_stream_apply(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import ServiceClient
-
-    inserts = _parse_edge_list(args.insert)
-    deletes = _parse_edge_list(args.delete)
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        inserts.extend(payload.get("inserts", []))
-        deletes.extend(payload.get("deletes", []))
-    if not inserts and not deletes:
-        print("error: empty delta -- pass --insert/--delete/--file",
-              file=sys.stderr)
-        return 1
-    client = ServiceClient(args.url)
-    record = client.apply_delta(
-        args.session, inserts=inserts, deletes=deletes
-    )
-    print(
-        f"applied +{len(inserts)}/-{len(deletes)} edge(s): ",
-        end="",
-    )
-    _print_session(record)
-    return 0
-
-
-def _cmd_stream_query(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import TERMINAL_STATES
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    job = client.session_submit(
-        args.session,
-        workload=args.workload,
-        mode=args.mode,
-        source=args.source,
-        client=args.client,
-        priority=args.priority,
-    )
-    suffix = " (served from cache)" if job.get("cached") else ""
-    print(f"job {job['id']}: {job['state']}{suffix}")
-    if args.wait and job["state"] not in TERMINAL_STATES:
-        job = client.wait(job["id"], timeout=args.wait_timeout)
-        print(f"job {job['id']}: {job['state']}")
-    if job["state"] == "done" and (args.wait or job.get("cached")):
-        payload = client.result(job["id"])
-        print(payload["result"]["summary"])
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as f:
-                f.write(json.dumps(payload, indent=2, sort_keys=True))
-            print(f"wrote {args.json}", file=sys.stderr)
-    if job["state"] == "failed":
-        print(
-            f"error: {job.get('error_type')}: {job.get('error_message')}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_stream_compact(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    record = client.compact_session(args.session)
-    print("compacted: ", end="")
-    _print_session(record)
-    return 0
-
-
-def _cmd_stream_close(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    record = client.close_session(args.session)
-    _print_session(record)
     return 0
 
 
@@ -1209,7 +187,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None,
                      help="run-cache root (default: REPRO_CACHE_DIR or "
                           "~/.cache/repro-nova)")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(handler="repro.cli:_cmd_run")
 
     def add_grid_args(parser: argparse.ArgumentParser) -> None:
         """The sweep-grid arguments `sweep` and `report` must share --
@@ -1257,7 +235,7 @@ def make_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_RUN_RETRIES or 1)")
     sweep.add_argument("--no-progress", action="store_true",
                        help="suppress the live progress line on stderr")
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(handler="repro.commands.sweep:cmd_sweep")
 
     rep = sub.add_parser(
         "report",
@@ -1274,7 +252,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="write the schema-versioned JSON report here")
     rep.add_argument("--md", default=None,
                      help="write the rendered markdown report here")
-    rep.set_defaults(func=_cmd_report)
+    rep.set_defaults(handler="repro.commands.sweep:cmd_report")
 
     prof = sub.add_parser(
         "profile",
@@ -1307,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
                            "JSON on stdout (rendered view moves to "
                            "stderr); --json PATH: write the full payload "
                            "(report + timeline + phases) to PATH")
-    prof.set_defaults(func=_cmd_profile)
+    prof.set_defaults(handler="repro.commands.sweep:cmd_profile")
 
     serve = sub.add_parser(
         "serve",
@@ -1347,7 +325,7 @@ def make_parser() -> argparse.ArgumentParser:
                             "(token bucket; 429 above it)")
     serve.add_argument("--quota-burst", type=float, default=None,
                        help="token-bucket burst size (default: rate)")
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(handler="repro.commands.service:cmd_serve")
 
     worker = sub.add_parser(
         "worker",
@@ -1377,7 +355,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="requested lease seconds (default: the "
                              "coordinator's lease)")
     worker.add_argument("--drain-timeout", type=float, default=30.0)
-    worker.set_defaults(func=_cmd_worker)
+    worker.set_defaults(handler="repro.commands.service:cmd_worker")
 
     def add_client_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--url", default="http://127.0.0.1:8734",
@@ -1413,7 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="long-poll events until the job settles")
     submit.add_argument("--wait-timeout", type=float, default=None,
                         help="give up waiting after this many seconds")
-    submit.set_defaults(func=_cmd_submit)
+    submit.set_defaults(handler="repro.commands.service:cmd_submit")
 
     status = sub.add_parser(
         "status", help="show service health and the job ledger"
@@ -1421,7 +399,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_client_args(status)
     status.add_argument("job", nargs="?", default=None,
                         help="job id for a single-job detail view")
-    status.set_defaults(func=_cmd_status)
+    status.set_defaults(handler="repro.commands.service:cmd_status")
 
     fetch = sub.add_parser(
         "fetch", help="fetch a completed job's result as JSON"
@@ -1430,7 +408,7 @@ def make_parser() -> argparse.ArgumentParser:
     fetch.add_argument("job", help="job id")
     fetch.add_argument("--json", default=None,
                        help="write the payload here instead of stdout")
-    fetch.set_defaults(func=_cmd_fetch)
+    fetch.set_defaults(handler="repro.commands.service:cmd_fetch")
 
     trace = sub.add_parser(
         "trace",
@@ -1444,7 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
         "files", nargs="*", default=[],
         help="trace JSONL files (default: the REPRO_TRACE file)",
     )
-    trace.set_defaults(func=_cmd_trace)
+    trace.set_defaults(handler="repro.commands.service:cmd_trace")
 
     top = sub.add_parser(
         "top", help="live dashboard over a running service"
@@ -1456,7 +434,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="stop after this many frames (default: forever)")
     top.add_argument("--once", action="store_true",
                      help="render a single frame and exit")
-    top.set_defaults(func=_cmd_top)
+    top.set_defaults(handler="repro.commands.service:cmd_top")
 
     stream = sub.add_parser(
         "stream",
@@ -1473,11 +451,11 @@ def make_parser() -> argparse.ArgumentParser:
     ssession.add_argument("--seed", type=int, default=42)
     ssession.add_argument("--client", default="cli",
                           help="client name for fairness accounting")
-    ssession.set_defaults(func=_cmd_stream_session)
+    ssession.set_defaults(handler="repro.commands.stream:cmd_stream_session")
 
     sls = ssub.add_parser("ls", help="list resident sessions")
     add_client_args(sls)
-    sls.set_defaults(func=_cmd_stream_ls)
+    sls.set_defaults(handler="repro.commands.stream:cmd_stream_ls")
 
     sapply = ssub.add_parser(
         "apply", help="append one edge-delta batch to a session"
@@ -1490,7 +468,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="edges to delete, e.g. 5:6")
     sapply.add_argument("--file", default=None,
                         help="JSON file with inserts/deletes arrays")
-    sapply.set_defaults(func=_cmd_stream_apply)
+    sapply.set_defaults(handler="repro.commands.stream:cmd_stream_apply")
 
     squery = ssub.add_parser(
         "query", help="run a workload against the session's current version"
@@ -1512,7 +490,7 @@ def make_parser() -> argparse.ArgumentParser:
     squery.add_argument("--wait-timeout", type=float, default=None)
     squery.add_argument("--json", default=None,
                         help="write the result payload here")
-    squery.set_defaults(func=_cmd_stream_query)
+    squery.set_defaults(handler="repro.commands.stream:cmd_stream_query")
 
     scompact = ssub.add_parser(
         "compact",
@@ -1520,12 +498,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_client_args(scompact)
     scompact.add_argument("session", help="session id")
-    scompact.set_defaults(func=_cmd_stream_compact)
+    scompact.set_defaults(handler="repro.commands.stream:cmd_stream_compact")
 
     sclose = ssub.add_parser("close", help="close a session")
     add_client_args(sclose)
     sclose.add_argument("session", help="session id")
-    sclose.set_defaults(func=_cmd_stream_close)
+    sclose.set_defaults(handler="repro.commands.stream:cmd_stream_close")
 
     graph = sub.add_parser(
         "graph",
@@ -1557,13 +535,13 @@ def make_parser() -> argparse.ArgumentParser:
                              "these workloads will map (overrides "
                              "--weighted/--symmetrized)")
     add_store_arg(gbuild)
-    gbuild.set_defaults(func=_cmd_graph_build)
+    gbuild.set_defaults(handler="repro.commands.graph:cmd_graph_build")
 
     gls = gsub.add_parser("ls", help="list stored graph artifacts")
     gls.add_argument("--json", action="store_true",
                      help="machine-readable listing with byte sizes")
     add_store_arg(gls)
-    gls.set_defaults(func=_cmd_graph_ls)
+    gls.set_defaults(handler="repro.commands.graph:cmd_graph_ls")
 
     ggc = gsub.add_parser(
         "gc", help="evict least-recently-used artifacts past a byte budget"
@@ -1571,22 +549,22 @@ def make_parser() -> argparse.ArgumentParser:
     ggc.add_argument("--max-bytes", required=True,
                      help="byte budget, e.g. 512MiB or 2GiB")
     add_store_arg(ggc)
-    ggc.set_defaults(func=_cmd_graph_gc)
+    ggc.set_defaults(handler="repro.commands.graph:cmd_graph_gc")
 
     gen = sub.add_parser("generate", help="build and save a graph")
     gen.add_argument("--kind", required=True, help="graph specifier")
     gen.add_argument("--out", required=True, help=".npz / .gr / .txt path")
     gen.add_argument("--weights", action="store_true")
     gen.add_argument("--seed", type=int, default=42)
-    gen.set_defaults(func=_cmd_generate)
+    gen.set_defaults(handler="repro.commands.graph:cmd_generate")
 
     info = sub.add_parser("info", help="print the system configuration")
     info.add_argument("--gpns", type=int, default=1)
     info.add_argument("--scale", type=float, default=1.0)
-    info.set_defaults(func=_cmd_info)
+    info.set_defaults(handler="repro.commands.info:cmd_info")
 
     res = sub.add_parser("resources", help="Table IV terascale sizing")
-    res.set_defaults(func=_cmd_resources)
+    res.set_defaults(handler="repro.commands.info:cmd_resources")
 
     val = sub.add_parser(
         "validate",
@@ -1595,15 +573,21 @@ def make_parser() -> argparse.ArgumentParser:
     val.add_argument("--graph", default="rmat:11:8", help="graph specifier")
     val.add_argument("--scale", type=float, default=1 / 256)
     val.add_argument("--seed", type=int, default=42)
-    val.set_defaults(func=_cmd_validate)
+    val.set_defaults(handler="repro.commands.info:cmd_validate")
     return parser
+
+
+def _resolve_handler(handler: str):
+    """The function a verb's "module:function" handler string names."""
+    module, _, name = handler.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _resolve_handler(args.handler)(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -1,0 +1,319 @@
+"""``repro sweep``, ``repro report`` and ``repro profile``."""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from repro.errors import ConfigError
+
+
+def _sweep_grid(args: argparse.Namespace):
+    """Build the (spec, row) grid shared by ``sweep`` and ``report``.
+
+    Both subcommands must resolve the *same* grid from the same
+    arguments -- ``repro report`` recomputes the sweep's cache keys to
+    read its results without re-running anything -- so the grid logic
+    lives here.  Returns ``(specs, rows)`` with rows of
+    ``(workload, gpns, source)`` aligned with the specs.
+    """
+    from repro.core.harness import sample_sources
+    from repro.obs.config import ObsConfig
+    from repro.runner import GraphSpec, RunSpec
+    from repro.sim.config import scaled_config
+
+    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    known = ("bfs", "cc", "sssp", "pr", "bc")
+    for workload in workloads:
+        if workload not in known:
+            raise ConfigError(
+                f"unknown workload {workload!r}; choose from {', '.join(known)}"
+            )
+    gpn_counts = [int(g) for g in args.gpns.split(",")]
+    obs = (
+        ObsConfig(timeline=True)
+        if getattr(args, "timeline", False)
+        else None
+    )
+    specs = []
+    rows = []  # (workload, gpns, source) aligned with specs
+    for workload in workloads:
+        # One GraphSpec recipe per workload variant: --seed flows into
+        # the build (and so into the content-addressed key) on every
+        # path, and run/sweep/service submissions of the same inputs
+        # digest to the same cache entry.
+        gspec = GraphSpec.for_workload(
+            args.graph, workload, seed=args.seed, scale=args.scale
+        )
+        graph = gspec.build()
+        if workload in ("cc", "pr"):
+            sources = [None]
+        else:
+            sources = [
+                int(s)
+                for s in sample_sources(graph, args.sources, seed=args.seed)
+            ]
+        kwargs = (
+            {"max_supersteps": args.pr_supersteps} if workload == "pr" else {}
+        )
+        for gpns in gpn_counts:
+            config = scaled_config(num_gpns=gpns, scale=args.scale)
+            for source in sources:
+                specs.append(
+                    RunSpec(
+                        workload,
+                        gspec,
+                        config=config,
+                        source=source,
+                        placement=args.placement,
+                        workload_kwargs=kwargs,
+                        obs=obs,
+                    )
+                )
+                rows.append((workload, gpns, source))
+    return specs, rows
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.obs import render_counts
+    from repro.runner import (
+        RetryPolicy,
+        RunFailure,
+        SweepCheckpoint,
+        SweepMonitor,
+        SweepRunner,
+        spec_key,
+    )
+
+    specs, rows = _sweep_grid(args)
+
+    policy = RetryPolicy.from_env()
+    if args.timeout is not None or args.retries is not None:
+        updates = {}
+        if args.timeout is not None:
+            updates["timeout_seconds"] = args.timeout
+        if args.retries is not None:
+            updates["retries"] = args.retries
+        import dataclasses
+
+        policy = dataclasses.replace(policy, **updates)
+    runner = SweepRunner(
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        policy=policy,
+    )
+
+    checkpoint = None
+    if runner.cache is not None:
+        keys = [spec_key(spec) for spec in specs]
+        checkpoint = SweepCheckpoint.for_keys(runner.cache.root, keys)
+        if args.resume:
+            if not checkpoint.exists():
+                raise ConfigError(
+                    "no interrupted sweep to resume (checkpoint "
+                    f"{checkpoint.sweep_id[:12]} not found); run without "
+                    "--resume to start it"
+                )
+            done = len(checkpoint.completed_keys() & set(keys))
+            print(
+                f"resuming sweep {checkpoint.sweep_id[:12]}: "
+                f"{done}/{len(set(keys))} runs already checkpointed"
+            )
+    elif args.resume:
+        raise ConfigError("--resume needs the run cache (drop --no-cache)")
+
+    monitor = (
+        None
+        if args.no_progress
+        else SweepMonitor(stream=sys.stderr, interval_seconds=1.0)
+    )
+    results, stats = runner.run(
+        specs, on_failure="return", checkpoint=checkpoint, monitor=monitor
+    )
+
+    print(f"{'workload':>8} {'gpns':>4} {'source':>8} {'time(ms)':>10} {'GTEPS':>8}")
+    failures = []
+    for (workload, gpns, source), run in zip(rows, results):
+        src = "-" if source is None else str(source)
+        if isinstance(run, RunFailure):
+            failures.append(run)
+            print(
+                f"{workload:>8} {gpns:>4} {src:>8} "
+                f"{'FAILED':>10} {run.kind:>8}"
+            )
+            continue
+        print(
+            f"{workload:>8} {gpns:>4} {src:>8} "
+            f"{run.elapsed_seconds * 1e3:>10.4f} {run.gteps:>8.2f}"
+        )
+    print(stats)
+    if stats.failed or stats.retried:
+        # Per-sweep counter deltas, not the process-cumulative registry:
+        # consecutive sweeps in one process each report their own counts.
+        print(render_counts(stats.fault_counters))
+        seen = set()
+        for failure in failures:
+            if failure.key in seen:
+                continue
+            seen.add(failure.key)
+            print(f"  failed: {failure.describe()}")
+    if checkpoint is not None:
+        if stats.failed:
+            print(
+                f"checkpoint kept ({checkpoint.sweep_id[:12]}); fix and "
+                "rerun with --resume to recompute only unfinished runs"
+            )
+        else:
+            checkpoint.finish()
+    return 1 if stats.failed else 0
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs.report import (
+        GROUPABLE_DIMS,
+        SweepReport,
+        entry_from_result,
+    )
+    from repro.runner import RunCache, SweepCheckpoint, spec_key
+
+    group_by = tuple(
+        dim.strip() for dim in args.group_by.split(",") if dim.strip()
+    )
+    for dim in group_by:
+        if dim not in GROUPABLE_DIMS:
+            raise ConfigError(
+                f"cannot group by {dim!r}; choose from "
+                f"{', '.join(GROUPABLE_DIMS)}"
+            )
+
+    specs, rows = _sweep_grid(args)
+    cache = RunCache(args.cache_dir)
+    keys = [spec_key(spec) for spec in specs]
+
+    # An interrupted sweep leaves its checkpoint manifest behind; note
+    # it so a partial report is never mistaken for a complete one.
+    checkpoint = SweepCheckpoint.for_keys(cache.root, keys)
+    if checkpoint.exists():
+        done = len(checkpoint.completed_keys() & set(keys))
+        print(
+            f"note: sweep {checkpoint.sweep_id[:12]} is incomplete "
+            f"({done}/{len(set(keys))} runs checkpointed); reporting on "
+            "what finished",
+            file=sys.stderr,
+        )
+
+    entries = []
+    seen = set()
+    found = 0
+    for spec, key, (workload, gpns, source) in zip(specs, keys, rows):
+        if key in seen:  # duplicate slots alias one cache entry
+            continue
+        seen.add(key)
+        result = cache.load(key)
+        if result is not None:
+            found += 1
+        entries.append(
+            entry_from_result(
+                key=key,
+                workload=workload,
+                graph=args.graph,
+                gpns=gpns,
+                source=source,
+                result=result,
+                pes=spec.config.num_pes if spec.config is not None else None,
+            )
+        )
+    if not found:
+        print(
+            "error: no cached runs found for this grid; run the matching "
+            "`repro sweep` first (same --graph/--workloads/--gpns/... "
+            "arguments, including --timeline)",
+            file=sys.stderr,
+        )
+        return 1
+
+    report = SweepReport(
+        entries, group_by=group_by, z_threshold=args.z_threshold
+    )
+    markdown = report.render_markdown()
+    print(markdown, end="")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as f:
+            f.write(report.to_json())
+        print(f"wrote {args.json}", file=sys.stderr)
+    if args.md:
+        with open(args.md, "w", encoding="utf-8") as f:
+            f.write(markdown)
+        print(f"wrote {args.md}", file=sys.stderr)
+    return 0
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.core.system import NovaSystem
+    from repro.obs import (
+        FAULT_COUNTERS,
+        BottleneckReport,
+        ObsConfig,
+        make_recorder,
+        trace_span,
+    )
+    from repro.runner import GraphSpec
+    from repro.runner.spec import resolve_source
+    from repro.sim.config import scaled_config
+
+    workload = args.workload
+    gspec = GraphSpec.for_workload(
+        args.graph, workload, seed=args.seed, scale=args.scale
+    )
+    graph = gspec.build()
+    source = resolve_source(graph, workload, args.source)
+    kwargs = {}
+    if workload == "pr":
+        kwargs["max_supersteps"] = args.pr_supersteps
+
+    obs = ObsConfig(
+        timeline=True,
+        timeline_capacity=args.timeline_capacity,
+        phases=not args.no_phases,
+        phase_sample_every=args.phase_every,
+    )
+    recorder = make_recorder(obs)
+    config = scaled_config(num_gpns=args.gpns, scale=args.scale)
+    system = NovaSystem(
+        config, graph, placement=args.placement, engine=args.engine
+    )
+    # `--json` with no path streams the machine-readable report to
+    # stdout; the rendered view moves to stderr so stdout stays pure
+    # JSON for pipelines (`repro profile --json | jq ...`).
+    json_stdout = args.json == "-"
+    view = sys.stderr if json_stdout else sys.stdout
+    print(system.describe(), file=view)
+    with trace_span("cli.profile", workload=workload, graph=args.graph):
+        run = system.run(workload, source=source, recorder=recorder, **kwargs)
+    print(run.describe(), file=view)
+    print(file=view)
+    report = BottleneckReport.from_timeline(run.timeline)
+    print(report.render(), file=view)
+    profiler = recorder.phase_profiler
+    if profiler is not None:
+        print(file=view)
+        print(profiler.render(), file=view)
+    # Sweep-level fault/retry/timeout accounting (nonzero only when this
+    # process also drove instrumented sweeps, e.g. via the runner API).
+    print(FAULT_COUNTERS.render(), file=view)
+    if json_stdout:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    elif args.json:
+        payload = {
+            "report": report.to_dict(),
+            "timeline": run.timeline,
+            "phases": profiler.to_dict() if profiler is not None else None,
+            "fault_counters": FAULT_COUNTERS.snapshot(),
+        }
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=2)
+        print(f"\nwrote {args.json}")
+    return 0

@@ -7,8 +7,9 @@ challenge-9 format) can be dropped in without code changes.
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +71,34 @@ def load_npz(path: str) -> CSRGraph:
             raise GraphFormatError(f"{path}: {exc}") from None
 
 
+def _text_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, stripped line)`` of a text graph file.
+
+    A missing or unreadable file, or one that is not ASCII, raises
+    :class:`GraphFormatError` naming the file.
+    """
+    try:
+        handle = open(path, "r", encoding="ascii")
+    except FileNotFoundError:
+        raise GraphFormatError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise GraphFormatError(f"{path}: {exc.strerror or exc}") from None
+    with handle:
+        try:
+            yield from enumerate((line.strip() for line in handle), start=1)
+        except UnicodeDecodeError:
+            raise GraphFormatError(f"{path}: not ASCII text") from None
+
+
+@contextlib.contextmanager
+def _fields_of(path: str, line_no: int) -> Iterator[None]:
+    """Turn a field that does not parse as a number into one error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}:{line_no}: {exc}") from None
+
+
 def save_edge_list(graph: CSRGraph, path: str) -> None:
     """Write ``src dst [weight]`` lines, one per edge."""
     src = graph.edge_sources()
@@ -88,21 +117,21 @@ def load_edge_list(
     """Read ``src dst [weight]`` lines.  Lines starting with '#' are skipped."""
     src_list, dst_list, weight_list = [], [], []
     saw_weights = False
-    with open(path, "r", encoding="ascii") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"{path}:{line_no}: expected 2 or 3 fields")
+    for line_no, line in _text_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise GraphFormatError(f"{path}:{line_no}: expected 2 or 3 fields")
+        weighted = len(parts) == 3
+        if src_list and weighted != saw_weights:
+            raise GraphFormatError(f"{path}:{line_no}: inconsistent weights")
+        saw_weights = weighted
+        with _fields_of(path, line_no):
             src_list.append(int(parts[0]))
             dst_list.append(int(parts[1]))
-            if len(parts) == 3:
-                saw_weights = True
+            if weighted:
                 weight_list.append(float(parts[2]))
-            elif saw_weights:
-                raise GraphFormatError(f"{path}:{line_no}: inconsistent weights")
     src = np.asarray(src_list, dtype=np.int64)
     dst = np.asarray(dst_list, dtype=np.int64)
     weights = np.asarray(weight_list) if saw_weights else None
@@ -128,24 +157,24 @@ def load_dimacs(path: str) -> CSRGraph:
     """Read DIMACS shortest-path (.gr) format."""
     num_vertices = None
     src_list, dst_list, weight_list = [], [], []
-    with open(path, "r", encoding="ascii") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "sp":
-                    raise GraphFormatError(f"{path}:{line_no}: bad problem line")
+    for line_no, line in _text_lines(path):
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if len(parts) != 4 or parts[1] != "sp":
+                raise GraphFormatError(f"{path}:{line_no}: bad problem line")
+            with _fields_of(path, line_no):
                 num_vertices = int(parts[2])
-            elif parts[0] == "a":
-                if len(parts) != 4:
-                    raise GraphFormatError(f"{path}:{line_no}: bad arc line")
+        elif parts[0] == "a":
+            if len(parts) != 4:
+                raise GraphFormatError(f"{path}:{line_no}: bad arc line")
+            with _fields_of(path, line_no):
                 src_list.append(int(parts[1]) - 1)
                 dst_list.append(int(parts[2]) - 1)
                 weight_list.append(float(parts[3]))
-            else:
-                raise GraphFormatError(f"{path}:{line_no}: unknown record {parts[0]}")
+        else:
+            raise GraphFormatError(f"{path}:{line_no}: unknown record {parts[0]}")
     if num_vertices is None:
         raise GraphFormatError(f"{path}: missing problem line")
     return CSRGraph.from_edges(

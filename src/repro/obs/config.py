@@ -11,10 +11,12 @@ recipe into the matching stateful recorder, one per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError
-from repro.obs.recorder import MetricsRecorder, PhaseProfiler, TimelineRecorder
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import MetricsRecorder
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ def make_recorder(config: Optional[ObsConfig]) -> Optional[MetricsRecorder]:
     """
     if config is None or not config.active:
         return None
+    from repro.obs.recorder import PhaseProfiler, TimelineRecorder
+
     profiler = (
         PhaseProfiler(config.phase_sample_every) if config.phases else None
     )

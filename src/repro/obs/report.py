@@ -16,7 +16,7 @@ is ``sort_keys`` + schema-versioned (:data:`REPORT_SCHEMA`), and no
 wall-clock timestamps are embedded -- the same run cache always renders
 byte-identical JSON and markdown, so reports diff cleanly across
 commits.  ``repro report`` builds entries straight from the run cache
-(see :func:`repro.cli._cmd_report`).
+(see :func:`repro.commands.sweep.cmd_report`).
 """
 
 from __future__ import annotations

@@ -40,19 +40,28 @@ Environment knobs:
 
 Public entry points: :class:`~repro.runner.sweep.SweepRunner`,
 :class:`~repro.runner.spec.RunSpec`, :class:`~repro.runner.spec.GraphSpec`.
+
+The names below resolve on first access (see :mod:`repro._lazy`), so
+a warm ``repro run`` loads the cache and the spec, not the sweep
+supervisor.
 """
 
-from repro.runner.cache import RunCache, default_cache_dir, graph_digest, spec_key
-from repro.runner.checkpoint import SweepCheckpoint, sweep_id
-from repro.runner.fault import RetryPolicy, RunFailure
-from repro.runner.monitor import SweepMonitor
-from repro.runner.spec import GraphSpec, RunSpec
-from repro.runner.sweep import (
-    SweepRunner,
-    SweepStats,
-    execute_spec,
-    register_system,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runner.cache": (
+        "RunCache",
+        "default_cache_dir",
+        "graph_digest",
+        "spec_key",
+    ),
+    "repro.runner.checkpoint": ("SweepCheckpoint", "sweep_id"),
+    "repro.runner.execute": ("execute_spec", "register_system"),
+    "repro.runner.fault": ("RetryPolicy", "RunFailure"),
+    "repro.runner.monitor": ("SweepMonitor",),
+    "repro.runner.spec": ("GraphSpec", "RunSpec"),
+    "repro.runner.sweep": ("SweepRunner", "SweepStats"),
+})
 
 __all__ = [
     "GraphSpec",

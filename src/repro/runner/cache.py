@@ -34,8 +34,7 @@ from typing import Optional
 from repro.core.metrics import RunResult
 from repro.obs.counters import FAULT_COUNTERS
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import VertexPlacement
-from repro.runner.spec import GraphSpec, RunSpec
+from repro.runner.spec import RunSpec
 
 #: Bump when the digest recipe or entry format changes.
 CACHE_SCHEMA = 2
@@ -161,10 +160,11 @@ def _config_token(config) -> str:
 
 
 def _placement_token(placement, placement_seed: int) -> str:
-    if isinstance(placement, VertexPlacement):
-        h = hashlib.sha256(placement.owner.tobytes())
-        return f"placement:{placement.strategy}:{h.hexdigest()}"
-    return f"strategy:{placement}:seed={placement_seed}"
+    if isinstance(placement, str):
+        return f"strategy:{placement}:seed={placement_seed}"
+    # A prebuilt VertexPlacement: key on where it puts every vertex.
+    h = hashlib.sha256(placement.owner.tobytes())
+    return f"placement:{placement.strategy}:{h.hexdigest()}"
 
 
 def spec_key(spec: RunSpec) -> str:

@@ -1,4 +1,4 @@
-"""Failure records, retry policy, and environment validation for sweeps.
+"""Failure records and the retry policy for sweeps.
 
 A sweep run can end three ways short of a result:
 
@@ -21,10 +21,10 @@ data record the sweep returns (or wraps in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.env import env_float, env_int
 from repro.errors import ConfigError, RunTimeoutError
 
 #: Exception types worth retrying: they depend on machine state, not on
@@ -39,42 +39,6 @@ FAILURE_KINDS = ("error", "timeout", "worker-died")
 def is_transient(exc: BaseException) -> bool:
     """True if ``exc`` could plausibly succeed on a retry."""
     return isinstance(exc, TRANSIENT_EXCEPTIONS)
-
-
-def env_int(name: str, minimum: Optional[int] = None) -> Optional[int]:
-    """Read an integer env var, or ``None`` when unset/empty.
-
-    Raises :class:`ConfigError` naming the variable and the offending
-    value instead of leaking a bare ``ValueError`` from ``int()``.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def env_float(name: str, minimum: Optional[float] = None) -> Optional[float]:
-    """Read a float env var with the same validation as :func:`env_int`."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be a number, got {raw!r}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

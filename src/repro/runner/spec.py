@@ -27,12 +27,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
+from repro.env import env_int
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import VertexPlacement
-from repro.obs.config import ObsConfig
+
+if TYPE_CHECKING:
+    from repro.graph.partition import VertexPlacement
+    from repro.obs.config import ObsConfig
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class GraphSpec:
 
     ``spec`` uses the CLI's specifier syntax (``rmat:14:16``,
     ``urand:100000:3000000``, ``suite:twitter``, or a file path -- see
-    :func:`repro.cli.build_graph`).  ``scale`` applies to ``suite:``
+    :mod:`repro.graph.specifier`).  ``scale`` applies to ``suite:``
     graphs only (the Table III stand-ins are scale-parameterized); a
     suite spec at the suite's default scale stores ``None``, so both
     spellings name one recipe, one store artifact and one cache key.
@@ -113,7 +116,7 @@ class GraphSpec:
         """Materialize the graph in process memory, bypassing the store."""
         if self.scale is not None and not self.spec.startswith("suite:"):
             raise ConfigError("GraphSpec.scale only applies to suite: graphs")
-        from repro.cli import build_graph
+        from repro.graph.specifier import build_graph
 
         graph = build_graph(self.spec, seed=self.seed, scale=self.scale)
         if self.symmetrized:
@@ -146,8 +149,6 @@ class _GraphMemo:
     def capacity(self) -> int:
         if self._capacity is not None:
             return self._capacity
-        from repro.runner.fault import env_int
-
         env = env_int("REPRO_GRAPH_MEMO_SIZE", minimum=0)
         return env if env is not None else self.DEFAULT_CAPACITY
 

@@ -38,7 +38,6 @@ deterministic, so a cache hit is bit-identical to recomputing.
 
 from __future__ import annotations
 
-import importlib
 import os
 import signal
 import threading
@@ -48,111 +47,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.metrics import RunResult
+from repro.env import env_int
 from repro.errors import ConfigError, SweepFailure
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_event, trace_span
 from repro.runner.cache import RunCache, spec_key
 from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.fault import RetryPolicy, RunFailure, env_int, is_transient
+from repro.runner.execute import _preload_executors, execute_spec
+from repro.runner.fault import RetryPolicy, RunFailure, is_transient
 from repro.runner.monitor import SweepMonitor
 from repro.runner.spec import RunSpec
-
-# ----------------------------------------------------------------------
-# System executors
-# ----------------------------------------------------------------------
-
-#: system name -> executor(spec) -> RunResult.  Forked children inherit
-#: registrations made in the parent before the round starts, so tests and
-#: extensions can plug in executors without touching this module.
-_SYSTEM_EXECUTORS: Dict[str, Callable[[RunSpec], RunResult]] = {}
-
-
-def register_system(name: str, executor: Callable[[RunSpec], RunResult]) -> None:
-    """Register (or replace) the executor behind a ``RunSpec.system``."""
-    _SYSTEM_EXECUTORS[name] = executor
-
-
-def _run_nova(spec: RunSpec) -> RunResult:
-    from repro.core.system import NovaSystem
-    from repro.obs.config import make_recorder
-    from repro.sim.config import scaled_config
-
-    config = spec.config if spec.config is not None else scaled_config()
-    system = NovaSystem(
-        config,
-        spec.resolve_graph(),
-        placement=spec.placement,
-        seed=spec.placement_seed,
-    )
-    return system.run(
-        spec.workload,
-        source=spec.source,
-        max_quanta=spec.max_quanta,
-        recorder=make_recorder(spec.obs),
-        **spec.workload_kwargs,
-    )
-
-
-def _run_polygraph(spec: RunSpec) -> RunResult:
-    from repro.baselines.polygraph import PolyGraphConfig, PolyGraphSystem
-
-    config = spec.config if spec.config is not None else PolyGraphConfig()
-    return PolyGraphSystem(config, spec.resolve_graph()).run(
-        spec.workload, source=spec.source, **spec.workload_kwargs
-    )
-
-
-def _run_ligra(spec: RunSpec) -> RunResult:
-    from repro.baselines.ligra import LigraConfig, LigraModel
-
-    config = spec.config if spec.config is not None else LigraConfig()
-    return LigraModel(config, spec.resolve_graph()).run(
-        spec.workload, source=spec.source, **spec.workload_kwargs
-    )
-
-
-register_system("nova", _run_nova)
-register_system("polygraph", _run_polygraph)
-register_system("ligra", _run_ligra)
-
-#: Modules the built-in executors import on their first run.  numpy
-#: itself imports ``numpy.random`` (random placement) and ``numpy.ma``
-#: (``np.unique``, in locality placement) on first use.
-_EXECUTOR_MODULES: Dict[str, Tuple[str, ...]] = {
-    "nova": ("numpy.ma", "numpy.random", "repro.core.system"),
-    "polygraph": ("repro.baselines.polygraph",),
-    "ligra": ("repro.baselines.ligra",),
-}
-
-
-def _preload_executors(systems) -> None:
-    """Import the named systems' executor modules in this process.
-
-    Executors import their engines on first use.  A process about to
-    fork children must load them first: forked children inherit the
-    parent's modules, whereas an import left to the children would be
-    paid by every one of them, inside a timed attempt.
-    """
-    for system in systems:
-        for module in _EXECUTOR_MODULES.get(system, ()):
-            importlib.import_module(module)
-
-
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one simulation to completion in this process."""
-    if spec.system != "nova" and spec.obs is not None and spec.obs.active:
-        raise ConfigError(
-            "observability instrumentation is only supported for the "
-            f"nova system, not {spec.system!r}"
-        )
-    executor = _SYSTEM_EXECUTORS.get(spec.system)
-    if executor is None:
-        raise ConfigError(
-            f"unknown system {spec.system!r}; expected one of "
-            f"{', '.join(sorted(_SYSTEM_EXECUTORS))}"
-        )
-    return executor(spec)
-
 
 # ----------------------------------------------------------------------
 # Supervised children

@@ -46,33 +46,40 @@ CLI: ``repro serve`` boots the coordinator (``--workers N`` adds a
 local fleet); ``repro worker`` joins a standalone worker; ``repro
 submit`` posts a job (optionally waiting), ``repro status`` inspects
 jobs/health, ``repro fetch`` pulls a completed result as JSON.
+
+The names below resolve on first access (see :mod:`repro._lazy`), so
+a client verb loads the client, not the server.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.fleet import (
-    FleetDispatcher,
-    RemoteDone,
-    TenantQuotas,
-    TokenBucket,
-)
-from repro.service.hashring import HashRing
-from repro.service.http import ReproService, ServiceHTTP, run_result_to_dict
-from repro.service.registry import WorkerInfo, WorkerRegistry
-from repro.service.scheduler import JobScheduler
-from repro.service.store import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUEUED,
-    RUNNING,
-    SUBMITTED,
-    TERMINAL_STATES,
-    Job,
-    JobSpec,
-    JobStore,
-)
-from repro.service.worker import LocalWorkerPool, WorkerAgent
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.fleet": (
+        "FleetDispatcher",
+        "RemoteDone",
+        "TenantQuotas",
+        "TokenBucket",
+    ),
+    "repro.service.hashring": ("HashRing",),
+    "repro.service.http": ("ReproService", "ServiceHTTP", "run_result_to_dict"),
+    "repro.service.registry": ("WorkerInfo", "WorkerRegistry"),
+    "repro.service.scheduler": ("JobScheduler",),
+    "repro.service.store": (
+        "CANCELLED",
+        "DONE",
+        "FAILED",
+        "JOB_STATES",
+        "QUEUED",
+        "RUNNING",
+        "SUBMITTED",
+        "TERMINAL_STATES",
+        "Job",
+        "JobSpec",
+        "JobStore",
+    ),
+    "repro.service.worker": ("LocalWorkerPool", "WorkerAgent"),
+})
 
 __all__ = [
     "CANCELLED",

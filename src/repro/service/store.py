@@ -248,11 +248,9 @@ class JobSpec:
             config = scaled_config(num_gpns=self.gpns, scale=self.scale)
         elif self.system == "polygraph":
             from repro.baselines.polygraph import PolyGraphConfig
-            from repro.units import MiB
+            from repro.units import MiB, parse_size
 
             if self.onchip is not None:
-                from repro.cli import parse_size
-
                 onchip = parse_size(self.onchip)
             else:
                 onchip = int(32 * MiB * self.scale)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.memory.spec import MemorySpec, ddr4_pool, hbm2_channel
-from repro.obs.config import ObsConfig  # noqa: F401  (re-export: sim-level config surface)
 from repro.units import GB, KiB, MiB
 
 #: Pipeline latency floor: HBM access + NoC hop + DDR stream startup.

@@ -13,26 +13,32 @@ while preserving the immutability discipline everywhere else:
   fixed point on the post-delta graph;
 - :mod:`repro.stream.session` -- journaled resident sessions the job
   service exposes as ``/v1/sessions``.
+
+The names below resolve on first access (see :mod:`repro._lazy`).
 """
 
-from repro.stream.delta import EdgeDeltaBatch, net_delta
-from repro.stream.incremental import (
-    BfsState,
-    CCState,
-    PRState,
-    cold_answer,
-    incremental_update,
-    push_pagerank,
-    seed_state,
-)
-from repro.stream.overlay import DeltaOverlayGraph, chain_digest
-from repro.stream.session import (
-    STREAM_MODES,
-    STREAM_WORKLOADS,
-    SessionManager,
-    SessionRecord,
-    SessionStore,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stream.delta": ("EdgeDeltaBatch", "net_delta"),
+    "repro.stream.incremental": (
+        "BfsState",
+        "CCState",
+        "PRState",
+        "cold_answer",
+        "incremental_update",
+        "push_pagerank",
+        "seed_state",
+    ),
+    "repro.stream.overlay": ("DeltaOverlayGraph", "chain_digest"),
+    "repro.stream.session": (
+        "STREAM_MODES",
+        "STREAM_WORKLOADS",
+        "SessionManager",
+        "SessionRecord",
+        "SessionStore",
+    ),
+})
 
 __all__ = [
     "EdgeDeltaBatch",

@@ -12,6 +12,8 @@ bandwidths, matching how memory vendors and the paper quote them
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
+
 KB = 10**3
 MB = 10**6
 GB = 10**9
@@ -65,3 +67,25 @@ def seconds_to_human(seconds: float) -> str:
         if seconds >= scale:
             return f"{seconds / scale:.3f} {name}"
     return f"{seconds:.3g} s"
+
+
+_SIZE_UNITS = {"kib": KiB, "mib": MiB, "gib": GiB, "b": 1}
+
+
+def parse_size(text: str) -> int:
+    """Parse '64KiB' / '1.5MiB' / '4096' into bytes.
+
+    Raises :class:`ConfigError` naming the accepted form for anything
+    else (``'12XB'``, an empty string).
+    """
+    lowered = text.strip().lower()
+    try:
+        for suffix, unit in _SIZE_UNITS.items():
+            if lowered.endswith(suffix):
+                return int(float(lowered[: -len(suffix)]) * unit)
+        return int(lowered)
+    except (ValueError, OverflowError):
+        raise ConfigError(
+            f"bad size {text!r}; expected a byte count with an optional "
+            "B, KiB, MiB or GiB suffix, e.g. 4096 or 64KiB"
+        ) from None

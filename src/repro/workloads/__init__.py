@@ -6,25 +6,46 @@ in the bulk-synchronous (BSP) mode.  Each workload is a
 :class:`~repro.workloads.base.VertexProgram`: a reduce function applied
 by the Message Processing Unit and a propagate function applied by the
 Message Generation Unit, exactly mirroring Algorithm 1.
+
+The names below resolve on first access, and :func:`get_workload`
+imports only the workload module it returns.
 """
 
-from repro.workloads.base import VertexProgram, ProgramState, ReduceOutcome, expand_edges
-from repro.workloads.adapters import BSPAdapter
-from repro.workloads.bfs import BFS
-from repro.workloads.sssp import SSSP
-from repro.workloads.cc import ConnectedComponents
-from repro.workloads.pagerank import PageRank
-from repro.workloads.pagerank_delta import PageRankDelta
-from repro.workloads.bc import BetweennessCentrality
-from repro.workloads import reference
+from __future__ import annotations
 
+import sys
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.base import VertexProgram
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.base": (
+        "VertexProgram",
+        "ProgramState",
+        "ReduceOutcome",
+        "expand_edges",
+    ),
+    "repro.workloads.adapters": ("BSPAdapter",),
+    "repro.workloads.bfs": ("BFS",),
+    "repro.workloads.sssp": ("SSSP",),
+    "repro.workloads.cc": ("ConnectedComponents",),
+    "repro.workloads.pagerank": ("PageRank",),
+    "repro.workloads.pagerank_delta": ("PageRankDelta",),
+    "repro.workloads.bc": ("BetweennessCentrality",),
+    "repro.workloads.reference": ("reference",),
+})
+
+#: workload name -> the class it names among the exports above.
 _REGISTRY = {
-    "bfs": BFS,
-    "sssp": SSSP,
-    "cc": ConnectedComponents,
-    "pr": PageRank,
-    "pr-delta": PageRankDelta,
-    "bc": BetweennessCentrality,
+    "bfs": "BFS",
+    "sssp": "SSSP",
+    "cc": "ConnectedComponents",
+    "pr": "PageRank",
+    "pr-delta": "PageRankDelta",
+    "bc": "BetweennessCentrality",
 }
 
 
@@ -41,7 +62,7 @@ def get_workload(name: str, **kwargs) -> VertexProgram:
         raise KeyError(
             f"unknown workload {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-    return cls(**kwargs)
+    return getattr(sys.modules[__name__], cls)(**kwargs)
 
 
 def workload_names() -> list:

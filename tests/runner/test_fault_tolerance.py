@@ -18,9 +18,10 @@ from repro.errors import ConfigError, SweepFailure
 from repro.obs import FAULT_COUNTERS
 from repro.runner.cache import spec_key
 from repro.runner.checkpoint import SweepCheckpoint, sweep_id
+from repro.runner.execute import _run_nova, register_system
 from repro.runner.fault import RetryPolicy, RunFailure
 from repro.runner.spec import RunSpec
-from repro.runner.sweep import SweepRunner, _run_nova, register_system
+from repro.runner.sweep import SweepRunner
 from repro.sim.config import scaled_config
 from repro.graph.generators import rmat
 
@@ -405,7 +406,7 @@ def test_retry_policy_validation_and_backoff():
 
 
 def test_unknown_system_is_a_config_error(graph, config):
-    from repro.runner.sweep import execute_spec
+    from repro.runner.execute import execute_spec
 
     with pytest.raises(ConfigError, match="unknown system 'no-such'"):
         execute_spec(nova_spec(graph, config, system="no-such"))

@@ -12,7 +12,7 @@ from repro.graph.generators import rmat, with_uniform_weights
 from repro.obs import ObsConfig
 from repro.runner.cache import RunCache, graph_digest, spec_key
 from repro.runner.spec import GraphSpec, RunSpec
-from repro.runner.sweep import execute_spec
+from repro.runner.execute import execute_spec
 from repro.sim.config import scaled_config
 
 

@@ -17,9 +17,10 @@ import pytest
 from repro.graph import store
 from repro.graph.generators import rmat
 from repro.obs import FAULT_COUNTERS, tracing
+from repro.runner.execute import _run_nova, register_system
 from repro.runner.fault import RetryPolicy, RunFailure
 from repro.runner.spec import GraphSpec, RunSpec
-from repro.runner.sweep import SweepRunner, _run_nova, register_system
+from repro.runner.sweep import SweepRunner
 from repro.sim.config import scaled_config
 
 

@@ -17,8 +17,9 @@ import os
 import signal
 import time
 
+from repro.runner.execute import _run_nova, register_system
 from repro.runner.fault import RetryPolicy
-from repro.runner.sweep import SweepRunner, _run_nova, register_system
+from repro.runner.sweep import SweepRunner
 from repro.service.client import ServiceClient
 from repro.service.http import ReproService
 

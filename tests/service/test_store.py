@@ -8,7 +8,12 @@ import os
 import pytest
 
 from repro import journal
-from repro.errors import JobSpecError, JobStateError, UnknownJobError
+from repro.errors import (
+    ConfigError,
+    JobSpecError,
+    JobStateError,
+    UnknownJobError,
+)
 from repro.service.store import (
     CANCELLED,
     DONE,
@@ -64,12 +69,9 @@ class TestJobSpec:
     def test_lowering_matches_sweep_keys(self, tmp_path):
         """A job spec digests to the same key as the equivalent RunSpec,
         and run, sweep and submit of the same inputs share one key."""
-        from repro.cli import (
-            _job_spec_from_args,
-            _sweep_grid,
-            main,
-            make_parser,
-        )
+        from repro.cli import main, make_parser
+        from repro.commands.service import _job_spec_from_args
+        from repro.commands.sweep import _sweep_grid
         from repro.runner.cache import RunCache, spec_key
         from repro.runner.spec import GraphSpec, RunSpec
         from repro.sim.config import scaled_config
@@ -133,6 +135,14 @@ class TestJobSpec:
         with pytest.raises(JobSpecError, match="unknown system"):
             JobSpec.from_dict({"workload": "bfs", "graph": "rmat:6:4",
                                "system": "nova-jit"})
+
+    @pytest.mark.parametrize("onchip", ["12x", ""])
+    def test_bad_onchip_size_names_the_form(self, onchip):
+        spec = make_spec(system="polygraph", onchip=onchip)
+        with pytest.raises(ConfigError, match=f"bad size {onchip!r}; expected"):
+            spec.to_run_spec()
+        assert make_spec(system="polygraph", onchip="2KiB").to_run_spec(
+        ).config.onchip_bytes == 2048
 
 
 class TestStateMachine:

@@ -5,11 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from repro.cli import build_graph, main, parse_size
-from repro.errors import ReproError
+from repro.cli import main
+from repro.errors import ConfigError, ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat
-from repro.units import KiB, MiB
+from repro.graph.specifier import build_graph
+from repro.units import KiB, MiB, parse_size
 
 
 class TestParseSize:
@@ -20,8 +21,13 @@ class TestParseSize:
         assert parse_size("2b") == 2
 
     def test_bad_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             parse_size("lots")
+
+    @pytest.mark.parametrize("text", ["12XB", "", " ", "nan", "infKiB"])
+    def test_bad_size_names_the_form(self, text):
+        with pytest.raises(ConfigError, match="optional B, KiB, MiB or GiB"):
+            parse_size(text)
 
 
 class TestGraphSpecs:
@@ -185,6 +191,52 @@ class TestCommands:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith(f"error: malformed graph specifier '{graph}'")
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("missing.gr", None, "no such file: "),
+            ("missing.txt", None, "no such file: "),
+            ("bad.gr", "p sp 3 2\na 1 2 x\n", "bad.gr:2: "),
+            ("bad.txt", "0 1\n1 q\n", "bad.txt:2: "),
+            ("bad.txt", "0 1 1.5\n1 2 w\n", "bad.txt:2: "),
+            ("mixed.txt", "0 1 1.5\n1 2\n", "mixed.txt:2: inconsistent weights"),
+            ("mixed.txt", "0 1\n1 2 1.5\n", "mixed.txt:2: inconsistent weights"),
+            ("bad.gr", "p sp x 2\n", "bad.gr:1: "),
+            ("bad.txt", "0 1\n1 \u00ff\n", "bad.txt: not ASCII text"),
+        ],
+    )
+    def test_unreadable_graph_file_is_one_error_line(
+        self, name, content, message, tmp_path, capsys
+    ):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        assert main(["run", "--graph", str(path), "--no-cache"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+
+    @pytest.mark.parametrize("onchip", ["12XB", ""])
+    def test_bad_onchip_size_is_one_error_line(self, onchip, tmp_path, capsys):
+        assert main(["run", "--system", "polygraph", "--graph", "rmat:6:4",
+                     "--onchip", onchip, "--cache-dir", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: bad size {onchip!r}; expected")
+
+    @pytest.mark.parametrize("extra", [[], ["--workloads", "bfs,sssp"]])
+    def test_graph_build_refuses_scale_on_a_non_suite_graph(
+        self, extra, tmp_path, capsys
+    ):
+        assert main(["graph", "build", "--graph", "rmat:8:4", "--scale", "0.5",
+                     "--store-dir", str(tmp_path)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: GraphSpec.scale only applies to suite: graphs"
+        ]
 
     def test_status_unreachable_service(self, capsys):
         # Nothing listens on a reserved port: a clean error, not a dump.

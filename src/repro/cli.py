@@ -51,6 +51,14 @@ from repro.units import MiB, bytes_to_human, parse_size, rate_to_human
 # without loading the engine, the sweep supervisor, the baselines, the
 # service or scipy.
 
+#: Help of every ``--graph`` option: the forms repro.graph.specifier
+#: parses, spelled out here so ``--help`` does not import it.
+_GRAPH_HELP = (
+    "graph specifier: rmat:SCALE[:EDGE_FACTOR], urand:VERTICES:EDGES, "
+    "powerlaw:VERTICES:AVG_DEGREE, road:WIDTH:HEIGHT, suite:NAME, or a "
+    ".npz/.txt/.el/.gr path"
+)
+
 
 def _run_config(args: argparse.Namespace):
     """The system config a ``repro run`` invocation describes."""
@@ -164,7 +172,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--workload", choices=("bfs", "cc", "sssp", "pr", "bc"),
                      default="bfs")
     run.add_argument("--graph", default="rmat:14:16",
-                     help="graph specifier (see --help header)")
+                     help=_GRAPH_HELP)
     run.add_argument("--gpns", type=int, default=1)
     run.add_argument("--scale", type=float, default=1 / 256,
                      help="capacity (and suite: graph) scale vs Table II")
@@ -193,7 +201,7 @@ def make_parser() -> argparse.ArgumentParser:
         """The sweep-grid arguments `sweep` and `report` must share --
         `report` rebuilds the same grid to recompute the cache keys."""
         parser.add_argument("--graph", default="rmat:14:16",
-                            help="graph specifier (see --help header)")
+                            help=_GRAPH_HELP)
         parser.add_argument("--workloads", default="bfs",
                             help="comma-separated, e.g. bfs,sssp,pr")
         parser.add_argument("--gpns", default="1",
@@ -261,7 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     prof.add_argument("--workload", choices=("bfs", "cc", "sssp", "pr", "bc"),
                       default="bfs")
     prof.add_argument("--graph", default="rmat:12:8",
-                      help="graph specifier (see --help header)")
+                      help=_GRAPH_HELP)
     prof.add_argument("--gpns", type=int, default=1)
     prof.add_argument("--scale", type=float, default=1 / 256,
                       help="capacity (and suite: graph) scale vs Table II")
@@ -371,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
                         choices=("bfs", "cc", "sssp", "pr", "bc"),
                         default="bfs")
     submit.add_argument("--graph", default="rmat:14:16",
-                        help="graph specifier (see --help header)")
+                        help=_GRAPH_HELP)
     submit.add_argument("--gpns", type=int, default=1)
     submit.add_argument("--scale", type=float, default=1 / 256)
     submit.add_argument("--placement", default="random",
@@ -447,7 +455,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_client_args(ssession)
     ssession.add_argument("--graph", default="rmat:14:16",
-                          help="graph specifier (see --help header)")
+                          help=_GRAPH_HELP)
     ssession.add_argument("--seed", type=int, default=42)
     ssession.add_argument("--client", default="cli",
                           help="client name for fairness accounting")
@@ -521,7 +529,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="prebuild a graph artifact so later runs map instead of build",
     )
     gbuild.add_argument("--graph", required=True,
-                        help="graph specifier (see --help header)")
+                        help=_GRAPH_HELP)
     gbuild.add_argument("--seed", type=int, default=42)
     gbuild.add_argument("--scale", type=float, default=None,
                         help="suite: graph scale (default: suite default)")

@@ -27,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.queues": (
         "MessageQueue",
         "PendingWork",
-        "PooledMessageQueue",
+        "PooledQueue",
         "PooledPendingWork",
     ),
     "repro.core.metrics": ("RunResult",),
@@ -41,7 +41,7 @@ __all__ = [
     "TrackerModule",
     "MessageQueue",
     "PendingWork",
-    "PooledMessageQueue",
+    "PooledQueue",
     "PooledPendingWork",
     "RunResult",
     "NovaEngine",

@@ -28,11 +28,14 @@ three phases run every quantum until the machine drains) and **BSP**
 (propagation and reduction alternate under a barrier, driven by the
 program's ``superstep_end``).
 
-All three phases operate on flat cross-PE arrays: per-PE queues are
-pooled (:class:`repro.core.queues.PooledMessageQueue` /
-:class:`PooledPendingWork`), memory channels are banked
-(:class:`repro.memory.channel.BandwidthChannelArray`), and the tracker
-selects and collects superblocks for every eligible PE in one pass.  The
+All three phases operate on flat cross-PE arrays, and no phase loops
+over PEs: the inboxes, the active buffers and Table I's spill buffers
+are each one :class:`repro.core.queues.PooledQueue` holding every PE's
+FIFO (the active buffers use its
+:class:`~repro.core.queues.PooledPendingWork` subclass), memory
+channels are banked (:class:`repro.memory.channel.BandwidthChannelArray`),
+and the tracker selects and collects superblocks for every eligible PE
+in one pass.  The
 per-PE scalar-loop formulation is preserved bit-for-bit in
 :mod:`repro.core.engine_scalar`; ``tests/core/test_engine_parity.py``
 pins the equivalence.
@@ -49,7 +52,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPlacement, interleave_placement
 from repro.core.layout import VertexMemoryLayout
 from repro.core.metrics import RunResult
-from repro.core.queues import MessageQueue, PooledMessageQueue, PooledPendingWork
+from repro.core.queues import PooledPendingWork, PooledQueue
 from repro.core.tracker import TrackerModule
 from repro.memory.cache import CacheArray
 from repro.memory.channel import BandwidthChannelArray
@@ -103,19 +106,6 @@ def make_fu_pools(
     )
 
 
-class _InboxView:
-    """Read-only per-PE view of the pooled inbox (test/debug surface)."""
-
-    __slots__ = ("_pool", "_pe")
-
-    def __init__(self, pool: PooledMessageQueue, pe: int) -> None:
-        self._pool = pool
-        self._pe = pe
-
-    def __len__(self) -> int:
-        return int(self._pool.sizes[self._pe])
-
-
 class NovaEngine:
     """One end-to-end NOVA execution of a vertex program on a graph."""
 
@@ -151,11 +141,11 @@ class NovaEngine:
         self.state = program.create_state(graph, source)
         self.active_now = np.zeros(graph.num_vertices, dtype=bool)
         self.tracker = TrackerModule(self.layout)
-        self.inbox_pool = PooledMessageQueue(p)
+        self.inbox_pool = PooledQueue(p, (np.int64, np.float64))
         self.pending_pool = PooledPendingWork(p)
         #: Table I's alternative spilling method: per-PE off-chip FIFOs
         #: of (vertex, value-at-spill) copies.  Only used in "fifo" mode.
-        self.spill_fifos = [MessageQueue() for _ in range(p)]
+        self.spill_fifos = PooledQueue(p, (np.int64, np.float64))
         #: FIFO entry: value copy + explicit vertex address (Table I).
         self._fifo_entry_bytes = config.vertex_bytes + 8
         self.cache = CacheArray(
@@ -213,19 +203,9 @@ class NovaEngine:
         #: Per MGU call: (dests, values, owner keys, messages per PE).
         self._outbox: List[Tuple[np.ndarray, ...]] = []
 
-    @property
-    def inboxes(self) -> List[_InboxView]:
-        """Per-PE inbox views (compatibility surface for tests/tools)."""
-        return [
-            _InboxView(self.inbox_pool, pe) for pe in range(self.config.num_pes)
-        ]
-
     # ------------------------------------------------------------------
     # Pipeline phases
     # ------------------------------------------------------------------
-
-    def _gpn_of(self, pe: int) -> int:
-        return pe // self.config.pes_per_gpn
 
     def _inject_active(self, vertices: np.ndarray) -> None:
         """Register newly active vertices with the spill mechanism.
@@ -248,19 +228,14 @@ class NovaEngine:
 
     def _spill_to_fifo(self, vertices: np.ndarray) -> None:
         values = self.program.snapshot(self.state, vertices)
-        pes = self.layout.pe_of(vertices)
-        order = np.argsort(pes, kind="stable")
-        vertices, values, pes = vertices[order], values[order], pes[order]
-        boundaries = np.flatnonzero(np.diff(pes)) + 1
-        for segment in np.split(np.arange(vertices.shape[0]), boundaries):
-            if segment.shape[0] == 0:
-                continue
-            pe = int(pes[segment[0]])
-            self.spill_fifos[pe].push(vertices[segment], values[segment])
-            # Two writes per spill: the vertex set plus the buffer copy.
-            self.hbm.charge_write_at(
-                pe, segment.shape[0] * self._fifo_entry_bytes, sequential=True
-            )
+        owner = self._owner_key[vertices]
+        order = np.argsort(owner, kind="stable")
+        counts = np.bincount(owner, minlength=self.config.num_pes)
+        self.spill_fifos.push_sorted(counts, vertices[order], values[order])
+        # Two writes per spill: the vertex set plus the buffer copy.
+        self.hbm.charge_write_many(
+            self._pe_ids, counts * self._fifo_entry_bytes, sequential=True
+        )
         self._activations += int(vertices.shape[0])
 
     def _mpu_phase(self) -> None:
@@ -307,7 +282,7 @@ class NovaEngine:
             return
         config = self.config
         eligible = (
-            self.pending_pool.entries_per_pe < self._supply_target
+            self.pending_pool.sizes < self._supply_target
         ) & self.tracker.work_mask()
         if config.reduction_priority:
             # Reduction has priority on the vertex channel (Section I):
@@ -368,7 +343,7 @@ class NovaEngine:
         ends = prop_graph.row_ptr[kept + 1]
         live = ends > starts  # degree-0 vertices propagate nothing
         self.pending_pool.push_sorted(
-            pes[act_rows[keep]][live],
+            np.bincount(pes[act_rows[keep][live]], minlength=config.num_pes),
             kept[live],
             snapshots[live],
             starts[live],
@@ -382,35 +357,35 @@ class NovaEngine:
         reads) but the buffered value snapshots are stale and duplicate
         copies propagate repeatedly -- the trade the tracker design wins.
         """
-        config = self.config
-        entries = self.pending_pool.entries_per_pe
-        for pe in range(config.num_pes):
-            if entries[pe] >= self._supply_target:
-                continue
-            fifo = self.spill_fifos[pe]
-            if len(fifo) == 0:
-                continue
-            vertices, values = fifo.pop(self._supply_target)
-            self.hbm.charge_read_at(
-                pe, vertices.shape[0] * self._fifo_entry_bytes, sequential=True
-            )
-            starts = prop_graph.row_ptr[vertices]
-            ends = prop_graph.row_ptr[vertices + 1]
-            live = ends > starts
-            self.pending_pool.push_sorted(
-                np.full(int(live.sum()), pe, dtype=np.int64),
-                vertices[live],
-                values[live],
-                starts[live],
-                ends[live],
-            )
+        target = self._supply_target
+        counts, vertices, values = self.spill_fifos.pop_all(
+            np.where(self.pending_pool.sizes < target, target, 0)
+        )
+        if vertices.shape[0] == 0:
+            return
+        self.hbm.charge_read_many(
+            self._pe_ids, counts * self._fifo_entry_bytes, sequential=True
+        )
+        starts = prop_graph.row_ptr[vertices]
+        ends = prop_graph.row_ptr[vertices + 1]
+        live = ends > starts
+        self.pending_pool.push_sorted(
+            np.bincount(
+                np.repeat(self._pe_ids, counts)[live],
+                minlength=self.config.num_pes,
+            ),
+            vertices[live],
+            values[live],
+            starts[live],
+            ends[live],
+        )
 
     def _mgu_phase(self, prop_graph: CSRGraph, traffic: np.ndarray) -> None:
         """Expand edges from active buffers and emit messages."""
         config = self.config
-        if self.pending_pool.total_entries == 0:
+        if not self.pending_pool.any():
             return
-        pes, vertices, values, starts, ends = self.pending_pool.pop_edges_all(
+        counts, vertices, values, starts, ends = self.pending_pool.pop_edges_all(
             config.mgu_batch_edges_per_pe
         )
         if vertices.shape[0] == 0:
@@ -422,8 +397,9 @@ class NovaEngine:
         num_pes = config.num_pes
         degrees = ends - starts
         dst_pe = self._owner_key[dests]
+        src_pe = np.repeat(np.repeat(self._pe_ids, counts), degrees)
         pairs = np.bincount(
-            np.repeat(pes, degrees) * num_pes + dst_pe,
+            src_pe * num_pes + dst_pe,
             minlength=num_pes * num_pes,
         ).reshape(num_pes, num_pes)
         edges_per_pe = pairs.sum(axis=1)
@@ -521,7 +497,7 @@ class NovaEngine:
                 prefetch_hits=self.tracker.prefetch_hits,
                 prefetch_misses=self.tracker.prefetch_misses,
                 inbox_backlog=self.inbox_pool.total,
-                buffer_occupancy=self.pending_pool.total_entries,
+                buffer_occupancy=self.pending_pool.total,
                 tracked_blocks=int(self.tracker.counters.sum()),
             )
         )
@@ -536,8 +512,8 @@ class NovaEngine:
     def _propagation_pending(self) -> bool:
         return (
             self.tracker.any_work()
-            or self.pending_pool.total_entries > 0
-            or any(len(fifo) for fifo in self.spill_fifos)
+            or self.pending_pool.any()
+            or self.spill_fifos.any()
         )
 
     # ------------------------------------------------------------------

@@ -1,19 +1,31 @@
 """Chunked numpy FIFOs for messages and pending propagation work.
 
-Both queues follow the same pattern: producers append whole numpy arrays
-(one append per quantum per producer), consumers pop bounded batches.
-Chunks avoid per-element Python overhead entirely; the only Python-level
-loop is over chunks, and a pop touches at most a handful.
+Every queue here follows the same pattern: producers append whole numpy
+arrays, consumers pop bounded batches.  Chunks avoid per-element Python
+overhead entirely; the only Python-level loop is over chunks, and a pop
+touches at most a handful.
+
+:class:`MessageQueue` and :class:`PendingWork` are one PE's inbox and
+active buffer; the scalar engine keeps one of each per PE, and they are
+the references the pooled queues are tested against.  :class:`PooledQueue`
+holds every PE's FIFO in one structure -- one PE-major batch per push,
+one pop drains all PEs -- and the vectorized engine runs its inboxes and
+Table I's spill buffers on it.  Its active buffers are the subclass
+:class:`PooledPendingWork`, whose pop is bounded by edges and splits
+high-degree entries.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Tuple
+from typing import TYPE_CHECKING, Deque, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:
+    from numpy.typing import DTypeLike
 
 
 class MessageQueue:
@@ -186,31 +198,32 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray, total: int) -> np.nda
     return np.arange(total, dtype=np.int64) + np.repeat(starts - cum_excl, counts)
 
 
-class PooledMessageQueue:
-    """Every PE's message FIFO in one structure with batched drains.
+class PooledQueue:
+    """Every PE's FIFO of rows in one structure with batched pops.
 
-    Functionally equivalent to ``num_pes`` independent
-    :class:`MessageQueue` instances, but producers push one PE-sorted
-    batch per quantum and the consumer drains all PEs in a single
-    vectorized pop.  ``pop_all`` returns messages in PE-major order with
-    FIFO order preserved within each PE -- exactly the stream the scalar
-    engine's per-PE loop produced, so reduce semantics (including
-    order-sensitive sum combines) are unchanged.
+    Functionally equivalent to ``num_pes`` independent FIFOs -- for the
+    ``(dest, values)`` columns of an inbox, :class:`MessageQueue` -- but
+    a producer pushes one PE-major batch of columns and the consumer
+    drains all PEs in one vectorized pop.  Pops return rows PE-major,
+    FIFO within each PE: exactly the stream a per-PE loop produces, so
+    order-sensitive reduce semantics are unchanged.
     """
 
-    def __init__(self, num_pes: int) -> None:
+    def __init__(self, num_pes: int, dtypes: Sequence[DTypeLike]) -> None:
         self.num_pes = num_pes
-        #: Each batch: [dest, values, offsets (P+1), consumed (P,)].
-        self._batches: Deque[List[np.ndarray]] = deque()
+        #: One dtype per column; pushes are stored as these dtypes.
+        self._dtypes = tuple(np.dtype(dtype) for dtype in dtypes)
+        #: Each batch: [columns, offsets (P+1), consumed (P,)].
+        self._batches: Deque[List] = deque()
         self._sizes = np.zeros(num_pes, dtype=np.int64)
-        #: Lifetime message flow counters (observability hooks), summed
-        #: over all PEs -- matches the per-PE scalar queues' sums.
+        #: Lifetime row flow counters (observability hooks), summed over
+        #: all PEs -- matches the per-PE scalar queues' sums.
         self.pushed = 0
         self.popped = 0
 
     @property
     def sizes(self) -> np.ndarray:
-        """Messages queued per PE (do not mutate)."""
+        """Rows queued per PE (do not mutate)."""
         return self._sizes
 
     @property
@@ -220,13 +233,22 @@ class PooledMessageQueue:
     def any(self) -> bool:
         return bool(self._sizes.any())
 
-    def push_sorted(
-        self, counts: np.ndarray, dest: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Append one PE-major batch: ``counts[pe]`` rows for each PE."""
-        n = dest.shape[0]
-        if values.shape[0] != n:
-            raise SimulationError("dest and values must have equal length")
+    def push_sorted(self, counts: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        """Append one PE-major batch: ``counts[pe]`` rows for each PE.
+
+        Returns the batch's row offsets (``num_pes + 1`` entries).
+        """
+        if len(columns) != len(self._dtypes):
+            raise SimulationError(
+                f"expected {len(self._dtypes)} columns, got {len(columns)}"
+            )
+        columns = [
+            np.asarray(column, dtype=dtype)
+            for column, dtype in zip(columns, self._dtypes)
+        ]
+        n = columns[0].shape[0]
+        if {column.shape for column in columns} != {(n,)}:
+            raise SimulationError("columns must be 1-D and of equal length")
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self.num_pes,) or (counts < 0).any():
             raise SimulationError("counts must give each PE's row count")
@@ -234,218 +256,169 @@ class PooledMessageQueue:
         np.cumsum(counts, out=offsets[1:])
         if offsets[-1] != n:
             raise SimulationError("counts must sum to the batch length")
-        if n == 0:
-            return
-        self._batches.append(
-            [dest, values, offsets, np.zeros(self.num_pes, dtype=np.int64)]
-        )
-        self._sizes += counts
-        self.pushed += n
+        if n:
+            self._batches.append(
+                [columns, offsets, np.zeros(self.num_pes, dtype=np.int64)]
+            )
+            self._sizes += counts
+            self.pushed += n
+        return offsets
 
-    def pop_all(
-        self, budget: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pop up to ``budget`` messages *per PE*.
+    def pop_all(self, budget: Union[int, np.ndarray]) -> Tuple[np.ndarray, ...]:
+        """Pop up to ``budget`` rows *per PE* (one budget, or one per PE).
 
-        Returns ``(counts, dest, values)``: the messages popped per PE,
-        then the messages in PE-major order, FIFO within each PE.  A
-        batch drained whole comes back as pushed, without a copy.
+        Returns ``(counts, *columns)``: the rows popped per PE, then each
+        column in PE-major order, FIFO within each PE.  A batch drained
+        whole comes back as pushed, without a copy.
         """
-        counts = np.minimum(self._sizes, max(budget, 0))
-        total = int(counts.sum())
-        if total == 0:
-            return counts, np.empty(0, dtype=np.int64), np.empty(0)
-        parts: List[Tuple[np.ndarray, ...]] = []
+        counts = np.minimum(self._sizes, np.maximum(budget, 0))
         remaining = counts.copy()
-        for batch in self._batches:
+        takes = []
+        for _, offsets, consumed in self._batches:
             if not remaining.any():
                 break
-            dest, values, offsets, consumed = batch
-            take = np.minimum((offsets[1:] - offsets[:-1]) - consumed, remaining)
+            take = np.minimum(offsets[1:] - offsets[:-1] - consumed, remaining)
+            takes.append(take)
+            remaining -= take
+        columns = self._pop_rows(counts, takes, takes)
+        self._sizes -= counts
+        self.popped += int(counts.sum())
+        return (counts, *columns)
+
+    def _pop_rows(
+        self,
+        counts: np.ndarray,
+        takes: List[np.ndarray],
+        advances: List[np.ndarray],
+    ) -> List[np.ndarray]:
+        """Read ``takes[b][pe]`` rows off the head of each PE's run in the
+        ``b``-th queued batch (``counts`` is their sum over batches).
+
+        Returns the columns PE-major, FIFO within each PE.  Each batch's
+        heads then advance by ``advances[b]`` rows -- fewer than read when
+        a row stays queued -- and batches with no rows left are dropped.
+        """
+        total = int(counts.sum())
+        if total == 0:
+            return [np.empty(0, dtype=dtype) for dtype in self._dtypes]
+        parts = []
+        for (columns, offsets, consumed), take, advance in zip(
+            self._batches, takes, advances
+        ):
             taken = int(take.sum())
             if taken == 0:
                 continue
-            if taken == dest.shape[0]:
-                parts.append((take, dest, values))
+            if taken == offsets[-1] and int(advance.sum()) == taken:
+                parts.append((take, columns))  # drained whole
             else:
                 rows = _ragged_arange(offsets[:-1] + consumed, take, taken)
-                parts.append((take, dest[rows], values[rows]))
-            consumed += take
-            remaining -= take
+                parts.append((take, [column[rows] for column in columns]))
+            consumed += advance
         while self._batches:
-            _, _, offsets, consumed = self._batches[0]
+            _, offsets, consumed = self._batches[0]
             if int(consumed.sum()) != int(offsets[-1]):
                 break
             self._batches.popleft()
-        self._sizes -= counts
-        self.popped += total
         if len(parts) == 1:
-            _, dest, values = parts[0]
-            return counts, dest, values
+            return parts[0][1]
         # Several batches: scatter each one's per-PE runs behind the
         # earlier batches' runs of the same PE.
-        dest = np.empty(total, dtype=np.result_type(*(p[1] for p in parts)))
-        values = np.empty(total, dtype=np.result_type(*(p[2] for p in parts)))
+        out = [np.empty(total, dtype=dtype) for dtype in self._dtypes]
         start = np.zeros(self.num_pes, dtype=np.int64)
         np.cumsum(counts[:-1], out=start[1:])
-        for take, part_dest, part_values in parts:
-            slots = _ragged_arange(start, take, part_dest.shape[0])
-            dest[slots] = part_dest
-            values[slots] = part_values
+        for take, columns in parts:
+            slots = _ragged_arange(start, take, columns[0].shape[0])
+            for column, part in zip(out, columns):
+                column[slots] = part
             start += take
-        return counts, dest, values
+        return out
 
 
-class PooledPendingWork:
-    """Every PE's active buffer in one structure with batched edge pops.
+class PooledPendingWork(PooledQueue):
+    """Every PE's active buffer: ``<vertex, alpha, start, end>`` rows.
 
-    Mirrors :class:`PendingWork` semantics per PE -- ``pop_edges_all``
-    gives each PE its own edge budget, takes whole entries in FIFO order
-    until the budget is hit and splits the next entry if a partial range
-    still fits, exactly as the per-PE ``pop_edges`` loop did.
+    A :class:`PooledQueue` popped by edges rather than rows:
+    ``pop_edges_all`` gives each PE its own edge budget, takes whole
+    entries in FIFO order until the budget is hit and splits the next
+    entry if a partial range still fits -- per PE exactly what
+    :meth:`PendingWork.pop_edges` does.
     """
 
     def __init__(self, num_pes: int) -> None:
-        self.num_pes = num_pes
-        #: Each batch: [vertices, values, starts, ends, offsets, consumed].
-        self._batches: Deque[List[np.ndarray]] = deque()
-        self._entries = np.zeros(num_pes, dtype=np.int64)
+        super().__init__(num_pes, (np.int64, np.float64, np.int64, np.int64))
         self._edges = np.zeros(num_pes, dtype=np.int64)
 
     @property
-    def entries_per_pe(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def total_entries(self) -> int:
-        return int(self._entries.sum())
-
-    @property
-    def total_edges(self) -> int:
-        return int(self._edges.sum())
+    def edges(self) -> np.ndarray:
+        """Edges queued per PE (do not mutate)."""
+        return self._edges
 
     def push_sorted(
         self,
-        pes: np.ndarray,
+        counts: np.ndarray,
         vertices: np.ndarray,
         values: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
-    ) -> None:
-        """Append one batch whose rows are sorted by ``pes`` (ascending)."""
-        n = pes.shape[0]
-        if not (
-            vertices.shape[0] == values.shape[0]
-            == starts.shape[0] == ends.shape[0] == n
-        ):
-            raise SimulationError("pending-work columns must align")
-        if n == 0:
-            return
-        if (ends < starts).any():
+    ) -> np.ndarray:
+        """Append one PE-major batch: ``counts[pe]`` entries for each PE."""
+        if starts.shape != ends.shape or (ends < starts).any():
             raise SimulationError("edge ranges must have end >= start")
-        counts = np.bincount(pes, minlength=self.num_pes)
-        if counts.shape[0] != self.num_pes:
-            raise SimulationError("pes contains out-of-range PE ids")
-        offsets = np.zeros(self.num_pes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        starts = np.array(starts, dtype=np.int64)  # private: splits mutate it
-        ends = np.asarray(ends, dtype=np.int64)
-        self._batches.append(
-            [
-                np.asarray(vertices, dtype=np.int64),
-                np.asarray(values, dtype=np.float64),
-                starts,
-                ends,
-                offsets,
-                np.zeros(self.num_pes, dtype=np.int64),
-            ]
-        )
-        self._entries += counts
-        np.add.at(self._edges, pes, ends - starts)
+        # Private copy: a split advances an entry's start in place.
+        starts = np.array(starts, dtype=np.int64)
+        offsets = super().push_sorted(counts, vertices, values, starts, ends)
+        edge_cum = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(ends - starts, out=edge_cum[1:])
+        self._edges += np.diff(edge_cum[offsets])
+        return offsets
 
-    def pop_edges_all(
-        self, budget: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def pop_edges_all(self, budget: int) -> Tuple[np.ndarray, ...]:
         """Pop work totalling at most ``budget`` edges *per PE*.
 
-        Returns ``(pes, vertices, values, starts, ends)`` in PE-major
-        order, FIFO within each PE, splitting a PE's last entry when a
-        partial edge range still fits its budget.
+        Returns ``(counts, vertices, values, starts, ends)``: the entries
+        popped per PE, then the entries in PE-major order, FIFO within
+        each PE.  A PE whose budget ends inside an entry gets that
+        entry's partial range as its last row; the rest stays queued.
         """
-        empty = np.empty(0, dtype=np.int64)
-        if budget <= 0 or not self._entries.any():
-            return empty, empty.copy(), np.empty(0), empty.copy(), empty.copy()
+        budget = max(budget, 0)
         remaining = np.full(self.num_pes, budget, dtype=np.int64)
-        parts: List[Tuple[np.ndarray, ...]] = []
-        pe_ids = np.arange(self.num_pes, dtype=np.int64)
-        popped_entries = np.zeros(self.num_pes, dtype=np.int64)
-        popped_edges = np.zeros(self.num_pes, dtype=np.int64)
-        for batch in self._batches:
+        counts = np.zeros(self.num_pes, dtype=np.int64)
+        cut = np.zeros(self.num_pes, dtype=np.int64)  # split rows' edges
+        takes: List[np.ndarray] = []
+        advances: List[np.ndarray] = []
+        splits = []
+        for (_, _, starts, ends), offsets, consumed in self._batches:
             if not remaining.any():
                 break
-            vertices, values, starts, ends, offsets, consumed = batch
             lo = offsets[:-1] + consumed
             hi = offsets[1:]
             live = (lo < hi) & (remaining > 0)
-            if not live.any():
-                continue
             cs = np.cumsum(ends - starts)
             base = np.where(lo > 0, cs[lo - 1], 0)
             pos = np.searchsorted(cs, base + remaining, side="right")
             pos = np.where(live, np.minimum(pos, hi), lo)
-            full_counts = pos - lo
+            full = pos - lo
             taken_full = np.where(pos > lo, cs[pos - 1] - base, 0)
-            leftover = remaining - taken_full
-            total_full = int(full_counts.sum())
-            if total_full:
-                idx = _ragged_arange(lo, full_counts, total_full)
-                parts.append(
-                    (
-                        np.repeat(pe_ids, full_counts),
-                        vertices[idx],
-                        values[idx],
-                        starts[idx],
-                        ends[idx],
-                    )
-                )
-            split = live & (leftover > 0) & (pos < hi)
+            # Entry ``pos`` is split when part of its range still fits:
+            # it is read as the PE's last row but stays queued.
+            split = live & (remaining > taken_full) & (pos < hi)
+            part = np.where(split, remaining - taken_full, 0)
             if split.any():
-                split_pes = np.flatnonzero(split)
-                rows = pos[split_pes]
-                take = leftover[split_pes]
-                parts.append(
-                    (
-                        split_pes.astype(np.int64),
-                        vertices[rows],
-                        values[rows],
-                        starts[rows].copy(),
-                        starts[rows] + take,
-                    )
-                )
-                starts[rows] += take
-            consumed += full_counts
-            edge_taken = taken_full + np.where(split, leftover, 0)
-            popped_entries += full_counts
-            popped_edges += edge_taken
-            remaining -= edge_taken
-        while self._batches:
-            _, _, _, _, offsets, consumed = self._batches[0]
-            if int(consumed.sum()) != int(offsets[-1]):
-                break
-            self._batches.popleft()
-        if not parts:
-            return empty, empty.copy(), np.empty(0), empty.copy(), empty.copy()
-        self._entries -= popped_entries
-        self._edges -= popped_edges
-        if len(parts) == 1:
-            pes, vertices, values, starts, ends = parts[0]
-        else:
-            pes = np.concatenate([p[0] for p in parts])
-            vertices = np.concatenate([p[1] for p in parts])
-            values = np.concatenate([p[2] for p in parts])
-            starts = np.concatenate([p[3] for p in parts])
-            ends = np.concatenate([p[4] for p in parts])
-            order = np.argsort(pes.astype(np.uint16), kind="stable")
-            pes, vertices, values = pes[order], vertices[order], values[order]
-            starts, ends = starts[order], ends[order]
-        return pes, vertices, values, starts, ends
+                splits.append((starts, pos[split], part[split]))
+            takes.append(full + split)
+            advances.append(full)
+            counts += takes[-1]
+            cut += part
+            remaining -= taken_full + part
+        vertices, values, starts, ends = self._pop_rows(counts, takes, advances)
+        if splits:
+            split_pes = np.flatnonzero(cut)
+            last = np.cumsum(counts)[split_pes] - 1
+            ends[last] = starts[last] + cut[split_pes]
+            for batch_starts, rows, part in splits:
+                batch_starts[rows] += part
+        entries = counts - (cut > 0)
+        self._sizes -= entries
+        self._edges -= budget - remaining
+        self.popped += int(entries.sum())
+        return counts, vertices, values, starts, ends

@@ -58,7 +58,8 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigError, GraphFormatError
+from repro.env import env_int
+from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_event
@@ -446,7 +447,7 @@ class GraphStore:
                 # back the in-memory build; the next process retries.
                 FAULT_COUNTERS.increment("graph_store.put_errors")
                 return built
-        max_bytes = _env_max_bytes()
+        max_bytes = env_int("REPRO_GRAPH_STORE_MAX_BYTES", minimum=0)
         if max_bytes is not None:
             self.prune(max_bytes, protect=digest)
         graph = self.load(digest)
@@ -538,19 +539,3 @@ def _spec_fields(spec: Optional[Any]) -> Optional[Dict[str, Any]]:
         "weight_seed": spec.weight_seed,
     }
 
-
-def _env_max_bytes() -> Optional[int]:
-    raw = os.environ.get("REPRO_GRAPH_STORE_MAX_BYTES")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_GRAPH_STORE_MAX_BYTES must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigError(
-            f"REPRO_GRAPH_STORE_MAX_BYTES must be >= 0, got {value}"
-        )
-    return value

@@ -25,7 +25,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ddr4_channel",
         "ddr4_pool",
     ),
-    "repro.memory.channel": ("BandwidthChannel", "ChannelGroup"),
+    "repro.memory.channel": ("BandwidthChannel",),
     "repro.memory.cache": ("CacheArray", "DirectMappedCache"),
 })
 
@@ -36,7 +36,6 @@ __all__ = [
     "ddr4_channel",
     "ddr4_pool",
     "BandwidthChannel",
-    "ChannelGroup",
     "CacheArray",
     "DirectMappedCache",
 ]

@@ -13,7 +13,6 @@ read while searching for active blocks), and writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
 
 import numpy as np
 
@@ -223,35 +222,6 @@ class BandwidthChannelArray:
         np.add.at(self._quantum[row], idx, nbytes.astype(np.float64))
 
     # ------------------------------------------------------------------
-    # Scalar charge paths (cold paths, e.g. the FIFO spilling ablation)
-    # ------------------------------------------------------------------
-
-    def charge_read_at(
-        self, i: int, nbytes: int, *, sequential: bool = False, useful: bool = True
-    ) -> None:
-        if nbytes < 0:
-            raise SimulationError("cannot charge a negative read")
-        if nbytes == 0:
-            return
-        nbytes = self.spec.round_up(nbytes)
-        if useful:
-            self.useful_read_bytes[i] += nbytes
-        else:
-            self.wasteful_read_bytes[i] += nbytes
-        self._quantum[self._SR if sequential else self._RR, i] += nbytes
-
-    def charge_write_at(
-        self, i: int, nbytes: int, *, sequential: bool = False
-    ) -> None:
-        if nbytes < 0:
-            raise SimulationError("cannot charge a negative write")
-        if nbytes == 0:
-            return
-        nbytes = self.spec.round_up(nbytes)
-        self.write_bytes[i] += nbytes
-        self._quantum[self._SW if sequential else self._RW, i] += nbytes
-
-    # ------------------------------------------------------------------
     # Quantum accounting
     # ------------------------------------------------------------------
 
@@ -328,37 +298,3 @@ class BandwidthChannelArray:
             + self.total_write_bytes
         )
 
-
-class ChannelGroup:
-    """A named collection of channels sharing a quantum boundary."""
-
-    def __init__(self, channels: Dict[str, BandwidthChannel] | None = None) -> None:
-        self._channels: Dict[str, BandwidthChannel] = dict(channels or {})
-
-    def add(self, name: str, channel: BandwidthChannel) -> BandwidthChannel:
-        if name in self._channels:
-            raise ConfigError(f"duplicate channel name: {name}")
-        self._channels[name] = channel
-        return channel
-
-    def __getitem__(self, name: str) -> BandwidthChannel:
-        return self._channels[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._channels
-
-    def names(self) -> Iterable[str]:
-        return self._channels.keys()
-
-    def quantum_service_time(self) -> float:
-        """The slowest channel's service time for the current quantum."""
-        if not self._channels:
-            return 0.0
-        return max(c.quantum_service_time() for c in self._channels.values())
-
-    def end_quantum(self, quantum_seconds: float) -> None:
-        for channel in self._channels.values():
-            channel.end_quantum(quantum_seconds)
-
-    def totals(self) -> Dict[str, TrafficTotals]:
-        return {name: c.totals for name, c in self._channels.items()}

@@ -33,7 +33,7 @@ class TestBspStructure:
             small_config, rmat_graph, get_workload("pr", max_supersteps=4)
         )
         run = engine.run()
-        assert all(len(inbox) == 0 for inbox in engine.inboxes)
+        assert not engine.inbox_pool.any()
         assert not engine.tracker.any_work()
         assert run.messages_processed == run.messages_sent
 

@@ -5,8 +5,9 @@ The flat-batched :class:`~repro.core.engine.NovaEngine` must be
 -- same simulated time, same quanta count, same counters, same vertex
 state -- on every workload and graph shape.  These tests compare full
 runs across traversal (bfs, sssp) and iterative (pr) workloads on
-power-law, grid, and uniform-random graphs, from 1 GPN up to 8 (64
-PEs), and check that instrumenting a run does not change it.
+power-law, grid, and uniform-random graphs, from 1 GPN up to 33 (264
+PEs), in both of Table I's spilling modes, and check that instrumenting
+a run does not change it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.queues import PooledPendingWork, PooledQueue
 from repro.core.system import NovaSystem
 from repro.graph.generators import rmat, with_uniform_weights
 from repro.obs import ObsConfig, make_recorder
@@ -81,12 +83,75 @@ def test_bfs_parity_single_gpn_spill_heavy(small_config, rmat_graph):
     assert_identical(scalar, vectorized)
 
 
-def test_fifo_vmu_mode_parity(two_gpn_config, rmat_graph):
-    """The fifo VMU ablation keeps its own (scalar) supply path."""
-    config = two_gpn_config.with_updates(vmu_mode="fifo")
-    source = int(np.argmax(rmat_graph.out_degrees()))
-    scalar, vectorized = run_both(config, rmat_graph, "bfs", source=source)
+WORKLOADS = ("bfs", "sssp", "cc", "pr")
+
+
+def workload_run_both(config, graph, workload):
+    """Both engines on ``workload``, with the graph variant it needs."""
+    kwargs = {}
+    if workload == "sssp":
+        graph = with_uniform_weights(graph, seed=7)
+    if workload == "cc":
+        graph = graph.symmetrized()
+    elif workload == "pr":
+        kwargs["max_supersteps"] = 3
+    else:
+        kwargs["source"] = int(np.argmax(graph.out_degrees()))
+    scalar, vectorized = run_both(config, graph, workload, **kwargs)
+    if config.vmu_mode == "fifo":
+        # FIFO retrieval reads spilled copies in order: no superblock scans.
+        assert vectorized.traffic["hbm_wasteful_read_bytes"] == 0
+    assert vectorized.activations > 0
     assert_identical(scalar, vectorized)
+
+
+def test_fifo_vmu_mode_parity(two_gpn_config, rmat_graph):
+    """The pooled spill buffers (one push and one write charge per
+    spill, one budgeted pop per retrieval) match the scalar engine's
+    per-PE FIFOs on every workload."""
+    config = two_gpn_config.with_updates(vmu_mode="fifo")
+    for workload in WORKLOADS:
+        workload_run_both(config, rmat_graph, workload)
+
+
+@pytest.mark.parametrize("vmu_mode", ("tracker", "fifo"))
+def test_split_heavy_parity_eight_gpns(vmu_mode, monkeypatch):
+    """64 PEs with one propagate FU per GPN: the MGU takes 500 edges per
+    PE per quantum (the default 24,000 splits nothing on test-sized
+    graphs), so hubs' edge ranges split across quanta.  In FIFO mode a
+    hub's PE then sits at its supply target, and retrieval pops with
+    budget 0 for it while other PEs retrieve."""
+    splits, mixed = [], []
+    pop_edges_all = PooledPendingWork.pop_edges_all
+    pop_all = PooledQueue.pop_all
+
+    def spy_edges(self, budget):
+        before = self.sizes.copy()
+        out = pop_edges_all(self, budget)
+        # A split row is returned but stays queued.
+        splits.append(bool((out[0] > before - self.sizes).any()))
+        return out
+
+    def spy_rows(self, budget):
+        if np.ndim(budget):  # a per-PE budget: FIFO retrieval
+            waiting = self.sizes > 0
+            mixed.append(
+                bool((waiting & (budget == 0)).any())
+                and bool((waiting & (budget > 0)).any())
+            )
+        return pop_all(self, budget)
+
+    monkeypatch.setattr(PooledPendingWork, "pop_edges_all", spy_edges)
+    monkeypatch.setattr(PooledQueue, "pop_all", spy_rows)
+    config = scaled_config(num_gpns=8, scale=1.0 / 256.0).with_updates(
+        propagate_fus_per_gpn=1, vmu_mode=vmu_mode
+    )
+    graph = rmat(13, 16, seed=5)
+    for workload in WORKLOADS:
+        workload_run_both(config, graph, workload)
+    assert sum(splits) >= 10
+    if vmu_mode == "fifo":
+        assert sum(mixed) >= 10
 
 
 def test_vectorized_answers_match_reference_oracle(two_gpn_config, rmat_graph):

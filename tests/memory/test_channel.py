@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.memory.channel import BandwidthChannel, ChannelGroup
+from repro.errors import SimulationError
+from repro.memory.channel import BandwidthChannel
 from repro.memory.spec import MemorySpec
 
 
@@ -98,32 +98,3 @@ class TestQuantumLifecycle:
         assert ch.utilization(6.4e-6) == pytest.approx(0.5)
         assert ch.utilization(0.0) == 0.0
 
-
-class TestChannelGroup:
-    def test_max_over_channels(self):
-        group = ChannelGroup()
-        a = group.add("a", make_channel())
-        b = group.add("b", make_channel())
-        a.charge_read(3200, sequential=True)
-        b.charge_read(6400, sequential=True)
-        assert group.quantum_service_time() == pytest.approx(6400 / 1e9)
-        group.end_quantum(group.quantum_service_time())
-        assert group.quantum_service_time() == 0.0
-
-    def test_duplicate_name_rejected(self):
-        group = ChannelGroup()
-        group.add("a", make_channel())
-        with pytest.raises(ConfigError):
-            group.add("a", make_channel())
-
-    def test_lookup(self):
-        group = ChannelGroup()
-        ch = group.add("hbm", make_channel())
-        assert group["hbm"] is ch
-        assert "hbm" in group
-        assert "ddr" not in group
-        assert list(group.names()) == ["hbm"]
-        assert group.totals()["hbm"] is ch.totals
-
-    def test_empty_group_is_instant(self):
-        assert ChannelGroup().quantum_service_time() == 0.0

@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.errors import ConfigError, ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat
-from repro.graph.specifier import build_graph
+from repro.graph.specifier import _GENERATOR_FORMS, build_graph
 from repro.units import KiB, MiB, parse_size
 
 
@@ -79,6 +79,22 @@ class TestGraphSpecs:
             build_graph("torus:3:3")
         with pytest.raises(ReproError):
             build_graph("mystery")
+
+    @pytest.mark.parametrize(
+        "verb",
+        [("run",), ("sweep",), ("report",), ("profile",), ("submit",),
+         ("stream", "session"), ("graph", "build")],
+        ids=" ".join,
+    )
+    def test_graph_help_names_every_specifier_form(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verb, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "see --help header" not in text
+        forms = [form for form, _, _ in _GENERATOR_FORMS.values()]
+        for form in forms + ["suite:NAME", ".npz/.txt/.el/.gr"]:
+            assert form in text
 
 
 class TestCommands:

@@ -2,9 +2,9 @@
 
 The paper compares against Ligra on an 8-core x86 with a 32 MiB L3 and
 400 GB/s of memory bandwidth (Section V).  Rather than re-implementing a
-multicore runtime, this model drives the exact functional execution
-(:mod:`repro.workloads.driver` semantics) round by round and prices each
-round with Ligra's direction-optimizing cost structure:
+multicore runtime, this model runs the exact functional execution
+(:func:`repro.workloads.driver.run_functional`) and prices each of its
+rounds with Ligra's direction-optimizing cost structure:
 
 - **push**: traverse the frontier's out-edges; every edge pays the edge
   read plus a probabilistic cache-line miss on the random destination
@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.graph.csr import CSRGraph
 from repro.core.metrics import RunResult
 from repro.sim.stats import StatGroup
 from repro.units import GB, MiB
 from repro.workloads import get_workload
-from repro.workloads.base import VertexProgram, expand_edges
+from repro.workloads.base import VertexProgram
+from repro.workloads.driver import run_functional
 
 
 @dataclass(frozen=True)
@@ -106,64 +105,36 @@ class LigraModel:
             if isinstance(workload, str)
             else workload
         )
-        program.check_graph(self.graph)
-        state = program.create_state(self.graph, source)
-        active = np.unique(program.initial_active(state))
-        elapsed = 0.0
-        rounds = 0
-        edges_traversed = 0
-        messages = 0
-        useful = 0
-        while active.shape[0]:
-            rounds += 1
-            prop_graph = program.propagation_graph(state)
-            values = program.snapshot(state, active)
-            owner, dests, weights = expand_edges(prop_graph, active)
-            frontier_edges = int(dests.shape[0])
-            edges_traversed += frontier_edges
-            elapsed += self._round_time(frontier_edges)
-            if frontier_edges:
-                msg_values = program.propagate_values(state, values[owner], weights)
-                messages += frontier_edges
-                outcome = program.reduce(state, dests, msg_values)
-                useful += outcome.useful_messages
-            else:
-                outcome = None
-            if program.mode == "bsp":
-                active = np.unique(program.superstep_end(state))
-            else:
-                active = (
-                    np.unique(outcome.improved)
-                    if outcome is not None
-                    else np.empty(0, dtype=np.int64)
-                )
+        functional = run_functional(program, self.graph, source)
+        elapsed = sum(
+            self._round_time(edges) for edges in functional.round_edges
+        )
         stats = StatGroup("ligra")
-        stats.set("rounds", rounds)
+        stats.set("rounds", functional.rounds)
         stats.set("miss_probability", self._miss_probability())
-        reference_edges = None
-        if compute_reference:
-            from repro.core.system import verify_result
-
-            expected, reference_edges = program.reference(self.graph, source)
-            verify_result(program.name, program.result(state), expected)
-        return RunResult(
+        messages = functional.messages
+        run = RunResult(
             workload=program.name,
             system="ligra",
             num_vertices=self.graph.num_vertices,
             num_edges=self.graph.num_edges,
-            result=program.result(state),
+            result=functional.result,
             elapsed_seconds=elapsed,
-            quanta=rounds,
-            edges_traversed=edges_traversed,
+            quanta=functional.rounds,
+            edges_traversed=functional.edges_traversed,
             messages_sent=messages,
             messages_processed=messages,
-            useful_messages=useful,
-            redundant_messages=messages - useful,
+            useful_messages=functional.useful_messages,
+            redundant_messages=messages - functional.useful_messages,
             coalesced_messages=0,
             activations=0,
             breakdown={"processing": elapsed},
             traffic={},
             utilization={},
             stats=stats,
-            reference_edges=reference_edges,
         )
+        if compute_reference:
+            from repro.core.system import check_against_oracle
+
+            check_against_oracle(program, self.graph, source, run)
+        return run

@@ -40,7 +40,7 @@ from repro.graph.suites import SLICE_PROPERTY_BYTES
 from repro.baselines.slicing import TemporalSlicing
 from repro.core.metrics import RunResult
 from repro.core.queues import MessageQueue
-from repro.core.system import verify_result
+from repro.core.system import check_against_oracle
 from repro.memory.spec import MemorySpec
 from repro.sim.stats import StatGroup
 from repro.units import GB, MiB
@@ -435,7 +435,5 @@ class PolyGraphSystem:
         )
         run = engine.run()
         if compute_reference:
-            expected, reference_edges = program.reference(self.graph, source)
-            run.reference_edges = reference_edges
-            verify_result(program.name, run.result, expected)
+            check_against_oracle(program, self.graph, source, run)
         return run

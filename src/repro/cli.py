@@ -42,7 +42,7 @@ import sys
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.units import MiB, bytes_to_human, parse_size, rate_to_human
+from repro.units import MiB, parse_size
 
 # Every verb names its handler as "module:function".  ``run``'s lives
 # here; every other verb's is in a repro.commands module that main
@@ -96,44 +96,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = {}
     if workload == "pr":
         kwargs["max_supersteps"] = args.pr_supersteps
-    config = _run_config(args)
+    spec = RunSpec(
+        workload,
+        gspec,
+        config=_run_config(args),
+        system=args.system,
+        source=source,
+        placement=args.placement,
+        workload_kwargs=kwargs,
+    )
 
     # Single runs go through the same content-addressed cache as sweeps
     # and service jobs, so a repeated run (from any front end) is a hit.
     # --verify runs uncached: the oracle pass decorates the result with
     # reference counts the cache key does not distinguish.
-    if args.verify or args.no_cache:
-        if args.system == "nova":
-            from repro.core.system import NovaSystem
-
-            system = NovaSystem(config, graph, placement=args.placement)
-            print(system.describe())
-        elif args.system == "polygraph":
-            from repro.baselines.polygraph import PolyGraphSystem
-
-            system = PolyGraphSystem(config, graph)
-            print(
-                f"PolyGraph: on-chip {bytes_to_human(config.onchip_bytes)}, "
-                f"memory {rate_to_human(system.config.memory.peak_bandwidth)}"
-            )
-        else:
-            from repro.baselines.ligra import LigraModel
-
-            system = LigraModel(config, graph)
-            print("Ligra software model (8 cores, 32 MiB L3, 400 GB/s)")
-        run = system.run(
-            workload, source=source, compute_reference=args.verify, **kwargs
-        )
-    else:
-        spec = RunSpec(
-            workload,
-            gspec,
-            config=config,
-            system=args.system,
-            source=source,
-            placement=args.placement,
-            workload_kwargs=kwargs,
-        )
+    run = None
+    cache = None
+    if not (args.verify or args.no_cache):
         cache = RunCache(args.cache_dir)
         key = spec_key(spec)
         run = cache.load(key)
@@ -141,13 +120,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"cache hit {key[:12]} ({cache.root})")
         else:
             print(f"cache miss {key[:12]}")
-            from repro.runner.execute import execute_spec
+    if run is None:
+        from repro.runner.execute import execute_spec
 
-            run = execute_spec(spec)
+        run = execute_spec(spec)
+        if cache is not None:
             try:
                 cache.store(key, run)
             except OSError:
                 pass  # a full disk must not fail a finished run
+    if args.verify:
+        from repro.core.system import check_against_oracle
+        from repro.workloads import get_workload
+
+        check_against_oracle(
+            get_workload(workload, **kwargs), graph, source, run
+        )
 
     print(run.describe())
     for name, seconds in run.breakdown.items():
@@ -234,7 +222,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="recompute every run and store nothing")
     sweep.add_argument("--resume", action="store_true",
                        help="resume an interrupted sweep: require its "
-                            "checkpoint and recompute only unfinished runs")
+                            "marker and recompute only unfinished runs")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-run wall-clock timeout in seconds "
                             "(default: REPRO_RUN_TIMEOUT or none)")

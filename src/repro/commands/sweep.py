@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import sys
 
 from repro.errors import ConfigError
@@ -74,12 +76,27 @@ def _sweep_grid(args: argparse.Namespace):
     return specs, rows
 
 
+def _sweep_marker(cache_root: str, keys) -> tuple:
+    """``(sweep id, marker path)`` for the sweep over ``keys``.
+
+    The id is a digest of the sweep's sorted unique keys, so neither key
+    order nor duplicate cells change it.  The marker is an empty file
+    that only says the sweep started and did not finish: what finished
+    is whatever the run cache holds.
+    """
+    digest = hashlib.sha256()
+    for key in sorted(set(keys)):
+        digest.update(key.encode())
+        digest.update(b"\n")
+    ident = digest.hexdigest()
+    return ident[:12], os.path.join(cache_root, "sweeps", ident + ".jsonl")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.obs import render_counts
     from repro.runner import (
         RetryPolicy,
         RunFailure,
-        SweepCheckpoint,
         SweepMonitor,
         SweepRunner,
         spec_key,
@@ -104,22 +121,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         policy=policy,
     )
 
-    checkpoint = None
+    marker = None
     if runner.cache is not None:
-        keys = [spec_key(spec) for spec in specs]
-        checkpoint = SweepCheckpoint.for_keys(runner.cache.root, keys)
+        keys = {spec_key(spec) for spec in specs}
+        ident, marker = _sweep_marker(runner.cache.root, keys)
         if args.resume:
-            if not checkpoint.exists():
+            if not os.path.exists(marker):
                 raise ConfigError(
-                    "no interrupted sweep to resume (checkpoint "
-                    f"{checkpoint.sweep_id[:12]} not found); run without "
-                    "--resume to start it"
+                    f"no interrupted sweep to resume (sweep {ident} not "
+                    "found); run without --resume to start it"
                 )
-            done = len(checkpoint.completed_keys() & set(keys))
+            done = sum(runner.cache.contains(key) for key in keys)
             print(
-                f"resuming sweep {checkpoint.sweep_id[:12]}: "
-                f"{done}/{len(set(keys))} runs already checkpointed"
+                f"resuming sweep {ident}: "
+                f"{done}/{len(keys)} runs already cached"
             )
+        os.makedirs(os.path.dirname(marker), exist_ok=True)
+        open(marker, "a").close()
     elif args.resume:
         raise ConfigError("--resume needs the run cache (drop --no-cache)")
 
@@ -128,9 +146,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.no_progress
         else SweepMonitor(stream=sys.stderr, interval_seconds=1.0)
     )
-    results, stats = runner.run(
-        specs, on_failure="return", checkpoint=checkpoint, monitor=monitor
-    )
+    results, stats = runner.run(specs, on_failure="return", monitor=monitor)
 
     print(f"{'workload':>8} {'gpns':>4} {'source':>8} {'time(ms)':>10} {'GTEPS':>8}")
     failures = []
@@ -158,14 +174,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 continue
             seen.add(failure.key)
             print(f"  failed: {failure.describe()}")
-    if checkpoint is not None:
+    if marker is not None:
         if stats.failed:
             print(
-                f"checkpoint kept ({checkpoint.sweep_id[:12]}); fix and "
-                "rerun with --resume to recompute only unfinished runs"
+                f"sweep {ident} unfinished; fix and rerun with --resume "
+                "to recompute only unfinished runs"
             )
         else:
-            checkpoint.finish()
+            try:
+                os.unlink(marker)
+            except OSError:
+                pass
     return 1 if stats.failed else 0
 
 
@@ -175,7 +194,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         SweepReport,
         entry_from_result,
     )
-    from repro.runner import RunCache, SweepCheckpoint, spec_key
+    from repro.runner import RunCache, spec_key
 
     group_by = tuple(
         dim.strip() for dim in args.group_by.split(",") if dim.strip()
@@ -190,18 +209,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     specs, rows = _sweep_grid(args)
     cache = RunCache(args.cache_dir)
     keys = [spec_key(spec) for spec in specs]
-
-    # An interrupted sweep leaves its checkpoint manifest behind; note
-    # it so a partial report is never mistaken for a complete one.
-    checkpoint = SweepCheckpoint.for_keys(cache.root, keys)
-    if checkpoint.exists():
-        done = len(checkpoint.completed_keys() & set(keys))
-        print(
-            f"note: sweep {checkpoint.sweep_id[:12]} is incomplete "
-            f"({done}/{len(set(keys))} runs checkpointed); reporting on "
-            "what finished",
-            file=sys.stderr,
-        )
 
     entries = []
     seen = set()
@@ -232,6 +239,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    if found < len(seen):
+        # A partial grid is never mistaken for a complete one.
+        print(
+            f"note: {found}/{len(seen)} runs of this grid are cached; "
+            "reporting on what finished",
+            file=sys.stderr,
+        )
 
     report = SweepReport(
         entries, group_by=group_by, z_threshold=args.z_threshold

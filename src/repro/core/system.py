@@ -137,9 +137,7 @@ class NovaSystem:
         ):
             run = engine.run()
         if compute_reference:
-            expected, reference_edges = program.reference(self.graph, source)
-            run.reference_edges = reference_edges
-            verify_result(program.name, run.result, expected)
+            check_against_oracle(program, self.graph, source, run)
         return run
 
     def describe(self) -> str:
@@ -154,6 +152,21 @@ class NovaSystem:
             f"V={self.graph.num_vertices:,} E={self.graph.num_edges:,} "
             f"placement={self.placement.strategy}"
         )
+
+
+def check_against_oracle(
+    program: VertexProgram,
+    graph: CSRGraph,
+    source: Optional[int],
+    run: RunResult,
+) -> None:
+    """Run ``program``'s sequential oracle and check ``run`` against it.
+
+    Fills in ``run.reference_edges`` (the work-efficiency numerator)
+    and raises ``AssertionError`` when the answers differ.
+    """
+    expected, run.reference_edges = program.reference(graph, source)
+    verify_result(program.name, run.result, expected)
 
 
 def verify_result(

@@ -1,7 +1,7 @@
 """Process-wide fault and retry counters.
 
 Sweep execution is a parent-process concern (workers report outcomes
-back; the parent classifies, retries, and checkpoints), so its
+back; the parent classifies and retries them), so its
 failure/retry/timeout accounting lives in one thread-safe registry
 rather than in the per-run :class:`~repro.obs.recorder.MetricsRecorder`
 timeline -- a failed run has no timeline at all.
@@ -24,9 +24,7 @@ hygiene), and by the fleet layer under ``fleet.*`` names
 ``fleet.revoked`` / ``worker_lost`` / ``requeued`` /
 ``requeue_exhausted`` fault recovery, ``fleet.quota_rejected`` /
 ``rate_limited`` admission), surfacing in ``repro sweep`` / ``repro
-profile`` output and the service's ``/metrics`` endpoint;
-:meth:`CounterRegistry.publish` mirrors a snapshot into a
-:class:`~repro.sim.stats.StatGroup` for callers that aggregate stats.
+profile`` output and the service's ``/metrics`` endpoint.
 
 :class:`MetricsRegistry` extends the counter bag with **gauges**
 (last-write-wins floats: ``service.queue_depth``,
@@ -101,10 +99,6 @@ class CounterRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counts.clear()
-
-    def publish(self, stats) -> None:
-        """Mirror the current counters into a :class:`StatGroup`."""
-        stats.merge(self.snapshot())
 
     def render(self, prefix: str = "fault counters") -> str:
         return render_counts(self.snapshot(), prefix)

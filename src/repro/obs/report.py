@@ -167,11 +167,6 @@ class SweepReport:
     def _group_key(self, entry: ReportEntry) -> Tuple:
         return tuple(getattr(entry, dim) for dim in self.group_by)
 
-    def _group_label(self, key: Tuple) -> str:
-        return ", ".join(
-            f"{dim}={value}" for dim, value in zip(self.group_by, key)
-        )
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------

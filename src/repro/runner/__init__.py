@@ -15,8 +15,8 @@ or kills its child process yields a structured
 store normally; transient failures retry with exponential backoff
 (:class:`~repro.runner.fault.RetryPolicy`); and completed results flush
 to the cache as they finish, so an interrupted sweep resumes with zero
-recomputation (:class:`~repro.runner.checkpoint.SweepCheckpoint` +
-``repro sweep --resume``).
+recomputation: the run cache is the one record of what finished
+(``repro sweep --resume`` counts it).
 
 Environment knobs:
 
@@ -55,7 +55,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "graph_digest",
         "spec_key",
     ),
-    "repro.runner.checkpoint": ("SweepCheckpoint", "sweep_id"),
     "repro.runner.execute": ("execute_spec", "register_system"),
     "repro.runner.fault": ("RetryPolicy", "RunFailure"),
     "repro.runner.monitor": ("SweepMonitor",),
@@ -69,7 +68,6 @@ __all__ = [
     "RunCache",
     "RunFailure",
     "RunSpec",
-    "SweepCheckpoint",
     "SweepMonitor",
     "SweepRunner",
     "SweepStats",
@@ -78,5 +76,4 @@ __all__ = [
     "graph_digest",
     "register_system",
     "spec_key",
-    "sweep_id",
 ]

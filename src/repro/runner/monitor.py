@@ -14,8 +14,8 @@ place (carriage return); on a pipe it prints at most one full line per
 ``interval_seconds``; with ``stream=None`` nothing is written but the
 status ledger and ``sweep.progress`` trace events still update, so the
 monitor doubles as a programmatic progress API.  Resumed sweeps need no
-special handling -- previously checkpointed runs resolve as cache hits,
-which count toward ``done`` from the first render.
+special handling -- runs an earlier invocation finished resolve as
+cache hits, which count toward ``done`` from the first render.
 
 The clock is injectable (``clock=...``) so throttling and ETA are unit
 testable without sleeping.

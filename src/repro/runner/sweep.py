@@ -52,7 +52,6 @@ from repro.errors import ConfigError, SweepFailure
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_event, trace_span
 from repro.runner.cache import RunCache, spec_key
-from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.execute import _preload_executors, execute_spec
 from repro.runner.fault import RetryPolicy, RunFailure, is_transient
 from repro.runner.monitor import SweepMonitor
@@ -315,19 +314,17 @@ class SweepRunner:
         self,
         specs: Sequence[RunSpec],
         on_failure: str = "raise",
-        checkpoint: Optional[SweepCheckpoint] = None,
         monitor: Optional[SweepMonitor] = None,
     ) -> Tuple[List[Union[RunResult, RunFailure]], SweepStats]:
         """Execute ``specs``; returns results in input order plus stats.
 
         Identical specs (same cache key) are computed once even with
-        caching disabled.  Completed results flush to the cache (and the
-        optional ``checkpoint`` manifest) as they finish, so sibling
-        work survives failures and interruptions.  ``on_failure``
-        selects what a non-empty failure set does after every sibling
-        completed: ``"raise"`` raises :class:`SweepFailure`,
-        ``"return"`` leaves :class:`RunFailure` records in the failed
-        slots.  ``monitor`` (a
+        caching disabled.  Completed results flush to the cache as they
+        finish, so sibling work survives failures and interruptions.
+        ``on_failure`` selects what a non-empty failure set does after
+        every sibling completed: ``"raise"`` raises
+        :class:`SweepFailure`, ``"return"`` leaves :class:`RunFailure`
+        records in the failed slots.  ``monitor`` (a
         :class:`~repro.runner.monitor.SweepMonitor`) observes every
         per-key transition for live progress/ETA reporting; resumed
         runs reach it as cache hits, so prior completions count toward
@@ -348,8 +345,6 @@ class SweepRunner:
                 if key not in unique:
                     unique[key] = spec
             stats.deduped = len(keys) - len(unique)
-            if checkpoint is not None:
-                checkpoint.begin(total=len(unique))
             if monitor is not None:
                 monitor.begin(unique, workers=self.workers)
 
@@ -359,8 +354,6 @@ class SweepRunner:
                     cached = self.cache.load(key)
                     if cached is not None:
                         resolved[key] = cached
-                        if checkpoint is not None:
-                            checkpoint.mark(key)
                         if monitor is not None:
                             monitor.hit(key)
             stats.hits = len(resolved)
@@ -371,9 +364,7 @@ class SweepRunner:
                 if key not in resolved
             }
             if todo:
-                resolved.update(
-                    self._execute(todo, stats, checkpoint, monitor)
-                )
+                resolved.update(self._execute(todo, stats, monitor))
             stats.failed = sum(
                 1 for value in resolved.values() if isinstance(value, RunFailure)
             )
@@ -412,7 +403,6 @@ class SweepRunner:
         self,
         todo: Dict[str, RunSpec],
         stats: SweepStats,
-        checkpoint: Optional[SweepCheckpoint],
         monitor: Optional[SweepMonitor] = None,
     ) -> Dict[str, Union[RunResult, RunFailure]]:
         """Round-based attempt loop: run, classify, retry."""
@@ -426,8 +416,7 @@ class SweepRunner:
             attempts[key] += 1
             if outcome.ok:
                 resolved[key] = outcome.result
-                self._flush(key, outcome.result, checkpoint,
-                            stored=outcome.stored)
+                self._flush(key, outcome.result, stored=outcome.stored)
                 FAULT_COUNTERS.observe(
                     "sweep.run_seconds", outcome.elapsed_seconds
                 )
@@ -496,13 +485,9 @@ class SweepRunner:
         return resolved
 
     def _flush(
-        self,
-        key: str,
-        result: RunResult,
-        checkpoint: Optional[SweepCheckpoint],
-        stored: bool = False,
+        self, key: str, result: RunResult, stored: bool = False
     ) -> None:
-        """Checkpoint one completed run the moment it finishes."""
+        """Store one completed run in the cache the moment it finishes."""
         if self.cache is not None:
             if stored:
                 # The child already stored this result; count the
@@ -517,8 +502,6 @@ class SweepRunner:
                     # -- the result is still returned, it just won't be
                     # reused.
                     FAULT_COUNTERS.increment("sweep.cache_errors")
-        if checkpoint is not None:
-            checkpoint.mark(key)
 
     def _run_round(
         self,
@@ -550,7 +533,7 @@ class SweepRunner:
         try:
             while True:
                 # Hand out the next cells before settling the last ones,
-                # so no child idles while the parent checkpoints.
+                # so no child idles while the parent stores answers.
                 for child in children:
                     if child.index is None and todo:
                         child.assign(todo.popleft(), timeout)

@@ -12,7 +12,7 @@ fast way to run workloads when no timing output is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,6 +30,10 @@ class FunctionalRun:
     rounds: int
     messages: int
     edges_traversed: int
+    #: Messages that changed a vertex's state.
+    useful_messages: int
+    #: Edges each round expanded, in round order.
+    round_edges: List[int]
 
 
 def run_functional(
@@ -44,7 +48,8 @@ def run_functional(
     active = np.unique(program.initial_active(state))
     rounds = 0
     messages = 0
-    edges_traversed = 0
+    useful = 0
+    round_edges = []
     while active.size:
         rounds += 1
         if rounds > max_rounds:
@@ -54,11 +59,12 @@ def run_functional(
         prop_graph = program.propagation_graph(state)
         values = program.snapshot(state, active)
         owner, dests, weights = expand_edges(prop_graph, active)
-        edges_traversed += dests.shape[0]
+        round_edges.append(dests.shape[0])
         if dests.shape[0]:
             msg_values = program.propagate_values(state, values[owner], weights)
             messages += dests.shape[0]
             outcome = program.reduce(state, dests, msg_values)
+            useful += outcome.useful_messages
         else:
             outcome = None
         if program.mode == "bsp":
@@ -74,5 +80,7 @@ def run_functional(
         result=program.result(state),
         rounds=rounds,
         messages=messages,
-        edges_traversed=edges_traversed,
+        edges_traversed=sum(round_edges),
+        useful_messages=useful,
+        round_edges=round_edges,
     )

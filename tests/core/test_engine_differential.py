@@ -12,6 +12,15 @@ The matrix is deterministic (fixed RNG seed): every case prints its
 parameters on failure, so a regression is reproducible by index.  A fast
 subset runs everywhere; the bulk is marked ``slow`` so
 ``pytest -m "not slow"`` keeps a quick signal.
+
+A second generator draws hard cases: hub-heavy power-law graphs with
+one propagate FU per GPN, whose 500-edge MGU budget per PE splits
+active-buffer entries across quanta and, in FIFO mode, leaves PEs at
+their supply target while others retrieve.  Spies check that those
+cases reach both paths of the pooled queues.  Zero-budget retrieval
+needs FIFO mode on a mostly active graph (cc at one GPN reaches it in
+about half its retrievals; bfs and pr rarely do), so the hard seed is
+one whose draw includes such a case.
 """
 
 from __future__ import annotations
@@ -30,10 +39,11 @@ from repro.graph.generators import (
 from repro.obs import ObsConfig, make_recorder
 from repro.sim.config import scaled_config
 
-from tests.core.test_engine_parity import assert_identical
+from tests.core.test_engine_parity import assert_identical, spy_pops
 
 NUM_CASES = 30
 FAST_CASES = 8  # first N run in the "not slow" split
+NUM_HARD_CASES = 4
 
 _GRAPH_FAMILIES = ("rmat", "urand", "powerlaw", "grid")
 _WORKLOADS = ("bfs", "sssp", "pr", "cc")
@@ -54,12 +64,21 @@ def _build_graph(rng):
     return family, seed, road_grid(side, side, seed=seed)
 
 
-def _make_cases():
-    """Deterministic pseudo-random case matrix (seeded)."""
-    rng = np.random.default_rng(20250806)
+def _build_hub_graph(rng):
+    seed = int(rng.integers(1, 1000))
+    n = int(rng.choice([1024, 2048]))
+    return "hubs", seed, power_law(n, 16.0, seed=seed)
+
+
+def _make_cases(
+    seed=20250806, count=NUM_CASES, build_graph=_build_graph, **updates
+):
+    """Deterministic pseudo-random case matrix (seeded); ``updates``
+    apply to every case's config."""
+    rng = np.random.default_rng(seed)
     cases = []
-    for index in range(NUM_CASES):
-        family, graph_seed, graph = _build_graph(rng)
+    for index in range(count):
+        family, graph_seed, graph = build_graph(rng)
         workload = _WORKLOADS[rng.integers(len(_WORKLOADS))]
         if workload == "sssp":
             graph = with_uniform_weights(graph, seed=graph_seed)
@@ -69,6 +88,8 @@ def _make_cases():
             num_gpns=int(rng.choice([1, 2])),
             scale=float(rng.choice([1 / 512, 1 / 1024, 1 / 2048])),
         )
+        if updates:
+            config = config.with_updates(**updates)
         if rng.random() < 0.2:
             config = config.with_updates(vmu_mode="fifo")
         if rng.random() < 0.3:
@@ -98,6 +119,12 @@ def _make_cases():
 
 
 CASES = _make_cases()
+HARD_CASES = _make_cases(
+    seed=20261021,
+    count=NUM_HARD_CASES,
+    build_graph=_build_hub_graph,
+    propagate_fus_per_gpn=1,
+)
 
 
 def _case_id(case):
@@ -153,3 +180,12 @@ def test_differential_fast(case):
 )
 def test_differential_slow(case):
     _run_differential(case)
+
+
+@pytest.mark.slow
+def test_differential_hard_cases(monkeypatch):
+    splits, zero_budget = spy_pops(monkeypatch)
+    for case in HARD_CASES:
+        _run_differential(case)
+    assert any(splits)
+    assert any(zero_budget)

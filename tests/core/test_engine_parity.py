@@ -114,13 +114,13 @@ def test_fifo_vmu_mode_parity(two_gpn_config, rmat_graph):
         workload_run_both(config, rmat_graph, workload)
 
 
-@pytest.mark.parametrize("vmu_mode", ("tracker", "fifo"))
-def test_split_heavy_parity_eight_gpns(vmu_mode, monkeypatch):
-    """64 PEs with one propagate FU per GPN: the MGU takes 500 edges per
-    PE per quantum (the default 24,000 splits nothing on test-sized
-    graphs), so hubs' edge ranges split across quanta.  In FIFO mode a
-    hub's PE then sits at its supply target, and retrieval pops with
-    budget 0 for it while other PEs retrieve."""
+def spy_pops(monkeypatch):
+    """Spy on the vectorized engine's pooled-queue pops.
+
+    Returns two lists that fill as runs pop: one flag per active-buffer
+    pop, set when it split an entry, and one per FIFO retrieval, set
+    when a waiting PE got budget 0 while another waiting PE retrieved.
+    """
     splits, mixed = [], []
     pop_edges_all = PooledPendingWork.pop_edges_all
     pop_all = PooledQueue.pop_all
@@ -143,6 +143,17 @@ def test_split_heavy_parity_eight_gpns(vmu_mode, monkeypatch):
 
     monkeypatch.setattr(PooledPendingWork, "pop_edges_all", spy_edges)
     monkeypatch.setattr(PooledQueue, "pop_all", spy_rows)
+    return splits, mixed
+
+
+@pytest.mark.parametrize("vmu_mode", ("tracker", "fifo"))
+def test_split_heavy_parity_eight_gpns(vmu_mode, monkeypatch):
+    """64 PEs with one propagate FU per GPN: the MGU takes 500 edges per
+    PE per quantum (the default 24,000 splits nothing on test-sized
+    graphs), so hubs' edge ranges split across quanta.  In FIFO mode a
+    hub's PE then sits at its supply target, and retrieval pops with
+    budget 0 for it while other PEs retrieve."""
+    splits, mixed = spy_pops(monkeypatch)
     config = scaled_config(num_gpns=8, scale=1.0 / 256.0).with_updates(
         propagate_fus_per_gpn=1, vmu_mode=vmu_mode
     )

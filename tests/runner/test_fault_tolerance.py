@@ -1,4 +1,4 @@
-"""Fault isolation, retry/timeout, and resumable checkpoints.
+"""Fault isolation, retry/timeout, and resumable sweeps.
 
 The injection mechanism is the runner's system-executor registry:
 executors registered in the parent process are inherited by forked
@@ -17,7 +17,6 @@ import pytest
 from repro.errors import ConfigError, SweepFailure
 from repro.obs import FAULT_COUNTERS
 from repro.runner.cache import spec_key
-from repro.runner.checkpoint import SweepCheckpoint, sweep_id
 from repro.runner.execute import _run_nova, register_system
 from repro.runner.fault import RetryPolicy, RunFailure
 from repro.runner.spec import RunSpec
@@ -261,7 +260,7 @@ def test_worker_death_is_isolated_from_siblings(tmp_path, graph, config):
 
 
 # ----------------------------------------------------------------------
-# Checkpoints and resume
+# Resume
 # ----------------------------------------------------------------------
 
 
@@ -269,7 +268,7 @@ def test_interrupted_sweep_resumes_with_zero_recomputation(
     tmp_path, graph, config
 ):
     # Stage 1: a sweep whose third key always fails stands in for an
-    # interrupted sweep -- two keys complete and checkpoint, one does not.
+    # interrupted sweep -- two keys complete and are cached, one is not.
     register_system("test.resumable", _always_raise)
     specs = [
         nova_spec(graph, config, source=0),
@@ -280,65 +279,35 @@ def test_interrupted_sweep_resumes_with_zero_recomputation(
     runner = SweepRunner(
         workers=1, cache_dir=str(tmp_path), policy=FAST_POLICY
     )
-    checkpoint = SweepCheckpoint.for_keys(str(tmp_path), keys)
-    _, stats = runner.run(specs, on_failure="return", checkpoint=checkpoint)
+    _, stats = runner.run(specs, on_failure="return")
     assert (stats.computed, stats.failed) == (2, 1)
-    assert checkpoint.exists()
-    assert checkpoint.completed_keys() == set(keys[:2])
 
-    # Stage 2: "restart the process" -- fresh runner, fresh checkpoint
-    # object, and the flaky system now works.  Only the unfinished key
-    # recomputes; the cache-hit counts prove zero recomputation.
+    # Stage 2: "restart the process" -- a fresh runner, and the flaky
+    # system now works.  Only the unfinished key recomputes; the
+    # cache-hit counts prove zero recomputation.
     register_system("test.resumable", _run_nova)
-    resumed = SweepCheckpoint.for_keys(str(tmp_path), keys)
-    assert resumed.exists()
-    assert resumed.completed_keys() == set(keys[:2])
     fresh = SweepRunner(
         workers=1, cache_dir=str(tmp_path), policy=FAST_POLICY
     )
-    results, stats = fresh.run(specs, on_failure="return", checkpoint=resumed)
+    results, stats = fresh.run(specs, on_failure="return")
     assert (stats.hits, stats.computed, stats.failed) == (2, 1, 0)
     assert all(r.workload == "bfs" for r in results)
-    assert resumed.completed_keys() == set(keys)
+    assert all(fresh.cache.contains(key) for key in keys)
 
-    # Clean completion removes the manifest; a third pass is all hits.
-    resumed.finish()
-    assert not resumed.exists()
+    # A third pass is all hits.
     _, final = fresh.run(specs, on_failure="return")
     assert (final.hits, final.computed) == (3, 0)
 
 
-def test_checkpoint_manifest_mechanics(tmp_path):
-    keys = ["a" * 64, "b" * 64, "c" * 64]
-    checkpoint = SweepCheckpoint.for_keys(str(tmp_path), keys)
-    assert checkpoint.sweep_id == sweep_id(keys)
-    assert not checkpoint.exists()
-    assert checkpoint.completed_keys() == set()
-
-    checkpoint.begin(total=3)
-    assert checkpoint.exists()
-    checkpoint.mark(keys[0])
-    checkpoint.mark(keys[0])  # idempotent
-    checkpoint.mark(keys[1])
-    assert checkpoint.completed_keys() == {keys[0], keys[1]}
-
-    # A reader sees exactly the appended marks, and tolerates the torn
-    # final line a hard kill can leave behind.
-    with open(checkpoint.path, "a", encoding="utf-8") as f:
-        f.write('{"key": "tru')
-    reader = SweepCheckpoint(checkpoint.path)
-    assert reader.completed_keys() == {keys[0], keys[1]}
-
-    checkpoint.finish()
-    assert not checkpoint.exists()
-    assert SweepCheckpoint(checkpoint.path).completed_keys() == set()
-
-
 def test_sweep_id_ignores_order_and_duplicates():
+    """``repro sweep``'s marker names the sweep's key set, not its cells."""
+    from repro.commands.sweep import _sweep_marker
+
     keys = ["a" * 64, "b" * 64]
-    assert sweep_id(keys) == sweep_id(list(reversed(keys)))
-    assert sweep_id(keys) == sweep_id(keys + [keys[0]])
-    assert sweep_id(keys) != sweep_id(keys[:1])
+    marker = _sweep_marker("cache", keys)
+    assert marker == _sweep_marker("cache", list(reversed(keys)))
+    assert marker == _sweep_marker("cache", keys + [keys[0]])
+    assert marker != _sweep_marker("cache", keys[:1])
 
 
 # ----------------------------------------------------------------------

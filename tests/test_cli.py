@@ -116,6 +116,18 @@ class TestCommands:
                      "--cache-dir", str(tmp_path)]) == 0
         assert "ligra/bfs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "system, extra", [("polygraph", ["--onchip", "2KiB"]), ("ligra", [])]
+    )
+    def test_run_baseline_verify(self, system, extra, tmp_path, capsys):
+        assert main(["run", "--system", system, "--graph", "rmat:10:8",
+                     *extra, "--verify", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{system}/bfs" in out
+        assert "workeff=" in out
+        assert "verified" in out
+        assert not any(tmp_path.iterdir())  # --verify stores nothing
+
     def test_run_uses_the_run_cache(self, tmp_path, capsys):
         args = ["run", "--graph", "rmat:9:8", "--workload", "bfs",
                 "--cache-dir", str(tmp_path)]

@@ -178,7 +178,7 @@ def test_cold_run_loads_no_supervisor_and_no_verb_family(run_pair):
     (cold_out, cold), _ = run_pair
     assert cold_out.startswith("cache miss")
     for module in ("repro.runner.sweep", "repro.runner.monitor",
-                   "repro.runner.checkpoint", "repro.commands"):
+                   "repro.commands"):
         assert not _loaded(cold, module), module
     assert len(_ours(cold)) <= COLD_RUN_BUDGET, sorted(_ours(cold))
 

@@ -21,7 +21,6 @@ import pytest
 from repro import journal
 from repro.graph import store as graph_store
 from repro.journal import Journal
-from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.spec import GraphSpec
 from repro.service.store import QUEUED, RUNNING, JobSpec, JobStore
 from repro.stream.delta import EdgeDeltaBatch
@@ -382,24 +381,6 @@ def test_session_manager_overlay(tmp_path, session_manager):
             ],
             state=overlays,
             extra=lambda m: m.create("rmat:6:4", client="late"),
-        ),
-        tmp_path,
-    )
-
-
-def test_sweep_checkpoint(tmp_path):
-    keys = [c * 64 for c in "abcd"]
-
-    def mark(key: str):
-        return lambda c: c.mark(key)
-
-    check_owner(
-        Owner(
-            open=lambda root: SweepCheckpoint(os.path.join(root, "s.jsonl")),
-            path=lambda root: os.path.join(root, "s.jsonl"),
-            calls=[lambda c: c.begin(total=3)] + [mark(k) for k in keys[:3]],
-            state=lambda c: c.completed_keys(),
-            extra=mark(keys[3]),
         ),
         tmp_path,
     )

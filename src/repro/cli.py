@@ -42,7 +42,6 @@ import sys
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.units import MiB, parse_size
 
 # Every verb names its handler as "module:function".  ``run``'s lives
 # here; every other verb's is in a repro.commands module that main
@@ -60,49 +59,24 @@ _GRAPH_HELP = (
 )
 
 
-def _run_config(args: argparse.Namespace):
-    """The system config a ``repro run`` invocation describes."""
-    if args.system == "nova":
-        from repro.sim.config import scaled_config
-
-        config = scaled_config(num_gpns=args.gpns, scale=args.scale)
-        if args.vmu_mode != "tracker":
-            config = config.with_updates(vmu_mode=args.vmu_mode)
-        return config
-    if args.system == "polygraph":
-        from repro.baselines.polygraph import PolyGraphConfig
-
-        onchip = (
-            parse_size(args.onchip)
-            if args.onchip is not None
-            else int(32 * MiB * args.scale)
-        )
-        return PolyGraphConfig(onchip_bytes=onchip)
-    from repro.baselines.ligra import LigraConfig
-
-    return LigraConfig()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner.cache import RunCache, spec_key
-    from repro.runner.spec import GraphSpec, RunSpec, resolve_source
+    from repro.runner.spec import lower_run
 
-    workload = args.workload
-    gspec = GraphSpec.for_workload(
-        args.graph, workload, seed=args.seed, scale=args.scale
-    )
-    graph = gspec.build()
-    source = resolve_source(graph, workload, args.source)
     kwargs = {}
-    if workload == "pr":
+    if args.workload == "pr":
         kwargs["max_supersteps"] = args.pr_supersteps
-    spec = RunSpec(
-        workload,
-        gspec,
-        config=_run_config(args),
+    spec = lower_run(
+        args.workload,
+        args.graph,
+        seed=args.seed,
         system=args.system,
-        source=source,
+        gpns=args.gpns,
+        scale=args.scale,
+        source=args.source,
         placement=args.placement,
+        onchip=args.onchip,
+        vmu_mode=args.vmu_mode,
         workload_kwargs=kwargs,
     )
 
@@ -134,7 +108,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.workloads import get_workload
 
         check_against_oracle(
-            get_workload(workload, **kwargs), graph, source, run
+            get_workload(spec.workload, **kwargs),
+            spec.resolve_graph(),
+            spec.source,
+            run,
         )
 
     print(run.describe())

@@ -19,38 +19,43 @@ def _sweep_grid(args: argparse.Namespace):
     lives here.  Returns ``(specs, rows)`` with rows of
     ``(workload, gpns, source)`` aligned with the specs.
     """
-    from repro.core.harness import sample_sources
-    from repro.obs.config import ObsConfig
-    from repro.runner import GraphSpec, RunSpec
-    from repro.sim.config import scaled_config
+    from repro.runner.spec import (
+        SOURCELESS_WORKLOADS,
+        GraphSpec,
+        lower_run,
+        sample_sources,
+    )
 
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     known = ("bfs", "cc", "sssp", "pr", "bc")
+    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    if not workloads:
+        raise ConfigError(
+            f"--workloads needs at least one of {', '.join(known)}, "
+            "comma-separated, e.g. bfs,sssp"
+        )
     for workload in workloads:
         if workload not in known:
             raise ConfigError(
                 f"unknown workload {workload!r}; choose from {', '.join(known)}"
             )
-    gpn_counts = [int(g) for g in args.gpns.split(",")]
-    obs = (
-        ObsConfig(timeline=True)
-        if getattr(args, "timeline", False)
-        else None
-    )
+    try:
+        gpn_counts = [int(g) for g in args.gpns.split(",")]
+    except ValueError:
+        gpn_counts = []
+    if not gpn_counts or min(gpn_counts) < 1:
+        raise ConfigError(
+            f"bad --gpns {args.gpns!r}; expected comma-separated positive "
+            "GPN counts, e.g. 1,2,4,8"
+        )
     specs = []
     rows = []  # (workload, gpns, source) aligned with specs
     for workload in workloads:
-        # One GraphSpec recipe per workload variant: --seed flows into
-        # the build (and so into the content-addressed key) on every
-        # path, and run/sweep/service submissions of the same inputs
-        # digest to the same cache entry.
-        gspec = GraphSpec.for_workload(
-            args.graph, workload, seed=args.seed, scale=args.scale
-        )
-        graph = gspec.build()
-        if workload in ("cc", "pr"):
+        if workload in SOURCELESS_WORKLOADS:
             sources = [None]
         else:
+            graph = GraphSpec.for_workload(
+                args.graph, workload, seed=args.seed, scale=args.scale
+            ).build()
             sources = [
                 int(s)
                 for s in sample_sources(graph, args.sources, seed=args.seed)
@@ -59,17 +64,18 @@ def _sweep_grid(args: argparse.Namespace):
             {"max_supersteps": args.pr_supersteps} if workload == "pr" else {}
         )
         for gpns in gpn_counts:
-            config = scaled_config(num_gpns=gpns, scale=args.scale)
             for source in sources:
                 specs.append(
-                    RunSpec(
+                    lower_run(
                         workload,
-                        gspec,
-                        config=config,
+                        args.graph,
+                        seed=args.seed,
+                        gpns=gpns,
+                        scale=args.scale,
                         source=source,
                         placement=args.placement,
                         workload_kwargs=kwargs,
-                        obs=obs,
+                        timeline=args.timeline,
                     )
                 )
                 rows.append((workload, gpns, source))
@@ -274,19 +280,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
         make_recorder,
         trace_span,
     )
-    from repro.runner import GraphSpec
-    from repro.runner.spec import resolve_source
-    from repro.sim.config import scaled_config
+    from repro.runner.spec import lower_run
 
     workload = args.workload
-    gspec = GraphSpec.for_workload(
-        args.graph, workload, seed=args.seed, scale=args.scale
-    )
-    graph = gspec.build()
-    source = resolve_source(graph, workload, args.source)
     kwargs = {}
     if workload == "pr":
         kwargs["max_supersteps"] = args.pr_supersteps
+    spec = lower_run(
+        workload,
+        args.graph,
+        seed=args.seed,
+        gpns=args.gpns,
+        scale=args.scale,
+        source=args.source,
+        placement=args.placement,
+        workload_kwargs=kwargs,
+    )
 
     obs = ObsConfig(
         timeline=True,
@@ -295,9 +304,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         phase_sample_every=args.phase_every,
     )
     recorder = make_recorder(obs)
-    config = scaled_config(num_gpns=args.gpns, scale=args.scale)
+    # A RunSpec has no engine field, so --engine builds the system here.
     system = NovaSystem(
-        config, graph, placement=args.placement, engine=args.engine
+        spec.config,
+        spec.resolve_graph(),
+        placement=spec.placement,
+        seed=spec.placement_seed,
+        engine=args.engine,
     )
     # `--json` with no path streams the machine-readable report to
     # stdout; the rendered view moves to stderr so stdout stays pure
@@ -306,7 +319,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     view = sys.stderr if json_stdout else sys.stdout
     print(system.describe(), file=view)
     with trace_span("cli.profile", workload=workload, graph=args.graph):
-        run = system.run(workload, source=source, recorder=recorder, **kwargs)
+        run = system.run(
+            workload, source=spec.source, recorder=recorder, **kwargs
+        )
     print(run.describe(), file=view)
     print(file=view)
     report = BottleneckReport.from_timeline(run.timeline)

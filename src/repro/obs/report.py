@@ -31,7 +31,7 @@ from repro.obs.profile import BottleneckReport
 from repro.obs.recorder import BOTTLENECK_NAMES, BOUND_CLASSES
 
 #: Report export format version (bump on any shape change).
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 #: Spec dimensions a report may group over.
 GROUPABLE_DIMS = ("workload", "graph", "gpns", "source")
@@ -184,7 +184,13 @@ class SweepReport:
         if len(pes) == 1:
             cell["pes"] = pes[0]
         if ok:
-            cell["gteps"] = _summary([e.gteps for e in ok])
+            gteps = [e.gteps for e in ok]
+            # hmean is Graph500's aggregate of per-run TEPS (0 when any
+            # run is 0).
+            cell["gteps"] = {
+                **_summary(gteps),
+                "hmean": statistics.harmonic_mean(gteps),
+            }
             cell["edges_per_quantum"] = _summary(
                 [e.edges_per_quantum for e in ok]
             )
@@ -371,9 +377,9 @@ class SweepReport:
             "",
             "## Groups",
             "",
-            "| group | runs | ok | GTEPS mean | GTEPS std | mean time (ms)"
-            " | dominant |",
-            "|---|---|---|---|---|---|---|",
+            "| group | runs | ok | GTEPS mean | GTEPS std | GTEPS hmean"
+            " | mean time (ms) | dominant |",
+            "|---|---|---|---|---|---|---|---|",
         ]
         for cell in data["groups"]:
             label = ", ".join(
@@ -389,13 +395,14 @@ class SweepReport:
             else:
                 dominant = "-"
             lines.append(
-                "| {label} | {runs} | {ok} | {mean} | {std} | {ms} | "
-                "{dom} |".format(
+                "| {label} | {runs} | {ok} | {mean} | {std} | {hmean} | "
+                "{ms} | {dom} |".format(
                     label=label,
                     runs=cell["runs"],
                     ok=cell["ok"],
                     mean=f"{gteps['mean']:.3f}" if gteps else "-",
                     std=f"{gteps['std']:.3f}" if gteps else "-",
+                    hmean=f"{gteps['hmean']:.3f}" if gteps else "-",
                     ms=(
                         f"{cell['elapsed_seconds_mean'] * 1e3:.4f}"
                         if "elapsed_seconds_mean" in cell

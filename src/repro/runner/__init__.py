@@ -1,7 +1,7 @@
 """Process-parallel sweep execution with a content-addressed run cache.
 
 The simulator's experiments (scaling curves, sensitivity sweeps,
-multi-source harness runs) are embarrassingly parallel: every
+multi-source sweeps) are embarrassingly parallel: every
 (config, graph, workload, source) combination is an independent
 simulation.  This subsystem runs such sweeps in supervised forked
 children and caches each completed

@@ -21,19 +21,27 @@ Graphs can be given two ways:
 
 Either way the cache key is computed from the *built* graph's arrays,
 so a recipe and the graph it builds hit the same cache entry.
+
+Front ends (``repro run``, ``sweep``/``report``, ``profile``,
+``validate`` and service jobs) describe a run by its knobs -- GPN
+count, scale, on-chip size -- and :func:`lower_run` turns those into a
+:class:`RunSpec`, so the same inputs lower to the same spec, and the
+same cache key, on every path.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
 from repro.env import env_int
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.graph.partition import VertexPlacement
     from repro.obs.config import ObsConfig
 
@@ -178,7 +186,7 @@ class _GraphMemo:
 _GRAPH_MEMO = _GraphMemo()
 
 #: Workloads that take no source vertex.
-SOURCELESS_WORKLOADS = ("cc", "pr")
+SOURCELESS_WORKLOADS = ("cc", "pr", "pr-delta")
 
 
 def resolve_source(
@@ -198,6 +206,29 @@ def resolve_source(
     import numpy as np
 
     return int(np.argmax(graph.out_degrees()))
+
+
+def sample_sources(
+    graph: CSRGraph,
+    count: int,
+    seed: int = 17,
+    require_outgoing: bool = True,
+) -> np.ndarray:
+    """Graph500-style source sampling: random vertices, optionally
+    restricted to those with at least one outgoing edge."""
+    import numpy as np
+
+    if count <= 0:
+        raise ConfigError("count must be positive")
+    rng = np.random.default_rng(seed)
+    if require_outgoing:
+        candidates = np.flatnonzero(graph.out_degrees() > 0)
+        if candidates.size == 0:
+            raise ConfigError("graph has no vertex with outgoing edges")
+    else:
+        candidates = np.arange(graph.num_vertices)
+    replace = candidates.size < count
+    return rng.choice(candidates, size=count, replace=replace)
 
 
 @dataclass
@@ -254,3 +285,93 @@ class RunSpec:
             f"{self.system}/{self.workload} graph={graph} source={source} "
             f"placement={placement}"
         )
+
+
+def lower_run(
+    workload: str,
+    graph: Union[str, CSRGraph],
+    *,
+    seed: int = 42,
+    system: str = "nova",
+    gpns: int = 1,
+    scale: float = 1.0 / 256.0,
+    source: Optional[int] = None,
+    placement: str = "random",
+    placement_seed: int = 1,
+    max_quanta: int = 5_000_000,
+    onchip: Union[None, int, str] = None,
+    vmu_mode: str = "tracker",
+    workload_kwargs: Optional[Mapping[str, Any]] = None,
+    timeline: bool = False,
+) -> RunSpec:
+    """The :class:`RunSpec` a front end's knobs describe.
+
+    The one place that decides, for every front end:
+
+    - the graph: a specifier string becomes the workload's variant
+      (:meth:`GraphSpec.for_workload`); a built :class:`CSRGraph` is
+      used as given;
+    - the source: ``None`` for a sourceless workload, otherwise the
+      default of :func:`resolve_source`; a source outside the graph's
+      vertices raises :class:`ConfigError` before any key is computed;
+    - the system config: NOVA's :func:`~repro.sim.config.scaled_config`
+      at ``gpns``/``scale`` (``vmu_mode`` applied only when it is not
+      the default, so tracker-mode keys never move), PolyGraph's
+      on-chip memory (``onchip`` in bytes or a size string, default
+      32 MiB scaled with ``scale``, as Table III's slice counts
+      assume), Ligra's default;
+    - the instrumentation: ``timeline=True`` records a per-quantum
+      timeline.
+    """
+    if isinstance(graph, str):
+        graph = GraphSpec.for_workload(graph, workload, seed=seed, scale=scale)
+    if workload in SOURCELESS_WORKLOADS:
+        source = None
+    else:
+        built = graph.build() if isinstance(graph, GraphSpec) else graph
+        source = resolve_source(built, workload, source)
+        if not 0 <= source < built.num_vertices:
+            raise ConfigError(
+                f"source {source} out of range: the graph has "
+                f"{built.num_vertices} vertices (0..{built.num_vertices - 1})"
+            )
+    if system == "nova":
+        from repro.sim.config import scaled_config
+
+        config = scaled_config(num_gpns=gpns, scale=scale)
+        if vmu_mode != "tracker":
+            config = config.with_updates(vmu_mode=vmu_mode)
+    elif system == "polygraph":
+        from repro.baselines.polygraph import PolyGraphConfig
+        from repro.units import MiB, parse_size
+
+        if onchip is None:
+            onchip = int(32 * MiB * scale)
+        elif isinstance(onchip, str):
+            onchip = parse_size(onchip)
+        config = PolyGraphConfig(onchip_bytes=onchip)
+    elif system == "ligra":
+        from repro.baselines.ligra import LigraConfig
+
+        config = LigraConfig()
+    else:
+        raise ConfigError(
+            f"unknown system {system!r}; expected nova, polygraph or ligra"
+        )
+    obs = None
+    if timeline:
+        from repro.obs.config import ObsConfig
+
+        obs = ObsConfig(timeline=True)
+    return RunSpec(
+        workload,
+        graph,
+        config=config,
+        system=system,
+        source=source,
+        placement=placement,
+        placement_seed=placement_seed,
+        max_quanta=max_quanta,
+        workload_kwargs=dict(workload_kwargs or {}),
+        obs=obs,
+    )

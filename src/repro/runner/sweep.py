@@ -373,7 +373,16 @@ class SweepRunner:
             if self.cache is not None and max_bytes is not None:
                 self.cache.prune(max_bytes)
 
-            stats.fault_counters = FAULT_COUNTERS.delta_since(fault_base)
+            # The registry also holds counters that are not the sweep's
+            # (the graph-digest memo's hits, the service's and the graph
+            # store's families); keep only the sweep's own.
+            stats.fault_counters = {
+                name: count
+                for name, count in FAULT_COUNTERS.delta_since(
+                    fault_base
+                ).items()
+                if name.startswith("sweep.")
+            }
             if monitor is not None:
                 monitor.end()
             trace_event(

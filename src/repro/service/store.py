@@ -39,12 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import JobSpecError, JobStateError, UnknownJobError
 from repro.journal import Journal
-from repro.runner.spec import (
-    SOURCELESS_WORKLOADS,
-    GraphSpec,
-    RunSpec,
-    resolve_source,
-)
+from repro.runner.spec import GraphSpec, RunSpec, lower_run
 
 #: Journal format version (header record of every journal file).
 SERVICE_SCHEMA = 1
@@ -209,10 +204,11 @@ class JobSpec:
     def to_run_spec(self) -> RunSpec:
         """Lower to a :class:`RunSpec` with the source resolved.
 
-        Builds the graph (memoized per process) when the default source
-        must be resolved; system configs are constructed exactly the
-        way the CLI constructs them, so keys line up with ``repro
-        run`` / ``repro sweep``.
+        Lowers through :func:`~repro.runner.spec.lower_run`, as ``repro
+        run`` and ``repro sweep`` do, so the same inputs share one
+        cache key.  A traversal job builds its graph (memoized per
+        process) to resolve its default source or to check its given
+        one.
 
         Session jobs lower differently: the graph stays a bare recipe
         (never built -- the overlay is resident at the service), the
@@ -233,48 +229,20 @@ class JobSpec:
                 },
                 graph_digest=self.graph_digest,
             )
-        gspec = GraphSpec.for_workload(
-            self.graph, self.workload, seed=self.seed, scale=self.scale
-        )
-        source = self.source
-        if self.workload in SOURCELESS_WORKLOADS:
-            source = None
-        elif source is None:
-            source = resolve_source(gspec.build(), self.workload)
-        config = None
-        if self.system == "nova":
-            from repro.sim.config import scaled_config
-
-            config = scaled_config(num_gpns=self.gpns, scale=self.scale)
-        elif self.system == "polygraph":
-            from repro.baselines.polygraph import PolyGraphConfig
-            from repro.units import MiB, parse_size
-
-            if self.onchip is not None:
-                onchip = parse_size(self.onchip)
-            else:
-                onchip = int(32 * MiB * self.scale)
-            config = PolyGraphConfig(onchip_bytes=onchip)
-        elif self.system == "ligra":
-            from repro.baselines.ligra import LigraConfig
-
-            config = LigraConfig()
-        obs = None
-        if self.timeline:
-            from repro.obs.config import ObsConfig
-
-            obs = ObsConfig(timeline=True)
-        return RunSpec(
+        return lower_run(
             self.workload,
-            gspec,
-            config=config,
+            self.graph,
+            seed=self.seed,
             system=self.system,
-            source=source,
+            gpns=self.gpns,
+            scale=self.scale,
+            source=self.source,
             placement=self.placement,
             placement_seed=self.placement_seed,
             max_quanta=self.max_quanta,
-            workload_kwargs=dict(self.workload_kwargs),
-            obs=obs,
+            onchip=self.onchip,
+            workload_kwargs=self.workload_kwargs,
+            timeline=self.timeline,
         )
 
 

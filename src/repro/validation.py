@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.baselines.ligra import LigraConfig, LigraModel
-from repro.baselines.polygraph import PolyGraphConfig, PolyGraphSystem
-from repro.core.system import NovaSystem, verify_result
+from repro.core.system import verify_result
 from repro.graph.csr import CSRGraph
-from repro.sim.config import scaled_config
-from repro.units import MiB
+from repro.runner.execute import execute_spec
+from repro.runner.spec import lower_run
 from repro.workloads import get_workload
 from repro.workloads.driver import run_functional
 
@@ -55,27 +51,34 @@ def validate_workload(
     scale: float = 1.0 / 256.0,
     **workload_kwargs,
 ) -> ValidationReport:
-    """Run one workload on every engine and compare with the oracle."""
+    """Run one workload on every engine and compare with the oracle.
+
+    NOVA, PolyGraph and Ligra run the specs :func:`lower_run` builds
+    from ``scale`` (one GPN, PolyGraph's on-chip memory scaled with
+    the graph), as ``repro run`` would describe them.
+    """
+    specs = {
+        system: lower_run(
+            workload,
+            graph,
+            system=system,
+            scale=scale,
+            source=source,
+            workload_kwargs=workload_kwargs,
+        )
+        for system in ("nova", "polygraph", "ligra")
+    }
+    source = specs["nova"].source
     program = get_workload(workload, **workload_kwargs)
-    if source is None and workload not in ("cc", "pr", "pr-delta"):
-        source = int(np.argmax(graph.out_degrees()))
     expected, _ = program.reference(graph, source)
 
-    onchip = max(1024, int(32 * MiB * scale))
     candidates = {
         "functional": lambda: run_functional(
             get_workload(workload, **workload_kwargs), graph, source
         ).result,
-        "nova": lambda: NovaSystem(
-            scaled_config(num_gpns=1, scale=scale), graph, placement="random"
-        ).run(workload, source=source, **workload_kwargs).result,
-        "polygraph": lambda: PolyGraphSystem(
-            PolyGraphConfig(onchip_bytes=onchip), graph
-        ).run(workload, source=source, **workload_kwargs).result,
-        "ligra": lambda: LigraModel(LigraConfig(), graph).run(
-            workload, source=source, **workload_kwargs
-        ).result,
     }
+    for system, spec in specs.items():
+        candidates[system] = lambda spec=spec: execute_spec(spec).result
 
     report = ValidationReport(
         workload=workload,

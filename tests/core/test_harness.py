@@ -1,11 +1,11 @@
-"""Multi-trial experiment harness."""
+"""Graph500-style source sampling (``repro.runner.spec.sample_sources``),
+which ``repro sweep --sources N`` draws its sources with."""
 
 import numpy as np
 import pytest
 
-from repro.core.harness import AggregateResult, ExperimentHarness, sample_sources
-from repro.core.system import NovaSystem
 from repro.errors import ConfigError
+from repro.runner.spec import sample_sources
 
 
 class TestSourceSampling:
@@ -34,47 +34,3 @@ class TestSourceSampling:
         )
         with pytest.raises(ConfigError):
             sample_sources(g, 2)
-
-
-class TestHarness:
-    def test_run_sources(self, small_config, rmat_graph):
-        harness = ExperimentHarness(
-            NovaSystem(small_config, rmat_graph), rmat_graph
-        )
-        aggregate = harness.run_sources("bfs", trials=3)
-        assert len(aggregate) == 3
-        assert aggregate.mean_seconds > 0
-        assert aggregate.min_seconds <= aggregate.mean_seconds <= (
-            aggregate.max_seconds
-        )
-
-    def test_explicit_sources(self, small_config, rmat_graph, rmat_source):
-        harness = ExperimentHarness(
-            NovaSystem(small_config, rmat_graph), rmat_graph
-        )
-        aggregate = harness.run_sources("bfs", sources=[rmat_source])
-        assert len(aggregate) == 1
-
-    def test_run_repeated(self, small_config, rmat_graph):
-        harness = ExperimentHarness(
-            NovaSystem(small_config, rmat_graph), rmat_graph
-        )
-        aggregate = harness.run_repeated("pr", trials=2, max_supersteps=3)
-        assert len(aggregate) == 2
-        with pytest.raises(ConfigError):
-            harness.run_repeated("pr", trials=0)
-
-    def test_harmonic_mean_below_arithmetic(self, small_config, rmat_graph):
-        harness = ExperimentHarness(
-            NovaSystem(small_config, rmat_graph), rmat_graph
-        )
-        aggregate = harness.run_sources("bfs", trials=4, seed=9)
-        assert aggregate.harmonic_mean_gteps <= aggregate.mean_gteps + 1e-12
-
-    def test_summary_renders(self, small_config, rmat_graph):
-        harness = ExperimentHarness(
-            NovaSystem(small_config, rmat_graph), rmat_graph
-        )
-        text = harness.run_sources("bfs", trials=2).summary()
-        assert "trials" in text and "GTEPS" in text
-        assert AggregateResult().summary() == "no runs"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from types import SimpleNamespace
 
 import pytest
@@ -167,6 +168,30 @@ class TestAggregation:
         assert bfs["quanta_total"] == 240
         pr = by_label[("pr", "rmat:9:8", 2)]
         assert pr["runs"] == 4 and pr["ok"] == 3 and pr["failed"] == 1
+
+    def test_gteps_hmean_is_graph500s_aggregate(self):
+        """hmean is the harmonic mean of the group's ok runs' GTEPS,
+        and 0 when any of them is 0."""
+        def hmeans(entries):
+            return {
+                cell["key"]["workload"]: cell["gteps"]["hmean"]
+                for cell in SweepReport(entries).to_dict()["groups"]
+                if "gteps" in cell
+            }
+
+        entries = fixture_entries()
+        bfs = [e.gteps for e in entries if e.workload == "bfs"]
+        pr = [e.gteps for e in entries
+              if e.workload == "pr" and e.status == "ok"]
+        got = hmeans(entries)
+        assert set(got) == {"bfs", "pr"}  # cc's only run is missing
+        assert got["bfs"] == pytest.approx(len(bfs) / sum(1 / g for g in bfs))
+        assert got["pr"] == pytest.approx(len(pr) / sum(1 / g for g in pr))
+        # The 2x-fast bfs outlier lifts the mean more than the hmean.
+        assert got["bfs"] < statistics.fmean(bfs)
+
+        entries[0].gteps = 0.0
+        assert hmeans(entries)["bfs"] == 0.0
 
     def test_bottleneck_shares_aggregate_over_group(self):
         data = fixture_report().to_dict()

@@ -99,27 +99,6 @@ def test_runner_results_match_direct_system_run(tmp_path, graph, config):
     assert_same_run(run, cached)
 
 
-def test_harness_through_runner_matches_direct(tmp_path, graph, config):
-    from repro.core.harness import ExperimentHarness
-
-    system = NovaSystem(config, graph, placement="random")
-    sources = [0, 1, 2]
-    direct = ExperimentHarness(system, graph).run_sources("bfs", sources)
-    runner = SweepRunner(workers=1, cache_dir=str(tmp_path))
-    via_runner = ExperimentHarness(system, graph, runner=runner).run_sources(
-        "bfs", sources
-    )
-    assert via_runner.mean_seconds == direct.mean_seconds
-    for a, b in zip(direct.runs, via_runner.runs):
-        assert_same_run(a, b)
-
-    # The second harness invocation resolves every trial from cache.
-    again = ExperimentHarness(system, graph, runner=runner).run_sources(
-        "bfs", sources
-    )
-    assert again.mean_seconds == direct.mean_seconds
-
-
 def test_results_keep_input_order(tmp_path, graph, config):
     runner = SweepRunner(workers=1, cache_dir=str(tmp_path))
     specs = [

@@ -119,6 +119,18 @@ class TestBasicRoutes:
             )
             assert status == 400
             assert payload["error"] == "bad_spec"
+            # A source outside the graph is refused at admission too.
+            status, payload, _ = await call(
+                http_request,
+                port,
+                "POST",
+                "/v1/jobs",
+                {"spec": {"workload": "bfs", "graph": "rmat:6:4",
+                          "source": 999999}},
+            )
+            assert status == 400
+            assert payload["error"] == "bad_spec"
+            assert "source 999999 out of range" in payload["message"]
             client = ServiceClient(f"http://127.0.0.1:{port}")
             with pytest.raises(JobSpecError):
                 await call(client.submit, {"workload": "bfs"})

@@ -106,6 +106,30 @@ class TestJobSpec:
             assert spec_key(specs[0]) == run_key, workload
             assert spec_key(job.to_run_spec()) == run_key, workload
 
+        # The baselines: PolyGraph at its scaled default on-chip size
+        # and at an explicit one, and Ligra.
+        run_keys = set()
+        for system, run_extra, job_extra in (
+            ("polygraph", [], {}),
+            ("polygraph", ["--onchip", "2KiB"], {"onchip": "2KiB"}),
+            ("ligra", [], {}),
+        ):
+            argv = ["--system", system, "--workload", "bfs",
+                    "--source", "1"] + inputs
+            cache = tmp_path / f"{system}{len(run_keys)}"
+            assert main(
+                ["run", "--cache-dir", str(cache)] + argv + run_extra
+            ) == 0
+            (path, _, _), = RunCache(str(cache)).entries()
+            run_key = os.path.basename(path)[: -len(".pkl")]
+            job = JobSpec.from_dict({
+                **_job_spec_from_args(parser.parse_args(["submit"] + argv)),
+                **job_extra,
+            })
+            assert spec_key(job.to_run_spec()) == run_key, (system, job_extra)
+            run_keys.add(run_key)
+        assert len(run_keys) == 3
+
     def test_suite_scale_reaches_the_graph(self):
         """A suite graph is built at the job's scale, as ``repro run``
         builds it; other graphs keep ignoring scale."""
@@ -122,6 +146,15 @@ class TestJobSpec:
         b = make_spec(source=None).to_run_spec()
         assert a.source is not None
         assert a.source == b.source
+
+    @pytest.mark.parametrize("source", [64, 999999, -1])
+    def test_out_of_range_source_is_refused_at_lowering(self, source):
+        # rmat:6:4 has 64 vertices.  Lowering refuses the source, so
+        # the service rejects the job at admission instead of queueing
+        # and forking a run that fails.
+        with pytest.raises(ConfigError, match=f"source {source} out of range"):
+            make_spec(source=source).to_run_spec()
+        assert make_spec(source=63).to_run_spec().source == 63
 
     def test_sourceless_workload_drops_source(self):
         spec = make_spec(workload="pr", source=3)

@@ -10,6 +10,7 @@ from repro.errors import ConfigError, ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat
 from repro.graph.specifier import _GENERATOR_FORMS, build_graph
+from repro.obs.report import REPORT_SCHEMA
 from repro.units import KiB, MiB, parse_size
 
 
@@ -330,6 +331,61 @@ class TestCommands:
         assert main(args + ["--resume"]) == 1
         assert "no interrupted sweep to resume" in capsys.readouterr().err
 
+    def test_sweep_fault_line_shows_only_sweep_counters(
+        self, tmp_path, capsys
+    ):
+        # rmat:9:8 maps a graph-store artifact, so keying its cells hits
+        # the graph-digest memo: a registry counter, not a sweep fault.
+        assert main(["sweep", "--graph", "rmat:9:8", "--workloads", "bfs",
+                     "--gpns", "1", "--sources", "2", "--workers", "1",
+                     "--timeout", "0.000001", "--retries", "0",
+                     "--no-progress", "--cache-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        (line,) = [
+            line for line in out.splitlines()
+            if line.startswith("fault counters:")
+        ]
+        assert "cache.digest_memo_hits" not in line
+        assert "sweep.timeouts=2" in line
+        names = [item.split("=")[0] for item in line.split()[2:]]
+        assert names and all(name.startswith("sweep.") for name in names)
+
+    @pytest.mark.parametrize("verb", ["sweep", "report"])
+    @pytest.mark.parametrize(
+        "grid, form",
+        [
+            (["--gpns", "1,x"], "expected comma-separated positive GPN"),
+            (["--gpns", "2,0"], "expected comma-separated positive GPN"),
+            (["--workloads", ","], "--workloads needs at least one of"),
+        ],
+    )
+    def test_malformed_grid_is_one_error_line(
+        self, verb, grid, form, tmp_path, capsys
+    ):
+        assert main([verb, "--graph", "rmat:6:4", *grid,
+                     "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert form in lines[0]
+
+    @pytest.mark.parametrize("source", ["999999", "64", "-1"])
+    def test_out_of_range_source_is_refused_before_keying(
+        self, source, tmp_path, capsys
+    ):
+        # rmat:6:4 has 64 vertices.  The refusal comes from lowering
+        # the run, before its key: no "cache miss" line is printed.
+        assert main(["run", "--graph", "rmat:6:4", "--source", source,
+                     "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: source {source} out of range")
+        assert not any(tmp_path.iterdir())
+
     def test_sweep_resume_rejects_no_cache(self, capsys):
         assert main(["sweep", "--graph", "rmat:9:8", "--workloads", "bfs",
                      "--gpns", "1", "--sources", "1", "--workers", "1",
@@ -403,7 +459,7 @@ class TestCommands:
         out_json = str(tmp_path / "r.json")
         assert main(["report"] + grid + ["--json", out_json]) == 0
         payload = json.load(open(out_json, encoding="utf-8"))
-        assert payload["schema"] == 1
+        assert payload["schema"] == REPORT_SCHEMA
         assert payload["totals"]["ok"] == 2
         # Uninstrumented sweep: no timelines joined, no bottleneck cells.
         assert payload["totals"]["with_timeline"] == 0

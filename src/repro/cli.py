@@ -21,8 +21,9 @@ Commands:
 - ``fetch``     download a completed job's result as JSON
 - ``graph``     manage the content-addressed graph artifact store
   (``build`` prebuilds mmap-able CSR artifacts, ``ls`` lists them,
-  ``gc`` evicts least-recently-used artifacts past a byte budget --
-  see :mod:`repro.graph.store`)
+  ``gc`` evicts least-recently-used artifacts past a byte budget,
+  ``verify`` re-hashes each against its manifest -- see
+  :mod:`repro.graph.store`)
 - ``generate``  build a synthetic graph and save it
 - ``info``      print the system configuration (Table II) and tracker sizing
 - ``resources`` print Table IV terascale requirements
@@ -82,19 +83,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     # Single runs go through the same content-addressed cache as sweeps
     # and service jobs, so a repeated run (from any front end) is a hit.
-    # --verify runs uncached: the oracle pass decorates the result with
-    # reference counts the cache key does not distinguish.
-    run = None
+    # A hit prints the summary stored in the entry's header, without
+    # loading the result.  --verify runs uncached: the oracle pass
+    # decorates the result with reference counts the cache key does
+    # not distinguish.
+    lines = None
     cache = None
     if not (args.verify or args.no_cache):
         cache = RunCache(args.cache_dir)
         key = spec_key(spec)
-        run = cache.load(key)
-        if run is not None:
+        lines = cache.load_summary(key)
+        if lines is not None:
             print(f"cache hit {key[:12]} ({cache.root})")
         else:
             print(f"cache miss {key[:12]}")
-    if run is None:
+    if lines is None:
         from repro.runner.execute import execute_spec
 
         run = execute_spec(spec)
@@ -103,22 +106,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 cache.store(key, run)
             except OSError:
                 pass  # a full disk must not fail a finished run
-    if args.verify:
-        from repro.core.system import check_against_oracle
-        from repro.workloads import get_workload
+        if args.verify:
+            from repro.core.system import check_against_oracle
+            from repro.workloads import get_workload
 
-        check_against_oracle(
-            get_workload(spec.workload, **kwargs),
-            spec.resolve_graph(),
-            spec.source,
-            run,
-        )
+            check_against_oracle(
+                get_workload(spec.workload, **kwargs),
+                spec.resolve_graph(),
+                spec.source,
+                run,
+            )
+        lines = run.summary_lines()
 
-    print(run.describe())
-    for name, seconds in run.breakdown.items():
-        print(f"  {name:>12}: {seconds * 1e3:9.4f} ms")
-    for name, value in run.utilization.items():
-        print(f"  util {name:>7}: {value:8.1%}")
+    for line in lines:
+        print(line)
     if args.verify:
         print("  result verified against the sequential oracle")
     return 0
@@ -523,6 +524,14 @@ def make_parser() -> argparse.ArgumentParser:
                      help="byte budget, e.g. 512MiB or 2GiB")
     add_store_arg(ggc)
     ggc.set_defaults(handler="repro.commands.graph:cmd_graph_gc")
+
+    gverify = gsub.add_parser(
+        "verify",
+        help="re-hash every artifact against its manifest; evict and "
+             "exit 1 on a mismatch",
+    )
+    add_store_arg(gverify)
+    gverify.set_defaults(handler="repro.commands.graph:cmd_graph_verify")
 
     gen = sub.add_parser("generate", help="build and save a graph")
     gen.add_argument("--kind", required=True, help="graph specifier")

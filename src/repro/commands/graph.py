@@ -1,4 +1,4 @@
-"""``repro graph build/ls/gc`` and ``repro generate``."""
+"""``repro graph build/ls/gc/verify`` and ``repro generate``."""
 
 from __future__ import annotations
 
@@ -152,6 +152,21 @@ def cmd_graph_gc(args: argparse.Namespace) -> int:
         f"{store.root})"
     )
     return 0
+
+
+def cmd_graph_verify(args: argparse.Namespace) -> int:
+    from repro.graph.store import GraphStore
+
+    store = GraphStore(args.store_dir)
+    checked = evicted = 0
+    for digest, manifest, problem in store.verify():
+        checked += 1
+        if problem is not None:
+            evicted += 1
+            spec = (manifest.get("provenance") or {}).get("spec") or {}
+            print(f"evicted {digest[:12]} {spec.get('spec', '?')}: {problem}")
+    print(f"verified {checked} artifact(s), evicted {evicted} ({store.root})")
+    return 1 if evicted else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

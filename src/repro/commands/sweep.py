@@ -278,6 +278,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         BottleneckReport,
         ObsConfig,
         make_recorder,
+        render_counts,
         trace_span,
     )
     from repro.runner.spec import lower_run
@@ -332,7 +333,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(profiler.render(), file=view)
     # Sweep-level fault/retry/timeout accounting (nonzero only when this
     # process also drove instrumented sweeps, e.g. via the runner API).
-    print(FAULT_COUNTERS.render(), file=view)
+    # The registry also holds other families (graph_store.*, service.*);
+    # keep only the sweep's, as SweepStats.fault_counters does.
+    sweep_counts = {
+        name: count
+        for name, count in FAULT_COUNTERS.snapshot().items()
+        if name.startswith("sweep.")
+    }
+    print(render_counts(sweep_counts), file=view)
     if json_stdout:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.json:
@@ -340,7 +348,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "report": report.to_dict(),
             "timeline": run.timeline,
             "phases": profiler.to_dict() if profiler is not None else None,
-            "fault_counters": FAULT_COUNTERS.snapshot(),
+            "fault_counters": sweep_counts,
         }
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)

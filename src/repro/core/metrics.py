@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -111,3 +111,14 @@ class RunResult:
             f"GTEPS={self.gteps:.2f}{eff_text} "
             f"coalesce={self.coalescing_rate:.1%} quanta={self.quanta}"
         )
+
+    def summary_lines(self) -> List[str]:
+        """What ``repro run`` prints: :meth:`describe`, then the time
+        breakdown and the utilizations.  The run cache keeps them in
+        each entry's header, so a hit prints them without unpickling."""
+        lines = [self.describe()]
+        for name, seconds in self.breakdown.items():
+            lines.append(f"  {name:>12}: {seconds * 1e3:9.4f} ms")
+        for name, value in self.utilization.items():
+            lines.append(f"  util {name:>7}: {value:8.1%}")
+        return lines

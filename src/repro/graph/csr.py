@@ -8,6 +8,7 @@ weights (SSSP and BC use them; BFS/CC/PR ignore them).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -30,8 +31,13 @@ class CSRGraph:
     page of a file the caller specifically wants to read on demand.
     ``ascontiguousarray`` is a no-copy view for the store's already
     contiguous ``int64``/``float64`` memmaps, so memmap backing (and
-    laziness) survives construction.
+    laziness) survives construction.  ``digest`` is the store's record
+    of :meth:`digest` for a mapped artifact, taken at publish.
     """
+
+    #: The recorded digest; ``None`` (the default, also for graphs
+    #: pickled before the field existed) means "hash the arrays".
+    _digest: Optional[str] = None
 
     def __init__(
         self,
@@ -39,6 +45,7 @@ class CSRGraph:
         col_idx: np.ndarray,
         weights: Optional[np.ndarray] = None,
         validate: bool = True,
+        digest: Optional[str] = None,
     ) -> None:
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
@@ -73,6 +80,8 @@ class CSRGraph:
         for array in (self.row_ptr, self.col_idx, self.weights):
             if array is not None and array.flags.writeable:
                 array.setflags(write=False)
+        if digest is not None:
+            self._digest = digest
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -170,6 +179,23 @@ class CSRGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
+    def max_out_degree_vertex(self) -> int:
+        """The highest-out-degree vertex (the lowest id among ties): the
+        default traversal source.  Raises ``ValueError`` on a graph
+        without vertices, as ``np.argmax`` does."""
+        return int(np.argmax(self.out_degrees()))
+
+    def digest(self) -> str:
+        """SHA-256 over the CSR arrays: the graph's part of a run-cache key.
+
+        A graph mapped from a published store artifact returns the
+        digest recorded at publish (``repro graph verify`` re-checks
+        the records); any other graph hashes its arrays.
+        """
+        if self._digest is not None:
+            return self._digest
+        return csr_digest(self.row_ptr, self.col_idx, self.weights)
+
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.col_idx, minlength=self.num_vertices)
 
@@ -248,3 +274,23 @@ class CSRGraph:
         return (
             f"CSRGraph(V={self.num_vertices}, E={self.num_edges}, {kind})"
         )
+
+
+def csr_digest(
+    row_ptr: np.ndarray,
+    col_idx: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+) -> str:
+    """SHA-256 over CSR arrays (shape- and weight-aware).
+
+    The arrays are C-contiguous (:class:`CSRGraph` makes them so), and
+    ``hashlib`` reads them in place through the buffer protocol: the
+    bytes are the ones ``tobytes()`` would copy out, without the copy.
+    """
+    h = hashlib.sha256()
+    h.update(f"v={row_ptr.shape[0] - 1};e={col_idx.shape[0]};".encode())
+    h.update(row_ptr)
+    h.update(col_idx)
+    if weights is not None:
+        h.update(weights)
+    return h.hexdigest()

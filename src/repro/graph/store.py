@@ -21,6 +21,16 @@ graph build a one-time cost per host:
   time and the manifest pins their shapes/dtypes).  The kernel page
   cache dedups the bytes across every process on the host, and graphs
   larger than RAM fault pages in on demand.
+- **Facts without a map**: the manifest also records the graph's CSR
+  digest (:meth:`~repro.graph.csr.CSRGraph.digest`, its part of every
+  run-cache key) and its default source (the highest-out-degree
+  vertex), computed once at publish.  :meth:`GraphStore.facts` reads
+  them without touching an array, so a process keys a store-backed run
+  without mapping the graph, and a mapped graph carries its recorded
+  digest.  Keys trust these records as loads trust the arrays;
+  :meth:`GraphStore.verify` (``repro graph verify``) re-hashes every
+  artifact against them.  An artifact published before the fields
+  existed is mapped and hashed instead.
 - **Publish** is atomic: arrays and manifest are written into a hidden
   temp directory and ``os.rename``d into place, so readers can never
   observe a torn artifact.  Concurrent builders serialize on a
@@ -41,8 +51,9 @@ Environment knobs:
 - ``REPRO_GRAPH_STORE_MAX_BYTES``: LRU size cap applied after builds.
 
 Counters (``graph_store.*`` in :data:`~repro.obs.counters.FAULT_COUNTERS`):
-``hits``, ``misses``, ``builds``, ``build_ms``, ``lock_waits``,
-``evictions``, ``corrupt``.
+``hits`` (a map or a manifest read of a published artifact),
+``misses``, ``builds``, ``build_ms``, ``lock_waits``, ``evictions``,
+``corrupt``.
 """
 
 from __future__ import annotations
@@ -54,15 +65,28 @@ import os
 import shutil
 import threading
 import time
-from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple, Union
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.env import env_int
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_event
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.graph.csr import CSRGraph
 
 try:  # POSIX cross-process locking; degrades to best-effort elsewhere
     import fcntl
@@ -178,6 +202,40 @@ def spec_digest(spec: Any) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
+class GraphFacts(NamedTuple):
+    """What a run needs to know about a graph before it maps one: the
+    size, the CSR digest that keys it, and the default source
+    (``None`` for a graph without vertices)."""
+
+    num_vertices: int
+    num_edges: int
+    csr_digest: str
+    default_source: Optional[int]
+
+    @classmethod
+    def of(cls, graph: CSRGraph) -> "GraphFacts":
+        return cls(
+            graph.num_vertices,
+            graph.num_edges,
+            graph.digest(),
+            graph.max_out_degree_vertex() if graph.num_vertices else None,
+        )
+
+    @classmethod
+    def recorded(cls, manifest: Dict[str, Any]) -> Optional["GraphFacts"]:
+        """The facts a manifest records, or ``None`` if it predates them."""
+        try:
+            source = manifest["default_source"]
+            return cls(
+                int(manifest["num_vertices"]),
+                int(manifest["num_edges"]),
+                str(manifest["csr_digest"]),
+                None if source is None else int(source),
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
+
+
 def _load_array(
     path: str, dtype: str, shape: Tuple[int, ...]
 ) -> np.ndarray:
@@ -186,6 +244,8 @@ def _load_array(
     Zero-length arrays cannot be mmapped (POSIX forbids empty maps), so
     they load eagerly -- there are no bytes to share anyway.
     """
+    import numpy as np
+
     if int(np.prod(shape)) == 0:
         array = np.load(path, allow_pickle=False)
     else:
@@ -260,11 +320,15 @@ class GraphStore:
         build can republish them.  Structural CSR validation is skipped
         (``validate=False``): the arrays were validated at publish time
         and re-walking them here would fault in every page of a graph
-        we specifically want to load lazily.
+        we specifically want to load lazily.  The graph carries the
+        manifest's recorded CSR digest, when it has one.
         """
         manifest = self._read_manifest(digest)
         if manifest is None:
             return None
+        from repro.graph.csr import CSRGraph
+
+        recorded = GraphFacts.recorded(manifest)
         directory = self._dir(digest)
         try:
             arrays: Dict[str, Optional[np.ndarray]] = {}
@@ -285,15 +349,41 @@ class GraphStore:
                 arrays["col_idx"],
                 arrays["weights"],
                 validate=False,
+                digest=recorded.csr_digest if recorded else None,
             )
         except Exception:
             self._evict(digest, reason="corrupt")
             return None
+        self._touch(digest)
+        return graph
+
+    def facts(self, digest: str) -> Optional[GraphFacts]:
+        """The published artifact's :class:`GraphFacts`, else ``None``.
+
+        Read from the manifest, mapping no array.  An artifact whose
+        manifest predates the recorded facts is mapped and hashed
+        instead.  Either read counts as a ``graph_store.hits`` hit.
+        """
+        manifest = self._read_manifest(digest)
+        if manifest is None:
+            return None
+        facts = GraphFacts.recorded(manifest)
+        if facts is None:
+            graph = self.load(digest)
+            if graph is None:
+                return None
+            facts = GraphFacts.of(graph)
+        else:
+            self._touch(digest)
+        FAULT_COUNTERS.increment("graph_store.hits")
+        trace_event("graph_store.hit", digest=digest, manifest=True)
+        return facts
+
+    def _touch(self, digest: str) -> None:
         try:
             os.utime(self._manifest_path(digest))  # LRU touch for prune()
         except OSError:
             pass
-        return graph
 
     def _read_manifest(self, digest: str) -> Optional[Dict[str, Any]]:
         try:
@@ -338,8 +428,11 @@ class GraphStore:
         (the final directory already exists) silently discards the
         duplicate -- content addressing makes both copies identical.
         """
+        import numpy as np
+
         import repro
 
+        facts = GraphFacts.of(graph)
         final = self._dir(digest)
         os.makedirs(os.path.dirname(final), exist_ok=True)
         tmp = os.path.join(
@@ -364,8 +457,10 @@ class GraphStore:
                 "schema": STORE_SCHEMA,
                 "digest": digest,
                 "arrays": arrays,
-                "num_vertices": graph.num_vertices,
-                "num_edges": graph.num_edges,
+                "num_vertices": facts.num_vertices,
+                "num_edges": facts.num_edges,
+                "csr_digest": facts.csr_digest,
+                "default_source": facts.default_source,
                 "provenance": {
                     "version": repro.__version__,
                     "created": time.time(),
@@ -487,6 +582,45 @@ class GraphStore:
                 except OSError:
                     continue
                 yield digest, size, mtime, manifest
+
+    def verify(self) -> Iterator[Tuple[str, Dict[str, Any], Optional[str]]]:
+        """Re-hash every artifact against its manifest's recorded facts.
+
+        Keys trust each manifest's ``csr_digest`` and ``default_source``
+        as loads trust the arrays; this is the check behind that trust.
+        Yields ``(digest, manifest, problem)`` per artifact, ``problem``
+        being ``None`` when the artifact checks out.  An artifact with a
+        problem is evicted as ``graph_store.corrupt``.  The arrays are
+        hashed in place, so verifying faults in every page once.
+        """
+        from repro.graph.csr import CSRGraph
+
+        for digest, _, _, manifest in list(self.entries()):
+            graph = self.load(digest)  # evicts unreadable arrays
+            if graph is None:
+                yield digest, manifest, "unreadable arrays"
+                continue
+            recorded = GraphFacts.recorded(manifest)
+            if recorded is None:  # published before facts were recorded
+                yield digest, manifest, None
+                continue
+            # The same arrays without the recorded digest: hashed afresh.
+            actual = GraphFacts.of(
+                CSRGraph(
+                    graph.row_ptr, graph.col_idx, graph.weights,
+                    validate=False,
+                )
+            )
+            wrong = [
+                name
+                for name, want, got in zip(recorded._fields, recorded, actual)
+                if want != got
+            ]
+            if wrong:
+                self._evict(digest, reason="corrupt")
+                yield digest, manifest, " and ".join(wrong) + " mismatch"
+            else:
+                yield digest, manifest, None
 
     def total_bytes(self) -> int:
         return sum(size for _, size, _, _ in self.entries())

@@ -23,12 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from repro.errors import ConfigError
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import power_law, road_grid, uniform_random
 from repro.units import MiB
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
+
+# The generators (and numpy) load when a builder runs: a recipe that
+# only reads DEFAULT_SCALE, as every suite: GraphSpec does, maps or
+# keys a published artifact without them.
 
 #: Default linear scale of the suite relative to the paper's graphs.
 DEFAULT_SCALE = 1.0 / 256.0
@@ -60,18 +65,24 @@ class GraphSpec:
 
 
 def _road_builder(num_vertices: int, seed: int) -> CSRGraph:
+    from repro.graph.generators import road_grid
+
     side = max(8, int(round(math.sqrt(num_vertices))))
     return road_grid(side, side, seed=seed)
 
 
 def _power_law_builder(avg_degree: float, exponent: float):
     def build(num_vertices: int, seed: int) -> CSRGraph:
+        from repro.graph.generators import power_law
+
         return power_law(num_vertices, avg_degree, exponent=exponent, seed=seed)
 
     return build
 
 
 def _urand_builder(num_vertices: int, seed: int) -> CSRGraph:
+    from repro.graph.generators import uniform_random
+
     # Paper ratio: 4.2 B edges / 134.2 M vertices ~= 31.3.
     return uniform_random(num_vertices, int(31.3 * num_vertices), seed=seed)
 

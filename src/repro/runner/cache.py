@@ -4,17 +4,21 @@ Every cache entry is one pickled :class:`~repro.core.metrics.RunResult`
 stored under a SHA-256 key that digests everything determining the run's
 outcome: the cache schema version, the package version (simulator
 semantics can change between PRs), the system kind, the full config (as
-a dataclass field dict), the graph's actual CSR arrays, the workload and
-its kwargs, the source, the placement, and the quantum quota.  Any
-change to any input yields a different key; stale entries are never
-returned, only orphaned.
+a dataclass field dict), the graph's CSR digest, the workload and its
+kwargs, the source, the placement, and the quantum quota.  Any change
+to any input yields a different key; stale entries are never returned,
+only orphaned.
 
 Layout: ``<root>/<key[:2]>/<key>.pkl`` -- two-level fan-out keeps
 directories small on large sweeps.  Files are written to a temp name and
 ``os.replace``d, so concurrent writers (sweep children, parallel pytest)
 can never expose a torn entry.  Each file carries a magic tag and a
-payload digest; a corrupt or truncated entry fails verification, is
-unlinked, and reads as a miss (the run is recomputed).
+SHA-256 over everything after it; a corrupt or truncated entry fails
+verification, is unlinked, and reads as a miss (the run is recomputed).
+An entry opens with a small JSON header holding what ``repro run``
+prints (:meth:`~repro.core.metrics.RunResult.summary_lines`), so
+:meth:`RunCache.load_summary` answers a hit without unpickling the
+result.
 
 Eviction is explicit: :meth:`RunCache.prune` drops least-recently-used
 entries past a byte budget (``REPRO_CACHE_MAX_BYTES`` wires it into
@@ -25,16 +29,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
-import pickle
-import tempfile
 from collections import OrderedDict
-from typing import Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.metrics import RunResult
-from repro.obs.counters import FAULT_COUNTERS
-from repro.graph.csr import CSRGraph
-from repro.runner.spec import RunSpec
+from repro.runner.spec import GraphSpec, RunSpec
+
+if TYPE_CHECKING:
+    from repro.core.metrics import RunResult
+    from repro.graph.csr import CSRGraph
 
 #: Bump when the digest recipe or entry format changes.
 CACHE_SCHEMA = 2
@@ -42,7 +46,13 @@ CACHE_SCHEMA = 2
 #: before (2: a re-insert after compaction restores every copy of a
 #: multigraph pair); it keys session queries only.
 SESSION_QUERY_SCHEMA = 2
-_MAGIC = b"RNC1"
+#: Entry layouts.  ``RNC2``: magic, SHA-256 of the rest, the header's
+#: length (4 bytes, big-endian), the header (a JSON list of the lines
+#: ``repro run`` prints), the pickled result.
+#: ``RNC1``, written before headers existed and still read: magic,
+#: SHA-256 of the pickle, the pickle.
+_MAGIC = b"RNC2"
+_MAGIC_V1 = b"RNC1"
 
 
 def default_cache_dir() -> str:
@@ -53,90 +63,24 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-nova")
 
 
-#: Artifact identity -> digest memo for store-backed graphs.  Keyed by
-#: the memmap file paths (content-addressed and immutable once
-#: published), so an N-cell sweep over one store graph hashes the CSR
-#: arrays once instead of N times.  Bounded LRU; in-memory graphs are
-#: never memoized (nothing pins their bytes immutable).
-_DIGEST_MEMO: "OrderedDict[tuple, str]" = OrderedDict()
-_DIGEST_MEMO_CAPACITY = 64
-
-
-def _backing_file(array) -> Optional[str]:
-    """The mmap file behind an array, walking view chains, else None.
-
-    :class:`CSRGraph` wraps the store's ``np.memmap`` arrays in
-    ``ascontiguousarray`` views, so the ``.filename`` lives on a
-    ``.base`` ancestor rather than the array itself.
-    """
-    seen = 0
-    while array is not None and seen < 8:
-        filename = getattr(array, "filename", None)
-        if filename:
-            return str(filename)
-        array = getattr(array, "base", None)
-        seen += 1
-    return None
-
-
-def _artifact_identity(graph: CSRGraph) -> Optional[tuple]:
-    """A hashable identity for a store-backed (memmap) graph, else None.
-
-    Store artifacts are read-only ``np.memmap`` arrays whose
-    ``.filename`` points into the content-addressed store: same paths,
-    same bytes.  Any array without a backing file (in-memory graphs,
-    zero-length arrays loaded eagerly) disqualifies the graph from
-    memoization -- correctness first, the memo is only an optimization.
-    """
-    arrays = [graph.row_ptr, graph.col_idx]
-    if graph.has_weights:
-        arrays.append(graph.weights)
-    names = []
-    for array in arrays:
-        filename = _backing_file(array)
-        if filename is None:
-            return None
-        names.append(filename)
-    return (graph.num_vertices, graph.num_edges, tuple(names))
-
-
 def graph_digest(graph: CSRGraph) -> str:
-    """SHA-256 over the graph's CSR arrays (shape- and weight-aware).
+    """SHA-256 over the graph's CSR arrays: :meth:`CSRGraph.digest`.
 
-    Store-backed graphs memoize the digest by artifact identity (the
-    published files are immutable), so repeated digests of the same
-    multi-GB artifact cost one dictionary lookup instead of re-reading
-    and re-hashing the arrays.  The digest itself is byte-identical
-    either way: memoized entries are computed by this same recipe on
-    first sight.
+    A graph mapped from the store carries the digest recorded at
+    publish; any other graph is hashed.  A :class:`GraphSpec` recipe
+    keys through :meth:`GraphSpec.facts` instead, to the same value.
     """
-    identity = _artifact_identity(graph)
-    if identity is not None:
-        memoized = _DIGEST_MEMO.get(identity)
-        if memoized is not None:
-            _DIGEST_MEMO.move_to_end(identity)
-            FAULT_COUNTERS.increment("cache.digest_memo_hits")
-            return memoized
-    h = hashlib.sha256()
-    h.update(f"v={graph.num_vertices};e={graph.num_edges};".encode())
-    h.update(graph.row_ptr.tobytes())
-    h.update(graph.col_idx.tobytes())
-    if graph.has_weights:
-        h.update(graph.weights.tobytes())
-    digest = h.hexdigest()
-    if identity is not None:
-        _DIGEST_MEMO[identity] = digest
-        while len(_DIGEST_MEMO) > _DIGEST_MEMO_CAPACITY:
-            _DIGEST_MEMO.popitem(last=False)
-    return digest
+    return graph.digest()
 
 
-#: Config object -> token memo.  ``dataclasses.asdict`` walks every
-#: field recursively and dominates :func:`spec_key` on large grids that
-#: share one config instance.  Only *frozen* dataclasses are memoized
-#: (mutable configs could change between calls); entries hold a strong
-#: reference to the config so its ``id()`` cannot be recycled.
-_CONFIG_TOKEN_MEMO: "OrderedDict[int, tuple]" = OrderedDict()
+#: Frozen config -> token memo, keyed by the config's value as its repr
+#: spells it.  ``dataclasses.asdict`` walks every field recursively and
+#: dominates :func:`spec_key` on large grids, whose cells each lower a
+#: fresh but equal config.  Dataclass equality would not do as the key:
+#: it takes ``num_gpns=2`` and ``num_gpns=2.0`` as equal, and their
+#: tokens differ.  Mutable configs could change between calls and are
+#: never memoized.
+_CONFIG_TOKEN_MEMO: "OrderedDict[str, str]" = OrderedDict()
 _CONFIG_TOKEN_CAPACITY = 32
 
 
@@ -146,13 +90,14 @@ def _config_token(config) -> str:
     if dataclasses.is_dataclass(config):
         frozen = type(config).__dataclass_params__.frozen
         if frozen:
-            memoized = _CONFIG_TOKEN_MEMO.get(id(config))
-            if memoized is not None and memoized[0] is config:
-                _CONFIG_TOKEN_MEMO.move_to_end(id(config))
-                return memoized[1]
+            value = repr(config)
+            token = _CONFIG_TOKEN_MEMO.get(value)
+            if token is not None:
+                _CONFIG_TOKEN_MEMO.move_to_end(value)
+                return token
         token = f"{type(config).__name__}:{dataclasses.asdict(config)!r}"
         if frozen:
-            _CONFIG_TOKEN_MEMO[id(config)] = (config, token)
+            _CONFIG_TOKEN_MEMO[value] = token
             while len(_CONFIG_TOKEN_MEMO) > _CONFIG_TOKEN_CAPACITY:
                 _CONFIG_TOKEN_MEMO.popitem(last=False)
         return token
@@ -170,9 +115,9 @@ def _placement_token(placement, placement_seed: int) -> str:
 def spec_key(spec: RunSpec) -> str:
     """The content-addressed cache key for one run spec.
 
-    The graph contributes through its built arrays, so a
-    :class:`GraphSpec` recipe and the :class:`CSRGraph` it produces map
-    to the same entry.
+    The graph contributes its CSR digest, so a :class:`GraphSpec`
+    recipe and the :class:`CSRGraph` it produces map to the same entry;
+    a recipe reads the digest from its facts, without mapping the graph.
     """
     import repro
 
@@ -180,8 +125,10 @@ def spec_key(spec: RunSpec) -> str:
         # Streaming session specs carry their version digest: the graph
         # is resident at the service and must not be rebuilt to key.
         graph_part = f"session{SESSION_QUERY_SCHEMA}:{spec.graph_digest}"
+    elif isinstance(spec.graph, GraphSpec):
+        graph_part = spec.graph.facts().csr_digest
     else:
-        graph_part = graph_digest(spec.resolve_graph())
+        graph_part = spec.graph.digest()
     kwargs = sorted(spec.workload_kwargs.items())
     parts = [
         f"schema={CACHE_SCHEMA}",
@@ -223,26 +170,69 @@ class RunCache:
         Corrupt entries (bad magic, digest mismatch, unpicklable
         payload) are unlinked so the recomputed result can replace them.
         """
+        import pickle
+
+        from repro.core.metrics import RunResult
+
+        entry = self._read(key)
+        if entry is None:
+            return None
+        try:
+            result = pickle.loads(entry[1])
+            if not isinstance(result, RunResult):
+                raise ValueError("unexpected payload type")
+        except Exception:
+            self._discard(key)
+            return None
+        return result
+
+    def load_summary(self, key: str) -> Optional[List[str]]:
+        """The entry's verified header, without unpickling the result:
+        the lines ``repro run`` prints
+        (:meth:`~repro.core.metrics.RunResult.summary_lines`).
+
+        An ``RNC1`` entry, which has no header, is loaded and summarized
+        instead.  ``None`` on a miss or a corrupt entry.
+        """
+        entry = self._read(key)
+        if entry is None:
+            return None
+        header = entry[0]
+        if header is None:
+            result = self.load(key)
+            return None if result is None else result.summary_lines()
+        try:
+            lines = json.loads(header)
+            if not isinstance(lines, list):
+                raise ValueError("unexpected header type")
+        except ValueError:
+            self._discard(key)
+            return None
+        return lines
+
+    def _read(self, key: str) -> Optional[Tuple[Optional[bytes], memoryview]]:
+        """``(header, pickle)`` of a verified entry, ``header`` being
+        ``None`` in an ``RNC1`` entry.  ``None`` on a miss, and on a
+        corrupt entry, which is unlinked.  The pickle is a view into
+        the bytes read: slicing a multi-MB result out would copy it."""
         path = self._path(key)
         try:
             with open(path, "rb") as f:
                 blob = f.read()
         except OSError:
             return None
+        magic, digest, body = blob[:4], blob[4:36], memoryview(blob)[36:]
+        header = None
         try:
-            magic, digest, payload = blob[:4], blob[4:36], blob[36:]
-            if magic != _MAGIC or len(digest) != 32:
+            if magic not in (_MAGIC, _MAGIC_V1) or len(digest) != 32:
                 raise ValueError("bad header")
-            if hashlib.sha256(payload).digest() != digest:
+            if hashlib.sha256(body).digest() != digest:
                 raise ValueError("payload digest mismatch")
-            result = pickle.loads(payload)
-            if not isinstance(result, RunResult):
-                raise ValueError("unexpected payload type")
-        except Exception:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            if magic == _MAGIC:
+                size = int.from_bytes(body[:4], "big")
+                header, body = bytes(body[4 : 4 + size]), body[4 + size :]
+        except ValueError:
+            self._discard(key)
             return None
         try:
             os.utime(path)  # LRU touch for prune()
@@ -251,14 +241,28 @@ class RunCache:
             # and the touch; the bytes are already in hand, so the
             # loaded result is still valid.
             pass
-        return result
+        return header, body
+
+    def _discard(self, key: str) -> None:
+        try:
+            os.unlink(self._path(key))
+        except OSError:
+            pass
 
     def store(self, key: str, result: RunResult) -> str:
         """Atomically persist one result; returns the entry path."""
+        import pickle
+        import tempfile
+
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = _MAGIC + hashlib.sha256(payload).digest() + payload
+        header = json.dumps(result.summary_lines()).encode()
+        body = b"".join((
+            len(header).to_bytes(4, "big"),
+            header,
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        ))
+        blob = _MAGIC + hashlib.sha256(body).digest() + body
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
         )

@@ -10,6 +10,7 @@ every cell, so a miss never loads the sweep supervisor.
 from __future__ import annotations
 
 import importlib
+import os
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from repro.errors import ConfigError
@@ -101,6 +102,48 @@ def _preload_executors(systems) -> None:
             importlib.import_module(module)
     for cls in workloads._REGISTRY.values():
         getattr(workloads, cls)
+
+
+#: glibc ``mallopt`` parameters (``<malloc.h>``) and the values pinned:
+#: the mmap threshold at glibc's own 64-bit dynamic ceiling, and the
+#: trim threshold at twice that, where the dynamic rule would put it.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_PINNED_MMAP_THRESHOLD = 32 << 20
+_PINNED_TRIM_THRESHOLD = 64 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc malloc's mmap and trim thresholds for this process.
+
+    glibc starts both low (128 KiB) and raises them each time a large
+    mmapped block is freed, so a run's allocator state depended on
+    which large buffers the process happened to free before it: a run
+    whose result arrays are mmapped afresh and unmapped on free pays
+    their page faults again on every call.  Forked sweep and service
+    children inherit the pin.  A no-op off glibc, and when the user
+    tunes malloc through ``MALLOC_*_`` or ``GLIBC_TUNABLES``.
+    """
+    if "GLIBC_TUNABLES" in os.environ or any(
+        name.startswith("MALLOC_") and name.endswith("_")
+        for name in os.environ
+    ):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _PINNED_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _PINNED_TRIM_THRESHOLD)
+
+
+_pin_malloc_thresholds()
 
 
 def execute_spec(spec: RunSpec) -> RunResult:

@@ -19,8 +19,11 @@ Graphs can be given two ways:
   LRU memo sits in front of the store so repeated resolves inside one
   process stay free without leaking one full graph per distinct spec.
 
-Either way the cache key is computed from the *built* graph's arrays,
-so a recipe and the graph it builds hit the same cache entry.
+Either way the cache key digests the graph's CSR arrays
+(:meth:`~repro.graph.csr.CSRGraph.digest`), so a recipe and the graph
+it builds hit the same cache entry.  A recipe reads that digest, and
+its default source, from the published artifact's manifest
+(:meth:`GraphSpec.facts`), so keying a run maps no array.
 
 Front ends (``repro run``, ``sweep``/``report``, ``profile``,
 ``validate`` and service jobs) describe a run by its knobs -- GPN
@@ -37,12 +40,13 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
 from repro.env import env_int
 from repro.errors import ConfigError
-from repro.graph.csr import CSRGraph
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.graph.csr import CSRGraph
     from repro.graph.partition import VertexPlacement
+    from repro.graph.store import GraphFacts
     from repro.obs.config import ObsConfig
 
 
@@ -120,6 +124,28 @@ class GraphSpec:
         _GRAPH_MEMO.put(self, graph)
         return graph
 
+    def facts(self) -> GraphFacts:
+        """The graph's size, CSR digest and default source.
+
+        With the store enabled and the artifact published, they come
+        from its manifest and no array is mapped; otherwise the graph
+        is built (and published) and its facts computed.  Memoized per
+        process: a published artifact never changes.
+        """
+        facts = _GRAPH_MEMO.get_facts(self)
+        if facts is not None:
+            return facts
+        from repro.graph import store as graph_store
+
+        if graph_store.store_enabled():
+            facts = graph_store.GraphStore().facts(
+                graph_store.spec_digest(self)
+            )
+        if facts is None:
+            facts = graph_store.GraphFacts.of(self.build())
+        _GRAPH_MEMO.put_facts(self, facts)
+        return facts
+
     def build_uncached(self) -> CSRGraph:
         """Materialize the graph in process memory, bypassing the store."""
         if self.scale is not None and not self.spec.startswith("suite:"):
@@ -137,21 +163,25 @@ class GraphSpec:
 
 
 class _GraphMemo:
-    """A small per-process LRU of built graphs.
+    """A small per-process LRU of built graphs, and one of their facts.
 
     The memo used to be an unbounded dict, which leaked one full graph
     per distinct spec in long-lived service processes.  Store-backed
     graphs make eviction cheap (the next resolve re-maps the artifact
     without rebuilding), so the default capacity is deliberately small;
     ``REPRO_GRAPH_MEMO_SIZE`` tunes it, and ``0`` disables memoization
-    entirely.
+    entirely.  Facts (:meth:`GraphSpec.facts`, a few numbers each) keep
+    a larger LRU of their own, so keying a sweep's cells reads each
+    recipe's manifest once.
     """
 
     DEFAULT_CAPACITY = 8
+    FACTS_CAPACITY = 256
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self._capacity = capacity
         self._entries: "OrderedDict[GraphSpec, CSRGraph]" = OrderedDict()
+        self._facts: "OrderedDict[GraphSpec, GraphFacts]" = OrderedDict()
 
     @property
     def capacity(self) -> int:
@@ -161,25 +191,40 @@ class _GraphMemo:
         return env if env is not None else self.DEFAULT_CAPACITY
 
     def get(self, spec: "GraphSpec") -> Optional[CSRGraph]:
-        graph = self._entries.get(spec)
-        if graph is not None:
-            self._entries.move_to_end(spec)
-        return graph
+        return _lru_get(self._entries, spec)
 
     def put(self, spec: "GraphSpec", graph: CSRGraph) -> None:
-        capacity = self.capacity
-        if capacity <= 0:
-            return
-        self._entries[spec] = graph
-        self._entries.move_to_end(spec)
-        while len(self._entries) > capacity:
-            self._entries.popitem(last=False)
+        _lru_put(self._entries, spec, graph, self.capacity)
+
+    def get_facts(self, spec: "GraphSpec") -> Optional[GraphFacts]:
+        return _lru_get(self._facts, spec)
+
+    def put_facts(self, spec: "GraphSpec", facts: GraphFacts) -> None:
+        capacity = self.FACTS_CAPACITY if self.capacity > 0 else 0
+        _lru_put(self._facts, spec, facts, capacity)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._facts.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _lru_get(table: OrderedDict, key: Any) -> Any:
+    value = table.get(key)
+    if value is not None:
+        table.move_to_end(key)
+    return value
+
+
+def _lru_put(table: OrderedDict, key: Any, value: Any, capacity: int) -> None:
+    if capacity <= 0:
+        return
+    table[key] = value
+    table.move_to_end(key)
+    while len(table) > capacity:
+        table.popitem(last=False)
 
 
 #: Per-process LRU memo of built graphs (GraphSpec is frozen/hashable).
@@ -190,22 +235,28 @@ SOURCELESS_WORKLOADS = ("cc", "pr", "pr-delta")
 
 
 def resolve_source(
-    graph: CSRGraph, workload: str, source: Optional[int] = None
+    graph: Union[GraphSpec, CSRGraph],
+    workload: str,
+    source: Optional[int] = None,
 ) -> Optional[int]:
     """The conventional default source: the highest-out-degree vertex.
 
     Every front end (``repro run``, ``repro submit``, the service
     scheduler) resolves an omitted source the same way so that the
     resulting specs share one cache key.  Sourceless workloads always
-    map to ``None``.
+    map to ``None``.  A recipe's default comes from its facts, without
+    mapping the graph.
     """
     if workload in SOURCELESS_WORKLOADS:
         return None
     if source is not None:
         return int(source)
-    import numpy as np
-
-    return int(np.argmax(graph.out_degrees()))
+    if isinstance(graph, GraphSpec):
+        default = graph.facts().default_source
+        if default is not None:
+            return default
+        graph = graph.build()  # no vertices: fail as a built graph does
+    return graph.max_out_degree_vertex()
 
 
 def sample_sources(
@@ -328,12 +379,12 @@ def lower_run(
     if workload in SOURCELESS_WORKLOADS:
         source = None
     else:
-        built = graph.build() if isinstance(graph, GraphSpec) else graph
-        source = resolve_source(built, workload, source)
-        if not 0 <= source < built.num_vertices:
+        source = resolve_source(graph, workload, source)
+        size = graph.facts() if isinstance(graph, GraphSpec) else graph
+        if not 0 <= source < size.num_vertices:
             raise ConfigError(
                 f"source {source} out of range: the graph has "
-                f"{built.num_vertices} vertices (0..{built.num_vertices - 1})"
+                f"{size.num_vertices} vertices (0..{size.num_vertices - 1})"
             )
     if system == "nova":
         from repro.sim.config import scaled_config

@@ -26,12 +26,13 @@ backoff per the runner's :class:`~repro.runner.fault.RetryPolicy`.
 *after* every sibling has completed and stored; ``on_failure="return"``
 places the ``RunFailure`` records in the results list instead.
 
-Children never rebuild graphs: computing the cache keys resolves every
-:class:`~repro.runner.spec.GraphSpec` recipe in the parent through the
-content-addressed :class:`~repro.graph.store.GraphStore`, which builds
-each distinct graph at most once per host and maps it back as read-only
-``np.memmap`` arrays.  Forked children inherit those mappings, the
-graph memo, the registered executors, the environment and the trace
+Children never rebuild graphs: computing the cache keys reads every
+:class:`~repro.runner.spec.GraphSpec` recipe's facts in the parent
+from the content-addressed :class:`~repro.graph.store.GraphStore`,
+which builds each distinct graph at most once per host and publishes
+it; a child maps the published artifact read-only (``np.memmap``, one
+page-cache copy per host) on its first cell over it.  Forked children
+inherit the registered executors, the environment and the trace
 context, so the parent only ever sends an index.  Simulations are
 deterministic, so a cache hit is bit-identical to recomputing.
 """
@@ -374,8 +375,8 @@ class SweepRunner:
                 self.cache.prune(max_bytes)
 
             # The registry also holds counters that are not the sweep's
-            # (the graph-digest memo's hits, the service's and the graph
-            # store's families); keep only the sweep's own.
+            # (the service's and the graph store's families); keep only
+            # the sweep's own.
             stats.fault_counters = {
                 name: count
                 for name, count in FAULT_COUNTERS.delta_since(

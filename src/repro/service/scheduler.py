@@ -373,14 +373,14 @@ class JobScheduler:
     def _admit(self, spec: JobSpec) -> Tuple[str, bool, Dict[str, int]]:
         """Blocking half of admission: lower, digest, probe the cache.
 
-        Digesting the spec resolves its graph, which *warms the graph
-        artifact store before dispatch*: on a cold store the graph is
-        built once and published here, so by the time any worker thread
-        (or a sibling job sharing the recipe) picks the job up, every
-        subsequent resolve is a zero-copy mmap of the published
-        artifact.  The returned ``graph_store.*`` counter delta records
-        what the warm-up did (empty when the memo already had the
-        graph).
+        Digesting the spec reads its graph's facts, which *warms the
+        graph artifact store before dispatch*: on a cold store the graph
+        is built once and published here, so by the time any worker
+        thread (or a sibling job sharing the recipe) picks the job up,
+        every subsequent resolve is a zero-copy mmap of the published
+        artifact; on a warm one only the manifest is read.  The returned
+        ``graph_store.*`` counter delta records what the warm-up did
+        (empty when the memo already had the facts).
         """
         run_spec = spec.to_run_spec()
         base = FAULT_COUNTERS.snapshot()

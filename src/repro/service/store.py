@@ -206,9 +206,9 @@ class JobSpec:
 
         Lowers through :func:`~repro.runner.spec.lower_run`, as ``repro
         run`` and ``repro sweep`` do, so the same inputs share one
-        cache key.  A traversal job builds its graph (memoized per
-        process) to resolve its default source or to check its given
-        one.
+        cache key.  A traversal job reads its graph's facts (memoized
+        per process; built and published on a cold store) to resolve
+        its default source or to check its given one.
 
         Session jobs lower differently: the graph stays a bare recipe
         (never built -- the overlay is resident at the service), the

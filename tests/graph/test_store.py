@@ -1,5 +1,6 @@
-"""GraphStore unit tests: digests, round trips, corruption, eviction,
-and bit-identical memmap-vs-in-memory simulation parity."""
+"""GraphStore unit tests: digests, round trips, the manifest's recorded
+facts and their verification, corruption, eviction, and bit-identical
+memmap-vs-in-memory simulation parity."""
 
 from __future__ import annotations
 
@@ -9,17 +10,19 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import ConfigError, GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.store import (
     MANIFEST_NAME,
+    GraphFacts,
     GraphStore,
     spec_digest,
     store_enabled,
 )
 from repro.obs.counters import FAULT_COUNTERS
-from repro.runner.spec import GraphSpec, _GRAPH_MEMO
+from repro.runner.cache import graph_digest, spec_key
+from repro.runner.spec import GraphSpec, _GRAPH_MEMO, lower_run
 from repro.sim.config import scaled_config
 
 
@@ -295,6 +298,183 @@ class TestEviction:
         assert graph.num_vertices == 256
         digests = [d for d, _, _, _ in store.entries()]
         assert digests == [spec_digest(spec_b)]
+
+
+def _strip_facts(store, digest):
+    """Rewrite a manifest as code before the recorded facts wrote it."""
+    path = store._manifest_path(digest)
+    with open(path, encoding="utf-8") as f:
+        manifest = json.load(f)
+    del manifest["csr_digest"], manifest["default_source"]
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+
+
+def _edit_manifest(store, digest, **fields):
+    path = store._manifest_path(digest)
+    with open(path, encoding="utf-8") as f:
+        manifest = json.load(f)
+    manifest.update(fields)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+
+
+class TestRecordedFacts:
+    """The manifest records the CSR digest and default source at
+    publish; keys and sources read them without mapping the graph."""
+
+    def test_publish_records_digest_and_default_source(self, store):
+        built = SPEC.build_uncached()
+        store.get_or_build(SPEC, lambda: built)
+        ((_, _, _, manifest),) = list(store.entries())
+        assert manifest["csr_digest"] == graph_digest(built)
+        assert manifest["default_source"] == int(
+            np.argmax(built.out_degrees())
+        )
+        facts = store.facts(spec_digest(SPEC))
+        assert facts == GraphFacts(
+            built.num_vertices, built.num_edges, graph_digest(built),
+            manifest["default_source"],
+        )
+
+    def test_facts_map_no_array_and_count_a_hit(self, store, monkeypatch):
+        from repro.graph import store as store_module
+
+        store.get_or_build(SPEC, SPEC.build_uncached)
+
+        def no_map(*args):
+            raise AssertionError("mapped an array")
+
+        monkeypatch.setattr(store_module, "_load_array", no_map)
+        facts, delta = counters_delta(
+            lambda: store.facts(spec_digest(SPEC))
+        )
+        assert facts.num_vertices == 1024
+        assert delta == {"graph_store.hits": 1}
+        assert store.facts("00" * 32) is None
+
+    def test_mapped_graph_carries_the_recorded_digest(self, store):
+        store.get_or_build(SPEC, SPEC.build_uncached)
+        digest = spec_digest(SPEC)
+        _edit_manifest(store, digest, csr_digest="f" * 64)
+        assert store.load(digest).digest() == "f" * 64
+
+    @pytest.mark.parametrize("workload", ["bfs", "sssp", "cc"])
+    def test_manifest_without_facts_keys_identically(
+        self, tmp_path, monkeypatch, workload
+    ):
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
+        store = GraphStore()
+        recorded = lower_run(workload, "rmat:9:8")
+        key, source = spec_key(recorded), recorded.source
+        gspec = recorded.graph
+        _strip_facts(store, spec_digest(gspec))
+        _GRAPH_MEMO.clear()
+
+        old = lower_run(workload, "rmat:9:8")
+        assert old.source == source
+        assert spec_key(old) == key
+        assert store.facts(spec_digest(gspec)) == gspec.facts()
+        # The graph mapped from the older manifest has no record: hashed.
+        assert store.load(spec_digest(gspec))._digest is None
+
+    @pytest.mark.parametrize("stripped", [False, True])
+    def test_out_of_range_source_is_refused_as_before(
+        self, tmp_path, monkeypatch, stripped
+    ):
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
+        gspec = lower_run("bfs", "rmat:6:4").graph
+        if stripped:
+            _strip_facts(GraphStore(), spec_digest(gspec))
+        _GRAPH_MEMO.clear()
+        with pytest.raises(
+            ConfigError,
+            match=r"^source 64 out of range: the graph has 64 vertices "
+                  r"\(0\.\.63\)$",
+        ):
+            lower_run("bfs", "rmat:6:4", source=64)
+        assert lower_run("bfs", "rmat:6:4", source=63).source == 63
+
+    def test_graph_without_vertices_fails_as_before(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.graph import io as graph_io
+
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
+        path = str(tmp_path / "empty.npz")
+        graph_io.save_npz(
+            CSRGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+            path,
+        )
+        for _ in range(2):  # the cold build, then the published manifest
+            _GRAPH_MEMO.clear()
+            with pytest.raises(ValueError, match="empty sequence"):
+                lower_run("bfs", path)
+            with pytest.raises(
+                ConfigError,
+                match=r"the graph has 0 vertices \(0\.\.-1\)",
+            ):
+                lower_run("bfs", path, source=0)
+            assert lower_run("pr", path).source is None
+        assert GraphStore().facts(
+            spec_digest(GraphSpec(path))
+        ).default_source is None
+
+
+class TestVerify:
+    def test_clean_store_verifies(self, store):
+        store.get_or_build(SPEC, SPEC.build_uncached)
+        weighted = GraphSpec("rmat:8:4", seed=1, weighted=True)
+        store.get_or_build(weighted, weighted.build_uncached)
+        results, delta = counters_delta(lambda: list(store.verify()))
+        assert sorted(d for d, _, _ in results) == sorted(
+            [spec_digest(SPEC), spec_digest(weighted)]
+        )
+        assert [problem for _, _, problem in results] == [None, None]
+        assert "graph_store.corrupt" not in delta
+        assert len(list(store.entries())) == 2
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("csr_digest", "0" * 64, "csr_digest mismatch"),
+        ("default_source", 3, "default_source mismatch"),
+        ("num_edges", 1, "num_edges mismatch"),
+    ])
+    def test_mismatch_is_evicted_as_corrupt(
+        self, store, field, value, problem
+    ):
+        store.get_or_build(SPEC, SPEC.build_uncached)
+        digest = spec_digest(SPEC)
+        _edit_manifest(store, digest, **{field: value})
+        results, delta = counters_delta(lambda: list(store.verify()))
+        assert [(d, p) for d, _, p in results] == [(digest, problem)]
+        assert delta["graph_store.corrupt"] == 1
+        assert not os.path.exists(store._dir(digest))
+
+    def test_changed_array_bytes_are_caught(self, store):
+        store.get_or_build(SPEC, SPEC.build_uncached)
+        digest = spec_digest(SPEC)
+        path = os.path.join(store._dir(digest), "col_idx.npy")
+        with open(path, "r+b") as f:
+            f.seek(-8, os.SEEK_END)
+            last = int.from_bytes(f.read(8), "little")
+            f.seek(-8, os.SEEK_END)
+            f.write(((last + 1) % 1024).to_bytes(8, "little"))
+        ((_, _, problem),) = list(store.verify())
+        assert problem == "csr_digest mismatch"
+        assert store.load(digest) is None
+
+    def test_unreadable_arrays_are_reported(self, store):
+        store.get_or_build(SPEC, SPEC.build_uncached)
+        digest = spec_digest(SPEC)
+        os.unlink(os.path.join(store._dir(digest), "row_ptr.npy"))
+        assert [p for _, _, p in store.verify()] == ["unreadable arrays"]
+        assert not os.path.exists(store._dir(digest))
+
+    def test_older_artifact_is_left_alone(self, store):
+        store.get_or_build(SPEC, SPEC.build_uncached)
+        _strip_facts(store, spec_digest(SPEC))
+        assert [p for _, _, p in store.verify()] == [None]
+        assert store.load(spec_digest(SPEC)) is not None
 
 
 class TestEnvGates:

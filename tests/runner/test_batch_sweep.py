@@ -4,8 +4,8 @@ Every computed cell runs in a forked child, whatever the worker count.
 The contract under test: results and cache keys are identical for one
 and two children, every child stores its own results, and a failing or
 dying cell fails alone -- a death charges only the cell its child was
-running.  Also here: the graph-digest memo, and a sweep's deadline
-leaving the host's own ``ITIMER_REAL`` alone.
+running.  Also here: store-mapped graphs carrying their digest, and a
+sweep's deadline leaving the host's own ``ITIMER_REAL`` alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.obs import FAULT_COUNTERS
-from repro.runner.cache import _DIGEST_MEMO, graph_digest, spec_key
+from repro.runner.cache import graph_digest, spec_key
 from repro.runner.fault import RetryPolicy, RunFailure
 from repro.runner.spec import GraphSpec, RunSpec, _GRAPH_MEMO
 from repro.runner.sweep import SweepRunner
@@ -182,40 +182,39 @@ def test_pool_collapse_charges_only_the_victim(tmp_path, graph, config):
 
 
 # ----------------------------------------------------------------------
-# Graph-digest memoization
+# Store-mapped graphs carry their digest
 # ----------------------------------------------------------------------
 
 
-def test_graph_digest_memoizes_store_artifacts(tmp_path, monkeypatch):
+def test_store_artifacts_carry_their_digest(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
     _GRAPH_MEMO.clear()
-    _DIGEST_MEMO.clear()
 
     gspec = GraphSpec("rmat:9:8", seed=3)
-    stored = gspec.build()  # store-backed: arrays are mmaps with filenames
+    stored = gspec.build()  # store-backed: the manifest recorded the digest
     in_memory = rmat(9, 8, seed=3)
 
-    base = FAULT_COUNTERS.snapshot()
-    first = graph_digest(stored)
-    assert FAULT_COUNTERS.delta_since(base).get(
-        "cache.digest_memo_hits", 0
-    ) == 0
-    second = graph_digest(stored)
-    assert second == first
-    assert FAULT_COUNTERS.delta_since(base)["cache.digest_memo_hits"] == 1
-
-    # The memoized digest is byte-identical to hashing the same graph
+    # The recorded digest is byte-identical to hashing the same graph
     # built in memory -- cache keys cannot drift.
-    assert graph_digest(in_memory) == first
+    digest = graph_digest(in_memory)
+    assert graph_digest(stored) == digest == gspec.facts().csr_digest
     spec = RunSpec("bfs", gspec, source=0)
     assert spec_key(spec) == spec_key(
         RunSpec("bfs", in_memory, source=0)
     )
 
-    # In-memory graphs never populate the memo (nothing pins them).
-    memo_size = len(_DIGEST_MEMO)
-    graph_digest(in_memory)
-    assert len(_DIGEST_MEMO) == memo_size
+    # The mapped graph answers from the record; an in-memory graph
+    # (nothing pins its bytes) is hashed every time.
+    import repro.graph.csr as csr
+
+    def no_hashing(*arrays):
+        raise AssertionError("hashed the arrays")
+
+    monkeypatch.setattr(csr, "csr_digest", no_hashing)
+    assert graph_digest(stored) == digest
+    with pytest.raises(AssertionError, match="hashed the arrays"):
+        graph_digest(in_memory)
+    _GRAPH_MEMO.clear()
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -129,6 +132,128 @@ class TestSpecKey:
         assert spec_key(bfs_spec(graph, config, obs=obs)) == spec_key(
             bfs_spec(graph, config, obs=ObsConfig(timeline=True, timeline_capacity=256))
         )
+
+
+class TestConfigToken:
+    def test_equal_fresh_configs_share_one_memoized_token(self):
+        from repro.runner import cache as run_cache
+
+        run_cache._CONFIG_TOKEN_MEMO.clear()
+        a = scaled_config(num_gpns=2, scale=1.0 / 1024.0)
+        b = scaled_config(num_gpns=2, scale=1.0 / 1024.0)
+        assert a is not b and a == b
+        token = run_cache._config_token(a)
+        assert token == f"NovaConfig:{dataclasses.asdict(b)!r}"
+        assert run_cache._config_token(b) is token
+        assert len(run_cache._CONFIG_TOKEN_MEMO) == 1
+        assert run_cache._config_token(
+            scaled_config(num_gpns=4, scale=1.0 / 1024.0)
+        ) != token
+
+    def test_equal_configs_spelled_differently_keep_their_tokens(self):
+        # Dataclass equality takes 2 == 2.0, but the tokens (and so the
+        # keys) of the two configs differ, whichever is keyed first.
+        from repro.runner import cache as run_cache
+        from repro.sim.config import NovaConfig
+
+        as_int, as_float = NovaConfig(num_gpns=2), NovaConfig(num_gpns=2.0)
+        assert as_int == as_float
+        for first, second in ((as_int, as_float), (as_float, as_int)):
+            run_cache._CONFIG_TOKEN_MEMO.clear()
+            tokens = [run_cache._config_token(c) for c in (first, second)]
+            assert tokens == [
+                f"NovaConfig:{dataclasses.asdict(c)!r}"
+                for c in (first, second)
+            ]
+            assert tokens[0] != tokens[1]
+
+    def test_mutable_configs_are_not_memoized(self):
+        from repro.runner import cache as run_cache
+
+        @dataclasses.dataclass
+        class Mutable:
+            size: int = 1
+
+        config = Mutable()
+        run_cache._CONFIG_TOKEN_MEMO.clear()
+        assert run_cache._config_token(config) == "Mutable:{'size': 1}"
+        config.size = 2
+        assert run_cache._config_token(config) == "Mutable:{'size': 2}"
+        assert len(run_cache._CONFIG_TOKEN_MEMO) == 0
+
+
+def _write_v1_entry(cache, key, result) -> str:
+    """An entry as written before summary headers: magic ``RNC1``, the
+    pickle's SHA-256, the pickle."""
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    path = os.path.join(cache.root, key[:2], key + ".pkl")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as f:
+        f.write(b"RNC1" + hashlib.sha256(payload).digest() + payload)
+    return path
+
+
+class TestSummaryHeader:
+    def test_header_holds_what_run_prints(self, tmp_path, graph, config):
+        spec = bfs_spec(graph, config)
+        result = execute_spec(spec)
+        cache = RunCache(str(tmp_path))
+        key = spec_key(spec)
+        assert cache.load_summary(key) is None
+        cache.store(key, result)
+        lines = result.summary_lines()
+        assert lines[0] == result.describe()
+        assert len(lines) == 1 + len(result.breakdown) + len(
+            result.utilization
+        )
+        assert cache.load_summary(key) == lines
+
+    def test_summary_unpickles_nothing(
+        self, tmp_path, graph, config, monkeypatch
+    ):
+        spec = bfs_spec(graph, config)
+        result = execute_spec(spec)
+        cache = RunCache(str(tmp_path))
+        key = spec_key(spec)
+        cache.store(key, result)
+
+        def no_unpickling(data):
+            raise AssertionError("unpickled the result")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        assert cache.load_summary(key) == result.summary_lines()
+
+    def test_header_is_covered_by_the_digest(self, tmp_path, graph, config):
+        spec = bfs_spec(graph, config)
+        cache = RunCache(str(tmp_path))
+        key = spec_key(spec)
+        path = cache.store(key, execute_spec(spec))
+        with open(path, "r+b") as f:
+            f.seek(36 + 4 + 3)  # magic, digest, length: inside the header
+            byte = f.read(1)
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte[0] ^ 0x01]))
+        assert cache.load_summary(key) is None
+        assert not os.path.exists(path)
+
+    def test_old_format_entry_still_loads(self, tmp_path, graph, config):
+        spec = bfs_spec(graph, config)
+        result = execute_spec(spec)
+        cache = RunCache(str(tmp_path))
+        key = spec_key(spec)
+        path = _write_v1_entry(cache, key, result)
+        loaded = cache.load(key)
+        assert loaded is not None
+        assert np.array_equal(loaded.result, result.result)
+        assert loaded.elapsed_seconds == result.elapsed_seconds
+        # No header to read: the hit falls back to the full result.
+        assert cache.load_summary(key) == result.summary_lines()
+
+        with open(path, "r+b") as f:
+            f.seek(40)
+            f.write(b"\xff\xff\xff\xff")
+        assert cache.load_summary(key) is None
+        assert not os.path.exists(path)
 
 
 class TestRunCache:

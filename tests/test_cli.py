@@ -141,6 +141,56 @@ class TestCommands:
         assert "cache hit" in second
         assert first.splitlines()[1:] == second.splitlines()[1:]
 
+    def test_hit_on_an_old_format_entry_prints_the_same_lines(
+        self, tmp_path, capsys
+    ):
+        import hashlib
+        import pickle
+
+        from repro.runner.cache import RunCache
+
+        args = ["run", "--graph", "rmat:9:8", "--workload", "sssp",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        # Rewrite the entry as code before summary headers wrote it.
+        cache = RunCache(str(tmp_path))
+        ((path, _, _),) = list(cache.entries())
+        key = path.rsplit("/", 1)[1][: -len(".pkl")]
+        payload = pickle.dumps(cache.load(key))
+        with open(path, "wb") as f:
+            f.write(b"RNC1" + hashlib.sha256(payload).digest() + payload)
+        assert main(args) == 0
+        second = capsys.readouterr().out
+        assert second.startswith(f"cache hit {key[:12]}")
+        assert first.splitlines()[1:] == second.splitlines()[1:]
+
+    def test_graph_verify(self, tmp_path, capsys):
+        import json
+
+        store = str(tmp_path / "graphs")
+        assert main(["graph", "build", "--graph", "rmat:8:4",
+                     "--workloads", "bfs,sssp", "--store-dir", store]) == 0
+        capsys.readouterr()
+        assert main(["graph", "verify", "--store-dir", store]) == 0
+        assert capsys.readouterr().out == (
+            f"verified 2 artifact(s), evicted 0 ({store})\n"
+        )
+        # Tamper with one recorded digest: verify evicts it and fails.
+        manifest = next((tmp_path / "graphs").glob("*/*/manifest.json"))
+        data = json.loads(manifest.read_text())
+        data["csr_digest"] = "0" * 64
+        manifest.write_text(json.dumps(data))
+        assert main(["graph", "verify", "--store-dir", store]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"evicted {data['digest'][:12]} rmat:8:4: csr_digest mismatch"
+        )
+        assert lines[1] == f"verified 2 artifact(s), evicted 1 ({store})"
+        assert not manifest.exists()
+        assert main(["graph", "verify", "--store-dir", store]) == 0
+        assert "verified 1 artifact(s), evicted 0" in capsys.readouterr().out
+
     def test_run_no_cache_bypasses(self, tmp_path, capsys):
         assert main(["run", "--graph", "rmat:9:8", "--no-cache",
                      "--cache-dir", str(tmp_path)]) == 0
@@ -291,6 +341,30 @@ class TestCommands:
         )
         assert payload["phases"]["quanta_sampled"] > 0
         assert "fault_counters" in payload
+
+    def test_profile_counter_line_shows_only_sweep_counters(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.obs import FAULT_COUNTERS
+
+        FAULT_COUNTERS.increment("sweep.retries")
+        FAULT_COUNTERS.increment("graph_store.builds")
+        out = str(tmp_path / "profile.json")
+        assert main(["profile", "--graph", "rmat:8:4", "--workload", "bfs",
+                     "--no-phases", "--json", out]) == 0
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("fault counters:")
+        ]
+        names = [item.split("=")[0] for item in line.split()[2:]]
+        assert "sweep.retries" in names
+        assert all(name.startswith("sweep.") for name in names)
+        with open(out, encoding="utf-8") as f:
+            counters = json.load(f)["fault_counters"]
+        assert counters["sweep.retries"] >= 1
+        assert all(name.startswith("sweep.") for name in counters)
 
     def test_profile_scalar_engine_no_phases(self, tmp_path, capsys):
         import json

@@ -47,18 +47,16 @@ CLI_IMPORT_BUDGET = (
 )
 
 #: Exactly the ``repro`` modules a warm ``repro run`` loads: the parser,
-#: the run cache and its key, the graph store's map, the config the key
-#: digests, and the result class the cache unpickles.
+#: the run cache and its key, the graph store's manifest, and the config
+#: the key digests.  The hit prints the entry's header, so neither the
+#: result class nor the graph (nor numpy) loads.
 WARM_RUN_MODULES = frozenset({
     "repro",
     "repro._lazy",
     "repro.cli",
-    "repro.core",
-    "repro.core.metrics",
     "repro.env",
     "repro.errors",
     "repro.graph",
-    "repro.graph.csr",
     "repro.graph.store",
     "repro.memory",
     "repro.memory.spec",
@@ -71,7 +69,6 @@ WARM_RUN_MODULES = frozenset({
     "repro.runner.spec",
     "repro.sim",
     "repro.sim.config",
-    "repro.sim.stats",
     "repro.units",
 })
 
@@ -165,13 +162,34 @@ def test_run_loads_no_scipy_and_warm_run_no_engine(run_pair):
     assert warm_out.splitlines()[1:] == cold_out.splitlines()[1:]
     assert not _loaded(warm, "scipy")
     assert "repro.core.engine" not in warm
-    assert "repro.core.metrics" in warm
+    assert "repro.core.metrics" not in warm
 
 
 def test_warm_run_loads_exactly_the_allow_list(run_pair):
     _, (warm_out, warm) = run_pair
     assert warm_out.startswith("cache hit")
     assert _ours(warm) == WARM_RUN_MODULES
+
+
+def test_warm_run_loads_no_numpy(run_pair):
+    (cold_out, cold), (warm_out, warm) = run_pair
+    assert "numpy" in cold
+    assert warm_out.startswith("cache hit")
+    assert not _loaded(warm, "numpy")
+
+
+def test_warm_suite_run_loads_no_numpy(env, tmp_path):
+    """A ``suite:`` recipe reads the suite's default scale, which must
+    not load the generators."""
+    argv = ("run", "--workload", "bfs", "--graph", "suite:road",
+            "--scale", "0.0009765625")
+    cold_out, _ = _repro(env, tmp_path, *argv)
+    warm_out, warm = _repro(env, tmp_path, *argv)
+    assert cold_out.startswith("cache miss")
+    assert warm_out.startswith("cache hit")
+    assert warm_out.splitlines()[1:] == cold_out.splitlines()[1:]
+    assert not _loaded(warm, "numpy")
+    assert _ours(warm) == WARM_RUN_MODULES | {"repro.graph.suites"}
 
 
 def test_cold_run_loads_no_supervisor_and_no_verb_family(run_pair):
@@ -246,7 +264,7 @@ def test_every_parser_handler_resolves():
     """``--help`` imports no handler, so a misspelled handler string
     would only fail when its verb runs."""
     handlers = dict(_handlers(make_parser()))
-    assert len(handlers) == 24
+    assert len(handlers) == 25
     for verb, handler in handlers.items():
         assert handler is not None, verb
         assert callable(_resolve_handler(handler)), verb

@@ -32,18 +32,20 @@ All three phases operate on flat cross-PE arrays, and no phase loops
 over PEs: the inboxes, the active buffers and Table I's spill buffers
 are each one :class:`repro.core.queues.PooledQueue` holding every PE's
 FIFO (the active buffers use its
-:class:`~repro.core.queues.PooledPendingWork` subclass), memory
-channels are banked (:class:`repro.memory.channel.BandwidthChannelArray`),
+:class:`~repro.core.queues.PooledPendingWork` subclass), every memory
+channel and functional-unit pool is one
+:class:`~repro.memory.channel.ResourceLedger` closed once per quantum,
 and the tracker selects and collects superblocks for every eligible PE
-in one pass.  The
-per-PE scalar-loop formulation is preserved bit-for-bit in
-:mod:`repro.core.engine_scalar`; ``tests/core/test_engine_parity.py``
-pins the equivalence.
+in one pass.  The per-PE scalar-loop formulation is preserved
+bit-for-bit in :mod:`repro.core.engine_scalar`;
+``tests/core/test_engine_parity.py`` pins the equivalence.  Per-element
+passes gather with ``take`` and select with ``compress``, which numpy
+runs faster than fancy and boolean-mask indexing on large batches.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from repro.core.metrics import RunResult
 from repro.core.queues import PooledPendingWork, PooledQueue
 from repro.core.tracker import TrackerModule
 from repro.memory.cache import CacheArray
-from repro.memory.channel import BandwidthChannelArray
+from repro.memory.channel import ResourceLedger
 from repro.network.fabric import (
     Fabric,
     HierarchicalFabric,
@@ -69,9 +71,13 @@ from repro.obs.recorder import (
     timed_call,
 )
 from repro.sim.config import NovaConfig
-from repro.sim.engine import QuantumClock, ResourcePool
+from repro.sim.engine import QuantumClock
 from repro.sim.stats import StatGroup
-from repro.workloads.base import VertexProgram, expand_edges, unique_ids
+from repro.workloads.base import VertexProgram, ragged_arange, unique_ids
+
+#: Bottleneck names in the order a tie resolves: the ledger's classes,
+#: then the fabric.
+_BOTTLENECKS = ResourceLedger.CLASSES + ("fabric",)
 
 
 def build_fabric(config: NovaConfig) -> Fabric:
@@ -85,24 +91,6 @@ def build_fabric(config: NovaConfig) -> Fabric:
         config.pes_per_gpn,
         config.link_bandwidth,
         config.port_bandwidth,
-    )
-
-
-def make_fu_pools(
-    config: NovaConfig,
-) -> Tuple[List[ResourcePool], List[ResourcePool]]:
-    """Per-GPN reduce and propagate functional-unit pools (Table II)."""
-
-    def pools(prefix: str, units_per_gpn: int) -> List[ResourcePool]:
-        rate = units_per_gpn * config.frequency_hz
-        return [
-            ResourcePool(f"{prefix}.gpn{g}", rate)
-            for g in range(config.num_gpns)
-        ]
-
-    return (
-        pools("reduce_fu", config.reduce_fus_per_gpn),
-        pools("prop_fu", config.propagate_fus_per_gpn),
     )
 
 
@@ -158,10 +146,17 @@ class NovaEngine:
         self._vertex_set = self.cache.set_index(
             owner, self.layout.block_of(np.arange(graph.num_vertices))
         )
-        self.hbm = BandwidthChannelArray(config.vertex_channel, p)
-        self.ddr = BandwidthChannelArray(config.edge_pool, config.num_gpns)
-        self.reduce_pool, self.propagate_pool = make_fu_pools(config)
+        self.ledger = ResourceLedger(
+            config.vertex_channel,
+            config.edge_pool,
+            config.num_gpns,
+            config.pes_per_gpn,
+            config.reduce_fus_per_gpn * config.frequency_hz,
+            config.propagate_fus_per_gpn * config.frequency_hz,
+        )
         self.fabric = build_fabric(config)
+        #: The fabric's service time for the current quantum's messages.
+        self._fabric_seconds = 0.0
         self.clock = QuantumClock(
             config.frequency_hz,
             config.latency_floor_s + self.fabric.latency_s,
@@ -177,8 +172,12 @@ class NovaEngine:
         )
         sb_bytes = config.superblock_dim * config.block_bytes
         self._max_scans = max(1, int(scan_bytes_budget // sb_bytes))
+        self._quantum_target = config.latency_floor_s * config.quantum_overlap
         self._pe_ids = np.arange(p, dtype=np.int64)
-        self._gpn_of_pe = self._pe_ids // config.pes_per_gpn
+        #: Each PE's row offset in the flat (src, dst) pair histogram.
+        self._pair_row = self._pe_ids * p
+        self._mpu_batch = config.mpu_batch_per_pe
+        self._mgu_batch = config.mgu_batch_edges_per_pe
         self._vmu_budget = max(
             config.vertices_per_block,
             int(
@@ -200,8 +199,9 @@ class NovaEngine:
         self._useful_messages = 0
         self._coalesced = 0
         self._activations = 0
-        #: Per MGU call: (dests, values, owner keys, messages per PE).
-        self._outbox: List[Tuple[np.ndarray, ...]] = []
+        #: The quantum's messages: (dests, values, owner keys, messages
+        #: per PE), or None before the MGU emits any.
+        self._outbox: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Pipeline phases
@@ -221,48 +221,48 @@ class NovaEngine:
         if self.config.vmu_mode == "fifo":
             self._spill_to_fifo(vertices)
             return
-        fresh = vertices[~self.active_now[vertices]]
+        fresh = vertices.compress(~self.active_now.take(vertices))
         self.active_now[fresh] = True
         self.tracker.track(fresh)
         self._activations += int(fresh.shape[0])
 
     def _spill_to_fifo(self, vertices: np.ndarray) -> None:
         values = self.program.snapshot(self.state, vertices)
-        owner = self._owner_key[vertices]
-        order = np.argsort(owner, kind="stable")
+        owner = self._owner_key.take(vertices)
+        order = owner.argsort(kind="stable")
         counts = np.bincount(owner, minlength=self.config.num_pes)
-        self.spill_fifos.push_sorted(counts, vertices[order], values[order])
+        self.spill_fifos.push_sorted(
+            counts, vertices.take(order), values.take(order)
+        )
         # Two writes per spill: the vertex set plus the buffer copy.
-        self.hbm.charge_write_many(
-            self._pe_ids, counts * self._fifo_entry_bytes, sequential=True
+        nbytes = counts * self._fifo_entry_bytes
+        self.ledger.charge(
+            ResourceLedger.HBM, self._pe_ids, nbytes, write=True, sequential=True
         )
         self._activations += int(vertices.shape[0])
 
     def _mpu_phase(self) -> None:
         """Pop one flat message batch across PEs, reduce, track activations."""
-        config = self.config
-        counts, dest, values = self.inbox_pool.pop_all(config.mpu_batch_per_pe)
+        counts, dest, values = self.inbox_pool.pop_all(self._mpu_batch)
         if dest.shape[0] == 0:
             return
-        self._charge_gpn_pools(self.reduce_pool, counts)
+        ledger = self.ledger
+        ledger.charge_ops(ledger.REDUCE, counts)
         # Vertex access stream through the per-PE direct-mapped caches.
         cache_out = self.cache.access(
             None,
             self.layout.block_of(dest),
             writes=True,
-            sets=self._vertex_set[dest],
+            sets=self._vertex_set.take(dest),
         )
-        line = config.cache_line_bytes
-        self.hbm.charge_read_many(
-            self._pe_ids, cache_out.misses_per_cache * line
-        )
-        self.hbm.charge_write_many(
-            self._pe_ids, cache_out.writebacks_per_cache * line
-        )
+        line = self.config.cache_line_bytes
+        ledger.charge(ledger.HBM, self._pe_ids, cache_out.misses_per_cache * line)
+        writebacks = cache_out.writebacks_per_cache * line
+        ledger.charge(ledger.HBM, self._pe_ids, writebacks, write=True)
         # Messages landing on a vertex that is already active-pending are
         # absorbed into the pending propagation -- the paper's coalescing
         # (counted before the reduce mutates activation state).
-        self._coalesced += int(np.count_nonzero(self.active_now[dest]))
+        self._coalesced += int(np.count_nonzero(self.active_now.take(dest)))
         outcome = self.program.reduce(self.state, dest, values)
         self._messages_processed += int(dest.shape[0])
         self._useful_messages += outcome.useful_messages
@@ -280,7 +280,10 @@ class NovaEngine:
         if self.config.vmu_mode == "fifo":
             self._vmu_phase_fifo(prop_graph)
             return
+        if not self.tracker.tracked_blocks:
+            return
         config = self.config
+        ledger = self.ledger
         eligible = (
             self.pending_pool.sizes < self._supply_target
         ) & self.tracker.work_mask()
@@ -290,8 +293,7 @@ class NovaEngine:
             # this quantum.  Under reduction load the scans throttle,
             # spilled vertices wait in DRAM, and updates coalesce.
             sb_bytes = config.superblock_dim * config.block_bytes
-            quantum_target = config.latency_floor_s * config.quantum_overlap
-            leftover = quantum_target - self.hbm.service_times()
+            leftover = self._quantum_target - ledger.hbm_service_times()
             budget = (
                 leftover * config.vertex_channel.random_bandwidth // sb_bytes
             ).astype(np.int64)
@@ -299,7 +301,7 @@ class NovaEngine:
             eligible &= (leftover > 0) & (scans > 0)
         else:
             scans = np.full(config.num_pes, self._max_scans, dtype=np.int64)
-        pes = np.flatnonzero(eligible)
+        pes = eligible.nonzero()[0]
         if pes.shape[0] == 0:
             return
         rows, superblocks = self.tracker.select_superblocks_many(
@@ -308,46 +310,47 @@ class NovaEngine:
         collected = self.tracker.collect_many(pes, rows, superblocks)
         block_bytes = config.block_bytes
         useful_blocks = collected.blocks_read - collected.wasteful_blocks
-        self.hbm.charge_read_many(pes, useful_blocks * block_bytes)
-        self.hbm.charge_read_many(
-            pes, collected.wasteful_blocks * block_bytes, useful=False
-        )
-        if collected.active_blocks.shape[0] == 0:
+        ledger.charge(ledger.HBM, pes, useful_blocks * block_bytes)
+        wasteful = collected.wasteful_blocks * block_bytes
+        ledger.charge(ledger.HBM, pes, wasteful, useful=False)
+        block_rows = collected.active_rows
+        if block_rows.shape[0] == 0:
             return
         candidates = self.layout.block_vertices_many(
-            pes[collected.active_rows], collected.active_blocks
+            pes[block_rows], collected.active_blocks
         )
-        vpb = self.layout.vertices_per_block
         flat = candidates.ravel()
-        row_flat = np.repeat(collected.active_rows, vpb)
         # Padding slots (-1) index the last vertex; the mask drops them.
-        is_active = (flat >= 0) & self.active_now[flat]
-        active, act_rows = flat[is_active], row_flat[is_active]
-        n_rows = pes.shape[0]
-        active_counts = np.bincount(act_rows, minlength=n_rows)
-        rows_with_blocks = np.bincount(collected.active_rows, minlength=n_rows)
-        if ((rows_with_blocks > 0) & (active_counts == 0)).any():
+        is_active = (flat >= 0) & self.active_now.take(flat)
+        active = flat.compress(is_active)
+        act_rows = block_rows.repeat(self.layout.vertices_per_block).compress(
+            is_active
+        )
+        active_counts = np.bincount(act_rows, minlength=pes.shape[0])
+        if not active_counts[block_rows].all():
             raise SimulationError("collected block without active vertex")
         # The active buffer can only absorb what its depth allows per
         # latency window; overflow blocks are dropped and re-tracked
         # (the hardware prefetcher stalls when the buffer is full).
-        row_offsets = np.concatenate(([0], np.cumsum(active_counts)[:-1]))
-        pos_in_row = np.arange(active.shape[0], dtype=np.int64) - row_offsets[act_rows]
-        keep = pos_in_row < self._vmu_budget
-        kept, overflow = active[keep], active[~keep]
-        if overflow.shape[0]:
-            self.tracker.track(overflow)
-        self.active_now[kept] = False
-        snapshots = self.program.snapshot(self.state, kept)
-        starts = prop_graph.row_ptr[kept]
-        ends = prop_graph.row_ptr[kept + 1]
+        if np.maximum.reduce(active_counts) > self._vmu_budget:
+            row_starts = active_counts.cumsum() - active_counts
+            keep = (
+                np.arange(active.shape[0]) - row_starts.take(act_rows)
+                < self._vmu_budget
+            )
+            self.tracker.track(active.compress(~keep))
+            active, act_rows = active.compress(keep), act_rows.compress(keep)
+        self.active_now[active] = False
+        snapshots = self.program.snapshot(self.state, active)
+        starts = prop_graph.row_ptr.take(active)
+        ends = prop_graph.row_ptr.take(active + 1)
         live = ends > starts  # degree-0 vertices propagate nothing
         self.pending_pool.push_sorted(
-            np.bincount(pes[act_rows[keep][live]], minlength=config.num_pes),
-            kept[live],
-            snapshots[live],
-            starts[live],
-            ends[live],
+            np.bincount(pes.take(act_rows.compress(live)), minlength=config.num_pes),
+            active.compress(live),
+            snapshots.compress(live),
+            starts.compress(live),
+            ends.compress(live),
         )
 
     def _vmu_phase_fifo(self, prop_graph: CSRGraph) -> None:
@@ -363,65 +366,61 @@ class NovaEngine:
         )
         if vertices.shape[0] == 0:
             return
-        self.hbm.charge_read_many(
-            self._pe_ids, counts * self._fifo_entry_bytes, sequential=True
-        )
-        starts = prop_graph.row_ptr[vertices]
-        ends = prop_graph.row_ptr[vertices + 1]
+        nbytes = counts * self._fifo_entry_bytes
+        self.ledger.charge(ResourceLedger.HBM, self._pe_ids, nbytes, sequential=True)
+        starts = prop_graph.row_ptr.take(vertices)
+        ends = prop_graph.row_ptr.take(vertices + 1)
         live = ends > starts
         self.pending_pool.push_sorted(
             np.bincount(
-                np.repeat(self._pe_ids, counts)[live],
+                self._pe_ids.repeat(counts).compress(live),
                 minlength=self.config.num_pes,
             ),
-            vertices[live],
-            values[live],
-            starts[live],
-            ends[live],
+            vertices.compress(live),
+            values.compress(live),
+            starts.compress(live),
+            ends.compress(live),
         )
 
-    def _mgu_phase(self, prop_graph: CSRGraph, traffic: np.ndarray) -> None:
+    def _mgu_phase(self, prop_graph: CSRGraph) -> None:
         """Expand edges from active buffers and emit messages."""
-        config = self.config
-        if not self.pending_pool.any():
+        if not self.pending_pool.total:
             return
-        counts, vertices, values, starts, ends = self.pending_pool.pop_edges_all(
-            config.mgu_batch_edges_per_pe
+        counts, _, values, starts, ends = self.pending_pool.pop_edges_all(
+            self._mgu_batch
         )
-        if vertices.shape[0] == 0:
-            return
-        _, dests, weights = expand_edges(prop_graph, vertices, starts, ends)
-        nedges = int(dests.shape[0])
+        # No range is negative: the push refused end < start, and a split
+        # leaves both parts of a range non-empty.
+        degrees = ends - starts
+        nedges = int(np.add.reduce(degrees))
         if nedges == 0:
             return
+        offsets = ragged_arange(starts, degrees, nedges)
+        dests = prop_graph.col_idx.take(offsets)
+        weights = (
+            None
+            if prop_graph.weights is None
+            else prop_graph.weights.take(offsets)
+        )
+        config = self.config
         num_pes = config.num_pes
-        degrees = ends - starts
-        dst_pe = self._owner_key[dests]
-        src_pe = np.repeat(np.repeat(self._pe_ids, counts), degrees)
+        dst_pe = self._owner_key.take(dests)
         pairs = np.bincount(
-            src_pe * num_pes + dst_pe,
+            self._pair_row.repeat(counts).repeat(degrees) + dst_pe,
             minlength=num_pes * num_pes,
         ).reshape(num_pes, num_pes)
-        edges_per_pe = pairs.sum(axis=1)
-        self.ddr.charge_read_many(
-            self._gpn_of_pe, edges_per_pe * config.edge_bytes, sequential=True
-        )
-        self._charge_gpn_pools(self.propagate_pool, edges_per_pe)
+        edges_per_pe = np.add.reduce(pairs, axis=1)
+        ledger = self.ledger
+        nbytes = edges_per_pe * config.edge_bytes
+        ledger.charge(ledger.DDR, self._pe_ids, nbytes, sequential=True)
+        ledger.charge_ops(ledger.PROPAGATE, edges_per_pe)
+        self._fabric_seconds = self.fabric.record(pairs * config.message_bytes)
         msg_values = self.program.propagate_values(
-            self.state, np.repeat(values, degrees), weights
+            self.state, values.repeat(degrees), weights
         )
         self._edges_traversed += nedges
         self._messages_sent += nedges
-        traffic += pairs * config.message_bytes
-        self._outbox.append((dests, msg_values, dst_pe, pairs.sum(axis=0)))
-
-    def _charge_gpn_pools(
-        self, pools: List[ResourcePool], per_pe: np.ndarray
-    ) -> None:
-        """Charge each GPN's functional-unit pool its PEs' op counts."""
-        per_gpn = per_pe.reshape(self.config.num_gpns, -1).sum(axis=1)
-        for pool, ops in zip(pools, per_gpn.tolist()):
-            pool.charge(ops)
+        self._outbox = (dests, msg_values, dst_pe, np.add.reduce(pairs))
 
     def _deliver(self) -> None:
         """Move the quantum's generated messages into destination inboxes.
@@ -429,68 +428,51 @@ class NovaEngine:
         One stable argsort on the narrow owner key (a radix sort) orders
         the messages PE-major; only the payload columns are gathered.
         """
-        if not self._outbox:
+        if self._outbox is None:
             return
-        if len(self._outbox) == 1:
-            dests, values, dst_pe, counts = self._outbox[0]
-        else:
-            dests, values, dst_pe = (
-                np.concatenate([part[i] for part in self._outbox])
-                for i in range(3)
-            )
-            counts = sum(part[3] for part in self._outbox)
-        self._outbox.clear()
-        order = np.argsort(dst_pe, kind="stable")
-        self.inbox_pool.push_sorted(counts, dests[order], values[order])
+        dests, values, dst_pe, counts = self._outbox
+        self._outbox = None
+        order = dst_pe.argsort(kind="stable")
+        self.inbox_pool.push_sorted(counts, dests.take(order), values.take(order))
 
-    def _close_quantum(self, traffic: np.ndarray) -> None:
-        # Each resource's service time, computed once for the quantum.
-        hbm = self.hbm.service_times()
-        ddr = self.ddr.service_times()
-        reduce_fu = [p.quantum_service_time() for p in self.reduce_pool]
-        propagate_fu = [p.quantum_service_time() for p in self.propagate_pool]
-        fabric = self.fabric.service_time(traffic)
-        services = {
-            "hbm": float(hbm.max()),
-            "ddr": float(ddr.max()),
-            "reduce_fu": max(reduce_fu),
-            "propagate_fu": max(propagate_fu),
-            "fabric": fabric,
-        }
-        bottleneck = max(services, key=services.get)
-        service = services[bottleneck]
-        duration = self.clock.advance(service)
-        if duration > service:
+    def _close_quantum(self) -> None:
+        # Each unit's service time, computed once for the quantum; the
+        # slowest class (first in tie order) sets the duration.
+        ledger = self.ledger
+        service = ledger.service_times()
+        slowest = ledger.class_maxima(service)
+        slowest.append(self._fabric_seconds)
+        longest = max(slowest)
+        duration = self.clock.advance(longest)
+        bottleneck = _BOTTLENECKS[slowest.index(longest)]
+        if duration > longest:
             bottleneck = "latency"
         if self._obs_on:
-            self._observe_quantum(services, duration, bottleneck)
-        self.hbm.end_quantum(duration, hbm)
-        self.ddr.end_quantum(duration, ddr)
-        for pool, pool_service in zip(self.reduce_pool, reduce_fu):
-            pool.end_quantum(duration, pool_service)
-        for pool, pool_service in zip(self.propagate_pool, propagate_fu):
-            pool.end_quantum(duration, pool_service)
-        self.fabric.record(traffic, fabric)
+            self._observe_quantum(service, duration, bottleneck)
+        ledger.end_quantum(duration, service)
+        self._fabric_seconds = 0.0
         self._deliver()
 
     def _observe_quantum(
-        self, services: dict, duration: float, bottleneck: str
+        self, service: np.ndarray, duration: float, bottleneck: str
     ) -> None:
         """Feed the metrics recorder (called before resources reset)."""
+        positive = duration > 0
+        util = service / duration if positive else np.zeros(service.shape[0])
+        fabric_util = self._fabric_seconds / duration if positive else 0.0
+        hbm, ddr, reduce_fu, propagate_fu = np.split(
+            util, self.ledger.class_starts[1:]
+        )
         self.obs.on_quantum(
             QuantumObservation(
                 index=self.clock.quanta - 1,
                 duration_seconds=duration,
                 bottleneck=bottleneck,
-                hbm_util=self.hbm.quantum_utilizations(duration),
-                ddr_util=self.ddr.quantum_utilizations(duration),
-                reduce_fu_util=np.array(
-                    [p.quantum_utilization(duration) for p in self.reduce_pool]
-                ),
-                propagate_fu_util=np.array(
-                    [p.quantum_utilization(duration) for p in self.propagate_pool]
-                ),
-                fabric_util=services["fabric"] / duration if duration > 0 else 0.0,
+                hbm_util=hbm,
+                ddr_util=ddr,
+                reduce_fu_util=reduce_fu,
+                propagate_fu_util=propagate_fu,
+                fabric_util=fabric_util,
                 messages_drained=self.inbox_pool.popped,
                 coalesced=self._coalesced,
                 spilled=self._activations,
@@ -498,7 +480,7 @@ class NovaEngine:
                 prefetch_misses=self.tracker.prefetch_misses,
                 inbox_backlog=self.inbox_pool.total,
                 buffer_occupancy=self.pending_pool.total,
-                tracked_blocks=int(self.tracker.counters.sum()),
+                tracked_blocks=self.tracker.tracked_blocks,
             )
         )
 
@@ -506,14 +488,11 @@ class NovaEngine:
     # Drain conditions
     # ------------------------------------------------------------------
 
-    def _messages_pending(self) -> bool:
-        return self.inbox_pool.any()
-
     def _propagation_pending(self) -> bool:
-        return (
-            self.tracker.any_work()
-            or self.pending_pool.any()
-            or self.spill_fifos.any()
+        return bool(
+            self.tracker.tracked_blocks
+            or self.pending_pool.total
+            or self.spill_fifos.total
         )
 
     # ------------------------------------------------------------------
@@ -531,20 +510,19 @@ class NovaEngine:
     def _run_async(self) -> None:
         prof = self.obs.phase_profiler
         self._inject_active(unique_ids(self.program.initial_active(self.state)))
-        while self._messages_pending() or self._propagation_pending():
+        while self.inbox_pool.total or self._propagation_pending():
             self._check_quota()
             prop_graph = self.program.propagation_graph(self.state)
-            traffic = np.zeros((self.config.num_pes, self.config.num_pes))
             if prof is not None and prof.should_sample(self.clock.quanta):
                 timed_call(prof, "mpu", self._mpu_phase)
                 timed_call(prof, "vmu", self._vmu_phase, prop_graph)
-                timed_call(prof, "mgu", self._mgu_phase, prop_graph, traffic)
-                timed_call(prof, "close", self._close_quantum, traffic)
+                timed_call(prof, "mgu", self._mgu_phase, prop_graph)
+                timed_call(prof, "close", self._close_quantum)
             else:
                 self._mpu_phase()
                 self._vmu_phase(prop_graph)
-                self._mgu_phase(prop_graph, traffic)
-                self._close_quantum(traffic)
+                self._mgu_phase(prop_graph)
+                self._close_quantum()
 
     def _run_bsp(self) -> None:
         prof = self.obs.phase_profiler
@@ -556,25 +534,23 @@ class NovaEngine:
             while self._propagation_pending():
                 self._check_quota()
                 prop_graph = self.program.propagation_graph(self.state)
-                traffic = np.zeros((self.config.num_pes, self.config.num_pes))
                 if prof is not None and prof.should_sample(self.clock.quanta):
                     timed_call(prof, "vmu", self._vmu_phase, prop_graph)
-                    timed_call(prof, "mgu", self._mgu_phase, prop_graph, traffic)
-                    timed_call(prof, "close", self._close_quantum, traffic)
+                    timed_call(prof, "mgu", self._mgu_phase, prop_graph)
+                    timed_call(prof, "close", self._close_quantum)
                 else:
                     self._vmu_phase(prop_graph)
-                    self._mgu_phase(prop_graph, traffic)
-                    self._close_quantum(traffic)
+                    self._mgu_phase(prop_graph)
+                    self._close_quantum()
             # Message processing (blue block), strictly afterwards.
-            while self._messages_pending():
+            while self.inbox_pool.total:
                 self._check_quota()
-                traffic = np.zeros((self.config.num_pes, self.config.num_pes))
                 if prof is not None and prof.should_sample(self.clock.quanta):
                     timed_call(prof, "mpu", self._mpu_phase)
-                    timed_call(prof, "close", self._close_quantum, traffic)
+                    timed_call(prof, "close", self._close_quantum)
                 else:
                     self._mpu_phase()
-                    self._close_quantum(traffic)
+                    self._close_quantum()
             active = unique_ids(self.program.superstep_end(self.state))
             supersteps += 1
         self.stats.set("supersteps", supersteps)
@@ -592,10 +568,11 @@ class NovaEngine:
     def _build_result(self) -> RunResult:
         config = self.config
         elapsed = self.clock.elapsed_seconds
-        hbm_useful = self.hbm.total_useful_read_bytes
-        hbm_wasteful = self.hbm.total_wasteful_read_bytes
-        hbm_write = self.hbm.total_write_bytes
-        ddr_bytes = self.ddr.total_bytes
+        ledger = self.ledger
+        hbm_useful, hbm_wasteful, hbm_write = (
+            ledger.totals(ledger.HBM).sum(axis=1).tolist()
+        )
+        ddr_bytes = int(ledger.totals(ledger.DDR).sum())
 
         # Fig 6 attribution: overfetch time is the mean per-PE time spent
         # reading inactive vertices during superblock scans.
@@ -612,16 +589,18 @@ class NovaEngine:
             "ddr_bytes": ddr_bytes,
             "network_bytes": self.fabric.total_bytes,
         }
+        hbm, ddr, reduce_fu, propagate_fu = (
+            float(np.mean(part))
+            for part in np.split(
+                ledger.utilizations(elapsed), ledger.class_starts[1:]
+            )
+        )
         utilization = {
-            "hbm": float(np.mean(self.hbm.utilizations(elapsed))),
-            "ddr": float(np.mean(self.ddr.utilizations(elapsed))),
+            "hbm": hbm,
+            "ddr": ddr,
             "fabric": self.fabric.busy_seconds / elapsed if elapsed else 0.0,
-            "reduce_fu": float(
-                np.mean([p.utilization(elapsed) for p in self.reduce_pool])
-            ),
-            "propagate_fu": float(
-                np.mean([p.utilization(elapsed) for p in self.propagate_pool])
-            ),
+            "reduce_fu": reduce_fu,
+            "propagate_fu": propagate_fu,
         }
         stats = self.stats
         stats.set("quanta", self.clock.quanta)

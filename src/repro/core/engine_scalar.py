@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigError, SimulationError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPlacement, interleave_placement
-from repro.core.engine import build_fabric, make_fu_pools
+from repro.core.engine import build_fabric
 from repro.core.layout import VertexMemoryLayout
 from repro.core.metrics import RunResult
 from repro.core.queues import MessageQueue, PendingWork
@@ -38,9 +38,24 @@ from repro.obs.recorder import (
     timed_call,
 )
 from repro.sim.config import NovaConfig
-from repro.sim.engine import QuantumClock
+from repro.sim.engine import QuantumClock, ResourcePool
 from repro.sim.stats import StatGroup
 from repro.workloads.base import VertexProgram, expand_edges
+
+
+def make_fu_pools(
+    config: NovaConfig,
+) -> Tuple[List[ResourcePool], List[ResourcePool]]:
+    """Per-GPN reduce and propagate functional-unit pools (Table II)."""
+
+    def pools(prefix: str, units_per_gpn: int) -> List[ResourcePool]:
+        rate = units_per_gpn * config.frequency_hz
+        return [ResourcePool(f"{prefix}.gpn{g}", rate) for g in range(config.num_gpns)]
+
+    return (
+        pools("reduce_fu", config.reduce_fus_per_gpn),
+        pools("prop_fu", config.propagate_fus_per_gpn),
+    )
 
 
 class ScalarNovaEngine:

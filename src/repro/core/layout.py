@@ -63,6 +63,8 @@ class VertexMemoryLayout:
         self._slot_vertex.reshape(config.num_pes, -1)[owners, slots] = (
             self._flat_global
         )
+        #: One row per (PE, block), for whole-row ``take`` gathers.
+        self._slot_rows = self._slot_vertex.reshape(-1, self.vertices_per_block)
 
     # ------------------------------------------------------------------
     # Per-vertex lookups (vectorized)
@@ -76,7 +78,7 @@ class VertexMemoryLayout:
 
     def block_of(self, vertices: np.ndarray) -> np.ndarray:
         """Local block index (within the owning PE's channel)."""
-        return self._block[vertices]
+        return self._block.take(vertices)
 
     def superblock_of(self, vertices: np.ndarray) -> np.ndarray:
         return self.block_of(vertices) // self.superblock_dim
@@ -120,4 +122,4 @@ class VertexMemoryLayout:
 
         Shape: (len(blocks), vertices_per_block); -1 marks padding.
         """
-        return self._slot_vertex[pes, blocks]
+        return self._slot_rows.take(pes * self.blocks_per_pe + blocks, axis=0)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Deque, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.workloads.base import ragged_arange
 
 if TYPE_CHECKING:
     from numpy.typing import DTypeLike
@@ -192,12 +193,6 @@ class PendingWork:
         )
 
 
-def _ragged_arange(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
-    """Concatenated ``[starts[i], starts[i] + counts[i])`` index ranges."""
-    cum_excl = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - cum_excl, counts)
-
-
 class PooledQueue:
     """Every PE's FIFO of rows in one structure with batched pops.
 
@@ -213,7 +208,7 @@ class PooledQueue:
         self.num_pes = num_pes
         #: One dtype per column; pushes are stored as these dtypes.
         self._dtypes = tuple(np.dtype(dtype) for dtype in dtypes)
-        #: Each batch: [columns, offsets (P+1), consumed (P,)].
+        #: Each batch: [columns, offsets (P+1), consumed (P,), rows left].
         self._batches: Deque[List] = deque()
         self._sizes = np.zeros(num_pes, dtype=np.int64)
         #: Lifetime row flow counters (observability hooks), summed over
@@ -228,10 +223,8 @@ class PooledQueue:
 
     @property
     def total(self) -> int:
-        return int(self._sizes.sum())
-
-    def any(self) -> bool:
-        return bool(self._sizes.any())
+        """Rows queued over all PEs."""
+        return self.pushed - self.popped
 
     def push_sorted(self, counts: np.ndarray, *columns: np.ndarray) -> np.ndarray:
         """Append one PE-major batch: ``counts[pe]`` rows for each PE.
@@ -250,15 +243,15 @@ class PooledQueue:
         if {column.shape for column in columns} != {(n,)}:
             raise SimulationError("columns must be 1-D and of equal length")
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.num_pes,) or (counts < 0).any():
+        if counts.shape != (self.num_pes,) or np.minimum.reduce(counts) < 0:
             raise SimulationError("counts must give each PE's row count")
         offsets = np.zeros(self.num_pes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        counts.cumsum(out=offsets[1:])
         if offsets[-1] != n:
             raise SimulationError("counts must sum to the batch length")
         if n:
             self._batches.append(
-                [columns, offsets, np.zeros(self.num_pes, dtype=np.int64)]
+                [columns, offsets, np.zeros(self.num_pes, dtype=np.int64), n]
             )
             self._sizes += counts
             self.pushed += n
@@ -272,62 +265,55 @@ class PooledQueue:
         whole comes back as pushed, without a copy.
         """
         counts = np.minimum(self._sizes, np.maximum(budget, 0))
-        remaining = counts.copy()
-        takes = []
-        for _, offsets, consumed in self._batches:
-            if not remaining.any():
+        total = int(np.add.reduce(counts))
+        remaining, left = counts, total
+        reads = []
+        for _, offsets, consumed, _ in self._batches:
+            if not left:
                 break
             take = np.minimum(offsets[1:] - offsets[:-1] - consumed, remaining)
-            takes.append(take)
-            remaining -= take
-        columns = self._pop_rows(counts, takes, takes)
+            taken = int(np.add.reduce(take))
+            reads.append((take, taken, take, taken))
+            remaining = remaining - take
+            left -= taken
+        columns = self._pop_rows(counts, total, reads)
         self._sizes -= counts
-        self.popped += int(counts.sum())
+        self.popped += total
         return (counts, *columns)
 
     def _pop_rows(
-        self,
-        counts: np.ndarray,
-        takes: List[np.ndarray],
-        advances: List[np.ndarray],
+        self, counts: np.ndarray, total: int, reads: List[tuple]
     ) -> List[np.ndarray]:
-        """Read ``takes[b][pe]`` rows off the head of each PE's run in the
-        ``b``-th queued batch (``counts`` is their sum over batches).
-
-        Returns the columns PE-major, FIFO within each PE.  Each batch's
-        heads then advance by ``advances[b]`` rows -- fewer than read when
-        a row stays queued -- and batches with no rows left are dropped.
-        """
-        total = int(counts.sum())
+        """Read ``take[pe]`` rows (``taken`` in all) off the head of each
+        PE's run in the ``b``-th batch, ``reads[b] = (take, taken,
+        advance, advanced)``, then move the heads by ``advance`` (fewer
+        when a row stays queued).  ``counts`` sums ``take`` over batches
+        and ``total`` sums ``counts``.  Returns the columns PE-major,
+        FIFO within each PE; batches with no rows left are dropped."""
         if total == 0:
             return [np.empty(0, dtype=dtype) for dtype in self._dtypes]
         parts = []
-        for (columns, offsets, consumed), take, advance in zip(
-            self._batches, takes, advances
-        ):
-            taken = int(take.sum())
+        for batch, (take, taken, advance, advanced) in zip(self._batches, reads):
             if taken == 0:
                 continue
-            if taken == offsets[-1] and int(advance.sum()) == taken:
+            columns, offsets, consumed, left = batch
+            if advanced == taken == columns[0].shape[0]:
                 parts.append((take, columns))  # drained whole
             else:
-                rows = _ragged_arange(offsets[:-1] + consumed, take, taken)
-                parts.append((take, [column[rows] for column in columns]))
+                rows = ragged_arange(offsets[:-1] + consumed, take, taken)
+                parts.append((take, [column.take(rows) for column in columns]))
             consumed += advance
-        while self._batches:
-            _, offsets, consumed = self._batches[0]
-            if int(consumed.sum()) != int(offsets[-1]):
-                break
+            batch[3] = left - advanced
+        while self._batches and not self._batches[0][3]:
             self._batches.popleft()
         if len(parts) == 1:
             return parts[0][1]
         # Several batches: scatter each one's per-PE runs behind the
         # earlier batches' runs of the same PE.
         out = [np.empty(total, dtype=dtype) for dtype in self._dtypes]
-        start = np.zeros(self.num_pes, dtype=np.int64)
-        np.cumsum(counts[:-1], out=start[1:])
+        start = counts.cumsum() - counts
         for take, columns in parts:
-            slots = _ragged_arange(start, take, columns[0].shape[0])
+            slots = ragged_arange(start, take, columns[0].shape[0])
             for column, part in zip(out, columns):
                 column[slots] = part
             start += take
@@ -346,12 +332,6 @@ class PooledPendingWork(PooledQueue):
 
     def __init__(self, num_pes: int) -> None:
         super().__init__(num_pes, (np.int64, np.float64, np.int64, np.int64))
-        self._edges = np.zeros(num_pes, dtype=np.int64)
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Edges queued per PE (do not mutate)."""
-        return self._edges
 
     def push_sorted(
         self,
@@ -362,15 +342,13 @@ class PooledPendingWork(PooledQueue):
         ends: np.ndarray,
     ) -> np.ndarray:
         """Append one PE-major batch: ``counts[pe]`` entries for each PE."""
-        if starts.shape != ends.shape or (ends < starts).any():
+        if starts.shape != ends.shape or np.minimum.reduce(
+            ends - starts, initial=0
+        ) < 0:
             raise SimulationError("edge ranges must have end >= start")
         # Private copy: a split advances an entry's start in place.
         starts = np.array(starts, dtype=np.int64)
-        offsets = super().push_sorted(counts, vertices, values, starts, ends)
-        edge_cum = np.zeros(starts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(ends - starts, out=edge_cum[1:])
-        self._edges += np.diff(edge_cum[offsets])
-        return offsets
+        return super().push_sorted(counts, vertices, values, starts, ends)
 
     def pop_edges_all(self, budget: int) -> Tuple[np.ndarray, ...]:
         """Pop work totalling at most ``budget`` edges *per PE*.
@@ -384,41 +362,44 @@ class PooledPendingWork(PooledQueue):
         remaining = np.full(self.num_pes, budget, dtype=np.int64)
         counts = np.zeros(self.num_pes, dtype=np.int64)
         cut = np.zeros(self.num_pes, dtype=np.int64)  # split rows' edges
-        takes: List[np.ndarray] = []
-        advances: List[np.ndarray] = []
+        total = splits_total = 0
+        reads = []
         splits = []
-        for (_, _, starts, ends), offsets, consumed in self._batches:
+        for (_, _, starts, ends), offsets, consumed, _ in self._batches:
             if not remaining.any():
                 break
             lo = offsets[:-1] + consumed
             hi = offsets[1:]
             live = (lo < hi) & (remaining > 0)
-            cs = np.cumsum(ends - starts)
-            base = np.where(lo > 0, cs[lo - 1], 0)
-            pos = np.searchsorted(cs, base + remaining, side="right")
+            # Edges queued before each row of the batch.
+            before = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+            (ends - starts).cumsum(out=before[1:])
+            base = before[lo]
+            pos = before.searchsorted(base + remaining, side="right") - 1
             pos = np.where(live, np.minimum(pos, hi), lo)
-            full = pos - lo
-            taken_full = np.where(pos > lo, cs[pos - 1] - base, 0)
+            taken_full = before[pos] - base
             # Entry ``pos`` is split when part of its range still fits:
             # it is read as the PE's last row but stays queued.
             split = live & (remaining > taken_full) & (pos < hi)
-            part = np.where(split, remaining - taken_full, 0)
-            if split.any():
+            part = (remaining - taken_full) * split
+            take = pos - lo + split
+            taken = int(np.add.reduce(take))
+            nsplit = int(np.count_nonzero(split))
+            if nsplit:
                 splits.append((starts, pos[split], part[split]))
-            takes.append(full + split)
-            advances.append(full)
-            counts += takes[-1]
+            reads.append((take, taken, take - split, taken - nsplit))
+            counts += take
             cut += part
             remaining -= taken_full + part
-        vertices, values, starts, ends = self._pop_rows(counts, takes, advances)
+            total += taken
+            splits_total += nsplit
+        vertices, values, starts, ends = self._pop_rows(counts, total, reads)
         if splits:
-            split_pes = np.flatnonzero(cut)
-            last = np.cumsum(counts)[split_pes] - 1
+            split_pes = cut.nonzero()[0]
+            last = counts.cumsum()[split_pes] - 1
             ends[last] = starts[last] + cut[split_pes]
             for batch_starts, rows, part in splits:
                 batch_starts[rows] += part
-        entries = counts - (cut > 0)
-        self._sizes -= entries
-        self._edges -= budget - remaining
-        self.popped += int(entries.sum())
+        self._sizes -= counts - (cut > 0)
+        self.popped += total - splits_total
         return counts, vertices, values, starts, ends

@@ -65,6 +65,12 @@ class TrackerModule:
         padded = layout.superblocks_per_pe * dim
         self._bitmap = np.zeros((num_pes, padded), dtype=bool)
         self.block_counted = self._bitmap[:, : layout.blocks_per_pe]
+        # Flat views: per block, per superblock row, per counter.
+        self._flat_bits = self._bitmap.reshape(-1)
+        self._superblock_bits = self._bitmap.reshape(-1, dim)
+        self._flat_counters = self.counters.reshape(-1)
+        #: Blocks counted across all PEs (the sum of ``counters``).
+        self.tracked_blocks = 0
         #: Each vertex's block as an index into the flat padded bitmap;
         #: ``key // dim`` is its superblock's index into the flat counters.
         self._block_key = layout.placement.owner * padded + layout.block_of(
@@ -93,14 +99,16 @@ class TrackerModule:
         """
         if vertices.shape[0] == 0:
             return 0
-        keys = unique_ids(self._block_key[vertices])
-        bitmap = self._bitmap.reshape(-1)
-        keys = keys[~bitmap[keys]]
-        if keys.shape[0] == 0:
-            return 0
-        bitmap[keys] = True
-        np.add.at(self.counters.reshape(-1), keys // self.superblock_dim, 1)
-        return int(keys.shape[0])
+        keys = self._block_key.take(vertices)
+        keys = unique_ids(
+            keys.compress(~self._flat_bits.take(keys)), self._flat_bits.shape[0]
+        )
+        new = keys.shape[0]
+        if new:
+            self._flat_bits[keys] = True
+            np.add.at(self._flat_counters, keys // self.superblock_dim, 1)
+            self.tracked_blocks += new
+        return new
 
     # ------------------------------------------------------------------
     # Retrieval (called from the VMU prefetch side)
@@ -110,7 +118,7 @@ class TrackerModule:
         return bool(self.counters[pe].any())
 
     def any_work(self) -> bool:
-        return bool(self.counters.any())
+        return self.tracked_blocks > 0
 
     def work_mask(self) -> np.ndarray:
         """Per-PE boolean mask of PEs with at least one tracked block."""
@@ -161,9 +169,11 @@ class TrackerModule:
         limit = np.minimum(chunks_needed * self.chunk_blocks, in_range.sum(axis=1))
         blocks_read = int(limit.sum())
         active_blocks = base[counted]
-        wasteful = blocks_read - int(per_sb.sum())
-        self.prefetch_hits += int(per_sb.sum())
+        hits = int(per_sb.sum())
+        wasteful = blocks_read - hits
+        self.prefetch_hits += hits
         self.prefetch_misses += wasteful
+        self.tracked_blocks -= hits
         # Consume: collected blocks leave the tracker.
         self.block_counted[pe, active_blocks] = False
         self.counters[pe, superblocks] = 0
@@ -191,14 +201,15 @@ class TrackerModule:
         empty = np.empty(0, dtype=np.int64)
         if pes.shape[0] == 0:
             return empty, empty.copy()
-        rows_mat = self.counters[pes]
-        r, sb = np.nonzero(rows_mat)
-        if r.shape[0] == 0:
+        # A flat nonzero: numpy's 2-D nonzero is several times slower.
+        num_superblocks = self.counters.shape[1]
+        flat = self.counters.take(pes, axis=0).ravel().nonzero()[0]
+        if flat.shape[0] == 0:
             return empty, empty.copy()
+        r, sb = np.divmod(flat, num_superblocks)
         n_rows = pes.shape[0]
         counts = np.bincount(r, minlength=n_rows)
-        row_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = np.arange(r.shape[0], dtype=np.int64) - row_start[r]
+        pos = np.arange(r.shape[0]) - (counts.cumsum() - counts)[r]
         below_cursor = sb < self._cursor[pes[r]]
         pivot = np.bincount(r[below_cursor], minlength=n_rows)
         rank = (pos - pivot[r]) % counts[r]
@@ -208,7 +219,6 @@ class TrackerModule:
         r_c, sb_c, rank_c = r_c[order], sb_c[order], rank_c[order]
         n_chosen = np.minimum(counts, max_counts)
         last = rank_c == n_chosen[r_c] - 1
-        num_superblocks = self.counters.shape[1]
         self._cursor[pes[r_c[last]]] = (sb_c[last] + 1) % num_superblocks
         return r_c, sb_c
 
@@ -228,39 +238,35 @@ class TrackerModule:
             zeros = np.zeros(n_rows, dtype=np.int64)
             return BatchCollectOutcome(empty, empty.copy(), zeros, zeros.copy())
         dim = self.superblock_dim
-        pe_per_sb = pes[rows]
-        # One row per (PE, superblock), in flat counter order.
-        superblock_bits = self._bitmap.reshape(-1, dim)
-        flat_sb = pe_per_sb * self.counters.shape[1] + superblocks
-        counted = superblock_bits[flat_sb]
-        per_sb = counted.sum(axis=1)
-        if (per_sb != self.counters.reshape(-1)[flat_sb]).any():
+        # One row of bits per (PE, superblock), in flat counter order;
+        # the counted ones as flat positions, ascending per superblock.
+        flat_sb = pes.take(rows) * self.counters.shape[1] + superblocks
+        counted = self._superblock_bits.take(flat_sb, axis=0).ravel().nonzero()[0]
+        sb_index, within = np.divmod(counted, dim)
+        per_sb = np.bincount(sb_index, minlength=superblocks.shape[0])
+        if (per_sb != self._flat_counters.take(flat_sb)).any():
             raise SimulationError("tracker counters diverged from bitmap")
-        has_any = per_sb > 0
-        last_counted = np.where(
-            has_any, dim - 1 - np.argmax(counted[:, ::-1], axis=1), -1
-        )
-        chunks_needed = np.where(
-            has_any, (last_counted // self.chunk_blocks) + 1, 0
-        )
+        # Chunks read: chunk-aligned up to the last counted block.
+        last_counted = np.zeros(superblocks.shape[0], dtype=np.int64)
+        np.maximum.at(last_counted, sb_index, within)
+        chunks_needed = np.where(per_sb > 0, last_counted // self.chunk_blocks + 1, 0)
         in_range = np.minimum(dim, self.layout.blocks_per_pe - superblocks * dim)
         limit = np.minimum(chunks_needed * self.chunk_blocks, in_range)
         blocks_read = np.zeros(n_rows, dtype=np.int64)
         np.add.at(blocks_read, rows, limit)
         active_per_row = np.zeros(n_rows, dtype=np.int64)
         np.add.at(active_per_row, rows, per_sb)
-        sb_index, within = np.nonzero(counted)
-        active_blocks = superblocks[sb_index] * dim + within
-        active_rows = rows[sb_index]
-        self.prefetch_hits += int(per_sb.sum())
-        self.prefetch_misses += int((blocks_read - active_per_row).sum())
+        hits = counted.shape[0]
+        self.prefetch_hits += hits
+        self.prefetch_misses += int(np.add.reduce(limit)) - hits
+        self.tracked_blocks -= hits
         # Consume: every counted block of a selected superblock leaves
         # the tracker, so the superblock's whole row clears.
-        superblock_bits[flat_sb] = False
-        self.counters.reshape(-1)[flat_sb] = 0
+        self._superblock_bits[flat_sb] = False
+        self._flat_counters[flat_sb] = 0
         return BatchCollectOutcome(
-            active_blocks=active_blocks,
-            active_rows=active_rows,
+            active_blocks=superblocks.take(sb_index) * dim + within,
+            active_rows=rows.take(sb_index),
             blocks_read=blocks_read,
             wasteful_blocks=blocks_read - active_per_row,
         )
@@ -277,3 +283,5 @@ class TrackerModule:
         per_sb = self._bitmap.reshape(num_pes, num_superblocks, -1).sum(axis=2)
         if (per_sb != self.counters).any():
             raise SimulationError("tracker invariant violated")
+        if self.tracked_blocks != int(self.counters.sum()):
+            raise SimulationError("tracker block count diverged from counters")

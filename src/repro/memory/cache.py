@@ -165,8 +165,8 @@ class CacheArray:
 
         num_sets = self.num_sets
         order = self._set_order(sets)
-        sets = sets[order]
-        blocks = blocks[order]
+        sets = sets.take(order)
+        blocks = blocks.take(order)
 
         # Set runs: each set's accesses, contiguous and in program order.
         head = np.empty(n, dtype=bool)
@@ -225,9 +225,9 @@ class CacheArray:
         np.add.at(misses_per_cache, run_caches, run_misses)
         writebacks_per_cache = np.zeros(num_caches, dtype=np.int64)
         np.add.at(writebacks_per_cache, run_caches, run_writebacks)
-        miss_count = int(run_misses.sum())
+        miss_count = int(np.add.reduce(run_misses))
         hit_count = n - miss_count
-        writebacks = int(run_writebacks.sum())
+        writebacks = int(np.add.reduce(run_writebacks))
         self.lifetime_hits += hit_count
         self.lifetime_misses += miss_count
         self.lifetime_writebacks += writebacks

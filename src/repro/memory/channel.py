@@ -8,6 +8,12 @@ the quantum's duration is the maximum service time over all shared
 resources.  Channels also accumulate lifetime statistics in the categories
 the paper reports (Fig 10): useful reads, wasteful reads (inactive blocks
 read while searching for active blocks), and writes.
+
+:class:`ResourceLedger` is the vectorized engine's form: every HBM
+channel, DDR pool and functional-unit pool of a system in one set of
+arrays, charged per PE and closed once per quantum.  The scalar engine
+keeps one :class:`BandwidthChannel` per unit, so engine parity compares
+two independent accountings.
 """
 
 from __future__ import annotations
@@ -45,12 +51,6 @@ class _QuantumCharges:
     sequential_read: float = 0.0
     random_write: float = 0.0
     sequential_write: float = 0.0
-
-    def reset(self) -> None:
-        self.random_read = 0.0
-        self.sequential_read = 0.0
-        self.random_write = 0.0
-        self.sequential_write = 0.0
 
 
 class BandwidthChannel:
@@ -138,7 +138,7 @@ class BandwidthChannel:
                 "quantum to the slowest resource"
             )
         self.busy_seconds += service
-        self._quantum.reset()
+        self._quantum = _QuantumCharges()
 
     def utilization(self, elapsed_seconds: float) -> float:
         """Fraction of elapsed time this channel was busy."""
@@ -147,154 +147,130 @@ class BandwidthChannel:
         return min(1.0, self.busy_seconds / elapsed_seconds)
 
 
-class BandwidthChannelArray:
-    """A bank of identical channels with flat-array charge accounting.
+def _channel_times(times: np.ndarray, duplex: bool) -> np.ndarray:
+    """Service times from ``(4, n)`` per-stream times (random and
+    sequential reads, then writes), combined as a channel combines them."""
+    read = times[0] + times[1]
+    write = times[2] + times[3]
+    return np.maximum(read, write) if duplex else read + write
 
-    Functionally equivalent to ``count`` independent
-    :class:`BandwidthChannel` instances of the same spec (one per PE or
-    per GPN), but charges arrive as ``(index, nbytes)`` arrays so the
-    engine's per-quantum hot path needs no Python-level loop over
-    channels.  Atom rounding is applied elementwise -- each array entry
-    corresponds to what was one scalar ``charge_*`` call, so totals and
-    service times match the scalar channels bit for bit.
+
+class ResourceLedger:
+    """One quantum's charges to every shared resource of a NOVA system.
+
+    The units are each PE's HBM channel, each GPN's DDR pool, and each
+    GPN's reduce and propagate functional-unit pools (Table II).  A
+    charge is whole bytes or ops per PE, added into a per-PE row with
+    one fancy-index add (``pes`` are unique ids); the DDR and FU rows sum
+    per GPN (PEs are contiguous per GPN) when service times are read.
+    Bytes round up to whole atoms per entry, as one
+    :meth:`BandwidthChannel.charge_read` per entry would, and whole
+    numbers sum exactly in float64 in any order, so every service time,
+    busy time and total equals that of separate :class:`BandwidthChannel`
+    and :class:`~repro.sim.engine.ResourcePool` objects bit for bit.
+    Per-unit arrays are flat: the HBM channels, then the DDR, reduce and
+    propagate pools (:attr:`class_starts`).
     """
 
-    _RR, _SR, _RW, _SW = range(4)
+    #: Resource classes, in the order a tie for the slowest one resolves.
+    CLASSES = ("hbm", "ddr", "reduce_fu", "propagate_fu")
+    #: Channel classes, and the FU pools' rows of the charge matrix.
+    HBM, DDR = 0, 1
+    REDUCE, PROPAGATE = 8, 9
 
-    def __init__(self, spec: MemorySpec, count: int) -> None:
-        if count <= 0:
-            raise ConfigError(f"{spec.name}: channel count must be positive")
-        self.spec = spec
-        self.count = count
-        self.useful_read_bytes = np.zeros(count, dtype=np.int64)
-        self.wasteful_read_bytes = np.zeros(count, dtype=np.int64)
-        self.write_bytes = np.zeros(count, dtype=np.int64)
-        #: Per-quantum charges: rows are random-read, sequential-read,
-        #: random-write, sequential-write.
-        self._quantum = np.zeros((4, count), dtype=np.float64)
-        self.busy_seconds = np.zeros(count, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Bulk charge paths
-    # ------------------------------------------------------------------
-
-    def charge_read_many(
+    def __init__(
         self,
-        idx: np.ndarray,
+        hbm: MemorySpec,
+        ddr: MemorySpec,
+        num_gpns: int,
+        pes_per_gpn: int,
+        reduce_rate: float,
+        propagate_rate: float,
+    ) -> None:
+        if num_gpns <= 0 or pes_per_gpn <= 0:
+            raise ConfigError("num_gpns and pes_per_gpn must be positive")
+        for name, rate in (("reduce_fu", reduce_rate), ("prop_fu", propagate_rate)):
+            if rate <= 0:
+                raise ConfigError(f"{name}: rate must be positive")
+        self.specs = (hbm, ddr)
+        self.num_gpns = num_gpns
+        self.num_pes = p = num_gpns * pes_per_gpn
+        #: Per-quantum bytes and ops per PE: row ``4 * channel + 2 *
+        #: write + sequential``, then the two pools.
+        self._charges = np.zeros((10, p), dtype=np.int64)
+        #: Lifetime bytes per PE: (channel, useful/wasteful/write, PE).
+        self._totals = np.zeros((2, 3, p), dtype=np.int64)
+        rates = [[s.random_bandwidth, s.sequential_bandwidth] * 2 for s in self.specs]
+        self._hbm_rates = np.array(rates[0])[:, None]
+        self._gpn_rates = np.array(rates[1] + [reduce_rate, propagate_rate])[:, None]
+        self.class_starts = np.array([0, p, p + num_gpns, p + 2 * num_gpns])
+        self.busy_seconds = np.zeros(p + 3 * num_gpns)
+
+    def charge(
+        self,
+        channel: int,
+        pes: np.ndarray,
         nbytes: np.ndarray,
         *,
+        write: bool = False,
         sequential: bool = False,
         useful: bool = True,
     ) -> None:
-        """Charge one read per ``(idx[i], nbytes[i])`` pair.
+        """Charge ``nbytes[i]`` moved by PE ``pes[i]`` over ``channel``
+        (its own HBM channel, or its GPN's DDR pool)."""
+        if np.minimum.reduce(nbytes, initial=0) < 0:
+            raise SimulationError("cannot charge a negative transfer")
+        atom = self.specs[channel].atom_bytes
+        nbytes = (nbytes + (atom - 1)) // atom * atom
+        self._charges[4 * channel + 2 * write + sequential, pes] += nbytes
+        self._totals[channel, 2 if write else int(not useful), pes] += nbytes
 
-        Each pair is rounded up to whole atoms independently, exactly as
-        ``count`` separate :meth:`BandwidthChannel.charge_read` calls
-        would be; zero-byte entries are skipped.
-        """
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        if (nbytes < 0).any():
-            raise SimulationError("cannot charge a negative read")
-        mask = nbytes > 0
-        if not mask.any():
-            return
-        idx = np.asarray(idx, dtype=np.int64)[mask]
-        nbytes = self.spec.round_up(nbytes[mask])
-        totals = self.useful_read_bytes if useful else self.wasteful_read_bytes
-        np.add.at(totals, idx, nbytes)
-        row = self._SR if sequential else self._RR
-        np.add.at(self._quantum[row], idx, nbytes.astype(np.float64))
+    def charge_ops(self, pool: int, ops: np.ndarray) -> None:
+        """Charge ``ops[pe]`` operations of every PE to its GPN's ``pool``."""
+        if np.minimum.reduce(ops, initial=0) < 0:
+            raise SimulationError("negative op charge")
+        self._charges[pool] += ops
 
-    def charge_write_many(
-        self, idx: np.ndarray, nbytes: np.ndarray, *, sequential: bool = False
-    ) -> None:
-        """Charge one write per ``(idx[i], nbytes[i])`` pair."""
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        if (nbytes < 0).any():
-            raise SimulationError("cannot charge a negative write")
-        mask = nbytes > 0
-        if not mask.any():
-            return
-        idx = np.asarray(idx, dtype=np.int64)[mask]
-        nbytes = self.spec.round_up(nbytes[mask])
-        np.add.at(self.write_bytes, idx, nbytes)
-        row = self._SW if sequential else self._RW
-        np.add.at(self._quantum[row], idx, nbytes.astype(np.float64))
-
-    # ------------------------------------------------------------------
-    # Quantum accounting
-    # ------------------------------------------------------------------
+    def hbm_service_times(self) -> np.ndarray:
+        """Each PE's HBM channel service time for the current quantum."""
+        times = self._charges[:4] / self._hbm_rates
+        return _channel_times(times, self.specs[0].duplex)
 
     def service_times(self) -> np.ndarray:
-        """Per-channel service time for the current quantum's charges."""
-        read = (
-            self._quantum[self._RR] / self.spec.random_bandwidth
-            + self._quantum[self._SR] / self.spec.sequential_bandwidth
-        )
-        write = (
-            self._quantum[self._RW] / self.spec.random_bandwidth
-            + self._quantum[self._SW] / self.spec.sequential_bandwidth
-        )
-        if self.spec.duplex:
-            return np.maximum(read, write)
-        return read + write
+        """Every unit's service time for the current quantum."""
+        per_gpn = self._charges[4:].reshape(6, self.num_gpns, -1)
+        per_gpn = np.add.reduce(per_gpn, axis=2) / self._gpn_rates
+        ddr = _channel_times(per_gpn[:4], self.specs[1].duplex)
+        return np.concatenate((self.hbm_service_times(), ddr, per_gpn[4:].ravel()))
 
-    def quantum_utilizations(self, quantum_seconds: float) -> np.ndarray:
-        """Per-channel busy fraction of the *current* quantum.
+    def class_maxima(self, service: np.ndarray) -> list:
+        """The slowest unit's service time in each class."""
+        return np.maximum.reduceat(service, self.class_starts).tolist()
 
-        Observability hook; read before :meth:`end_quantum` resets the
-        charges.
-        """
-        if quantum_seconds <= 0:
-            return np.zeros(self.count)
-        return self.service_times() / quantum_seconds
-
-    def end_quantum(
-        self, quantum_seconds: float, service: np.ndarray | None = None
-    ) -> None:
-        """Close the quantum: record busy time and reset the charges.
-
-        ``service`` is this quantum's :meth:`service_times` when the
-        caller already computed it.
-        """
-        if service is None:
-            service = self.service_times()
-        worst = float(service.max())
+    def end_quantum(self, quantum_seconds: float, service: np.ndarray) -> None:
+        """Close the quantum whose :meth:`service_times` are ``service``:
+        record busy time and reset the charges."""
+        worst = np.maximum.reduce(service)
         if worst > quantum_seconds + 1e-15:
+            unit = np.searchsorted(self.class_starts, service.argmax(), "right")
             raise SimulationError(
-                f"{self.spec.name}: service time {worst:.3e}s exceeds "
+                f"{self.CLASSES[unit - 1]}: service time {worst:.3e}s exceeds "
                 f"quantum {quantum_seconds:.3e}s; the engine must size the "
                 "quantum to the slowest resource"
             )
         self.busy_seconds += service
-        self._quantum[:] = 0.0
+        self._charges.fill(0)
 
     def utilizations(self, elapsed_seconds: float) -> np.ndarray:
+        """Every unit's busy fraction of ``elapsed_seconds``."""
         if elapsed_seconds <= 0:
-            return np.zeros(self.count)
+            return np.zeros(self.busy_seconds.shape[0])
         return np.minimum(1.0, self.busy_seconds / elapsed_seconds)
 
-    # ------------------------------------------------------------------
-    # Lifetime totals
-    # ------------------------------------------------------------------
-
-    @property
-    def total_useful_read_bytes(self) -> int:
-        return int(self.useful_read_bytes.sum())
-
-    @property
-    def total_wasteful_read_bytes(self) -> int:
-        return int(self.wasteful_read_bytes.sum())
-
-    @property
-    def total_write_bytes(self) -> int:
-        return int(self.write_bytes.sum())
-
-    @property
-    def total_bytes(self) -> int:
-        return (
-            self.total_useful_read_bytes
-            + self.total_wasteful_read_bytes
-            + self.total_write_bytes
-        )
-
+    def totals(self, channel: int) -> np.ndarray:
+        """Lifetime useful-read, wasteful-read and write bytes of each of
+        ``channel``'s units, as a ``(3, units)`` array."""
+        per_pe = self._totals[channel]
+        if channel == self.DDR:
+            return np.add.reduce(per_pe.reshape(3, self.num_gpns, -1), axis=2)
+        return per_pe.copy()

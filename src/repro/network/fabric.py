@@ -41,30 +41,30 @@ class Fabric:
                 f"traffic matrix must be ({self.num_pes}, {self.num_pes}), "
                 f"got {traffic.shape}"
             )
-        if (traffic < 0).any():
+        if np.minimum.reduce(traffic, axis=None, initial=0.0) < 0:
             raise SimulationError("traffic bytes must be non-negative")
         return traffic
 
     def service_time(self, traffic: np.ndarray) -> float:
         """Seconds needed to deliver ``traffic`` (bottleneck resource)."""
+        return self._service_time(self._check(traffic))
+
+    def _service_time(self, traffic: np.ndarray) -> float:
+        """:meth:`service_time` of an already checked float matrix."""
         raise NotImplementedError
 
-    def record(
-        self, traffic: np.ndarray, service_time: float | None = None
-    ) -> None:
-        """Accumulate lifetime statistics for a delivered quantum.
+    def record(self, traffic: np.ndarray) -> float:
+        """Deliver one quantum's ``traffic``: accumulate lifetime
+        statistics and return the quantum's service time.
 
         Diagonal entries (messages a PE sends to itself) never enter the
-        fabric and are excluded from the byte totals.  ``service_time``
-        is ``service_time(traffic)`` when the caller already computed it.
+        fabric and are excluded from the byte totals.
         """
         traffic = self._check(traffic)
-        off_diagonal = traffic.copy()
-        np.fill_diagonal(off_diagonal, 0.0)
-        self.total_bytes += int(off_diagonal.sum())
-        if service_time is None:
-            service_time = self.service_time(traffic)
-        self.busy_seconds += service_time
+        service = self._service_time(traffic)
+        self.total_bytes += int(np.add.reduce(traffic, axis=None) - traffic.trace())
+        self.busy_seconds += service
+        return service
 
 
 class IdealFabric(Fabric):
@@ -72,8 +72,7 @@ class IdealFabric(Fabric):
 
     latency_s = 0.0
 
-    def service_time(self, traffic: np.ndarray) -> float:
-        self._check(traffic)
+    def _service_time(self, traffic: np.ndarray) -> float:
         return 0.0
 
 
@@ -85,14 +84,11 @@ class PointToPointFabric(Fabric):
         if link_bandwidth <= 0:
             raise ConfigError("link_bandwidth must be positive")
         self.link_bandwidth = link_bandwidth
+        self._links = ~np.eye(num_pes, dtype=bool)  # self-messages are free
 
-    def service_time(self, traffic: np.ndarray) -> float:
-        traffic = self._check(traffic)
-        off_diagonal = traffic.copy()
-        np.fill_diagonal(off_diagonal, 0.0)
-        if off_diagonal.size == 0:
-            return 0.0
-        return float(off_diagonal.max()) / self.link_bandwidth
+    def _service_time(self, traffic: np.ndarray) -> float:
+        worst_link = float(traffic.max(where=self._links, initial=0.0))
+        return worst_link / self.link_bandwidth
 
 
 class HierarchicalFabric(Fabric):
@@ -132,8 +128,7 @@ class HierarchicalFabric(Fabric):
         g = self.num_gpns
         return traffic.reshape(g, p, g, p).sum(axis=(1, 3))
 
-    def service_time(self, traffic: np.ndarray) -> float:
-        traffic = self._check(traffic)
+    def _service_time(self, traffic: np.ndarray) -> float:
         # Intra-GPN pairwise links (diagonal blocks, self-messages free).
         worst_link = float(traffic.max(where=self._links, initial=0.0))
         link_time = worst_link / self.link_bandwidth

@@ -80,6 +80,11 @@ _SYSTEMS = ("nova", "polygraph", "ligra")
 _PLACEMENTS = ("interleave", "random", "load_balanced", "locality")
 
 
+#: Fields that must be JSON integers: a float or a bool would lower to
+#: a different cache key, or fail only once the job runs.
+_INTEGER_FIELDS = ("gpns", "seed", "placement_seed", "max_quanta", "source")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """JSON-native description of one simulation job.
@@ -162,6 +167,13 @@ class JobSpec:
                 f"unknown placement {self.placement!r}; choose from "
                 f"{', '.join(_PLACEMENTS)}"
             )
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            # bool is an int subclass; JSON's true/false is not a count.
+            if (name != "source" or value is not None) and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise JobSpecError(f"{name} must be an integer, got {value!r}")
         if self.gpns < 1:
             raise JobSpecError(f"gpns must be >= 1, got {self.gpns}")
         if self.scale <= 0:
@@ -304,13 +316,33 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Job":
+        """A job from its journal record (replay)."""
         payload = dict(data)
-        payload["spec"] = JobSpec.from_dict(payload.get("spec", {}))
+        payload["spec"] = JobSpec.from_dict(
+            _integral_as_int(payload.get("spec", {}))
+        )
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - names
         for name in unknown:  # forward compatibility: ignore new fields
             payload.pop(name)
         return cls(**payload)
+
+
+def _integral_as_int(spec: Any) -> Any:
+    """A journaled spec with integral floats and bools in its integer
+    fields made ints: older code journaled jobs admitted with ``gpns:
+    2.0``, ``seed: 4.0`` or ``max_quanta: 10.0``, and replay keeps them
+    (a non-integral value could only fail its run and is refused)."""
+    if not isinstance(spec, Mapping):
+        return spec
+    out = dict(spec)
+    for name in _INTEGER_FIELDS:
+        value = out.get(name)
+        if isinstance(value, bool) or (
+            isinstance(value, float) and value.is_integer()
+        ):
+            out[name] = int(value)
+    return out
 
 
 # ----------------------------------------------------------------------

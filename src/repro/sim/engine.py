@@ -55,12 +55,9 @@ class ResourcePool:
             return 0.0
         return self.quantum_service_time() / quantum_seconds
 
-    def end_quantum(
-        self, quantum_seconds: float, service: float | None = None
-    ) -> None:
-        """Close the quantum; ``service`` is its precomputed service time."""
-        if service is None:
-            service = self.quantum_service_time()
+    def end_quantum(self, quantum_seconds: float) -> None:
+        """Close the quantum: record busy time and reset the charge."""
+        service = self.quantum_service_time()
         if service > quantum_seconds + 1e-15:
             raise SimulationError(
                 f"{self.name}: service {service:.3e}s exceeds quantum "

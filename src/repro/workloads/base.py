@@ -164,18 +164,35 @@ class VertexProgram(ABC):
             raise WorkloadError(f"{self.name} requires edge weights")
 
 
-def unique_ids(ids: np.ndarray) -> np.ndarray:
+def unique_ids(ids: np.ndarray, bound: Optional[int] = None) -> np.ndarray:
     """Sorted distinct values of an integer id array, as ``np.unique``.
 
     One sort plus a neighbour compare: numpy >= 2.3's ``np.unique``
     hashes the values first and then sorts the result anyway, which is
-    several times slower on the engines' per-quantum id batches.
+    several times slower on the engines' per-quantum id batches.  Given
+    ``bound`` (ids lie in ``[0, bound)``), a batch of ``bound / 4`` ids
+    or more is read off a presence bitmap instead: on random ids it is
+    1.5-4.7x faster there, ties near ``bound / 8`` and loses 2-4x below
+    ``bound / 16``.
     """
+    if bound is not None and ids.shape[0] * 4 >= bound:
+        present = np.zeros(bound, dtype=bool)
+        present[ids] = True
+        return present.nonzero()[0].astype(ids.dtype, copy=False)
     ids = np.sort(ids, axis=None)
     keep = np.empty(ids.shape[0], dtype=bool)
     keep[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def ragged_arange(
+    starts: np.ndarray, counts: np.ndarray, total: int
+) -> np.ndarray:
+    """Concatenated ``[starts[i], starts[i] + counts[i])`` index ranges
+    (``total`` is ``counts.sum()``): one ``arange`` plus one ``repeat``."""
+    shift = starts - (counts.cumsum() - counts)
+    return np.arange(total, dtype=np.int64) + shift.repeat(counts)
 
 
 def expand_edges(
@@ -208,13 +225,8 @@ def expand_edges(
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, (np.empty(0) if graph.weights is not None else None)
-    # Edge offsets: for each range, starts[i] + 0..counts[i]-1, i.e. each
-    # edge's output position shifted by its range's start minus the
-    # output position of the range's first edge (one repeat).
-    owner = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), counts)
-    offsets = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts
-    )
+    owner = np.arange(vertices.shape[0], dtype=np.int64).repeat(counts)
+    offsets = ragged_arange(starts, counts, total)
     dests = graph.col_idx[offsets]
     weights = graph.weights[offsets] if graph.weights is not None else None
     return owner, dests, weights

@@ -41,10 +41,10 @@ class ConnectedComponents(VertexProgram):
         self, state: ProgramState, dest: np.ndarray, values: np.ndarray
     ) -> ReduceOutcome:
         labels = state["labels"]
-        old = labels[dest]  # pre-batch values, per message
+        old = labels.take(dest)  # pre-batch values, per message
         np.minimum.at(labels, dest, values)
         useful = int(np.count_nonzero(values < old))
-        improved = unique_ids(dest[labels[dest] < old])
+        improved = unique_ids(dest.compress(labels.take(dest) < old), labels.shape[0])
         return ReduceOutcome(useful_messages=useful, improved=improved)
 
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:

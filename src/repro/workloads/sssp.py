@@ -46,10 +46,10 @@ class SSSP(VertexProgram):
         self, state: ProgramState, dest: np.ndarray, values: np.ndarray
     ) -> ReduceOutcome:
         dist = state["dist"]
-        old = dist[dest]  # pre-batch values, per message
+        old = dist.take(dest)  # pre-batch values, per message
         np.minimum.at(dist, dest, values)
         useful = int(np.count_nonzero(values < old))
-        improved = unique_ids(dest[dist[dest] < old])
+        improved = unique_ids(dest.compress(dist.take(dest) < old), dist.shape[0])
         return ReduceOutcome(useful_messages=useful, improved=improved)
 
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:

@@ -109,3 +109,47 @@ class TestRecording:
         fabric.record(m)
         assert fabric.total_bytes == 2000
         assert fabric.busy_seconds == pytest.approx(2 * 1000 / 1e9)
+
+
+def fabrics(num_gpns, pes_per_gpn=4):
+    """A fresh ideal, point-to-point and hierarchical fabric."""
+    num_pes = num_gpns * pes_per_gpn
+    return [
+        IdealFabric(num_pes),
+        PointToPointFabric(num_pes, link_bandwidth=1.2e9),
+        HierarchicalFabric(num_gpns, pes_per_gpn, 1.2e9, 60e9),
+    ]
+
+
+class TestRecordReturnsServiceTime:
+    """The engine's one fabric charge per quantum: ``record`` checks the
+    matrix once and returns what ``service_time`` returns."""
+
+    @pytest.mark.parametrize("num_gpns", [1, 2])
+    def test_matches_service_time_and_off_diagonal_bytes(self, num_gpns):
+        rng = np.random.default_rng(num_gpns)
+        for fabric, reference in zip(fabrics(num_gpns), fabrics(num_gpns)):
+            busy, total = 0.0, 0
+            for _ in range(20):
+                num_pes = fabric.num_pes
+                # Whole message bytes, self-messages on the diagonal
+                # included (they never enter the fabric).
+                m = rng.integers(0, 50, (num_pes, num_pes)) * 8
+                m *= rng.integers(0, 2, (num_pes, num_pes))
+                want = reference.service_time(m)
+                assert fabric.record(m) == want
+                busy += want
+                total += int(m.sum() - np.trace(m))
+                assert fabric.total_bytes == total
+                assert fabric.busy_seconds == busy
+            assert total > 0
+
+    def test_rejects_bad_matrices_before_recording(self):
+        for fabric in fabrics(2):
+            with pytest.raises(SimulationError):
+                fabric.record(np.zeros((3, 3)))
+            bad = np.zeros((fabric.num_pes, fabric.num_pes))
+            bad[0, 1] = -8
+            with pytest.raises(SimulationError):
+                fabric.record(bad)
+            assert fabric.total_bytes == 0 and fabric.busy_seconds == 0.0

@@ -108,6 +108,26 @@ class TestBasicRoutes:
 
         serve(tmp_path, body)
 
+    def test_non_integer_field_is_400_before_any_job(self, tmp_path):
+        async def body(svc, port):
+            status, payload, _ = await call(
+                http_request,
+                port,
+                "POST",
+                "/v1/jobs",
+                {"spec": make_spec(gpns=2.0)},
+            )
+            assert status == 400
+            assert payload["error"] == "bad_spec"
+            assert "gpns must be an integer" in payload["message"]
+            status, payload, _ = await call(
+                http_request, port, "GET", "/v1/jobs"
+            )
+            assert status == 200
+            assert payload["jobs"] == []
+
+        serve(tmp_path, body)
+
     def test_bad_spec_is_400(self, tmp_path):
         async def body(svc, port):
             status, payload, _ = await call(

@@ -66,6 +66,34 @@ class TestJobSpec:
         with pytest.raises(JobSpecError):
             make_spec(scale=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gpns", 2.0),
+            ("gpns", True),
+            ("seed", 4.0),
+            ("placement_seed", 1.5),
+            ("max_quanta", 10.0),
+            ("source", 0.0),
+            ("source", False),
+            ("seed", "4"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        """JSON floats and booleans are not counts: a float ``gpns``
+        used to fail only in the run, and ``max_quanta: 10.0`` keyed
+        apart from ``10``."""
+        data = {"workload": "bfs", "graph": "rmat:6:4", field: value}
+        with pytest.raises(JobSpecError, match=f"{field} must be an integer"):
+            JobSpec.from_dict(data)
+
+    def test_integer_fields_and_null_source_admitted(self):
+        spec = JobSpec.from_dict(
+            {"workload": "bfs", "graph": "rmat:6:4", "gpns": 2, "seed": 4,
+             "placement_seed": 3, "max_quanta": 10, "source": None}
+        )
+        assert (spec.gpns, spec.seed, spec.max_quanta) == (2, 4, 10)
+
     def test_lowering_matches_sweep_keys(self, tmp_path):
         """A job spec digests to the same key as the equivalent RunSpec,
         and run, sweep and submit of the same inputs share one key."""
@@ -246,6 +274,43 @@ class TestJournal:
     def test_unknown_job(self, tmp_path):
         with pytest.raises(UnknownJobError):
             JobStore(str(tmp_path)).get("j-nope")
+
+    def test_replay_keeps_records_older_code_admitted(self, tmp_path):
+        """Older code journaled jobs with integral floats (and bools) in
+        integer fields; replay reads them back as ints, keeping each
+        job's state and key.  A non-integral value, which could only
+        fail its run, is refused like any malformed record."""
+        store = JobStore(str(tmp_path))
+        legacy = {
+            "j-gpns": ({"gpns": 2.0}, FAILED, None),
+            "j-seed": ({"seed": 4.0}, FAILED, None),
+            "j-quanta": ({"max_quanta": 10.0}, DONE, "k-quanta"),
+            "j-bool": ({"gpns": True}, FAILED, None),
+            "j-half": ({"placement_seed": 1.5}, FAILED, None),
+        }
+        with open(store.path, "a", encoding="utf-8") as f:
+            for seq, (job_id, (fields, state, key)) in enumerate(
+                legacy.items(), start=1
+            ):
+                record = store.mint(make_spec()).to_dict()
+                record.update(id=job_id, seq=seq, state=state, key=key)
+                record["spec"].update(fields)
+                f.write(json.dumps({"op": "job", "job": record}) + "\n")
+
+        again = JobStore(str(tmp_path))
+        assert again.get("j-gpns").spec.gpns == 2
+        assert again.get("j-seed").spec.seed == 4
+        quanta = again.get("j-quanta")
+        assert (quanta.spec.max_quanta, quanta.state, quanta.key) == (
+            10, DONE, "k-quanta"
+        )
+        assert again.get("j-bool").spec.gpns == 1
+        for job_id in ("j-gpns", "j-seed", "j-quanta", "j-bool"):
+            spec = again.get(job_id).spec
+            for name in ("gpns", "seed", "max_quanta"):
+                assert type(getattr(spec, name)) is int
+        with pytest.raises(UnknownJobError):
+            again.get("j-half")
 
     def test_torn_trailing_line_tolerated(self, tmp_path):
         store = JobStore(str(tmp_path))

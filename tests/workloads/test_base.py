@@ -126,6 +126,25 @@ class TestUniqueIds:
         assert unique_ids(ids).tolist() == [1, 2, 3]
         assert ids.tolist() == [3, 1, 3, 2]
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    @pytest.mark.parametrize("bound", [0, 1, 4, 64, 1000])
+    def test_bitmap_path_matches_sort_path(self, dtype, bound):
+        """``bound`` sends a batch of ``bound / 4`` ids or more to the
+        presence bitmap: batch sizes on both sides of that threshold,
+        empty ones included, give what the sort path gives."""
+        rng = np.random.default_rng(bound)
+        threshold = -(-bound // 4)  # smallest batch read off the bitmap
+        sizes = {0, threshold, bound, 3 * bound}
+        if bound:
+            sizes |= {threshold - 1, threshold + 1}
+        for size in sorted(sizes):
+            for _ in range(5):
+                ids = rng.integers(0, max(bound, 1), size=size).astype(dtype)
+                got = unique_ids(ids, bound)
+                want = unique_ids(ids)
+                assert got.dtype == want.dtype == ids.dtype
+                assert got.tolist() == want.tolist() == np.unique(ids).tolist()
+
 
 class TestProgramMetadata:
     def test_combine_kinds(self):

@@ -11,11 +11,7 @@ Commands:
   :mod:`repro.obs.report`)
 - ``profile``   run one instrumented NOVA simulation and print a
   bottleneck-attribution report (see :mod:`repro.obs`)
-- ``serve``     boot the async job service (HTTP, see :mod:`repro.service`);
-  ``--workers N`` additionally spawns a local fleet of N worker
-  subprocesses sharing the coordinator's run cache
-- ``worker``    boot one fleet worker and join it to a coordinator
-  (register + heartbeat over ``/v1/workers``)
+- ``serve``     boot the async job service (HTTP, see :mod:`repro.service`)
 - ``submit``    post one simulation job to a running service
 - ``status``    service health + job ledger (or one job's detail)
 - ``fetch``     download a completed job's result as JSON
@@ -280,17 +276,6 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to let running jobs finish on "
                             "SIGTERM before giving up")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="spawn N local fleet workers sharing this "
-                            "coordinator's run cache (0 = run jobs "
-                            "in-process)")
-    serve.add_argument("--lease", type=float, default=10.0,
-                       help="worker lease in seconds; a worker missing "
-                            "heartbeats this long is declared dead and "
-                            "its jobs re-queue")
-    serve.add_argument("--max-requeues", type=int, default=3,
-                       help="times one job may be re-queued after "
-                            "worker loss before failing")
     serve.add_argument("--quota-max-active", type=int, default=None,
                        help="per-tenant cap on concurrently active "
                             "jobs (429 above it)")
@@ -300,36 +285,6 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota-burst", type=float, default=None,
                        help="token-bucket burst size (default: rate)")
     serve.set_defaults(handler="repro.commands.service:cmd_serve")
-
-    worker = sub.add_parser(
-        "worker",
-        help="run one fleet worker and join it to a coordinator",
-    )
-    worker.add_argument("--coordinator", required=True,
-                        help="coordinator base URL to register with")
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0,
-                        help="listen port (0 picks a free one)")
-    worker.add_argument("--advertise", default=None,
-                        help="URL the coordinator should dial back "
-                             "(default: http://<host>:<port>)")
-    worker.add_argument("--cache-dir", default=None,
-                        help="run-cache root; share the coordinator's "
-                             "for zero-copy result hand-off")
-    worker.add_argument("--state-dir", default=None,
-                        help="job-journal directory (default: "
-                             "<cache-dir>/worker)")
-    worker.add_argument("--queue-depth", type=int, default=64)
-    worker.add_argument("--job-workers", type=int, default=1,
-                        help="jobs executed concurrently")
-    worker.add_argument("--capacity", type=int, default=1,
-                        help="in-flight dispatches advertised to the "
-                             "coordinator's router")
-    worker.add_argument("--lease", type=float, default=None,
-                        help="requested lease seconds (default: the "
-                             "coordinator's lease)")
-    worker.add_argument("--drain-timeout", type=float, default=30.0)
-    worker.set_defaults(handler="repro.commands.service:cmd_worker")
 
     def add_client_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--url", default="http://127.0.0.1:8734",

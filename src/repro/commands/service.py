@@ -1,5 +1,5 @@
-"""Job-service verbs: ``serve``, ``worker``, ``submit``, ``status``,
-``fetch``, ``trace`` and ``top``.
+"""Job-service verbs: ``serve``, ``submit``, ``status``, ``fetch``,
+``trace`` and ``top``.
 """
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
 
 
 def _job_spec_from_args(args: argparse.Namespace) -> dict:
@@ -34,7 +33,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.runner import default_cache_dir
     from repro.service import ReproService
-    from repro.service.worker import LocalWorkerPool
 
     state_dir = args.state_dir or os.path.join(
         args.cache_dir or default_cache_dir(), "service"
@@ -45,105 +43,26 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth,
         job_workers=args.job_workers,
         drain_timeout=args.drain_timeout,
-        lease_seconds=args.lease,
-        max_requeues=args.max_requeues,
         quota_max_active=args.quota_max_active,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
     )
 
-    pool: Optional[LocalWorkerPool] = None
-
     def on_ready(port: int) -> None:
-        nonlocal pool
         print(
             f"repro service listening on http://{args.host}:{port}",
             flush=True,
         )
         print(f"  state: {state_dir}", flush=True)
         print(f"  cache: {service.runner.cache.root}", flush=True)
-        if args.workers > 0:
-            pool = LocalWorkerPool(
-                f"http://{args.host}:{port}",
-                count=args.workers,
-                cache_dir=service.runner.cache.root,
-                state_root=os.path.join(state_dir, "fleet"),
-                host=args.host,
-                lease_seconds=args.lease,
-            )
-            pids = pool.start()
-            print(
-                f"  fleet: {args.workers} local worker(s), pids "
-                f"{','.join(str(p) for p in pids)}",
-                flush=True,
-            )
 
-    try:
-        summary = asyncio.run(
-            service.serve_forever(args.host, args.port, on_ready=on_ready)
-        )
-    finally:
-        if pool is not None:
-            pool.stop()
+    summary = asyncio.run(
+        service.serve_forever(args.host, args.port, on_ready=on_ready)
+    )
     print(
         "drained: running "
         + ("finished" if summary["drained"] else "interrupted")
         + f", {summary['queued']} queued job(s) persisted for restart",
-        flush=True,
-    )
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.runner import default_cache_dir
-    from repro.service import ReproService
-    from repro.service.worker import WorkerAgent
-
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "worker"
-    )
-    service = ReproService(
-        state_dir,
-        cache_dir=args.cache_dir,
-        max_queue_depth=args.queue_depth,
-        job_workers=args.job_workers,
-        drain_timeout=args.drain_timeout,
-    )
-
-    async def main() -> dict:
-        port = await service.start(args.host, args.port)
-        service._install_signal_handlers()
-        advertise = args.advertise or f"http://{args.host}:{port}"
-        agent = WorkerAgent(
-            args.coordinator,
-            advertise,
-            capacity=args.capacity,
-            lease_seconds=args.lease,
-        )
-        agent_task = asyncio.create_task(agent.run())
-        print(
-            f"repro worker listening on http://{args.host}:{port}",
-            flush=True,
-        )
-        print(f"  coordinator: {args.coordinator}", flush=True)
-        print(f"  cache: {service.runner.cache.root}", flush=True)
-        assert service._stop is not None
-        await service._stop.wait()
-        await agent.stop()
-        agent_task.cancel()
-        try:
-            await agent_task
-        except asyncio.CancelledError:
-            pass
-        return await service.stop()
-
-    summary = asyncio.run(main())
-    print(
-        "worker drained: running "
-        + ("finished" if summary["drained"] else "interrupted")
-        + f", {summary['queued']} queued job(s) persisted",
         flush=True,
     )
     return 0

@@ -136,34 +136,6 @@ class RateLimitedError(ThrottledError):
         )
 
 
-class WorkerError(ServiceError):
-    """Base class for worker-fleet failures (see :mod:`repro.service.fleet`)."""
-
-
-class UnknownWorkerError(WorkerError):
-    """The referenced worker id is not in the registry."""
-
-    def __init__(self, worker_id: str):
-        self.worker_id = worker_id
-        super().__init__(f"unknown worker {worker_id!r}")
-
-
-class NoAliveWorkersError(WorkerError):
-    """The fleet has no alive workers to dispatch to (fall back local)."""
-
-
-class WorkerLostError(WorkerError):
-    """A dispatched job's worker died, hung past its lease, or vanished.
-
-    The scheduler re-queues the job (bounded by the dispatcher's
-    ``max_requeues``) so it lands on a surviving worker.
-    """
-
-    def __init__(self, message: str, worker_id: str = ""):
-        self.worker_id = worker_id
-        super().__init__(message)
-
-
 class ServiceUnavailableError(ServiceError):
     """The service is draining for shutdown and not accepting work."""
 

@@ -16,24 +16,17 @@ The shared :data:`FAULT_COUNTERS` registry is incremented by
 ``graph_store.build_ms`` cumulative build milliseconds,
 ``graph_store.lock_waits`` builders that blocked on a concurrent
 build, ``graph_store.evictions`` / ``corrupt`` / ``put_errors``
-hygiene), and by the fleet layer under ``fleet.*`` names
-(``fleet.registered`` / ``heartbeats`` / ``deregistered`` /
-``expired`` / ``dead`` / ``revived`` / ``superseded`` membership,
-``fleet.dispatched`` / ``completed`` / ``cache_resolved`` /
-``shared_cache_miss`` / ``local_fallback`` dispatch traffic,
-``fleet.revoked`` / ``worker_lost`` / ``requeued`` /
-``requeue_exhausted`` fault recovery, ``fleet.quota_rejected`` /
-``rate_limited`` admission), surfacing in ``repro sweep`` / ``repro
+hygiene), and by the job service under ``service.*`` names (job
+traffic, and ``service.quota_rejected`` / ``rate_limited``
+per-tenant admission), surfacing in ``repro sweep`` / ``repro
 profile`` output and the service's ``/metrics`` endpoint.
 
 :class:`MetricsRegistry` extends the counter bag with **gauges**
 (last-write-wins floats: ``service.queue_depth``,
-``service.running_jobs``, ``fleet.workers_alive``) and **histograms**
-(fixed log-scale buckets over seconds: ``service.queue_wait_seconds``,
-``service.run_seconds``, ``fleet.dispatch_rtt_seconds``,
-``fleet.heartbeat_age_seconds``, ``fleet.ring_rebuild_seconds``,
-``sweep.run_seconds``, ``graph_store.build_seconds``), all behind the
-same lock discipline.  :data:`FAULT_COUNTERS` *is* a
+``service.running_jobs``) and **histograms** (fixed log-scale buckets
+over seconds: ``service.queue_wait_seconds``, ``service.run_seconds``,
+``sweep.run_seconds``, ``graph_store.build_seconds``, and the
+``stream.*`` session timings), all behind the same lock discipline.  :data:`FAULT_COUNTERS` *is* a
 ``MetricsRegistry``, so every existing ``increment`` call site keeps
 working and the service's ``/metrics`` endpoint (JSON and Prometheus
 exposition) reads one registry.
@@ -118,9 +111,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
 DEFAULT_HISTOGRAMS: Tuple[str, ...] = (
     "service.queue_wait_seconds",
     "service.run_seconds",
-    "fleet.dispatch_rtt_seconds",
-    "fleet.heartbeat_age_seconds",
-    "fleet.ring_rebuild_seconds",
     "sweep.run_seconds",
     "graph_store.build_seconds",
     "stream.delta_apply_seconds",

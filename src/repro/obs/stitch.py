@@ -1,9 +1,9 @@
 """Stitch REPRO_TRACE JSONL files into a cross-process span tree.
 
-Every process in a traced operation (client CLI, coordinator,
-subprocess workers, forked sweep workers) appends spans to whatever
-``REPRO_TRACE`` file it inherited -- usually the *same* file, since
-the env variable flows through :class:`LocalWorkerPool` and ``fork``.
+Every process in a traced operation (client CLI, service, forked
+sweep and job children) appends spans to whatever ``REPRO_TRACE``
+file it inherited -- usually the *same* file, since the env variable
+flows through ``fork``.
 :func:`stitch` groups the records of one trace id and reconnects them
 by ``span_id`` / ``parent_span_id`` into a tree; :func:`render_tree`
 draws it as a waterfall with per-hop offsets and durations, which is

@@ -13,7 +13,7 @@ operation touches, plus the 16-hex-digit id of the span that is
   ``traceparent`` string (:func:`inject_headers` /
   :func:`extract_headers`).
 * **On job records** via ``JobSpec.trace``, so a job's trace identity
-  survives the journal and the fleet dispatch hop.
+  survives the journal and a server restart.
 * **Into subprocesses** via the ``REPRO_TRACEPARENT`` environment
   variable (:func:`inject_env`); a process with no in-process context
   falls back to the parsed env value, cached per process (call

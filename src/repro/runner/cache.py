@@ -158,9 +158,8 @@ class RunCache:
     def contains(self, key: str) -> bool:
         """Cheap existence probe: no read, no verification, no LRU touch.
 
-        Fleet coordinators use this to check whether a worker's
-        completed result has landed in the shared cache directory
-        before paying for a full verified :meth:`load`.
+        ``repro sweep --resume`` counts finished runs with it, without
+        paying for a full verified :meth:`load` per key.
         """
         return os.path.exists(self._path(key))
 

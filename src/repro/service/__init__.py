@@ -21,31 +21,20 @@ Three layers:
   per-client-fairness + FIFO ordering, and a worker pool that drives the
   blocking :class:`~repro.runner.sweep.SweepRunner` in executor threads
   (fault isolation, timeouts, and retries come from the existing
-  :class:`~repro.runner.fault.RetryPolicy` machinery).
+  :class:`~repro.runner.fault.RetryPolicy` machinery: every job runs
+  in its own forked child under a deadline the server enforces), plus
+  per-tenant quota / rate-limit admission (the structured 429 family).
 - :mod:`repro.service.http` -- a stdlib-only HTTP/1.1 API
-  (``/v1/jobs``, long-poll ``/events``, ``/v1/workers``, ``/healthz``,
-  ``/metrics``) plus :class:`ReproService`, the composed server with
-  SIGTERM drain-and-persist semantics.  :mod:`repro.service.client` is
-  the matching thin client behind ``repro submit/status/fetch``.
+  (``/v1/jobs``, long-poll ``/events``, ``/v1/sessions``,
+  ``/healthz``, ``/metrics``) plus :class:`ReproService`, the composed
+  server with SIGTERM drain-and-persist semantics.
+  :mod:`repro.service.client` is the matching thin client behind
+  ``repro submit/status/fetch``.
 
-The **fleet** layer shards that server horizontally:
-
-- :mod:`repro.service.hashring` -- consistent hashing with virtual
-  nodes; jobs route by their content-addressed ``spec_key`` so repeat
-  submissions land on the worker whose cache is warm.
-- :mod:`repro.service.registry` -- lease-based worker membership
-  (register / heartbeat / expire) feeding the ring.
-- :mod:`repro.service.fleet` -- the dispatcher (route, submit over the
-  job contract, poll, resolve results from the shared run cache),
-  worker-loss revocation + bounded re-queue, and per-tenant quota /
-  rate-limit admission (the structured 429 family).
-- :mod:`repro.service.worker` -- the worker-side join/heartbeat agent
-  and the ``serve --workers N`` local subprocess pool.
-
-CLI: ``repro serve`` boots the coordinator (``--workers N`` adds a
-local fleet); ``repro worker`` joins a standalone worker; ``repro
-submit`` posts a job (optionally waiting), ``repro status`` inspects
-jobs/health, ``repro fetch`` pulls a completed result as JSON.
+CLI: ``repro serve`` boots the service; ``repro submit`` posts a job
+(optionally waiting), ``repro status`` inspects jobs/health, ``repro
+fetch`` pulls a completed result as JSON, ``repro top`` watches it
+live.
 
 The names below resolve on first access (see :mod:`repro._lazy`), so
 a client verb loads the client, not the server.
@@ -55,16 +44,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.service.client": ("ServiceClient",),
-    "repro.service.fleet": (
-        "FleetDispatcher",
-        "RemoteDone",
-        "TenantQuotas",
-        "TokenBucket",
-    ),
-    "repro.service.hashring": ("HashRing",),
     "repro.service.http": ("ReproService", "ServiceHTTP", "run_result_to_dict"),
-    "repro.service.registry": ("WorkerInfo", "WorkerRegistry"),
-    "repro.service.scheduler": ("JobScheduler",),
+    "repro.service.scheduler": ("JobScheduler", "TenantQuotas", "TokenBucket"),
     "repro.service.store": (
         "CANCELLED",
         "DONE",
@@ -78,24 +59,19 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "JobSpec",
         "JobStore",
     ),
-    "repro.service.worker": ("LocalWorkerPool", "WorkerAgent"),
 })
 
 __all__ = [
     "CANCELLED",
     "DONE",
     "FAILED",
-    "FleetDispatcher",
-    "HashRing",
     "JOB_STATES",
     "Job",
     "JobScheduler",
     "JobSpec",
     "JobStore",
-    "LocalWorkerPool",
     "QUEUED",
     "RUNNING",
-    "RemoteDone",
     "ReproService",
     "SUBMITTED",
     "ServiceClient",
@@ -103,8 +79,5 @@ __all__ = [
     "TERMINAL_STATES",
     "TenantQuotas",
     "TokenBucket",
-    "WorkerAgent",
-    "WorkerInfo",
-    "WorkerRegistry",
     "run_result_to_dict",
 ]

@@ -7,14 +7,12 @@ family on throttle (:class:`~repro.errors.QueueFullError` /
 :class:`~repro.errors.RateLimitedError`, each with its retry hint and
 identity fields rehydrated from the payload),
 :class:`~repro.errors.UnknownJobError` /
-:class:`~repro.errors.UnknownWorkerError` on 404,
+:class:`~repro.errors.UnknownSessionError` on 404,
 :class:`~repro.errors.JobStateError` on 409, and
 :class:`~repro.errors.ServiceUnavailableError` on 503 -- so callers and
 tests handle local and remote failures identically.  ``submit`` can
 honor the server's retry-after hint itself (``retries=``).  Used by
-``repro submit`` / ``repro status`` / ``repro fetch``, by the fleet
-dispatcher to drive workers, and by workers to register/heartbeat with
-their coordinator.
+``repro submit`` / ``repro status`` / ``repro fetch`` / ``repro top``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.errors import (
     ThrottledError,
     UnknownJobError,
     UnknownSessionError,
-    UnknownWorkerError,
 )
 from repro.obs.trace_context import current, inject_headers
 from repro.obs.tracing import trace_span
@@ -118,10 +115,6 @@ class ServiceClient:
                 retry_after_seconds=retry_after,
             )
         if exc.code == 404:
-            if payload.get("error") == "unknown_worker":
-                return UnknownWorkerError(
-                    payload.get("worker_id", message)
-                )
             if payload.get("error") == "unknown_session":
                 return UnknownSessionError(
                     payload.get("session_id", message)
@@ -187,7 +180,7 @@ class ServiceClient:
         born: the ``client.submit`` span mints a trace root (unless an
         ambient context already exists) and its context rides both the
         request header and the spec's ``trace`` field, so every
-        scheduler/fleet/worker span for this job stitches under it.
+        server-side span for this job stitches under it.
         """
         spec_body = dict(spec)
         with trace_span("client.submit", client=client):
@@ -319,37 +312,6 @@ class ServiceClient:
             return self._request(
                 "POST", f"/v1/sessions/{session_id}/jobs", body=body
             )["job"]
-
-    # -- fleet / worker endpoints ---------------------------------------
-
-    def register_worker(
-        self,
-        url: str,
-        worker_id: Optional[str] = None,
-        capacity: int = 1,
-        lease_seconds: Optional[float] = None,
-        meta: Optional[Mapping[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Register (or re-register) a worker; returns its record."""
-        body: Dict[str, Any] = {"url": url, "capacity": int(capacity)}
-        if worker_id:
-            body["worker_id"] = worker_id
-        if lease_seconds is not None:
-            body["lease_seconds"] = float(lease_seconds)
-        if meta:
-            body["meta"] = dict(meta)
-        return self._request("POST", "/v1/workers", body=body)["worker"]
-
-    def worker_heartbeat(self, worker_id: str) -> Dict[str, Any]:
-        return self._request(
-            "POST", f"/v1/workers/{worker_id}/heartbeat"
-        )["worker"]
-
-    def deregister_worker(self, worker_id: str) -> Dict[str, Any]:
-        return self._request("DELETE", f"/v1/workers/{worker_id}")
-
-    def workers(self) -> List[Dict[str, Any]]:
-        return self._request("GET", "/v1/workers")["workers"]
 
     # -- conveniences ---------------------------------------------------
 

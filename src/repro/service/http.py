@@ -16,24 +16,20 @@ third-party web framework -- exposing the evaluation service:
   over the job's state changes and
   :class:`~repro.runner.monitor.SweepMonitor` progress snapshots
 - ``DELETE /v1/jobs/{id}``       cancel a waiting job
-- ``POST   /v1/workers``         a fleet worker joins (url, capacity,
-  lease); ``POST /v1/workers/{id}/heartbeat`` renews the lease,
-  ``DELETE /v1/workers/{id}`` leaves gracefully, ``GET /v1/workers``
-  lists members + in-flight assignments
-- ``GET    /healthz``            liveness + drain status, uptime,
-  queue depth, and alive-worker count (the ``repro top`` poll target)
+- ``GET    /healthz``            liveness + drain status, uptime, and
+  queue depth (the ``repro top`` poll target)
 - ``GET    /metrics``            the process-wide metrics registry
   (:data:`~repro.obs.counters.FAULT_COUNTERS`): counters with
-  ``service.*``, ``graph_store.*``, and ``fleet.*`` families broken
-  out, typed gauges and histogram snapshots, scheduler
-  queue/fairness state, and the worker roster.  ``?format=prom`` (or
-  ``Accept: text/plain``) switches to the Prometheus text exposition
-  rendered by :mod:`repro.obs.prom`.
+  ``service.*``, ``graph_store.*``, and ``stream.*`` families broken
+  out, typed gauges and histogram snapshots, and scheduler
+  queue/fairness state.  ``?format=prom`` (or ``Accept: text/plain``)
+  switches to the Prometheus text exposition rendered by
+  :mod:`repro.obs.prom`.
 
 Requests carrying an ``X-Repro-Trace-Id`` traceparent header join
 that distributed trace: the context is activated around routing, and
-a submitted spec without its own ``trace`` field inherits it, so
-worker-side spans stitch under the coordinator's dispatch span.
+a submitted spec without its own ``trace`` field inherits it, so the
+server's spans (and its forked run's) stitch under the caller's span.
 
 :class:`ReproService` composes store + scheduler + HTTP listener and
 owns the lifecycle: SIGTERM/SIGINT trigger a drain (running jobs
@@ -65,7 +61,6 @@ from repro.errors import (
     ThrottledError,
     UnknownJobError,
     UnknownSessionError,
-    UnknownWorkerError,
 )
 from repro.obs import prom
 from repro.obs.counters import FAULT_COUNTERS
@@ -73,7 +68,7 @@ from repro.obs.trace_context import activate, current, extract_headers
 from repro.obs.tracing import trace_event
 from repro.runner.cache import RunCache
 from repro.runner.sweep import SweepRunner
-from repro.service.scheduler import JobScheduler
+from repro.service.scheduler import JobScheduler, TenantQuotas
 from repro.service.store import DONE, JobSpec, JobStore
 
 #: Largest accepted request body (a job spec is a few hundred bytes).
@@ -162,13 +157,11 @@ class ServiceHTTP:
         scheduler: JobScheduler,
         store: JobStore,
         cache: Optional[RunCache],
-        registry=None,
         sessions=None,
     ) -> None:
         self.scheduler = scheduler
         self.store = store
         self.cache = cache
-        self.registry = registry
         #: Optional :class:`~repro.stream.session.SessionManager`
         #: backing the ``/v1/sessions`` routes.
         self.sessions = sessions
@@ -241,9 +234,6 @@ class ServiceHTTP:
                 payload["error"] = "throttled"
             headers = {"Retry-After": f"{exc.retry_after_seconds:.0f}"}
             return 429, payload, headers
-        except UnknownWorkerError as exc:
-            return 404, {"error": "unknown_worker", "message": str(exc),
-                         "worker_id": exc.worker_id}, {}
         except UnknownJobError as exc:
             return 404, {"error": "unknown_job", "message": str(exc),
                          "job_id": exc.job_id}, {}
@@ -389,20 +379,6 @@ class ServiceHTTP:
                 return await self._compact_session(session_id)
             if tail == "jobs" and method == "POST":
                 return await self._submit_session_job(session_id, body)
-        if path == "/v1/workers":
-            if method == "POST":
-                return self._register_worker(body)
-            if method == "GET":
-                return self._list_workers()
-            raise _HttpError(405, "method", f"{method} not allowed here")
-        if path.startswith("/v1/workers/"):
-            rest = path[len("/v1/workers/"):]
-            worker_id, _, tail = rest.partition("/")
-            if worker_id:
-                if tail == "heartbeat" and method == "POST":
-                    return self._heartbeat_worker(worker_id)
-                if not tail and method == "DELETE":
-                    return self._deregister_worker(worker_id)
         raise _HttpError(404, "not_found", f"no route {method} {path!r}")
 
     # -- endpoints ------------------------------------------------------
@@ -410,16 +386,12 @@ class ServiceHTTP:
     def _healthz(self) -> Tuple[int, Dict[str, Any]]:
         snap = self.scheduler.snapshot()
         status = "draining" if snap["draining"] else "ok"
-        workers_alive = (
-            len(self.registry.alive()) if self.registry is not None else 0
-        )
         return 200, {
             "status": status,
             "version": __version__,
             "uptime_seconds": round(
                 max(0.0, time.monotonic() - self.started_monotonic), 3
             ),
-            "workers_alive": workers_alive,
             **snap,
         }
 
@@ -447,21 +419,15 @@ class ServiceHTTP:
                 if name.startswith(prefix)
             }
 
-        payload = {
+        return 200, {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
             "service": family("service."),
             "graph_store": family("graph_store."),
-            "fleet": family("fleet."),
             "stream": family("stream."),
             "scheduler": self.scheduler.snapshot(),
         }
-        if self.registry is not None:
-            payload["workers"] = [
-                worker.to_dict() for worker in self.registry.workers()
-            ]
-        return 200, payload
 
     async def _submit(
         self, body: Optional[Dict[str, Any]]
@@ -472,7 +438,7 @@ class ServiceHTTP:
         if spec.trace is None:
             # The spec's own trace field wins; otherwise inherit the
             # request header's context (activated by _dispatch_safe) so
-            # scheduler/worker spans stitch under the caller's span.
+            # the scheduler's spans stitch under the caller's span.
             ctx = current()
             if ctx is not None:
                 spec = dataclasses.replace(spec, trace=ctx.traceparent())
@@ -665,58 +631,6 @@ class ServiceHTTP:
         status = 200 if job.cached else 201
         return status, {"job": job.to_dict()}
 
-    # -- fleet membership ----------------------------------------------
-
-    def _need_registry(self):
-        if self.registry is None:
-            raise _HttpError(
-                404, "no_fleet", "this service has no worker registry"
-            )
-        return self.registry
-
-    def _register_worker(
-        self, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
-        registry = self._need_registry()
-        if not isinstance(body, dict) or "url" not in body:
-            raise JobSpecError(
-                "POST /v1/workers needs a JSON body with 'url'"
-            )
-        lease = body.get("lease_seconds")
-        worker = registry.register(
-            str(body["url"]),
-            worker_id=body.get("worker_id") or body.get("id"),
-            capacity=int(body.get("capacity", 1)),
-            lease_seconds=float(lease) if lease is not None else None,
-            meta=body.get("meta") or {},
-        )
-        return 201, {"worker": worker.to_dict()}
-
-    def _list_workers(self) -> Tuple[int, Dict[str, Any]]:
-        registry = self._need_registry()
-        assignments: Dict[str, str] = {}
-        fleet = getattr(self.scheduler, "fleet", None)
-        if fleet is not None:
-            assignments = fleet.assignments()
-        workers = []
-        for worker in registry.workers():
-            record = worker.to_dict()
-            record["jobs_inflight"] = [
-                job_id
-                for job_id, wid in assignments.items()
-                if wid == worker.id
-            ]
-            workers.append(record)
-        return 200, {"workers": workers, "ring": registry.ring.nodes()}
-
-    def _heartbeat_worker(self, worker_id: str) -> Tuple[int, Dict[str, Any]]:
-        worker = self._need_registry().heartbeat(worker_id)
-        return 200, {"worker": worker.to_dict()}
-
-    def _deregister_worker(self, worker_id: str) -> Tuple[int, Dict[str, Any]]:
-        worker = self._need_registry().deregister(worker_id)
-        return 200, {"worker": worker.to_dict()}
-
     async def _events(
         self, job_id: str, query: Dict[str, list]
     ) -> Tuple[int, Dict[str, Any]]:
@@ -766,11 +680,9 @@ class ReproService:
     persisted), and the store compacts, so a restarted server resumes
     exactly the queued work.
 
-    Every service is fleet-capable: it owns a
-    :class:`~repro.service.registry.WorkerRegistry` and a
-    :class:`~repro.service.fleet.FleetDispatcher`, so ``repro worker``
-    processes can join at any time.  With zero registered workers jobs
-    simply execute on the local runner, exactly as before.
+    Any of ``quota_max_active``, ``quota_rate`` and ``quota_burst``
+    turns on per-tenant :class:`~repro.service.scheduler.TenantQuotas`,
+    which check their values here, before anything is opened or bound.
     """
 
     def __init__(
@@ -781,18 +693,20 @@ class ReproService:
         max_queue_depth: int = 64,
         job_workers: int = 2,
         drain_timeout: Optional[float] = 30.0,
-        lease_seconds: float = 10.0,
-        max_requeues: int = 3,
-        ring_replicas: int = 64,
         quota_max_active: Optional[int] = None,
         quota_rate: Optional[float] = None,
         quota_burst: Optional[float] = None,
-        reap_interval: Optional[float] = None,
     ) -> None:
-        from repro.service.fleet import FleetDispatcher, TenantQuotas
-        from repro.service.registry import WorkerRegistry
         from repro.stream.session import SessionManager, SessionStore
 
+        quotas = None
+        limits = (quota_max_active, quota_rate, quota_burst)
+        if any(limit is not None for limit in limits):
+            quotas = TenantQuotas(
+                max_active=quota_max_active,
+                rate=quota_rate,
+                burst=quota_burst,
+            )
         self.store = JobStore(service_dir)
         self.session_store = SessionStore(service_dir)
         self.sessions = SessionManager(self.session_store)
@@ -801,34 +715,16 @@ class ReproService:
             if runner is not None
             else SweepRunner(workers=1, cache_dir=cache_dir)
         )
-        self.registry = WorkerRegistry(
-            lease_seconds=lease_seconds, replicas=ring_replicas
-        )
-        self.fleet = FleetDispatcher(
-            self.registry,
-            cache=self.runner.cache,
-            max_requeues=max_requeues,
-        )
-        quotas = None
-        if quota_max_active is not None or quota_rate is not None:
-            quotas = TenantQuotas(
-                max_active=quota_max_active,
-                rate=quota_rate,
-                burst=quota_burst,
-            )
         self.scheduler = JobScheduler(
             self.store,
             runner=self.runner,
             max_queue_depth=max_queue_depth,
             job_workers=job_workers,
-            fleet=self.fleet,
             quotas=quotas,
-            reap_interval=reap_interval,
             sessions=self.sessions,
         )
         self.http = ServiceHTTP(
             self.scheduler, self.store, self.runner.cache,
-            registry=self.registry,
             sessions=self.sessions,
         )
         self.drain_timeout = drain_timeout

@@ -21,24 +21,15 @@ Admission control is a bounded queue: past ``max_queue_depth`` waiting
 jobs, submission raises a structured
 :class:`~repro.errors.QueueFullError` (HTTP 429) carrying the depth,
 the limit, and a retry hint derived from recent job throughput.
-Per-tenant :class:`~repro.service.fleet.TenantQuotas` (active-job cap +
-token-bucket rate limit) layer in front of the global depth check and
-raise the same structured 429 family.  Before a job is ever queued its
-lowered spec is digested and looked up in the
+Per-tenant :class:`TenantQuotas` (active-job cap + token-bucket rate
+limit) layer in front of the global depth check and raise the same
+structured 429 family.  Before a job is ever queued its lowered spec
+is digested and looked up in the
 :class:`~repro.runner.cache.RunCache` -- an identical prior run (CLI,
 sweep, or another client's job) resolves the job to ``done`` with zero
 compute.
 
-With a :class:`~repro.service.fleet.FleetDispatcher` attached, jobs
-route to registered workers by consistent hash over their spec keys;
-the scheduler owns the *reaper* task that expires missed worker leases
-and revokes their in-flight dispatches, and it re-queues jobs raised
-back as :class:`~repro.errors.WorkerLostError` (bounded per job,
-``fleet.requeued``).  When the ring is empty the job runs locally on
-the scheduler's own runner, so a fleet coordinator degrades to the
-single-process service rather than stalling.
-
-All ``service.*`` / ``fleet.*`` counters go to the process-wide
+All ``service.*`` counters go to the process-wide
 :data:`~repro.obs.counters.FAULT_COUNTERS` registry, which ``GET
 /metrics`` snapshots.  The same registry carries the scheduler's typed
 metrics: ``service.queue_depth`` / ``service.running_jobs`` gauges
@@ -48,30 +39,29 @@ metrics: ``service.queue_depth`` / ``service.running_jobs`` gauges
 
 Jobs whose spec carries a ``trace`` traceparent re-join their
 distributed trace here: ``_execute`` activates the context around the
-dispatch events, and the executor-thread halves (``_run_blocking``,
-``FleetDispatcher.dispatch``) re-activate it themselves because
-``run_in_executor`` does not propagate contextvars.
-
-``REPRO_SERVICE_JOB_DELAY_MS`` injects an artificial pre-run delay
-into :meth:`JobScheduler._run_blocking` -- a chaos/test knob that
-holds jobs in flight long enough for kill/partition drills.
+dispatch events, and the executor-thread half (``_run_blocking``)
+re-activates it itself because ``run_in_executor`` does not propagate
+contextvars.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
+import math
+import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
+    ConfigError,
     JobSpecError,
     JobStateError,
-    NoAliveWorkersError,
     QueueFullError,
+    QuotaExceededError,
+    RateLimitedError,
     ServiceUnavailableError,
-    WorkerLostError,
 )
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.trace_context import activate, parse_traceparent
@@ -91,6 +81,119 @@ from repro.service.store import (
     JobSpec,
     JobStore,
 )
+
+
+class TokenBucket:
+    """Classic token bucket: ``rate`` tokens/sec, capacity ``burst``."""
+
+    def __init__(
+        self,
+        rate: float,
+        burst: float,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.rate = float(rate)
+        self.burst = max(1.0, float(burst))
+        self._clock = clock
+        self._tokens = self.burst
+        self._stamp = clock()
+        self._lock = threading.Lock()
+
+    def try_take(self, tokens: float = 1.0) -> float:
+        """Take ``tokens``; returns 0.0 on success, else seconds to wait."""
+        with self._lock:
+            now = self._clock()
+            self._tokens = min(
+                self.burst, self._tokens + (now - self._stamp) * self.rate
+            )
+            self._stamp = now
+            if self._tokens >= tokens:
+                self._tokens -= tokens
+                return 0.0
+            if self.rate <= 0:
+                return float("inf")
+            return (tokens - self._tokens) / self.rate
+
+
+@dataclass
+class TenantQuotas:
+    """Per-tenant quota + rate-limit admission policy.
+
+    ``max_active`` caps a tenant's concurrently active (non-terminal)
+    jobs; ``rate``/``burst`` bound submission frequency per tenant
+    (``burst`` defaults to ``rate``, at least 1).  Either limit may be
+    ``None`` (disabled); a set one must be usable, so a bad option
+    fails at start-up instead of refusing every submission.  One
+    instance serves every tenant: buckets are minted lazily per tenant
+    name.  Violations raise the structured 429 family
+    (:class:`~repro.errors.QuotaExceededError`,
+    :class:`~repro.errors.RateLimitedError`) with a retry-after hint
+    the HTTP layer and :class:`~repro.service.client.ServiceClient`
+    carry end to end.
+    """
+
+    max_active: Optional[int] = None
+    rate: Optional[float] = None
+    burst: Optional[float] = None
+    quota_retry_after: float = 1.0
+    clock: Callable[[], float] = time.monotonic
+    _buckets: Dict[str, TokenBucket] = field(default_factory=dict)
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def __post_init__(self) -> None:
+        if self.max_active is not None and self.max_active < 1:
+            raise ConfigError(
+                f"quota max_active must be >= 1, got {self.max_active}"
+            )
+        if self.rate is not None and not (
+            math.isfinite(self.rate) and self.rate > 0
+        ):
+            raise ConfigError(
+                f"quota rate must be a positive number, got {self.rate}"
+            )
+        if self.burst is not None:
+            if self.rate is None:
+                raise ConfigError("quota burst needs a quota rate")
+            if not (math.isfinite(self.burst) and self.burst >= 1):
+                raise ConfigError(
+                    f"quota burst must be a number >= 1, got {self.burst}"
+                )
+
+    def _bucket(self, tenant: str) -> TokenBucket:
+        with self._lock:
+            bucket = self._buckets.get(tenant)
+            if bucket is None:
+                burst = self.burst if self.burst is not None else max(
+                    1.0, self.rate
+                )
+                bucket = TokenBucket(self.rate, burst, clock=self.clock)
+                self._buckets[tenant] = bucket
+            return bucket
+
+    def admit(self, tenant: str, active: int) -> None:
+        """Raise the structured 429 when ``tenant`` is over a limit."""
+        if self.max_active is not None and active >= self.max_active:
+            FAULT_COUNTERS.increment("service.quota_rejected")
+            trace_event(
+                "service.quota_rejected", tenant=tenant, active=active,
+                limit=self.max_active,
+            )
+            raise QuotaExceededError(
+                tenant,
+                active=active,
+                limit=self.max_active,
+                retry_after_seconds=self.quota_retry_after,
+            )
+        if self.rate is not None:
+            wait = self._bucket(tenant).try_take()
+            if wait > 0:
+                FAULT_COUNTERS.increment("service.rate_limited")
+                trace_event("service.rate_limited", tenant=tenant, wait=wait)
+                raise RateLimitedError(
+                    tenant,
+                    rate=self.rate,
+                    retry_after_seconds=max(0.05, wait),
+                )
 
 
 class _JobMonitor(SweepMonitor):
@@ -134,13 +237,8 @@ class JobScheduler:
         max_queue_depth: waiting jobs admitted before backpressure.
         job_workers: concurrently running jobs (asyncio workers, each
             occupying one executor thread while its job runs).
-        fleet: optional :class:`~repro.service.fleet.FleetDispatcher`;
-            when set and workers are registered, jobs dispatch to the
-            fleet instead of the local runner.
-        quotas: optional :class:`~repro.service.fleet.TenantQuotas`
-            applied per client at admission.
-        reap_interval: seconds between worker-lease expiry sweeps
-            (default: lease/4, floor 50 ms).
+        quotas: optional :class:`TenantQuotas` applied per client at
+            admission.
     """
 
     def __init__(
@@ -149,24 +247,18 @@ class JobScheduler:
         runner: Optional[SweepRunner] = None,
         max_queue_depth: int = 64,
         job_workers: int = 2,
-        fleet=None,
         quotas=None,
-        reap_interval: Optional[float] = None,
         sessions=None,
     ) -> None:
         self.store = store
         self.runner = runner if runner is not None else SweepRunner(workers=1)
         #: Optional :class:`~repro.stream.session.SessionManager`; jobs
         #: whose spec names a session execute against its resident
-        #: overlay (always locally -- the overlay lives in this
-        #: process, so fleet dispatch skips them).
+        #: overlay in this process.
         self.sessions = sessions
         self.max_queue_depth = max(1, int(max_queue_depth))
         self.job_workers = max(1, int(job_workers))
-        self.fleet = fleet
         self.quotas = quotas
-        self.reap_interval = reap_interval
-        self._reaper: Optional[asyncio.Task] = None
         self.draining = False
         self._queued: List[str] = []
         self._running: set = set()
@@ -208,27 +300,10 @@ class JobScheduler:
             asyncio.create_task(self._worker(i), name=f"job-worker-{i}")
             for i in range(self.job_workers)
         ]
-        if self.fleet is not None:
-            self._reaper = asyncio.create_task(
-                self._reap(), name="fleet-reaper"
-            )
         self._started = True
         async with self._cond:
             self._cond.notify_all()
         return len(resumable)
-
-    async def _reap(self) -> None:
-        """Expire missed worker leases; revoke their in-flight jobs."""
-        lease = self.fleet.registry.lease_seconds
-        interval = (
-            self.reap_interval
-            if self.reap_interval is not None
-            else max(0.05, lease / 4.0)
-        )
-        while not self.draining:
-            await asyncio.sleep(interval)
-            for worker in self.fleet.registry.expire():
-                self.fleet.revoke_worker(worker.id)
 
     async def drain(self, timeout: Optional[float] = None) -> Dict[str, int]:
         """Stop accepting and dispatching; wait for running jobs.
@@ -243,10 +318,6 @@ class JobScheduler:
         if self._cond is not None:
             async with self._cond:
                 self._cond.notify_all()
-        if self._reaper is not None:
-            self._reaper.cancel()
-            await asyncio.gather(self._reaper, return_exceptions=True)
-            self._reaper = None
         drained = True
         if self._workers:
             done, pending = await asyncio.wait(
@@ -484,39 +555,14 @@ class JobScheduler:
         monitor = _JobMonitor(
             lambda payload: self._post_event(job.id, payload), loop
         )
-        outcome = None
         run_start = time.perf_counter()
         with activate(parse_traceparent(job.spec.trace)):
             trace_event("service.dispatch", job=job.id, client=job.client,
                         priority=job.priority)
             try:
-                if (
-                    self.fleet is not None
-                    and self.fleet.has_workers()
-                    and job.spec.session is None
-                ):
-                    try:
-                        outcome = await loop.run_in_executor(
-                            None, self.fleet.dispatch, job
-                        )
-                    except NoAliveWorkersError:
-                        outcome = None  # ring emptied under us: run locally
-                    except WorkerLostError as exc:
-                        if await self._requeue_lost(job, exc):
-                            return
-                        outcome = RunFailure(
-                            key=job.key or "",
-                            spec=None,
-                            kind="worker_lost",
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                        )
-                if outcome is None:
-                    if self.fleet is not None:
-                        FAULT_COUNTERS.increment("fleet.local_fallback")
-                    outcome = await loop.run_in_executor(
-                        None, self._run_blocking, job, monitor
-                    )
+                outcome = await loop.run_in_executor(
+                    None, self._run_blocking, job, monitor
+                )
             except Exception as exc:  # defensive: the runner returns failures
                 outcome = RunFailure(
                     key=job.key or "",
@@ -563,41 +609,6 @@ class JobScheduler:
             self._post_event(job.id, {"type": "state", "state": DONE})
         trace_event("service.settled", job=job.id, state=job.state)
 
-    async def _requeue_lost(self, job: Job, exc: WorkerLostError) -> bool:
-        """Put a worker-lost job back in the queue (bounded per job).
-
-        Returns False once the job has exhausted its re-queue budget,
-        in which case the caller settles it as failed.
-        """
-        if job.requeues >= self.fleet.max_requeues:
-            FAULT_COUNTERS.increment("fleet.requeue_exhausted")
-            return False
-        job.requeues += 1
-        job.transition(QUEUED)
-        self.store.put(job)
-        self._queued.append(job.id)
-        self._publish_gauges()
-        FAULT_COUNTERS.increment("fleet.requeued")
-        trace_event(
-            "fleet.requeue",
-            job=job.id,
-            worker=exc.worker_id,
-            requeues=job.requeues,
-        )
-        self._post_event(
-            job.id,
-            {
-                "type": "state",
-                "state": QUEUED,
-                "requeued": True,
-                "worker": exc.worker_id,
-            },
-        )
-        if self._cond is not None:
-            async with self._cond:
-                self._cond.notify()
-        return True
-
     def _run_blocking(self, job: Job, monitor: SweepMonitor):
         """Executor-thread half: lower the spec and drive the runner.
 
@@ -606,10 +617,6 @@ class JobScheduler:
         the result to the cache the moment it completes, so the job
         only needs to remember its key.
         """
-        delay_ms = os.environ.get("REPRO_SERVICE_JOB_DELAY_MS")
-        if delay_ms:
-            # Chaos/test knob: hold the job in flight (see module doc).
-            time.sleep(max(0.0, float(delay_ms)) / 1000.0)
         if job.spec.session is not None and self.sessions is not None:
             # Session query: answered by the resident overlay in this
             # process; the result still lands in the run cache under the
@@ -710,21 +717,12 @@ class JobScheduler:
         return dict(self._fairness)
 
     def snapshot(self) -> Dict[str, Any]:
-        counts = self.store.counts()
-        snap = {
+        return {
             "draining": self.draining,
             "queue_depth": len(self._queued),
             "max_queue_depth": self.max_queue_depth,
             "running": len(self._running),
             "job_workers": self.job_workers,
-            "jobs": counts,
+            "jobs": self.store.counts(),
             "fairness": self.fairness_snapshot(),
         }
-        if self.fleet is not None:
-            snap["fleet"] = {
-                "workers_alive": len(self.fleet.registry.alive()),
-                "workers_known": len(self.fleet.registry.workers()),
-                "assignments": len(self.fleet.assignments()),
-                "max_requeues": self.fleet.max_requeues,
-            }
-        return snap

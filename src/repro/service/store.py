@@ -113,9 +113,9 @@ class JobSpec:
     workload_kwargs: Mapping[str, Any] = field(default_factory=dict)
     timeline: bool = False
     #: Traceparent string (``00-<trace>-<span>-01``) binding this job
-    #: to a distributed trace.  Carried verbatim through the journal
-    #: and the fleet dispatch hop; NOT part of the lowered RunSpec, so
-    #: traced and untraced submissions share one cache key.
+    #: to a distributed trace.  Carried verbatim through the journal;
+    #: NOT part of the lowered RunSpec, so traced and untraced
+    #: submissions share one cache key.
     trace: Optional[str] = None
     #: Resident graph session this job queries (see
     #: :mod:`repro.stream.session`).  Session jobs run against the
@@ -285,10 +285,6 @@ class Job:
     #: True when the job was answered from the cache with no compute.
     cached: bool = False
     attempts: int = 0
-    #: Times the job was re-queued after losing its worker (fleet mode).
-    requeues: int = 0
-    #: Id of the fleet worker the job last dispatched to, if any.
-    worker: Optional[str] = None
     error_kind: Optional[str] = None
     error_type: Optional[str] = None
     error_message: Optional[str] = None
@@ -323,7 +319,7 @@ class Job:
         )
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - names
-        for name in unknown:  # forward compatibility: ignore new fields
+        for name in unknown:  # fields newer or older code wrote
             payload.pop(name)
         return cls(**payload)
 

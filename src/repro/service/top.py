@@ -1,10 +1,10 @@
 """``repro top``: a live terminal dashboard over one running service.
 
-Polls the coordinator's ``/healthz``, ``/metrics`` (JSON form, which
-carries the typed gauges and histogram snapshots), and worker roster
-on an interval and renders a compact frame: fleet state, queue depth
-and running jobs, submit/complete throughput (derived from counter
-deltas between polls), and p50/p95 latencies read straight from the
+Polls the service's ``/healthz`` and ``/metrics`` (JSON form, which
+carries the typed gauges and histogram snapshots) on an interval and
+renders a compact frame: queue depth and running jobs, job counts by
+state, submit/complete throughput (derived from counter deltas between
+polls), and p50/p95 latencies read straight from the
 ``service.queue_wait_seconds`` / ``service.run_seconds`` histograms.
 
 Rendering follows the :class:`~repro.runner.monitor.SweepMonitor`
@@ -19,9 +19,8 @@ without any stream at all.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, Optional, TextIO
 
-from repro.errors import ServiceError
 from repro.obs.counters import histogram_quantile
 from repro.runner.monitor import format_duration
 
@@ -32,8 +31,6 @@ _CLEAR = "\x1b[2J\x1b[H"
 _LATENCY_ROWS = (
     ("queue wait", "service.queue_wait_seconds"),
     ("run", "service.run_seconds"),
-    ("dispatch rtt", "fleet.dispatch_rtt_seconds"),
-    ("heartbeat gap", "fleet.heartbeat_age_seconds"),
 )
 
 #: Counters whose per-poll deltas become throughput rows.
@@ -57,7 +54,7 @@ class ServiceTop:
 
     Args:
         client: a :class:`~repro.service.client.ServiceClient` (or any
-            object with ``health()`` / ``metrics()`` / ``workers()``).
+            object with ``health()`` / ``metrics()``).
         stream: where frames go; ``None`` disables rendering (the
             snapshot API still works).
         interval_seconds: spacing between polls in :meth:`run`.
@@ -89,20 +86,13 @@ class ServiceTop:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """One poll round: health + metrics + roster + derived rates.
+        """One poll round: health + metrics + derived rates.
 
-        Tolerant of a fleetless service (the worker roster shows
-        empty) but lets connection errors propagate -- a dashboard on
-        a dead service should say so, not render blanks.
+        Connection errors propagate -- a dashboard on a dead service
+        should say so, not render blanks.
         """
         health = self.client.health()
         metrics = self.client.metrics()
-        workers: List[Dict[str, Any]] = []
-        try:
-            workers = self.client.workers()
-        except ServiceError:
-            pass  # no registry on this service; roster stays empty
-
         counters = metrics.get("counters", {})
         now = self._clock()
         rates: Dict[str, float] = {}
@@ -121,7 +111,6 @@ class ServiceTop:
             "counters": counters,
             "gauges": metrics.get("gauges", {}),
             "histograms": metrics.get("histograms", {}),
-            "workers": workers,
             "rates": rates,
         }
 
@@ -131,7 +120,6 @@ class ServiceTop:
 
     def render_frame(self, snap: Dict[str, Any]) -> str:
         health = snap["health"]
-        gauges = snap["gauges"]
         histograms = snap["histograms"]
         rates = snap["rates"]
         jobs = health.get("jobs", {})
@@ -146,7 +134,6 @@ class ServiceTop:
                 f"queue {health.get('queue_depth', 0)}"
                 f"/{health.get('max_queue_depth', '?')} | running "
                 f"{health.get('running', 0)}/{health.get('job_workers', '?')}"
-                f" | workers alive {health.get('workers_alive', 0)}"
             ),
             "jobs  " + ("  ".join(
                 f"{state}={jobs.get(state, 0)}"
@@ -176,30 +163,6 @@ class ServiceTop:
             lines.append(
                 f"  {label:<14} {_fmt_seconds(p50):>9} "
                 f"{_fmt_seconds(p95):>9}   n={hist['count']}"
-            )
-
-        workers = snap["workers"]
-        lines.append("")
-        if workers:
-            lines.append(
-                f"{'worker':<14} {'state':<7} {'inflight':>8} "
-                f"{'dispatched':>10}  url"
-            )
-            for worker in workers:
-                lines.append(
-                    f"{worker.get('id', '?'):<14} "
-                    f"{worker.get('state', '?'):<7} "
-                    f"{worker.get('inflight', 0):>8} "
-                    f"{worker.get('dispatched', 0):>10}  "
-                    f"{worker.get('url', '')}"
-                )
-        else:
-            lines.append("workers: none registered (local execution)")
-        if "queue_depth" in gauges:
-            lines.append(
-                f"gauges: queue={gauges.get('service.queue_depth', 0):g} "
-                f"running={gauges.get('service.running_jobs', 0):g} "
-                f"alive={gauges.get('fleet.workers_alive', 0):g}"
             )
         return "\n".join(lines)
 

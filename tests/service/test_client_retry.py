@@ -21,7 +21,7 @@ from repro.errors import (
     RateLimitedError,
     ThrottledError,
     UnknownJobError,
-    UnknownWorkerError,
+    UnknownSessionError,
 )
 from repro.service.client import ServiceClient
 
@@ -84,13 +84,13 @@ class TestErrorRehydration:
         )
         assert isinstance(err, QueueFullError)
 
-    def test_unknown_worker_vs_unknown_job_on_404(self):
-        worker = ServiceClient._to_error(
-            http_error(404, {"error": "unknown_worker",
-                             "worker_id": "w-gone", "message": "?"})
+    def test_unknown_session_vs_unknown_job_on_404(self):
+        session = ServiceClient._to_error(
+            http_error(404, {"error": "unknown_session",
+                             "session_id": "s-gone", "message": "?"})
         )
-        assert isinstance(worker, UnknownWorkerError)
-        assert worker.worker_id == "w-gone"
+        assert isinstance(session, UnknownSessionError)
+        assert session.session_id == "s-gone"
         job = ServiceClient._to_error(
             http_error(404, {"error": "unknown_job",
                              "job_id": "j-gone", "message": "?"})
@@ -238,33 +238,3 @@ class TestEndToEnd:
             assert sleeps  # it really was throttled first
 
         serve(tmp_path, body, max_queue_depth=1, job_workers=1)
-
-    def test_worker_endpoints_round_trip(self, tmp_path):
-        async def body(svc, port):
-            client = ServiceClient(f"http://127.0.0.1:{port}")
-            worker = await call(
-                client.register_worker, "http://127.0.0.1:9",
-                "w-cli", 2, 5.0, {"zone": "a"},
-            )
-            assert worker["id"] == "w-cli"
-            assert worker["capacity"] == 2
-            assert worker["lease_seconds"] == 5.0
-            assert worker["meta"]["zone"] == "a"
-            beat = await call(client.worker_heartbeat, "w-cli")
-            assert beat["heartbeats"] == 1
-            roster = await call(client.workers)
-            assert [w["id"] for w in roster] == ["w-cli"]
-            await call(client.deregister_worker, "w-cli")
-            with pytest.raises(UnknownWorkerError):
-                await call(client.worker_heartbeat, "w-cli")
-
-        serve(tmp_path, body)
-
-    def test_unknown_worker_heartbeat_is_404(self, tmp_path):
-        async def body(svc, port):
-            client = ServiceClient(f"http://127.0.0.1:{port}")
-            with pytest.raises(UnknownWorkerError) as err:
-                await call(client.worker_heartbeat, "w-ghost")
-            assert err.value.worker_id == "w-ghost"
-
-        serve(tmp_path, body)

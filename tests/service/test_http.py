@@ -310,7 +310,7 @@ class TestBackpressureAndDrain:
 
 
 class TestMetricsFamilies:
-    def test_metrics_exposes_graph_store_and_fleet_families(self, tmp_path):
+    def test_metrics_exposes_graph_store_family(self, tmp_path):
         # The graph_store.* counters (artifact hits/builds) must be
         # visible through /metrics next to service.* -- submitting a
         # job builds or maps its graph, so the family is non-empty.
@@ -318,7 +318,7 @@ class TestMetricsFamilies:
             client = ServiceClient(f"http://127.0.0.1:{port}")
             await call(client.submit, make_spec())
             metrics = await call(client.metrics)
-            for family in ("service", "graph_store", "fleet", "counters"):
+            for family in ("service", "graph_store", "counters"):
                 assert family in metrics
             assert any(
                 name.startswith("graph_store.")
@@ -331,84 +331,5 @@ class TestMetricsFamilies:
             assert all(
                 name.startswith("service.") for name in metrics["service"]
             )
-            # Fleet-capable service: the roster rides along (empty now).
-            assert metrics["workers"] == []
-            assert "fleet" in metrics["scheduler"]
 
         serve(tmp_path, body, job_workers=1)
-
-
-class TestWorkerRoutes:
-    def test_register_heartbeat_deregister_over_http(self, tmp_path):
-        async def body(svc, port):
-            status, payload, _ = await call(
-                http_request, port, "POST", "/v1/workers",
-                {"url": "http://127.0.0.1:9999", "worker_id": "w-raw",
-                 "capacity": 3, "meta": {"pid": 42}},
-            )
-            assert status == 201
-            assert payload["worker"]["id"] == "w-raw"
-            assert payload["worker"]["state"] == "alive"
-
-            status, payload, _ = await call(
-                http_request, port, "GET", "/v1/workers"
-            )
-            assert status == 200
-            assert payload["ring"] == ["w-raw"]
-            (record,) = payload["workers"]
-            assert record["id"] == "w-raw"
-            assert record["meta"]["pid"] == 42
-            assert record["jobs_inflight"] == []
-
-            status, payload, _ = await call(
-                http_request, port, "POST",
-                "/v1/workers/w-raw/heartbeat",
-            )
-            assert status == 200
-            assert payload["worker"]["heartbeats"] == 1
-
-            status, payload, _ = await call(
-                http_request, port, "DELETE", "/v1/workers/w-raw"
-            )
-            assert status == 200
-            assert payload["worker"]["state"] == "left"
-            status, payload, _ = await call(
-                http_request, port, "GET", "/v1/workers"
-            )
-            assert payload["ring"] == []
-
-        serve(tmp_path, body)
-
-    def test_worker_route_errors(self, tmp_path):
-        async def body(svc, port):
-            status, payload, _ = await call(
-                http_request, port, "POST", "/v1/workers", {"nope": 1}
-            )
-            assert status == 400
-            status, payload, _ = await call(
-                http_request, port, "POST",
-                "/v1/workers/w-ghost/heartbeat",
-            )
-            assert status == 404
-            assert payload["error"] == "unknown_worker"
-            assert payload["worker_id"] == "w-ghost"
-            status, payload, _ = await call(
-                http_request, port, "PUT", "/v1/workers"
-            )
-            assert status == 405
-
-        serve(tmp_path, body)
-
-    def test_healthz_reports_fleet_summary(self, tmp_path):
-        async def body(svc, port):
-            await call(
-                http_request, port, "POST", "/v1/workers",
-                {"url": "http://127.0.0.1:9999"},
-            )
-            client = ServiceClient(f"http://127.0.0.1:{port}")
-            health = await call(client.health)
-            assert health["fleet"]["workers_alive"] == 1
-            assert health["fleet"]["workers_known"] == 1
-            assert health["fleet"]["assignments"] == 0
-
-        serve(tmp_path, body)

@@ -1,5 +1,5 @@
 """A live service survives a hanging job, a crashing job, and a SIGTERM
-sent to a job's child.
+or SIGKILL sent to a job's child.
 
 Each test boots an in-process :class:`ReproService` the way ``repro
 serve`` does -- ``serve_forever``, with its SIGTERM/SIGINT drain
@@ -35,6 +35,23 @@ def _scripted_nova(spec):
     return _run_nova(spec)
 
 
+def _hangs_on_first_attempt(marker):
+    """A ``nova`` executor that hangs on HANG in the attempt that creates
+    ``marker`` and runs normally in any later attempt."""
+
+    def execute(spec):
+        if spec.source == HANG:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                time.sleep(10.0)
+        return _run_nova(spec)
+
+    return execute
+
+
 def make_spec(source):
     return dict(
         workload="bfs",
@@ -50,7 +67,7 @@ async def call(fn, *args, **kwargs):
     return await loop.run_in_executor(None, lambda: fn(*args, **kwargs))
 
 
-def serve(tmp_path, body, timeout):
+def serve(tmp_path, body, timeout, retries=0, executor=_scripted_nova):
     """Boot a service as ``repro serve`` does, run ``await body(client)``,
     check the service still serves, then drain it."""
 
@@ -58,7 +75,10 @@ def serve(tmp_path, body, timeout):
         runner = SweepRunner(
             workers=1,
             cache_dir=str(tmp_path / "cache"),
-            policy=RetryPolicy(timeout_seconds=timeout, retries=0),
+            policy=RetryPolicy(
+                timeout_seconds=timeout, retries=retries,
+                backoff_seconds=0.0,
+            ),
         )
         svc = ReproService(str(tmp_path / "state"), runner=runner)
         ready = asyncio.get_running_loop().create_future()
@@ -79,7 +99,7 @@ def serve(tmp_path, body, timeout):
             svc.shutdown()
             await server
 
-    register_system("nova", _scripted_nova)
+    register_system("nova", executor)
     try:
         asyncio.run(main())
     finally:
@@ -126,3 +146,37 @@ def test_sigterm_to_a_job_child_does_not_drain(tmp_path):
         assert "SIGTERM" in job["error_message"]
 
     serve(tmp_path, body, timeout=5.0)
+
+
+def sigkill_running_child(tmp_path, retries):
+    """Submit a job whose first attempt hangs, SIGKILL its child while it
+    hangs, and return the settled job record."""
+    marker = tmp_path / "first-attempt"
+    settled = {}
+
+    async def body(client):
+        job = await call(client.submit, make_spec(HANG))
+        deadline = time.monotonic() + 10.0
+        while not marker.exists() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        children = multiprocessing.active_children()
+        assert marker.exists() and children, "the job's child never ran"
+        for child in children:
+            os.kill(child.pid, signal.SIGKILL)
+        settled.update(await call(client.wait, job["id"], timeout=60.0))
+
+    serve(tmp_path, body, timeout=5.0, retries=retries,
+          executor=_hangs_on_first_attempt(str(marker)))
+    return settled
+
+
+def test_sigkilled_child_fails_its_job_alone(tmp_path):
+    job = sigkill_running_child(tmp_path, retries=0)
+    assert job["state"] == "failed"
+    assert job["error_kind"] == "worker-died"
+    assert "SIGKILL" in job["error_message"]
+
+
+def test_sigkilled_child_is_retried_to_done(tmp_path):
+    job = sigkill_running_child(tmp_path, retries=1)
+    assert job["state"] == "done"

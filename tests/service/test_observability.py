@@ -9,7 +9,6 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.obs import trace_context
 from repro.obs.prom import validate_exposition
 from repro.obs.stitch import resolve_trace_id, stitch, summarize
@@ -36,7 +35,6 @@ class TestHealthzContract:
             assert health["status"] == "ok"
             assert isinstance(health["version"], str)
             assert health["uptime_seconds"] >= 0.0
-            assert health["workers_alive"] == 0
             assert health["queue_depth"] == 0
             assert "jobs" in health
 
@@ -170,8 +168,7 @@ class TestTracePropagation:
         serve(tmp_path, body)
 
     def test_local_job_stitches_to_one_tree(self, tmp_path, monkeypatch):
-        """client.submit -> scheduler -> local run, one process: the
-        fast-path version of the fleet E2E assertion."""
+        """client.submit -> scheduler -> run, one trace, one tree."""
         from repro.obs import tracing
         from repro.obs.stitch import load_trace_records
 
@@ -203,11 +200,10 @@ class TestTracePropagation:
 
 
 class FakeTopClient:
-    """Scripted health/metrics/workers frames for ServiceTop tests."""
+    """Scripted health/metrics frames for ServiceTop tests."""
 
-    def __init__(self, frames, fleetless=False):
+    def __init__(self, frames):
         self.frames = list(frames)
-        self.fleetless = fleetless
         self.calls = 0
         self._idx = 0
 
@@ -221,13 +217,8 @@ class FakeTopClient:
     def metrics(self):
         return self.frames[self._idx]["metrics"]
 
-    def workers(self):
-        if self.fleetless:
-            raise ServiceError("no registry")
-        return self.frames[self._idx].get("workers", [])
 
-
-def top_frame(submitted=0, completed=0, queue=0, workers=()):
+def top_frame(submitted=0, completed=0, queue=0):
     run_hist = {
         "count": 2,
         "sum": 0.3,
@@ -242,7 +233,6 @@ def top_frame(submitted=0, completed=0, queue=0, workers=()):
             "max_queue_depth": 64,
             "running": 0,
             "job_workers": 2,
-            "workers_alive": len(workers),
             "jobs": {"queued": queue, "done": completed},
         },
         "metrics": {
@@ -253,7 +243,6 @@ def top_frame(submitted=0, completed=0, queue=0, workers=()):
             "gauges": {"service.queue_depth": float(queue)},
             "histograms": {"service.run_seconds": run_hist},
         },
-        "workers": list(workers),
     }
 
 
@@ -270,23 +259,11 @@ class TestServiceTop:
         assert second["rates"]["service.submitted"] == pytest.approx(5.0)
 
     def test_render_frame_contents(self):
-        workers = [
-            {"id": "w-1", "state": "alive", "inflight": 1,
-             "dispatched": 3, "url": "http://x:1"},
-        ]
-        client = FakeTopClient([top_frame(completed=4, workers=workers)])
+        client = FakeTopClient([top_frame(completed=4)])
         top = ServiceTop(client, clock=lambda: 0.0)
         frame = top.render_frame(top.snapshot())
         assert "service ok" in frame
-        assert "workers alive 1" in frame
-        assert "w-1" in frame
         assert "run" in frame and "n=2" in frame  # histogram row
-
-    def test_fleetless_service_tolerated(self):
-        client = FakeTopClient([top_frame()], fleetless=True)
-        top = ServiceTop(client, clock=lambda: 0.0)
-        frame = top.render_frame(top.snapshot())
-        assert "none registered" in frame
 
     def test_run_renders_n_frames_without_sleeping(self):
         client = FakeTopClient([top_frame(), top_frame(submitted=2)])

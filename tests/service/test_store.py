@@ -312,6 +312,41 @@ class TestJournal:
         with pytest.raises(UnknownJobError):
             again.get("j-half")
 
+    def test_replay_keeps_records_fleet_era_code_wrote(self, tmp_path):
+        """Job records once carried ``worker`` and ``requeues``; a
+        journal holding them still loads, and its interrupted job is
+        requeued."""
+        spec = make_spec().to_dict()
+        records = [
+            {"id": "j-done", "seq": 1, "state": DONE, "key": "k-done",
+             "attempts": 1, "requeues": 1, "worker": "w-1"},
+            {"id": "j-running", "seq": 2, "state": RUNNING,
+             "key": "k-running", "attempts": 1, "requeues": 0,
+             "worker": "w-2"},
+        ]
+        with open(tmp_path / "jobs.jsonl", "w", encoding="utf-8") as f:
+            f.write(json.dumps({"op": "header", "schema": 1}) + "\n")
+            for fields in records:
+                record = {
+                    "spec": spec, "client": "anonymous", "priority": 0,
+                    "created_at": 1.0, "updated_at": 2.0, "cached": False,
+                    "error_kind": None, "error_type": None,
+                    "error_message": None, **fields,
+                }
+                f.write(json.dumps({"op": "job", "job": record}) + "\n")
+
+        store = JobStore(str(tmp_path))
+        for fields in records:
+            job = store.get(fields["id"])
+            assert (job.state, job.key, job.seq) == (
+                fields["state"], fields["key"], fields["seq"]
+            )
+            assert "worker" not in job.to_dict()
+            assert "requeues" not in job.to_dict()
+        assert [j.id for j in store.recover()] == ["j-running"]
+        assert store.get("j-running").state == QUEUED
+        assert store.get("j-done").state == DONE
+
     def test_torn_trailing_line_tolerated(self, tmp_path):
         store = JobStore(str(tmp_path))
         job = store.create(make_spec())

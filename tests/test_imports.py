@@ -264,7 +264,7 @@ def test_every_parser_handler_resolves():
     """``--help`` imports no handler, so a misspelled handler string
     would only fail when its verb runs."""
     handlers = dict(_handlers(make_parser()))
-    assert len(handlers) == 25
+    assert len(handlers) == 24
     for verb, handler in handlers.items():
         assert handler is not None, verb
         assert callable(_resolve_handler(handler)), verb

@@ -11,6 +11,10 @@ persist in a content-addressed on-disk cache keyed by config + graph
 arrays + workload + source + package version, so re-running a figure
 recomputes nothing, and multi-run experiments can prefetch their whole
 case list through the runner's worker pool (see :func:`prefetch_nova`).
+Every case lowers through :func:`repro.runner.spec.lower_run`, as the
+CLI's runs do: suite graphs are ``GraphSpec`` recipes resolved through
+the graph artifact store, so a figure's graph is built once per host
+and keyed from its manifest.
 
 Environment knobs:
 
@@ -25,25 +29,15 @@ Environment knobs:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-import pytest
-
-from repro import (
-    LigraConfig,
-    LigraModel,
-    NovaSystem,
-    PolyGraphConfig,
-    PolyGraphSystem,
-    scaled_config,
-)
+from repro import scaled_config
 from repro.core.metrics import RunResult
 from repro.errors import SweepFailure
-from repro.graph import suites
-from repro.graph.generators import with_uniform_weights
 from repro.runner import RunFailure, RunSpec, SweepRunner, SweepStats
+from repro.runner.spec import GraphSpec, lower_run, resolve_source
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 1.0 / 256.0))
 PR_STEPS = int(os.environ.get("REPRO_BENCH_PR_STEPS", 5))
@@ -71,35 +65,19 @@ def emit(title: str, lines: List[str]) -> None:
 # Graphs and sources
 # ----------------------------------------------------------------------
 
-_GRAPH_CACHE: Dict[str, object] = {}
-_WEIGHTED_CACHE: Dict[str, object] = {}
-_SOURCE_CACHE: Dict[str, int] = {}
+def _suite(name: str) -> GraphSpec:
+    return GraphSpec(f"suite:{name}", scale=BENCH_SCALE)
 
 
 def bench_graph(name: str):
-    if name not in _GRAPH_CACHE:
-        _GRAPH_CACHE[name] = suites.build_graph(name, scale=BENCH_SCALE)
-    return _GRAPH_CACHE[name]
-
-
-def bench_weighted_graph(name: str):
-    if name not in _WEIGHTED_CACHE:
-        _WEIGHTED_CACHE[name] = with_uniform_weights(bench_graph(name), seed=7)
-    return _WEIGHTED_CACHE[name]
-
-
-def bench_symmetric_graph(name: str):
-    key = name + ":sym"
-    if key not in _WEIGHTED_CACHE:
-        _WEIGHTED_CACHE[key] = bench_graph(name).symmetrized()
-    return _WEIGHTED_CACHE[key]
+    """Suite graph ``name`` at bench scale, mapped from the graph store."""
+    return _suite(name).build()
 
 
 def bench_source(name: str) -> int:
-    if name not in _SOURCE_CACHE:
-        graph = bench_graph(name)
-        _SOURCE_CACHE[name] = int(np.argmax(graph.out_degrees()))
-    return _SOURCE_CACHE[name]
+    """The default traversal source of ``name``: its highest-out-degree
+    vertex, read from the store manifest."""
+    return resolve_source(_suite(name), "bfs")
 
 
 # ----------------------------------------------------------------------
@@ -109,12 +87,6 @@ def bench_source(name: str) -> int:
 def nova_config(num_gpns: int = 1, **updates):
     cfg = scaled_config(num_gpns=num_gpns, scale=BENCH_SCALE)
     return cfg.with_updates(**updates) if updates else cfg
-
-
-def polygraph_config(onchip_bytes: Optional[int] = None, **kwargs):
-    if onchip_bytes is None:
-        onchip_bytes = suites.scaled_onchip_bytes(BENCH_SCALE)
-    return PolyGraphConfig(onchip_bytes=onchip_bytes, **kwargs)
 
 
 _RUN_CACHE: Dict[Tuple, RunResult] = {}
@@ -128,20 +100,33 @@ _RUNNER = SweepRunner(
 )
 
 
-def _graph_for(workload: str, graph_name: str):
-    if workload == "sssp":
-        return bench_weighted_graph(graph_name)
-    if workload == "cc":
-        return bench_symmetric_graph(graph_name)
-    return bench_graph(graph_name)
-
-
-def _workload_kwargs(workload: str) -> dict:
-    return {"max_supersteps": PR_STEPS} if workload == "pr" else {}
-
-
-def _source_for(workload: str, graph_name: str) -> Optional[int]:
-    return None if workload in ("cc", "pr") else bench_source(graph_name)
+def _case(
+    workload: str,
+    graph_name: str,
+    system: str = "nova",
+    num_gpns: int = 1,
+    placement: str = "random",
+    onchip: Optional[int] = None,
+    config_updates: Optional[dict] = None,
+) -> RunSpec:
+    """One bench case as ``repro run`` would lower it, plus the
+    ablation and sensitivity overrides of the system config."""
+    kwargs = {"max_supersteps": PR_STEPS} if workload == "pr" else None
+    spec = lower_run(
+        workload,
+        f"suite:{graph_name}",
+        system=system,
+        gpns=num_gpns,
+        scale=BENCH_SCALE,
+        placement=placement,
+        onchip=onchip,
+        workload_kwargs=kwargs,
+    )
+    if config_updates:
+        spec = dataclasses.replace(
+            spec, config=spec.config.with_updates(**config_updates)
+        )
+    return spec
 
 
 def _nova_case(
@@ -159,13 +144,12 @@ def _nova_case(
         placement,
         tuple(sorted(config_updates.items())),
     )
-    spec = RunSpec(
+    spec = _case(
         workload,
-        _graph_for(workload, graph_name),
-        config=nova_config(num_gpns, **config_updates),
-        source=_source_for(workload, graph_name),
+        graph_name,
+        num_gpns=num_gpns,
         placement=placement,
-        workload_kwargs=_workload_kwargs(workload),
+        config_updates=config_updates,
     )
     return key, spec
 
@@ -233,13 +217,8 @@ def run_polygraph(
 ) -> RunResult:
     key = ("pg", workload, graph_name, onchip_bytes)
     if key not in _RUN_CACHE:
-        spec = RunSpec(
-            workload,
-            _graph_for(workload, graph_name),
-            config=polygraph_config(onchip_bytes),
-            system="polygraph",
-            source=_source_for(workload, graph_name),
-            workload_kwargs=_workload_kwargs(workload),
+        spec = _case(
+            workload, graph_name, system="polygraph", onchip=onchip_bytes
         )
         _RUN_CACHE[key] = _RUNNER.run_one(spec)
     return _RUN_CACHE[key]
@@ -248,15 +227,7 @@ def run_polygraph(
 def run_ligra(workload: str, graph_name: str) -> RunResult:
     key = ("ligra", workload, graph_name)
     if key not in _RUN_CACHE:
-        spec = RunSpec(
-            workload,
-            _graph_for(workload, graph_name),
-            config=LigraConfig(),
-            system="ligra",
-            source=_source_for(workload, graph_name),
-            workload_kwargs=_workload_kwargs(workload),
-        )
-        _RUN_CACHE[key] = _RUNNER.run_one(spec)
+        _RUN_CACHE[key] = _RUNNER.run_one(_case(workload, graph_name, "ligra"))
     return _RUN_CACHE[key]
 
 

@@ -43,6 +43,7 @@ def _graph_variants(args: argparse.Namespace):
 def cmd_graph_build(args: argparse.Namespace) -> int:
     import time
 
+    from repro.errors import ConfigError
     from repro.graph.store import GraphStore, spec_digest
 
     store = GraphStore(args.store_dir)
@@ -52,6 +53,13 @@ def cmd_graph_build(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         graph = store.get_or_build(gspec, gspec.build_uncached)
         elapsed = time.perf_counter() - start
+        if not known and store.facts(digest) is None:
+            # get_or_build falls back to the in-memory build; publishing
+            # is this command's whole job.
+            raise ConfigError(
+                f"{gspec.spec} was built but not published: cannot write "
+                f"to the graph store at {store.root}"
+            )
         action = "mapped" if known else "built"
         flags = "".join(
             label

@@ -567,10 +567,7 @@ class ScalarNovaEngine:
         cache.set("hits", self.cache.lifetime_hits)
         cache.set("misses", self.cache.lifetime_misses)
         cache.set("writebacks", self.cache.lifetime_writebacks)
-        timeline = None
-        if self._obs_on:
-            self.obs.publish(stats.child("obs"))
-            timeline = self.obs.timeline_dict()
+        timeline = self.obs.timeline_dict() if self._obs_on else None
         return RunResult(
             workload=self.program.name,
             system="nova",

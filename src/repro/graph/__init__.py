@@ -35,7 +35,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "GraphStore",
         "default_store_dir",
         "spec_digest",
-        "store_enabled",
     ),
     "repro.graph.suites": ("GraphSpec", "paper_suite", "build_graph"),
     "repro.graph.io": ("io",),
@@ -62,7 +61,6 @@ __all__ = [
     "GraphSummary",
     "default_store_dir",
     "spec_digest",
-    "store_enabled",
     "summarize",
     "GraphSpec",
     "paper_suite",

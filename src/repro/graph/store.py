@@ -29,23 +29,24 @@ graph build a one-time cost per host:
   without mapping the graph, and a mapped graph carries its recorded
   digest.  Keys trust these records as loads trust the arrays;
   :meth:`GraphStore.verify` (``repro graph verify``) re-hashes every
-  artifact against them.  An artifact published before the fields
-  existed is mapped and hashed instead.
+  artifact against them.  A manifest without them (written by older
+  code) reads as corrupt: it is evicted and the recipe rebuilt.
 - **Publish** is atomic: arrays and manifest are written into a hidden
   temp directory and ``os.rename``d into place, so readers can never
   observe a torn artifact.  Concurrent builders serialize on a
   per-digest ``fcntl`` file lock: one process builds, the rest block
-  and then map the published result.
+  and then map the published result.  A store that cannot take the
+  lock or publish (read-only, full, or its root under a regular file)
+  hands back the in-memory build and counts ``put_errors``.
 - **Eviction** mirrors :class:`~repro.runner.cache.RunCache`:
   :meth:`GraphStore.prune` drops least-recently-mapped artifacts past a
   byte budget (``REPRO_GRAPH_STORE_MAX_BYTES`` applies it after each
   build), and a corrupt artifact (bad manifest, truncated array) is
-  evicted on load and reads as a miss.
+  evicted on load and reads as a miss.  Evicting an artifact a
+  process still maps is harmless: the mapping outlives the unlink.
 
 Environment knobs:
 
-- ``REPRO_GRAPH_STORE``: set to ``0`` / ``false`` / ``off`` to bypass
-  the store entirely (every build happens in process memory).
 - ``REPRO_GRAPH_STORE_DIR``: artifact root (default:
   ``<REPRO_CACHE_DIR or ~/.cache/repro-nova>/graphs``).
 - ``REPRO_GRAPH_STORE_MAX_BYTES``: LRU size cap applied after builds.
@@ -53,29 +54,26 @@ Environment knobs:
 Counters (``graph_store.*`` in :data:`~repro.obs.counters.FAULT_COUNTERS`):
 ``hits`` (a map or a manifest read of a published artifact),
 ``misses``, ``builds``, ``build_ms``, ``lock_waits``, ``evictions``,
-``corrupt``.
+``corrupt``, ``put_errors``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
 import shutil
-import threading
 import time
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     Iterator,
     NamedTuple,
     Optional,
-    Set,
     Tuple,
-    Union,
 )
 
 from repro.env import env_int
@@ -87,11 +85,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from repro.graph.csr import CSRGraph
-
-try:  # POSIX cross-process locking; degrades to best-effort elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 #: Bump when the digest recipe or artifact layout changes.
 STORE_SCHEMA = 1
@@ -112,55 +105,6 @@ def default_store_dir() -> str:
         os.path.expanduser("~"), ".cache", "repro-nova"
     )
     return os.path.join(cache, "graphs")
-
-
-def store_enabled() -> bool:
-    """False when ``REPRO_GRAPH_STORE`` opts out of the artifact store."""
-    value = os.environ.get("REPRO_GRAPH_STORE", "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
-#: Digests pinned by live consumers (resident graph sessions) that
-#: :meth:`GraphStore.prune` must never evict.  A freshly compacted
-#: session artifact would otherwise race the LRU sweep: the publish and
-#: the prune happen in different call stacks, so the single ``protect=``
-#: argument cannot cover it.  Refcounted so two sessions pinning the
-#: same base graph unpin independently.
-_PROTECTED_DIGESTS: Dict[str, int] = {}
-_PROTECTED_LOCK = threading.Lock()
-
-
-def _unlock_in_child() -> None:
-    # A forked sweep child must not inherit the lock held by another
-    # thread of its parent at the fork: it would hang in its first prune.
-    global _PROTECTED_LOCK
-    _PROTECTED_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_unlock_in_child)
-
-
-def protect_digest(digest: str) -> None:
-    """Pin ``digest`` against pruning until :func:`unprotect_digest`."""
-    with _PROTECTED_LOCK:
-        _PROTECTED_DIGESTS[digest] = _PROTECTED_DIGESTS.get(digest, 0) + 1
-
-
-def unprotect_digest(digest: str) -> None:
-    """Drop one pin on ``digest`` (no-op when it is not pinned)."""
-    with _PROTECTED_LOCK:
-        count = _PROTECTED_DIGESTS.get(digest, 0) - 1
-        if count > 0:
-            _PROTECTED_DIGESTS[digest] = count
-        else:
-            _PROTECTED_DIGESTS.pop(digest, None)
-
-
-def protected_digests() -> Set[str]:
-    """Snapshot of currently pinned digests."""
-    with _PROTECTED_LOCK:
-        return set(_PROTECTED_DIGESTS)
 
 
 def _source_token(spec: str) -> str:
@@ -222,18 +166,16 @@ class GraphFacts(NamedTuple):
         )
 
     @classmethod
-    def recorded(cls, manifest: Dict[str, Any]) -> Optional["GraphFacts"]:
-        """The facts a manifest records, or ``None`` if it predates them."""
-        try:
-            source = manifest["default_source"]
-            return cls(
-                int(manifest["num_vertices"]),
-                int(manifest["num_edges"]),
-                str(manifest["csr_digest"]),
-                None if source is None else int(source),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
+    def recorded(cls, manifest: Dict[str, Any]) -> "GraphFacts":
+        """The facts a manifest records; ``KeyError``, ``TypeError`` or
+        ``ValueError`` if it lacks them."""
+        source = manifest["default_source"]
+        return cls(
+            int(manifest["num_vertices"]),
+            int(manifest["num_edges"]),
+            str(manifest["csr_digest"]),
+            None if source is None else int(source),
+        )
 
 
 def _load_array(
@@ -282,21 +224,21 @@ class GraphStore:
     # ------------------------------------------------------------------
 
     @contextlib.contextmanager
-    def _build_lock(self, digest: str) -> Iterator[None]:
+    def _build_lock(self, digest: str) -> Iterator[bool]:
         """Cross-process exclusive lock serializing one digest's build.
 
         Lock files live outside the artifact directories so eviction
-        never unlinks a held lock.  On platforms without ``fcntl`` the
-        lock degrades to a no-op: concurrent builders may both build,
-        but the atomic rename publish still guarantees an untorn
-        artifact (the loser's rename fails and its copy is discarded).
+        never unlinks a held lock.  Yields ``False``, holding nothing,
+        when the lock file cannot be opened: the store is unusable.
         """
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
         path = self._lock_path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "a+b") as handle:
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            handle = open(path, "a+b")
+        except OSError:
+            yield False
+            return
+        with handle:
             try:
                 fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except OSError:
@@ -304,7 +246,7 @@ class GraphStore:
                 trace_event("graph_store.lock_wait", digest=digest)
                 fcntl.flock(handle, fcntl.LOCK_EX)
             try:
-                yield
+                yield True
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
@@ -315,20 +257,22 @@ class GraphStore:
     def load(self, digest: str) -> Optional[CSRGraph]:
         """Map one artifact, or ``None`` on miss or corruption.
 
-        Corrupt artifacts (unparseable manifest, wrong magic/schema,
+        Corrupt artifacts (a manifest :meth:`_read_manifest` refuses,
         missing or size-mismatched arrays) are evicted so the next
         build can republish them.  Structural CSR validation is skipped
         (``validate=False``): the arrays were validated at publish time
         and re-walking them here would fault in every page of a graph
         we specifically want to load lazily.  The graph carries the
-        manifest's recorded CSR digest, when it has one.
+        manifest's recorded CSR digest.
         """
-        manifest = self._read_manifest(digest)
-        if manifest is None:
-            return None
+        read = self._read_manifest(digest)
+        return None if read is None else self._map(digest, *read)
+
+    def _map(
+        self, digest: str, manifest: Dict[str, Any], facts: GraphFacts
+    ) -> Optional[CSRGraph]:
         from repro.graph.csr import CSRGraph
 
-        recorded = GraphFacts.recorded(manifest)
         directory = self._dir(digest)
         try:
             arrays: Dict[str, Optional[np.ndarray]] = {}
@@ -349,7 +293,7 @@ class GraphStore:
                 arrays["col_idx"],
                 arrays["weights"],
                 validate=False,
-                digest=recorded.csr_digest if recorded else None,
+                digest=facts.csr_digest,
             )
         except Exception:
             self._evict(digest, reason="corrupt")
@@ -360,24 +304,16 @@ class GraphStore:
     def facts(self, digest: str) -> Optional[GraphFacts]:
         """The published artifact's :class:`GraphFacts`, else ``None``.
 
-        Read from the manifest, mapping no array.  An artifact whose
-        manifest predates the recorded facts is mapped and hashed
-        instead.  Either read counts as a ``graph_store.hits`` hit.
+        Read from the manifest, mapping no array; counts as a
+        ``graph_store.hits`` hit.
         """
-        manifest = self._read_manifest(digest)
-        if manifest is None:
+        read = self._read_manifest(digest)
+        if read is None:
             return None
-        facts = GraphFacts.recorded(manifest)
-        if facts is None:
-            graph = self.load(digest)
-            if graph is None:
-                return None
-            facts = GraphFacts.of(graph)
-        else:
-            self._touch(digest)
+        self._touch(digest)
         FAULT_COUNTERS.increment("graph_store.hits")
         trace_event("graph_store.hit", digest=digest, manifest=True)
-        return facts
+        return read[1]
 
     def _touch(self, digest: str) -> None:
         try:
@@ -385,24 +321,34 @@ class GraphStore:
         except OSError:
             pass
 
-    def _read_manifest(self, digest: str) -> Optional[Dict[str, Any]]:
+    def _read_manifest(
+        self, digest: str
+    ) -> Optional[Tuple[Dict[str, Any], GraphFacts]]:
+        """The artifact's manifest and recorded facts; ``None`` on a miss.
+
+        A manifest that does not parse, has another magic or schema, or
+        records no facts (older code wrote none) is corrupt: the
+        artifact is evicted, and the miss rebuilds it under the same
+        digest.
+        """
         try:
             with open(self._manifest_path(digest), encoding="utf-8") as f:
                 manifest = json.load(f)
         except OSError:
             return None  # plain miss: nothing published yet
-        except json.JSONDecodeError:
+        except ValueError:
+            manifest = None  # not JSON: refused below as corrupt
+        try:
+            if (
+                manifest["magic"] != MANIFEST_MAGIC
+                or manifest["schema"] != STORE_SCHEMA
+                or not isinstance(manifest["arrays"], dict)
+            ):
+                raise ValueError("foreign manifest")
+            return manifest, GraphFacts.recorded(manifest)
+        except (KeyError, TypeError, ValueError):
             self._evict(digest, reason="corrupt")
             return None
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("magic") != MANIFEST_MAGIC
-            or manifest.get("schema") != STORE_SCHEMA
-            or not isinstance(manifest.get("arrays"), dict)
-        ):
-            self._evict(digest, reason="corrupt")
-            return None
-        return manifest
 
     def _evict(self, digest: str, reason: str = "evicted") -> None:
         shutil.rmtree(self._dir(digest), ignore_errors=True)
@@ -510,14 +456,16 @@ class GraphStore:
             trace_event("graph_store.hit", digest=digest)
             return graph
         FAULT_COUNTERS.increment("graph_store.misses")
-        with self._build_lock(digest):
-            # A concurrent builder may have published while this
-            # process waited on the lock.
-            graph = self.load(digest)
-            if graph is not None:
-                FAULT_COUNTERS.increment("graph_store.hits")
-                trace_event("graph_store.hit", digest=digest, waited=True)
-                return graph
+        published = False
+        with self._build_lock(digest) as locked:
+            if locked:
+                # A concurrent builder may have published while this
+                # process waited on the lock.
+                graph = self.load(digest)
+                if graph is not None:
+                    FAULT_COUNTERS.increment("graph_store.hits")
+                    trace_event("graph_store.hit", digest=digest, waited=True)
+                    return graph
             start = time.perf_counter()
             built = builder()
             build_seconds = time.perf_counter() - start
@@ -533,15 +481,20 @@ class GraphStore:
                 digest=digest,
                 seconds=round(build_seconds, 6),
             )
-            try:
-                self.put(
-                    digest, built, spec=spec, build_seconds=build_seconds
-                )
-            except OSError:
-                # A full or read-only disk must not fail the run: hand
-                # back the in-memory build; the next process retries.
-                FAULT_COUNTERS.increment("graph_store.put_errors")
-                return built
+            if locked:
+                try:
+                    self.put(
+                        digest, built, spec=spec, build_seconds=build_seconds
+                    )
+                    published = True
+                except OSError:
+                    pass
+        if not published:
+            # An unusable store (read-only, full, its root under a
+            # regular file) must not fail the run: hand back the
+            # in-memory build; the next process retries.
+            FAULT_COUNTERS.increment("graph_store.put_errors")
+            return built
         max_bytes = env_int("REPRO_GRAPH_STORE_MAX_BYTES", minimum=0)
         if max_bytes is not None:
             self.prune(max_bytes, protect=digest)
@@ -596,13 +549,14 @@ class GraphStore:
         from repro.graph.csr import CSRGraph
 
         for digest, _, _, manifest in list(self.entries()):
-            graph = self.load(digest)  # evicts unreadable arrays
+            read = self._read_manifest(digest)  # evicts a corrupt manifest
+            if read is None:
+                yield digest, manifest, "unreadable manifest"
+                continue
+            recorded = read[1]
+            graph = self._map(digest, *read)  # evicts unreadable arrays
             if graph is None:
                 yield digest, manifest, "unreadable arrays"
-                continue
-            recorded = GraphFacts.recorded(manifest)
-            if recorded is None:  # published before facts were recorded
-                yield digest, manifest, None
                 continue
             # The same arrays without the recorded digest: hashed afresh.
             actual = GraphFacts.of(
@@ -625,34 +579,22 @@ class GraphStore:
     def total_bytes(self) -> int:
         return sum(size for _, size, _, _ in self.entries())
 
-    def prune(
-        self,
-        max_bytes: int,
-        protect: Union[None, str, Iterable[str]] = None,
-    ) -> int:
+    def prune(self, max_bytes: int, protect: Optional[str] = None) -> int:
         """Drop least-recently-used artifacts until under ``max_bytes``.
 
-        ``protect`` exempts a digest (or collection of digests) so a
-        tight budget cannot evict the graph the caller is about to map.
-        Digests pinned via :func:`protect_digest` -- base and compacted
-        artifacts of live streaming sessions -- are always exempt,
-        closing the race between a session's compaction publish and a
-        concurrent LRU sweep.  Returns the number of artifacts removed.
+        ``protect`` exempts one digest so a tight budget cannot evict
+        the graph the caller is about to map.  Evicting an artifact
+        another process maps is harmless: its mapping outlives the
+        unlink, and a later resolve rebuilds the recipe.  Returns the
+        number of artifacts removed.
         """
-        if protect is None:
-            protected = set()
-        elif isinstance(protect, str):
-            protected = {protect}
-        else:
-            protected = set(protect)
-        protected |= protected_digests()
         items = sorted(self.entries(), key=lambda item: item[2])
         total = sum(size for _, size, _, _ in items)
         removed = 0
         for digest, size, _, _ in items:
             if total <= max_bytes:
                 break
-            if digest in protected:
+            if digest == protect:
                 continue
             self._evict(digest, reason="evictions")
             total -= size

@@ -105,9 +105,6 @@ class MetricsRecorder:
         """JSON-ready timeline export, or ``None`` if not recording one."""
         return None
 
-    def publish(self, stats) -> None:
-        """Mirror recorded aggregates into a :class:`StatGroup`."""
-
 
 class NullRecorder(MetricsRecorder):
     """The zero-cost default: every hook is a no-op."""
@@ -122,10 +119,9 @@ class PhaseProfiler(MetricsRecorder):
 
     Sampling keeps the perf_counter overhead off most quanta; the
     per-phase means extrapolate (phases are homogeneous within a run
-    compared to cross-run variance).
+    compared to cross-run variance).  Not ``enabled``: it observes no
+    quantum, and engines read :attr:`phase_profiler` regardless.
     """
-
-    enabled = True
 
     def __init__(self, every: int = 16) -> None:
         if every <= 0:
@@ -179,14 +175,6 @@ class PhaseProfiler(MetricsRecorder):
                 f"({self.samples[name]} samples)"
             )
         return "\n".join(lines)
-
-    def publish(self, stats) -> None:
-        stats.merge(
-            {
-                "phase_samples": self.quanta_sampled,
-                "phase_ns": dict(self.total_ns),
-            }
-        )
 
 
 def timed_call(profiler: PhaseProfiler, phase: str, fn, *args):
@@ -351,17 +339,3 @@ class TimelineRecorder(MetricsRecorder):
             },
             "columns": columns,
         }
-
-    def publish(self, stats) -> None:
-        stats.merge(
-            {
-                "quanta": self.quanta_seen,
-                "elapsed_seconds": self.elapsed_seconds,
-                "bound_seconds": dict(self.class_seconds),
-                "bound_quanta": dict(self.class_quanta),
-                "resource_seconds": dict(self.resource_seconds),
-                "counters": dict(self._final),
-            }
-        )
-        if self._profiler is not None:
-            self._profiler.publish(stats.child("phases"))

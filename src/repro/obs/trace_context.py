@@ -3,7 +3,7 @@
 A :class:`TraceContext` is a W3C-traceparent-shaped identity for one
 logical operation: a 32-hex-digit trace id shared by every span the
 operation touches, plus the 16-hex-digit id of the span that is
-"current" at this point in the call tree.  Contexts travel four ways:
+"current" at this point in the call tree.  Contexts travel three ways:
 
 * **In process** via a :mod:`contextvars` ``ContextVar`` — each
   :func:`repro.obs.tracing.trace_span` activates a child context for
@@ -14,14 +14,10 @@ operation touches, plus the 16-hex-digit id of the span that is
   :func:`extract_headers`).
 * **On job records** via ``JobSpec.trace``, so a job's trace identity
   survives the journal and a server restart.
-* **Into subprocesses** via the ``REPRO_TRACEPARENT`` environment
-  variable (:func:`inject_env`); a process with no in-process context
-  falls back to the parsed env value, cached per process (call
-  :func:`refresh` after mutating the variable in tests).
 
-Forked sweep workers need no explicit plumbing: ``fork()`` clones the
-submitting thread's contextvars, so the active span context at pool
-submission time is simply inherited.
+Forked sweep and job children need no explicit plumbing: ``fork()``
+clones the forking thread's contextvars, so the active span context at
+the fork is simply inherited.
 
 The traceparent wire shape is ``00-<trace_id>-<span_id>-01`` —
 version 00, sampled flag always 01 (tracing here is all-or-nothing,
@@ -31,28 +27,23 @@ gated by ``REPRO_TRACE`` itself).
 from __future__ import annotations
 
 import contextvars
-import os
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
 __all__ = [
-    "ENV_TRACEPARENT",
     "TRACE_HEADER",
     "TraceContext",
     "activate",
     "current",
     "extract_headers",
-    "inject_env",
     "inject_headers",
     "mint",
     "parse_traceparent",
-    "refresh",
 ]
 
 TRACE_HEADER = "X-Repro-Trace-Id"
-ENV_TRACEPARENT = "REPRO_TRACEPARENT"
 
 _VERSION = "00"
 _FLAGS = "01"
@@ -131,30 +122,9 @@ _CURRENT: contextvars.ContextVar[Optional[TraceContext]] = (
     contextvars.ContextVar("repro_trace_context", default=None)
 )
 
-# Parsed REPRO_TRACEPARENT, cached per process.  A one-element tuple
-# distinguishes "cached None" from "not yet parsed".
-_ENV_CACHE: Optional[tuple] = None
-
-
-def _env_context() -> Optional[TraceContext]:
-    global _ENV_CACHE
-    if _ENV_CACHE is None:
-        _ENV_CACHE = (parse_traceparent(os.environ.get(ENV_TRACEPARENT)),)
-    return _ENV_CACHE[0]
-
-
-def refresh() -> None:
-    """Drop the cached ``REPRO_TRACEPARENT`` parse (for tests)."""
-    global _ENV_CACHE
-    _ENV_CACHE = None
-
-
 def current() -> Optional[TraceContext]:
-    """The active context: ContextVar first, env fallback second."""
-    ctx = _CURRENT.get()
-    if ctx is not None:
-        return ctx
-    return _env_context()
+    """The active context, or ``None`` outside every span."""
+    return _CURRENT.get()
 
 
 @contextmanager
@@ -182,11 +152,3 @@ def extract_headers(headers: Mapping[str, str]) -> Optional[TraceContext]:
     """Parse the traceparent header from a (lowercased) header map."""
     raw = headers.get(TRACE_HEADER.lower()) or headers.get(TRACE_HEADER)
     return parse_traceparent(raw)
-
-
-def inject_env(env: Dict[str, str]) -> Dict[str, str]:
-    """Add the active context's traceparent to a subprocess env."""
-    ctx = current()
-    if ctx is not None:
-        env[ENV_TRACEPARENT] = ctx.traceparent()
-    return env

@@ -21,11 +21,11 @@ workers inherit it for free while a hypothetical pre-fork mutation
 still re-reads.
 
 Trace identity: when a :mod:`repro.obs.trace_context` context is
-active (or ``REPRO_TRACEPARENT`` is set), spans and events carry
-``trace_id`` / ``span_id`` / ``parent_span_id`` fields.  A
-:func:`trace_span` with no active context *mints a new trace root*, so
-top-level operations (``repro sweep``, ``ServiceClient.submit``) start
-a trace without explicit plumbing; every nested span -- across
+active, spans and events carry ``trace_id`` / ``span_id`` /
+``parent_span_id`` fields.  A :func:`trace_span` with no active
+context *mints a new trace root*, so top-level operations (``repro
+sweep``, ``ServiceClient.submit``) start a trace without explicit
+plumbing; every nested span -- across
 threads, asyncio tasks, forked workers, and (via headers / JobSpec
 records) remote processes -- becomes a child.  ``repro trace`` stitches
 the resulting records back into one tree.
@@ -84,10 +84,9 @@ def trace_target() -> Optional[str]:
 
 
 def refresh() -> None:
-    """Drop the cached sink (and trace-context env cache) for tests."""
+    """Drop the cached sink for tests."""
     global _SINK_CACHE
     _SINK_CACHE = None
-    _tc.refresh()
 
 
 def trace_enabled() -> bool:

@@ -31,12 +31,9 @@ Environment knobs:
   (default 1).
 - ``REPRO_RETRY_BACKOFF``: base backoff seconds between retry rounds
   (default 0.25, doubling per round).
-- ``REPRO_GRAPH_STORE`` / ``REPRO_GRAPH_STORE_DIR`` /
-  ``REPRO_GRAPH_STORE_MAX_BYTES``: the content-addressed mmap graph
-  artifact store GraphSpec recipes resolve through (see
-  :mod:`repro.graph.store`).
-- ``REPRO_GRAPH_MEMO_SIZE``: per-process built-graph LRU memo capacity
-  (default 8; 0 disables memoization).
+- ``REPRO_GRAPH_STORE_DIR`` / ``REPRO_GRAPH_STORE_MAX_BYTES``: the
+  content-addressed mmap graph artifact store GraphSpec recipes
+  resolve through (see :mod:`repro.graph.store`).
 
 Public entry points: :class:`~repro.runner.sweep.SweepRunner`,
 :class:`~repro.runner.spec.RunSpec`, :class:`~repro.runner.spec.GraphSpec`.

@@ -46,13 +46,12 @@ CACHE_SCHEMA = 2
 #: before (2: a re-insert after compaction restores every copy of a
 #: multigraph pair); it keys session queries only.
 SESSION_QUERY_SCHEMA = 2
-#: Entry layouts.  ``RNC2``: magic, SHA-256 of the rest, the header's
-#: length (4 bytes, big-endian), the header (a JSON list of the lines
-#: ``repro run`` prints), the pickled result.
-#: ``RNC1``, written before headers existed and still read: magic,
-#: SHA-256 of the pickle, the pickle.
+#: Entry layout: magic, SHA-256 of the rest, the header's length (4
+#: bytes, big-endian), the header (a JSON list of the lines ``repro
+#: run`` prints), the pickled result.  An entry of another magic (older
+#: code wrote ``RNC1``, without the header) reads as a corrupt one: it
+#: is unlinked and the run recomputed.
 _MAGIC = b"RNC2"
-_MAGIC_V1 = b"RNC1"
 
 
 def default_cache_dir() -> str:
@@ -188,20 +187,14 @@ class RunCache:
     def load_summary(self, key: str) -> Optional[List[str]]:
         """The entry's verified header, without unpickling the result:
         the lines ``repro run`` prints
-        (:meth:`~repro.core.metrics.RunResult.summary_lines`).
-
-        An ``RNC1`` entry, which has no header, is loaded and summarized
-        instead.  ``None`` on a miss or a corrupt entry.
+        (:meth:`~repro.core.metrics.RunResult.summary_lines`).  ``None``
+        on a miss or a corrupt entry.
         """
         entry = self._read(key)
         if entry is None:
             return None
-        header = entry[0]
-        if header is None:
-            result = self.load(key)
-            return None if result is None else result.summary_lines()
         try:
-            lines = json.loads(header)
+            lines = json.loads(entry[0])
             if not isinstance(lines, list):
                 raise ValueError("unexpected header type")
         except ValueError:
@@ -209,11 +202,11 @@ class RunCache:
             return None
         return lines
 
-    def _read(self, key: str) -> Optional[Tuple[Optional[bytes], memoryview]]:
-        """``(header, pickle)`` of a verified entry, ``header`` being
-        ``None`` in an ``RNC1`` entry.  ``None`` on a miss, and on a
-        corrupt entry, which is unlinked.  The pickle is a view into
-        the bytes read: slicing a multi-MB result out would copy it."""
+    def _read(self, key: str) -> Optional[Tuple[bytes, memoryview]]:
+        """``(header, pickle)`` of a verified entry.  ``None`` on a miss,
+        and on a corrupt entry, which is unlinked.  The pickle is a view
+        into the bytes read: slicing a multi-MB result out would copy
+        it."""
         path = self._path(key)
         try:
             with open(path, "rb") as f:
@@ -221,15 +214,13 @@ class RunCache:
         except OSError:
             return None
         magic, digest, body = blob[:4], blob[4:36], memoryview(blob)[36:]
-        header = None
         try:
-            if magic not in (_MAGIC, _MAGIC_V1) or len(digest) != 32:
+            if magic != _MAGIC or len(digest) != 32:
                 raise ValueError("bad header")
             if hashlib.sha256(body).digest() != digest:
                 raise ValueError("payload digest mismatch")
-            if magic == _MAGIC:
-                size = int.from_bytes(body[:4], "big")
-                header, body = bytes(body[4 : 4 + size]), body[4 + size :]
+            size = int.from_bytes(body[:4], "big")
+            header, body = bytes(body[4 : 4 + size]), body[4 + size :]
         except ValueError:
             self._discard(key)
             return None

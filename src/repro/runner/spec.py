@@ -38,7 +38,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
-from repro.env import env_int
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
@@ -104,45 +103,36 @@ class GraphSpec:
     def build(self) -> CSRGraph:
         """Materialize the graph: memo, then artifact store, then build.
 
-        With the store enabled (the default), the returned graph's
-        arrays are read-only ``np.memmap`` views of the published
-        artifact -- the kernel page cache shares the bytes across every
-        process mapping the same recipe.  ``REPRO_GRAPH_STORE=0`` opts
-        out and builds in process memory.
+        The returned graph's arrays are read-only ``np.memmap`` views of
+        the published artifact -- the kernel page cache shares the bytes
+        across every process mapping the same recipe.  Where the store
+        cannot publish, the graph stays in process memory.
         """
         cached = _GRAPH_MEMO.get(self)
         if cached is not None:
             return cached
-        from repro.graph import store as graph_store
+        from repro.graph.store import GraphStore
 
-        if graph_store.store_enabled():
-            graph = graph_store.GraphStore().get_or_build(
-                self, self.build_uncached
-            )
-        else:
-            graph = self.build_uncached()
+        graph = GraphStore().get_or_build(self, self.build_uncached)
         _GRAPH_MEMO.put(self, graph)
         return graph
 
     def facts(self) -> GraphFacts:
         """The graph's size, CSR digest and default source.
 
-        With the store enabled and the artifact published, they come
-        from its manifest and no array is mapped; otherwise the graph
-        is built (and published) and its facts computed.  Memoized per
-        process: a published artifact never changes.
+        With the artifact published, they come from its manifest and no
+        array is mapped; otherwise the graph is built (and published)
+        and its facts computed.  Memoized per process: a published
+        artifact never changes.
         """
         facts = _GRAPH_MEMO.get_facts(self)
         if facts is not None:
             return facts
-        from repro.graph import store as graph_store
+        from repro.graph.store import GraphFacts, GraphStore, spec_digest
 
-        if graph_store.store_enabled():
-            facts = graph_store.GraphStore().facts(
-                graph_store.spec_digest(self)
-            )
+        facts = GraphStore().facts(spec_digest(self))
         if facts is None:
-            facts = graph_store.GraphFacts.of(self.build())
+            facts = GraphFacts.of(self.build())
         _GRAPH_MEMO.put_facts(self, facts)
         return facts
 
@@ -168,40 +158,30 @@ class _GraphMemo:
     The memo used to be an unbounded dict, which leaked one full graph
     per distinct spec in long-lived service processes.  Store-backed
     graphs make eviction cheap (the next resolve re-maps the artifact
-    without rebuilding), so the default capacity is deliberately small;
-    ``REPRO_GRAPH_MEMO_SIZE`` tunes it, and ``0`` disables memoization
-    entirely.  Facts (:meth:`GraphSpec.facts`, a few numbers each) keep
-    a larger LRU of their own, so keying a sweep's cells reads each
-    recipe's manifest once.
+    without rebuilding), so the capacity is deliberately small.  Facts
+    (:meth:`GraphSpec.facts`, a few numbers each) keep a larger LRU of
+    their own, so keying a sweep's cells reads each recipe's manifest
+    once.
     """
 
-    DEFAULT_CAPACITY = 8
+    CAPACITY = 8
     FACTS_CAPACITY = 256
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._entries: "OrderedDict[GraphSpec, CSRGraph]" = OrderedDict()
         self._facts: "OrderedDict[GraphSpec, GraphFacts]" = OrderedDict()
-
-    @property
-    def capacity(self) -> int:
-        if self._capacity is not None:
-            return self._capacity
-        env = env_int("REPRO_GRAPH_MEMO_SIZE", minimum=0)
-        return env if env is not None else self.DEFAULT_CAPACITY
 
     def get(self, spec: "GraphSpec") -> Optional[CSRGraph]:
         return _lru_get(self._entries, spec)
 
     def put(self, spec: "GraphSpec", graph: CSRGraph) -> None:
-        _lru_put(self._entries, spec, graph, self.capacity)
+        _lru_put(self._entries, spec, graph, self.CAPACITY)
 
     def get_facts(self, spec: "GraphSpec") -> Optional[GraphFacts]:
         return _lru_get(self._facts, spec)
 
     def put_facts(self, spec: "GraphSpec", facts: GraphFacts) -> None:
-        capacity = self.FACTS_CAPACITY if self.capacity > 0 else 0
-        _lru_put(self._facts, spec, facts, capacity)
+        _lru_put(self._facts, spec, facts, self.FACTS_CAPACITY)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -219,8 +199,6 @@ def _lru_get(table: OrderedDict, key: Any) -> Any:
 
 
 def _lru_put(table: OrderedDict, key: Any, value: Any, capacity: int) -> None:
-    if capacity <= 0:
-        return
     table[key] = value
     table.move_to_end(key)
     while len(table) > capacity:
@@ -369,8 +347,8 @@ def lower_run(
       at ``gpns``/``scale`` (``vmu_mode`` applied only when it is not
       the default, so tracker-mode keys never move), PolyGraph's
       on-chip memory (``onchip`` in bytes or a size string, default
-      32 MiB scaled with ``scale``, as Table III's slice counts
-      assume), Ligra's default;
+      :func:`~repro.graph.suites.scaled_onchip_bytes` at ``scale``, as
+      Table III's slice counts assume), Ligra's default;
     - the instrumentation: ``timeline=True`` records a per-quantum
       timeline.
     """
@@ -394,10 +372,12 @@ def lower_run(
             config = config.with_updates(vmu_mode=vmu_mode)
     elif system == "polygraph":
         from repro.baselines.polygraph import PolyGraphConfig
-        from repro.units import MiB, parse_size
+        from repro.units import parse_size
 
         if onchip is None:
-            onchip = int(32 * MiB * scale)
+            from repro.graph.suites import scaled_onchip_bytes
+
+            onchip = scaled_onchip_bytes(scale)
         elif isinstance(onchip, str):
             onchip = parse_size(onchip)
         config = PolyGraphConfig(onchip_bytes=onchip)

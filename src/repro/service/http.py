@@ -13,8 +13,7 @@ third-party web framework -- exposing the evaluation service:
 - ``GET    /v1/jobs/{id}/result``  the completed run, JSON-rendered
   from the run cache under the job's content-addressed key
 - ``GET    /v1/jobs/{id}/events``  long-poll (``?since=N&timeout=S``)
-  over the job's state changes and
-  :class:`~repro.runner.monitor.SweepMonitor` progress snapshots
+  over the job's state changes
 - ``DELETE /v1/jobs/{id}``       cancel a waiting job
 - ``GET    /healthz``            liveness + drain status, uptime, and
   queue depth (the ``repro top`` poll target)

@@ -68,7 +68,6 @@ from repro.obs.trace_context import activate, parse_traceparent
 from repro.obs.tracing import trace_event, trace_span
 from repro.runner.cache import spec_key
 from repro.runner.fault import RunFailure
-from repro.runner.monitor import SweepMonitor
 from repro.runner.sweep import SweepRunner
 from repro.service.store import (
     CANCELLED,
@@ -194,35 +193,6 @@ class TenantQuotas:
                     rate=self.rate,
                     retry_after_seconds=max(0.05, wait),
                 )
-
-
-class _JobMonitor(SweepMonitor):
-    """A silent sweep monitor that forwards snapshots as job events.
-
-    Runs inside the executor thread that drives the blocking runner, so
-    event posting hops back to the loop via ``call_soon_threadsafe``.
-    """
-
-    def __init__(self, post, loop) -> None:
-        super().__init__(stream=None, interval_seconds=0.0)
-        self._post = post
-        self._loop = loop
-
-    def _emit(self, force: bool = False) -> None:
-        super()._emit(force=force)
-        counts = self.counts()
-        payload = {
-            "type": "progress",
-            "counts": counts,
-            "done": self.done,
-            "total": self.total,
-            "retried": self.retried,
-            "eta_seconds": self.eta_seconds(),
-        }
-        try:
-            self._loop.call_soon_threadsafe(self._post, payload)
-        except RuntimeError:
-            pass  # loop already closed during a hard shutdown
 
 
 class JobScheduler:
@@ -552,16 +522,13 @@ class JobScheduler:
         FAULT_COUNTERS.increment("service.dispatched")
         self._post_event(job.id, {"type": "state", "state": RUNNING})
 
-        monitor = _JobMonitor(
-            lambda payload: self._post_event(job.id, payload), loop
-        )
         run_start = time.perf_counter()
         with activate(parse_traceparent(job.spec.trace)):
             trace_event("service.dispatch", job=job.id, client=job.client,
                         priority=job.priority)
             try:
                 outcome = await loop.run_in_executor(
-                    None, self._run_blocking, job, monitor
+                    None, self._run_blocking, job
                 )
             except Exception as exc:  # defensive: the runner returns failures
                 outcome = RunFailure(
@@ -609,7 +576,7 @@ class JobScheduler:
             self._post_event(job.id, {"type": "state", "state": DONE})
         trace_event("service.settled", job=job.id, state=job.state)
 
-    def _run_blocking(self, job: Job, monitor: SweepMonitor):
+    def _run_blocking(self, job: Job):
         """Executor-thread half: lower the spec and drive the runner.
 
         The runner consults the cache again (a sibling job with the
@@ -644,9 +611,7 @@ class JobScheduler:
         # nova.run span -- nest under service.run.
         with activate(parse_traceparent(job.spec.trace)):
             with trace_span("service.run", job=job.id):
-                results, stats = self.runner.run(
-                    [run_spec], on_failure="return", monitor=monitor
-                )
+                results, _ = self.runner.run([run_spec], on_failure="return")
         return results[0]
 
     # ------------------------------------------------------------------

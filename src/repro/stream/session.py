@@ -1,6 +1,6 @@
-"""Resident graph sessions: journaled delta streams over pinned graphs.
+"""Resident graph sessions: journaled delta streams over base graphs.
 
-A *session* pins one base graph at the service and accepts a stream of
+A *session* holds one base graph at the service and accepts a stream of
 :class:`~repro.stream.delta.EdgeDeltaBatch` updates against it.  The
 durable half (:class:`SessionStore`) is a :class:`~repro.journal.Journal`
 like the job store's -- session records are last-write-wins, delta
@@ -17,10 +17,10 @@ refuses a stale digest with
 :class:`~repro.errors.SessionStateError` -- a cached result can never
 alias a different graph version.
 
-Pruning contract: the session pins its base artifact digest (and, after
-compaction, the compacted artifact's digest) in the
-:mod:`repro.graph.store` protection registry, so a concurrent LRU
-sweep can never evict an artifact a live session still maps.
+Pruning the graph store needs no pins: a session's mapped base
+outlives the unlink of its artifact, a compaction whose map-back
+misses keeps its in-memory merge, and a restart rebuilds the base from
+its deterministic recipe and replays the journal.
 """
 
 from __future__ import annotations
@@ -41,16 +41,11 @@ from repro.errors import (
     StreamError,
     UnknownSessionError,
 )
-from repro.graph.store import (
-    GraphStore,
-    protect_digest,
-    spec_digest,
-    unprotect_digest,
-)
+from repro.graph.store import GraphStore, spec_digest
 from repro.journal import Journal
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_span
-from repro.runner.spec import SOURCELESS_WORKLOADS, GraphSpec, resolve_source
+from repro.runner.spec import GraphSpec, resolve_source
 from repro.stream.delta import EdgeDeltaBatch, net_delta
 from repro.stream.incremental import (
     BfsState,
@@ -87,7 +82,7 @@ class SessionRecord:
     client: str = "anonymous"
     created_at: float = 0.0
     updated_at: float = 0.0
-    #: Store artifact digest of the pinned base graph (version ``v_0``).
+    #: Store artifact digest of the base graph (version ``v_0``).
     base_digest: str = ""
     #: Rolling version digest after the last applied batch.
     version_digest: str = ""
@@ -285,15 +280,13 @@ class SessionManager:
         self._overlays: Dict[str, DeltaOverlayGraph] = {}
         #: (session, workload, source) -> incremental state
         self._states: Dict[Tuple[str, str, Optional[int]], Any] = {}
-        #: Digests currently pinned against store pruning, per session.
-        self._pins: Dict[str, List[str]] = {}
 
     # -- lifecycle ------------------------------------------------------
 
     def create(
         self, graph: str, seed: int = 42, client: str = "anonymous"
     ) -> SessionRecord:
-        """Pin a base graph and open a session over it."""
+        """Resolve a base graph and open a session over it."""
         gspec = GraphSpec(graph, seed=int(seed))
         with trace_span("stream.session", graph=graph, seed=int(seed)):
             base = gspec.build()  # store-backed build (mmap on rebuild)
@@ -309,21 +302,17 @@ class SessionManager:
             self._overlays[session.id] = DeltaOverlayGraph(
                 base, base_digest=base_digest
             )
-            protect_digest(base_digest)
-            self._pins[session.id] = [base_digest]
         FAULT_COUNTERS.increment("stream.sessions_opened")
         return session
 
     def close(self, session_id: str) -> SessionRecord:
-        """Tear down a session: journal tombstone, unpin, drop state."""
+        """Tear down a session: journal tombstone, drop state."""
         session = self.store.remove(session_id)
         session.state = "closed"
         with self._lock:
             self._overlays.pop(session_id, None)
             for key in [k for k in self._states if k[0] == session_id]:
                 self._states.pop(key, None)
-            for digest in self._pins.pop(session_id, []):
-                unprotect_digest(digest)
         return session
 
     # -- overlay access -------------------------------------------------
@@ -337,9 +326,6 @@ class SessionManager:
                 return overlay
             overlay = self._rebuild(session)
             self._overlays[session_id] = overlay
-            if session_id not in self._pins:
-                protect_digest(session.base_digest)
-                self._pins[session_id] = [session.base_digest]
             return overlay
 
     def _rebuild(self, session: SessionRecord) -> DeltaOverlayGraph:
@@ -399,23 +385,7 @@ class SessionManager:
             dirty_edges=overlay.dirty_edges,
         ), FAULT_COUNTERS.time_histogram("stream.compact_seconds"):
             with self._lock:
-                # Pin the about-to-be-published digest *before* the
-                # publish so a concurrent LRU prune can never evict it
-                # in the window between publish and first map.
-                digest = overlay.version_digest
-                pins = self._pins.setdefault(session_id, [])
-                if digest not in pins:
-                    protect_digest(digest)
-                    pins.append(digest)
-                previous = [
-                    d
-                    for d in pins
-                    if d not in (session.base_digest, digest)
-                ]
                 overlay.compact(self.graph_store)
-                for stale in previous:
-                    unprotect_digest(stale)
-                    pins.remove(stale)
         FAULT_COUNTERS.increment("stream.compactions")
         self.store.put(session)
         return session
@@ -432,13 +402,13 @@ class SessionManager:
         so the default is stable across versions, compactions and
         restarts of one session: resubmitting the same query at a new
         version changes only the version digest in the cache key, never
-        the source.
+        the source.  The source comes from the base recipe's facts, so
+        no array is mapped or scanned.
         """
-        if source is not None or workload in SOURCELESS_WORKLOADS:
-            return resolve_source(None, workload, source)
         session = self.store.get(session_id)
-        base = GraphSpec(session.graph, seed=session.seed).build()
-        return resolve_source(base, workload)
+        return resolve_source(
+            GraphSpec(session.graph, seed=session.seed), workload, source
+        )
 
     def execute_job(self, spec: Any) -> RunResult:
         """Run one session query described by a (duck-typed) job spec.

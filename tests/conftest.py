@@ -30,9 +30,9 @@ if "REPRO_GRAPH_STORE_DIR" not in os.environ:
 
 @pytest.fixture(autouse=True)
 def _fresh_trace_sink():
-    """Re-read the cached REPRO_TRACE sink / traceparent env around
-    every test, so monkeypatched tracing env takes effect despite the
-    once-per-process caches in :mod:`repro.obs.tracing`."""
+    """Re-read the cached REPRO_TRACE sink around every test, so a
+    monkeypatched sink takes effect despite the once-per-process cache
+    in :mod:`repro.obs.tracing`."""
     from repro.obs import tracing
 
     tracing.refresh()

@@ -18,7 +18,6 @@ from repro.graph.store import (
     GraphFacts,
     GraphStore,
     spec_digest,
-    store_enabled,
 )
 from repro.obs.counters import FAULT_COUNTERS
 from repro.runner.cache import graph_digest, spec_key
@@ -240,54 +239,6 @@ class TestEviction:
         assert removed == 0
         assert store.load(protected) is not None
 
-    def test_registry_protection_blocks_prune(self, store):
-        """Digests pinned by live sessions survive LRU pruning even
-        when the prune call itself names no protected digest."""
-        from repro.graph.store import protect_digest, unprotect_digest
-
-        spec_a = GraphSpec("rmat:8:4", seed=1)
-        store.get_or_build(spec_a, spec_a.build_uncached)
-        pinned = spec_digest(spec_a)
-        protect_digest(pinned)
-        try:
-            removed = store.prune(0)
-            assert removed == 0
-            assert store.load(pinned) is not None
-        finally:
-            unprotect_digest(pinned)
-        assert store.prune(0) == 1
-        assert store.load(pinned) is None
-
-    def test_registry_protection_is_refcounted(self, store):
-        from repro.graph.store import (
-            protect_digest,
-            protected_digests,
-            unprotect_digest,
-        )
-
-        protect_digest("d1")
-        protect_digest("d1")
-        unprotect_digest("d1")
-        assert "d1" in protected_digests()
-        unprotect_digest("d1")
-        assert "d1" not in protected_digests()
-        unprotect_digest("d1")  # over-release is harmless
-        assert "d1" not in protected_digests()
-
-    def test_session_pins_base_artifact(self, store, tmp_path):
-        """A live streaming session's base digest is protected; closing
-        the session releases it."""
-        from repro.graph.store import protected_digests
-        from repro.stream.session import SessionManager, SessionStore
-
-        manager = SessionManager(
-            SessionStore(str(tmp_path / "svc")), graph_store=store
-        )
-        session = manager.create("rmat:8:4", seed=1)
-        assert session.base_digest in protected_digests()
-        manager.close(session.id)
-        assert session.base_digest not in protected_digests()
-
     def test_env_budget_applies_after_build(self, store, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_STORE_MAX_BYTES", "1")
         spec_a = GraphSpec("rmat:8:4", seed=1)
@@ -301,7 +252,7 @@ class TestEviction:
 
 
 def _strip_facts(store, digest):
-    """Rewrite a manifest as code before the recorded facts wrote it."""
+    """Rewrite a manifest as code older than the recorded facts wrote it."""
     path = store._manifest_path(digest)
     with open(path, encoding="utf-8") as f:
         manifest = json.load(f)
@@ -371,12 +322,21 @@ class TestRecordedFacts:
         _strip_facts(store, spec_digest(gspec))
         _GRAPH_MEMO.clear()
 
-        old = lower_run(workload, "rmat:9:8")
+        def relower():
+            spec = lower_run(workload, "rmat:9:8")
+            return spec, spec_key(spec)
+
+        (old, old_key), delta = counters_delta(relower)
         assert old.source == source
-        assert spec_key(old) == key
-        assert store.facts(spec_digest(gspec)) == gspec.facts()
-        # The graph mapped from the older manifest has no record: hashed.
-        assert store.load(spec_digest(gspec))._digest is None
+        assert old_key == key
+        # The older manifest read as corrupt: evicted, then rebuilt and
+        # republished under the same digest, with both facts recorded.
+        assert delta["graph_store.corrupt"] == 1
+        assert delta["graph_store.builds"] == 1
+        ((digest, _, _, manifest),) = list(store.entries())
+        assert digest == spec_digest(gspec)
+        assert manifest["csr_digest"] == gspec.facts().csr_digest
+        assert manifest["default_source"] == gspec.facts().default_source
 
     @pytest.mark.parametrize("stripped", [False, True])
     def test_out_of_range_source_is_refused_as_before(
@@ -470,31 +430,19 @@ class TestVerify:
         assert [p for _, _, p in store.verify()] == ["unreadable arrays"]
         assert not os.path.exists(store._dir(digest))
 
-    def test_older_artifact_is_left_alone(self, store):
+    def test_older_artifact_is_evicted(self, store):
         store.get_or_build(SPEC, SPEC.build_uncached)
-        _strip_facts(store, spec_digest(SPEC))
-        assert [p for _, _, p in store.verify()] == [None]
-        assert store.load(spec_digest(SPEC)) is not None
+        digest = spec_digest(SPEC)
+        _strip_facts(store, digest)
+        results, delta = counters_delta(lambda: list(store.verify()))
+        assert [(d, p) for d, _, p in results] == [
+            (digest, "unreadable manifest")
+        ]
+        assert delta["graph_store.corrupt"] == 1
+        assert not os.path.exists(store._dir(digest))
 
 
 class TestEnvGates:
-    def test_store_enabled_parsing(self, monkeypatch):
-        for off in ("0", "false", "no", "off", "OFF"):
-            monkeypatch.setenv("REPRO_GRAPH_STORE", off)
-            assert not store_enabled()
-        for on in ("1", "true", "yes", ""):
-            monkeypatch.setenv("REPRO_GRAPH_STORE", on)
-            assert store_enabled()
-        monkeypatch.delenv("REPRO_GRAPH_STORE")
-        assert store_enabled()
-
-    def test_disabled_store_builds_in_memory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_STORE", "0")
-        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
-        graph = SPEC.build()
-        assert not is_memmap_backed(graph.row_ptr)
-        assert not (tmp_path / "graphs").exists()
-
     def test_build_routes_through_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
         graph = SPEC.build()
@@ -509,6 +457,25 @@ class TestEnvGates:
         monkeypatch.setenv("REPRO_GRAPH_STORE_MAX_BYTES", "lots")
         with pytest.raises(ConfigError):
             store.get_or_build(SPEC, SPEC.build_uncached)
+
+
+def test_unusable_store_builds_in_memory(tmp_path):
+    """A store root under a regular file is a full store: the build
+    stays in memory, counted as a put error, and nothing raises."""
+    (tmp_path / "file").write_text("")
+    store = GraphStore(str(tmp_path / "file" / "graphs"))
+    graph, delta = counters_delta(
+        lambda: store.get_or_build(SPEC, SPEC.build_uncached)
+    )
+    assert not is_memmap_backed(graph.row_ptr)
+    assert graph.num_vertices == 1024
+    delta.pop("graph_store.build_ms", None)
+    assert delta == {
+        "graph_store.misses": 1,
+        "graph_store.builds": 1,
+        "graph_store.put_errors": 1,
+    }
+    assert store.facts(spec_digest(SPEC)) is None
 
 
 class TestMemmapGraphBehaviour:

@@ -20,7 +20,6 @@ from repro.obs.recorder import (
     classify_bottleneck,
     timed_call,
 )
-from repro.sim.stats import StatGroup
 
 
 def make_obs(
@@ -80,7 +79,6 @@ class TestNullRecorder:
         assert rec.phase_profiler is None
         rec.on_quantum(make_obs(0))
         assert rec.timeline_dict() is None
-        rec.publish(StatGroup())  # no-op
 
     def test_shared_singleton(self):
         assert isinstance(NULL_RECORDER, NullRecorder)
@@ -153,15 +151,6 @@ class TestTimelineRecorder:
         d = rec.timeline_dict()
         assert json.loads(json.dumps(d)) == d
 
-    def test_publish_merges_into_stats(self):
-        rec = TimelineRecorder(capacity=4)
-        rec.on_quantum(make_obs(0, duration=2e-6, drained=9))
-        stats = StatGroup("obs")
-        rec.publish(stats)
-        assert stats.get("quanta") == 1
-        assert stats.child("counters").get("messages_drained") == 9
-        assert stats.child("bound_quanta").get("bandwidth") == 1
-
 
 class TestPhaseProfiler:
     def test_rejects_nonpositive_interval(self):
@@ -190,6 +179,24 @@ class TestPhaseProfiler:
         assert "phase profile" in prof.render()
         assert PhaseProfiler(every=1).render() == "phase profile: no samples"
 
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    def test_engines_sample_phases_without_observing_quanta(
+        self, engine, small_config, rmat_graph, rmat_source
+    ):
+        from repro.core.system import NovaSystem
+
+        class Sampling(PhaseProfiler):
+            def on_quantum(self, obs):
+                raise AssertionError("built a quantum observation")
+
+        prof = Sampling(every=1)
+        run = NovaSystem(small_config, rmat_graph, engine=engine).run(
+            "bfs", source=rmat_source, recorder=prof
+        )
+        assert run.timeline is None
+        assert prof.quanta_sampled == run.quanta
+        assert set(prof.samples) == {"mpu", "vmu", "mgu", "close"}
+
 
 class TestObsConfig:
     def test_inactive_default(self):
@@ -213,6 +220,10 @@ class TestObsConfig:
         rec = make_recorder(ObsConfig(phases=True, phase_sample_every=3))
         assert isinstance(rec, PhaseProfiler)
         assert rec.every == 3
+        # Engines sample phases through phase_profiler; a profiler
+        # alone observes no quantum.
+        assert rec.enabled is False
+        assert rec.phase_profiler is rec
 
     def test_timeline_with_phases(self):
         rec = make_recorder(ObsConfig(timeline=True, phases=True))

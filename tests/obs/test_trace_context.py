@@ -5,17 +5,14 @@ from __future__ import annotations
 import re
 
 from repro.obs.trace_context import (
-    ENV_TRACEPARENT,
     TRACE_HEADER,
     TraceContext,
     activate,
     current,
     extract_headers,
-    inject_env,
     inject_headers,
     mint,
     parse_traceparent,
-    refresh,
 )
 
 _TRACEPARENT_RE = re.compile(r"^00-[0-9a-f]{32}-[0-9a-f]{16}-01$")
@@ -111,35 +108,6 @@ class TestHeaders:
     def test_extract_missing_or_bad_header(self):
         assert extract_headers({}) is None
         assert extract_headers({TRACE_HEADER.lower(): "nope"}) is None
-
-
-class TestEnvPropagation:
-    def test_inject_env(self):
-        ctx = mint()
-        with activate(ctx):
-            env = inject_env({})
-        assert env[ENV_TRACEPARENT] == ctx.traceparent()
-
-    def test_env_fallback_and_refresh(self, monkeypatch):
-        ctx = mint()
-        monkeypatch.setenv(ENV_TRACEPARENT, ctx.traceparent())
-        refresh()
-        got = current()
-        assert got is not None and got.trace_id == ctx.trace_id
-        # The parse is cached: mutating the env alone changes nothing...
-        monkeypatch.delenv(ENV_TRACEPARENT)
-        assert current() is not None
-        # ...until refresh drops the cache.
-        refresh()
-        assert current() is None
-
-    def test_contextvar_wins_over_env(self, monkeypatch):
-        env_ctx, local = mint(), mint()
-        monkeypatch.setenv(ENV_TRACEPARENT, env_ctx.traceparent())
-        refresh()
-        with activate(local):
-            assert current() is local
-        assert current().trace_id == env_ctx.trace_id
 
 
 class TestFrozen:

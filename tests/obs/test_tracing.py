@@ -146,20 +146,6 @@ class TestTraceIdentity:
         assert rec["trace_id"] == ctx.trace_id
         assert rec["parent_span_id"] == ctx.span_id
 
-    def test_span_joins_env_traceparent(self, monkeypatch, tmp_path):
-        target = tmp_path / "trace.jsonl"
-        monkeypatch.setenv(ENV_VAR, str(target))
-        ctx = trace_context.mint()
-        monkeypatch.setenv(
-            trace_context.ENV_TRACEPARENT, ctx.traceparent()
-        )
-        refresh()
-        with trace_span("subprocess.op"):
-            pass
-        (rec,) = read_jsonl(target)
-        assert rec["trace_id"] == ctx.trace_id
-        assert rec["parent_span_id"] == ctx.span_id
-
 
 class TestEngineIntegration:
     def test_nova_run_emits_span(self, monkeypatch, tmp_path, small_config, rmat_graph):

@@ -236,23 +236,16 @@ class TestSummaryHeader:
         assert cache.load_summary(key) is None
         assert not os.path.exists(path)
 
-    def test_old_format_entry_still_loads(self, tmp_path, graph, config):
+    def test_old_format_entry_reads_as_a_miss(self, tmp_path, graph, config):
         spec = bfs_spec(graph, config)
         result = execute_spec(spec)
         cache = RunCache(str(tmp_path))
         key = spec_key(spec)
         path = _write_v1_entry(cache, key, result)
-        loaded = cache.load(key)
-        assert loaded is not None
-        assert np.array_equal(loaded.result, result.result)
-        assert loaded.elapsed_seconds == result.elapsed_seconds
-        # No header to read: the hit falls back to the full result.
-        assert cache.load_summary(key) == result.summary_lines()
-
-        with open(path, "r+b") as f:
-            f.seek(40)
-            f.write(b"\xff\xff\xff\xff")
         assert cache.load_summary(key) is None
+        assert not os.path.exists(path)  # unlinked, to be recomputed
+        _write_v1_entry(cache, key, result)
+        assert cache.load(key) is None
         assert not os.path.exists(path)
 
 

@@ -130,7 +130,7 @@ def test_two_processes_race_cleanly(isolated_store):
 
 class TestGraphMemo:
     def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_MEMO_SIZE", "2")
+        monkeypatch.setattr(_GRAPH_MEMO, "CAPACITY", 2)
         for seed in range(4):
             GraphSpec("rmat:7:4", seed=seed).build()
         assert len(_GRAPH_MEMO) == 2
@@ -139,7 +139,7 @@ class TestGraphMemo:
         assert _GRAPH_MEMO.get(GraphSpec("rmat:7:4", seed=0)) is None
 
     def test_memo_lru_touch_on_hit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_MEMO_SIZE", "2")
+        monkeypatch.setattr(_GRAPH_MEMO, "CAPACITY", 2)
         a, b = GraphSpec("rmat:7:4", seed=1), GraphSpec("rmat:7:4", seed=2)
         a.build()
         b.build()
@@ -147,12 +147,6 @@ class TestGraphMemo:
         GraphSpec("rmat:7:4", seed=3).build()  # evicts b, not a
         assert _GRAPH_MEMO.get(a) is not None
         assert _GRAPH_MEMO.get(b) is None
-
-    def test_memo_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_MEMO_SIZE", "0")
-        spec = GraphSpec("rmat:7:4", seed=5)
-        spec.build()
-        assert len(_GRAPH_MEMO) == 0
 
     def test_store_backed_build_keeps_no_in_memory_graph(self, monkeypatch):
         """Once published, only the mapped artifact stays referenced:

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.graph import store
 from repro.graph.generators import rmat
 from repro.obs import FAULT_COUNTERS, tracing
 from repro.runner.execute import _run_nova, register_system
@@ -56,8 +55,8 @@ def _exit_13(spec):
 
 
 def _touch_every_lock(spec):
-    """Take each lock a run's child can reach: a counter, a trace span,
-    and the store's pin set (a build publishes, then prunes)."""
+    """Take each lock a run's child can reach: a counter and a trace
+    span, also inside a store build (it publishes, then prunes)."""
     FAULT_COUNTERS.increment("test.fork_safety")
     with tracing.trace_span("test.fork_safety"):
         GraphSpec("rmat:6:4", seed=1000 + spec.source).build()
@@ -133,7 +132,7 @@ _HOLD = {"armed": False, "release": None}
 
 
 def _child_path_locks():
-    return [FAULT_COUNTERS._lock, tracing._lock, store._PROTECTED_LOCK]
+    return [FAULT_COUNTERS._lock, tracing._lock]
 
 
 def _take_locks_before_fork():
@@ -169,9 +168,9 @@ os.register_at_fork(
 
 def test_child_never_inherits_a_held_lock(tmp_path, monkeypatch, graph,
                                           config):
-    """Regression: a child forked while another thread held a counter,
-    trace or store lock hung at its first use of that lock until the
-    deadline killed it."""
+    """Regression: a child forked while another thread held a counter
+    or trace lock hung at its first use of that lock until the deadline
+    killed it."""
     monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "trace.jsonl"))
     monkeypatch.setenv("REPRO_GRAPH_STORE_MAX_BYTES", str(1 << 30))
     tracing.refresh()

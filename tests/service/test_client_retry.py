@@ -159,7 +159,7 @@ class TestEndToEnd:
         async def body(svc, port):
             gate = threading.Event()
 
-            def fake(job, monitor):
+            def fake(job):
                 assert gate.wait(60.0)
                 return object()
 
@@ -211,7 +211,7 @@ class TestEndToEnd:
             gate = threading.Event()
             started = threading.Event()
 
-            def fake(job, monitor):
+            def fake(job):
                 started.set()
                 assert gate.wait(60.0)
                 return object()

@@ -203,7 +203,7 @@ class TestJobLifecycle:
 
         async def body(svc, port):
             svc.scheduler._run_blocking = (
-                lambda job, monitor: gate.wait(30.0) and object()
+                lambda job: gate.wait(30.0) and object()
             )
             client = ServiceClient(f"http://127.0.0.1:{port}")
             job = await call(client.submit, make_spec())
@@ -223,7 +223,7 @@ class TestJobLifecycle:
 
         async def body(svc, port):
             svc.scheduler._run_blocking = (
-                lambda job, monitor: gate.wait(30.0) and object()
+                lambda job: gate.wait(30.0) and object()
             )
             client = ServiceClient(f"http://127.0.0.1:{port}")
             # Occupy the single worker, then queue a victim to cancel.
@@ -265,7 +265,7 @@ class TestBackpressureAndDrain:
 
         async def body(svc, port):
             svc.scheduler._run_blocking = (
-                lambda job, monitor: gate.wait(30.0) and object()
+                lambda job: gate.wait(30.0) and object()
             )
             client = ServiceClient(f"http://127.0.0.1:{port}")
             await call(client.submit, make_spec(source=1))  # running

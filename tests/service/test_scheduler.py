@@ -67,7 +67,7 @@ class _FakeDone:
 def patch_runs(sched, order=None, outcome=None, gate=None, started=None):
     """Replace the blocking run with an instant (or gated) fake."""
 
-    def fake(job, monitor):
+    def fake(job):
         if started is not None:
             started.set()
         if gate is not None:

@@ -228,6 +228,83 @@ class TestDefaultSource:
         assert before == after == restarted == top
 
 
+class TestStorePrune:
+    def test_session_outlives_its_pruned_artifacts(self, tmp_path, monkeypatch):
+        """Pruning the graph store to nothing under a live session (its
+        base and compaction artifacts) costs it nothing: deltas,
+        queries, a second compaction and a restart all still answer as
+        a cold run on the replayed overlay."""
+        from types import SimpleNamespace
+
+        from repro.graph.store import GraphStore
+        from repro.runner.spec import _GRAPH_MEMO, GraphSpec
+        from repro.stream.delta import EdgeDeltaBatch
+        from repro.stream.incremental import cold_answer
+        from repro.stream.overlay import DeltaOverlayGraph
+        from repro.stream.session import SessionManager, SessionStore
+
+        from tests.stream.test_equivalence import PR_ATOL
+
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
+        _GRAPH_MEMO.clear()
+        store = GraphStore()
+        inserts = find_absent_edges(GRAPH, 6)
+        base = GraphSpec(GRAPH).build()
+        deletes = [[u, int(base.neighbors(u)[0])] for u in (1, 2, 5)
+                   if base.neighbors(u).shape[0]]
+
+        def manager():
+            return SessionManager(SessionStore(str(tmp_path / "svc")))
+
+        def check(sessions, sid):
+            record = sessions.store.get(sid)
+            replay = DeltaOverlayGraph(
+                GraphSpec(GRAPH).build_uncached(),
+                base_digest=record.base_digest,
+            )
+            for payload in sessions.store.deltas(sid):
+                replay.apply(EdgeDeltaBatch.from_dict(payload))
+            merged = replay.materialize()
+            source = sessions.resolve_job_source(sid, "bfs", None)
+            for workload in ("bfs", "pr"):
+                cold = cold_answer(workload, merged, source=source)
+                for mode in ("incremental", "cold"):
+                    result = sessions.execute_job(SimpleNamespace(
+                        session=sid,
+                        graph_digest=record.version_digest,
+                        workload=workload,
+                        source=None,
+                        workload_kwargs={"mode": mode},
+                    ))
+                    if workload == "bfs":
+                        assert np.array_equal(result.result, cold)
+                    else:
+                        np.testing.assert_allclose(
+                            result.result, cold, atol=PR_ATOL, rtol=0
+                        )
+
+        live = manager()
+        sid = live.create(GRAPH, seed=42).id
+        live.apply(sid, EdgeDeltaBatch(inserts=inserts[:3], deletes=deletes))
+        check(live, sid)
+        live.compact(sid)
+        published = {digest for digest, _, _, _ in store.entries()}
+        assert published == {
+            live.store.get(sid).base_digest,
+            live.overlay(sid).base_digest,
+        }
+        assert store.prune(0) == 2
+        assert list(store.entries()) == []
+
+        live.apply(sid, EdgeDeltaBatch(inserts=inserts[3:5]))
+        check(live, sid)
+        live.compact(sid)
+        check(live, sid)
+        live.apply(sid, EdgeDeltaBatch(inserts=inserts[5:]))
+        _GRAPH_MEMO.clear()  # the restart rebuilds the evicted base
+        check(manager(), sid)
+
+
 class TestJournalRecovery:
     def test_sessions_survive_restart(self, tmp_path):
         from repro.runner.spec import GraphSpec

@@ -141,7 +141,7 @@ class TestCommands:
         assert "cache hit" in second
         assert first.splitlines()[1:] == second.splitlines()[1:]
 
-    def test_hit_on_an_old_format_entry_prints_the_same_lines(
+    def test_old_format_entry_is_recomputed_with_the_same_lines(
         self, tmp_path, capsys
     ):
         import hashlib
@@ -162,8 +162,41 @@ class TestCommands:
             f.write(b"RNC1" + hashlib.sha256(payload).digest() + payload)
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert second.startswith(f"cache hit {key[:12]}")
+        assert second.startswith(f"cache miss {key[:12]}")
         assert first.splitlines()[1:] == second.splitlines()[1:]
+        with open(path, "rb") as f:
+            assert f.read(4) == b"RNC2"  # recomputed and rewritten
+
+    def test_unusable_graph_store(self, tmp_path, capsys, monkeypatch):
+        """A store directory under a regular file: a run builds in
+        memory and prints what a usable store prints; ``graph build``,
+        whose job is to publish, fails with one error line."""
+        from repro.obs.counters import FAULT_COUNTERS
+        from repro.runner.spec import _GRAPH_MEMO
+
+        def run(store_dir, cache_dir):
+            monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", store_dir)
+            _GRAPH_MEMO.clear()
+            assert main(["run", "--workload", "bfs", "--graph", "rmat:8:4",
+                         "--cache-dir", cache_dir]) == 0
+            return capsys.readouterr().out
+
+        usable = run(str(tmp_path / "graphs"), str(tmp_path / "c1"))
+        (tmp_path / "file").write_text("")
+        unusable = str(tmp_path / "file" / "graphs")
+        before = FAULT_COUNTERS.get("graph_store.put_errors")
+        assert run(unusable, str(tmp_path / "c2")) == usable
+        assert FAULT_COUNTERS.get("graph_store.put_errors") > before
+        assert usable.startswith("cache miss ")
+
+        assert main(["graph", "build", "--graph", "rmat:8:4",
+                     "--store-dir", unusable]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: rmat:8:4 was built but not published: cannot write "
+            f"to the graph store at {unusable}\n"
+        )
 
     def test_graph_verify(self, tmp_path, capsys):
         import json

@@ -19,7 +19,6 @@ from typing import Any, Callable, List
 import pytest
 
 from repro import journal
-from repro.graph import store as graph_store
 from repro.journal import Journal
 from repro.runner.spec import GraphSpec
 from repro.service.store import QUEUED, RUNNING, JobSpec, JobStore
@@ -334,14 +333,7 @@ def test_session_store(tmp_path):
     )
 
 
-@pytest.fixture
-def session_manager(monkeypatch):
-    """Session managers whose pins vanish with the test."""
-    monkeypatch.setattr(graph_store, "_PROTECTED_DIGESTS", {})
-    return lambda root: SessionManager(SessionStore(root))
-
-
-def test_session_manager_overlay(tmp_path, session_manager):
+def test_session_manager_overlay(tmp_path):
     base = GraphSpec("rmat:6:4").build()
     vertices = set(range(base.num_vertices))
     absent = [
@@ -371,7 +363,7 @@ def test_session_manager_overlay(tmp_path, session_manager):
 
     check_owner(
         Owner(
-            open=session_manager,
+            open=lambda root: SessionManager(SessionStore(root)),
             path=lambda root: os.path.join(root, "sessions.jsonl"),
             calls=[
                 lambda m: m.create("rmat:6:4"),

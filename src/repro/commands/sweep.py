@@ -274,11 +274,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.core.system import NovaSystem
     from repro.obs import (
-        FAULT_COUNTERS,
         BottleneckReport,
         ObsConfig,
         make_recorder,
-        render_counts,
         trace_span,
     )
     from repro.runner.spec import lower_run
@@ -331,16 +329,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if profiler is not None:
         print(file=view)
         print(profiler.render(), file=view)
-    # Sweep-level fault/retry/timeout accounting (nonzero only when this
-    # process also drove instrumented sweeps, e.g. via the runner API).
-    # The registry also holds other families (graph_store.*, service.*);
-    # keep only the sweep's, as SweepStats.fault_counters does.
-    sweep_counts = {
-        name: count
-        for name, count in FAULT_COUNTERS.snapshot().items()
-        if name.startswith("sweep.")
-    }
-    print(render_counts(sweep_counts), file=view)
     if json_stdout:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.json:
@@ -348,7 +336,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "report": report.to_dict(),
             "timeline": run.timeline,
             "phases": profiler.to_dict() if profiler is not None else None,
-            "fault_counters": sweep_counts,
         }
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)

@@ -3,6 +3,12 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers can catch package failures with a single ``except`` clause while
 still distinguishing configuration mistakes from malformed inputs.
+
+Each class also declares how the job service sends it: ``http_status``,
+the payload's ``error`` code, and ``wire_fields``, the attributes the
+JSON payload carries beside ``message``.  The server renders an error
+from these and the client rebuilds the class its code names; a
+subclass's declaration shadows its base's.
 """
 
 from __future__ import annotations
@@ -10,6 +16,10 @@ from __future__ import annotations
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
+
+    http_status = 400
+    error_code = "bad_request"
+    wire_fields: tuple = ()
 
 
 class GraphFormatError(ReproError):
@@ -43,9 +53,15 @@ class ServiceError(ReproError):
 class JobSpecError(ServiceError):
     """A submitted job specification is malformed or names unknowns."""
 
+    error_code = "bad_spec"
+
 
 class UnknownJobError(ServiceError):
     """The referenced job id does not exist in the job store."""
+
+    http_status = 404
+    error_code = "unknown_job"
+    wire_fields = ("job_id",)
 
     def __init__(self, job_id: str):
         self.job_id = job_id
@@ -56,8 +72,12 @@ class JobStateError(ServiceError):
     """A job-state transition or operation is illegal in its state.
 
     ``state`` is the job's current state at the time of the rejected
-    operation (HTTP maps this to 409 Conflict).
+    operation.
     """
+
+    http_status = 409
+    error_code = "job_state"
+    wire_fields = ("state",)
 
     def __init__(self, message: str, state: str = ""):
         self.state = state
@@ -71,8 +91,14 @@ class ThrottledError(ServiceError):
     when a retry is worth attempting; the HTTP layer surfaces it as a
     ``Retry-After`` header plus a structured payload field, and
     :meth:`repro.service.client.ServiceClient.submit` can honor it
-    automatically (``retries=``).
+    automatically (``retries=``).  A client rebuilding a 429 whose
+    payload gives no hint reads the class default, 1 s.
     """
+
+    http_status = 429
+    error_code = "throttled"
+    wire_fields = ("retry_after_seconds",)
+    retry_after_seconds = 1.0
 
     def __init__(self, message: str, retry_after_seconds: float = 1.0):
         self.retry_after_seconds = retry_after_seconds
@@ -82,11 +108,14 @@ class ThrottledError(ServiceError):
 class QueueFullError(ThrottledError):
     """Admission control rejected a submission: the queue is at depth.
 
-    A *structured* backpressure signal (HTTP maps it to 429): ``depth``
-    is the current queue depth, ``limit`` the configured maximum, and
+    A *structured* backpressure signal: ``depth`` is the current queue
+    depth, ``limit`` the configured maximum, and
     ``retry_after_seconds`` a coarse hint derived from the scheduler's
     recent job throughput.
     """
+
+    error_code = "queue_full"
+    wire_fields = ("depth", "limit", "retry_after_seconds")
 
     def __init__(self, depth: int, limit: int, retry_after_seconds: float = 1.0):
         self.depth = depth
@@ -100,6 +129,9 @@ class QueueFullError(ThrottledError):
 
 class QuotaExceededError(ThrottledError):
     """A tenant is at its cap of concurrently active (non-terminal) jobs."""
+
+    error_code = "quota_exceeded"
+    wire_fields = ("tenant", "active", "limit", "retry_after_seconds")
 
     def __init__(
         self,
@@ -121,6 +153,9 @@ class QuotaExceededError(ThrottledError):
 class RateLimitedError(ThrottledError):
     """A tenant's token bucket is empty: submissions arrive too fast."""
 
+    error_code = "rate_limited"
+    wire_fields = ("tenant", "rate", "retry_after_seconds")
+
     def __init__(
         self,
         tenant: str,
@@ -139,6 +174,9 @@ class RateLimitedError(ThrottledError):
 class ServiceUnavailableError(ServiceError):
     """The service is draining for shutdown and not accepting work."""
 
+    http_status = 503
+    error_code = "draining"
+
 
 class StreamError(ReproError):
     """A streaming-graph operation is invalid (see :mod:`repro.stream`).
@@ -149,9 +187,15 @@ class StreamError(ReproError):
     deleting one that does not, endpoints out of range).
     """
 
+    error_code = "bad_delta"
+
 
 class UnknownSessionError(ServiceError):
     """The referenced graph session id does not exist."""
+
+    http_status = 404
+    error_code = "unknown_session"
+    wire_fields = ("session_id",)
 
     def __init__(self, session_id: str):
         self.session_id = session_id
@@ -162,8 +206,12 @@ class SessionStateError(ServiceError):
     """A session operation is illegal in the session's current state.
 
     ``state`` describes the conflict (e.g. ``"closed"`` or
-    ``"version_mismatch"``); HTTP maps this to 409 Conflict.
+    ``"version_mismatch"``).
     """
+
+    http_status = 409
+    error_code = "session_state"
+    wire_fields = ("state",)
 
     def __init__(self, message: str, state: str = ""):
         self.state = state

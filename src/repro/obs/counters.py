@@ -250,12 +250,6 @@ class MetricsRegistry(CounterRegistry):
                 for name, hist in self._histograms.items()
             }
 
-    def quantile(self, name: str, q: float) -> Optional[float]:
-        with self._lock:
-            hist = self._histograms.get(name)
-            snap = hist.snapshot() if hist is not None else None
-        return histogram_quantile(snap, q) if snap is not None else None
-
     def reset(self) -> None:
         with self._lock:
             self._counts.clear()

@@ -1,18 +1,15 @@
 """Thin blocking HTTP client for the job service.
 
 Stdlib-only (``urllib``), mirroring the server's endpoints 1:1 and
-raising the same structured exceptions the service raises -- the 429
-family on throttle (:class:`~repro.errors.QueueFullError` /
-:class:`~repro.errors.QuotaExceededError` /
-:class:`~repro.errors.RateLimitedError`, each with its retry hint and
-identity fields rehydrated from the payload),
-:class:`~repro.errors.UnknownJobError` /
-:class:`~repro.errors.UnknownSessionError` on 404,
-:class:`~repro.errors.JobStateError` on 409, and
-:class:`~repro.errors.ServiceUnavailableError` on 503 -- so callers and
-tests handle local and remote failures identically.  ``submit`` can
-honor the server's retry-after hint itself (``retries=``).  Used by
-``repro submit`` / ``repro status`` / ``repro fetch`` / ``repro top``.
+raising the same structured exceptions the service raises: an error
+payload's ``error`` code names the :mod:`repro.errors` class that
+declares it, which is rebuilt with the payload's message and declared
+fields (the 429 family with its retry hint and identity fields,
+:class:`~repro.errors.UnknownJobError`,
+:class:`~repro.errors.SessionStateError`, ...), so callers and tests
+handle local and remote failures identically.  ``submit`` can honor
+the server's retry-after hint itself (``retries=``).  Used by ``repro
+submit`` / ``repro status`` / ``repro fetch`` / ``repro top``.
 """
 
 from __future__ import annotations
@@ -27,15 +24,11 @@ from repro.errors import (
     JobSpecError,
     JobStateError,
     QueueFullError,
-    QuotaExceededError,
-    RateLimitedError,
+    ReproError,
     ServiceError,
     ServiceUnavailableError,
-    SessionStateError,
-    StreamError,
     ThrottledError,
     UnknownJobError,
-    UnknownSessionError,
 )
 from repro.obs.trace_context import current, inject_headers
 from repro.obs.tracing import trace_span
@@ -43,6 +36,30 @@ from repro.obs.tracing import trace_span
 #: Terminal job states (mirrors :mod:`repro.service.store` without
 #: importing the simulator stack into light client contexts).
 _TERMINAL = ("done", "failed", "cancelled")
+
+#: The class a payload without a known ``error`` code rebuilds, by
+#: status (a 429 from a server that sent no code is a full queue).
+_BY_STATUS = {
+    429: QueueFullError,
+    404: UnknownJobError,
+    409: JobStateError,
+    503: ServiceUnavailableError,
+    400: JobSpecError,
+}
+
+
+def _declared_codes(base: type = ReproError) -> Dict[str, type]:
+    """``error`` code -> the class below ``base`` that declares it.
+
+    ``ReproError``'s own ``bad_request`` is not a class of its own on
+    the wire: it falls back by status.
+    """
+    codes: Dict[str, type] = {}
+    for cls in base.__subclasses__():
+        if "error_code" in vars(cls):
+            codes[cls.error_code] = cls
+        codes.update(_declared_codes(cls))
+    return codes
 
 
 class ServiceClient:
@@ -87,52 +104,25 @@ class ServiceClient:
         return payload
 
     @staticmethod
-    def _to_error(exc: urllib.error.HTTPError) -> ServiceError:
+    def _to_error(exc: urllib.error.HTTPError) -> ReproError:
         try:
             payload = json.loads(exc.read().decode("utf-8"))
         except Exception:
             payload = {}
         message = payload.get("message", f"HTTP {exc.code}")
-        if exc.code == 429:
-            code = payload.get("error", "queue_full")
-            retry_after = float(payload.get("retry_after_seconds", 1.0))
-            if code == "quota_exceeded":
-                return QuotaExceededError(
-                    payload.get("tenant", "anonymous"),
-                    active=int(payload.get("active", 0)),
-                    limit=int(payload.get("limit", 0)),
-                    retry_after_seconds=retry_after,
-                )
-            if code == "rate_limited":
-                return RateLimitedError(
-                    payload.get("tenant", "anonymous"),
-                    rate=float(payload.get("rate", 0.0)),
-                    retry_after_seconds=retry_after,
-                )
-            return QueueFullError(
-                depth=int(payload.get("depth", 0)),
-                limit=int(payload.get("limit", 0)),
-                retry_after_seconds=retry_after,
-            )
-        if exc.code == 404:
-            if payload.get("error") == "unknown_session":
-                return UnknownSessionError(
-                    payload.get("session_id", message)
-                )
-            return UnknownJobError(payload.get("job_id", message))
-        if exc.code == 409:
-            if payload.get("error") == "session_state":
-                return SessionStateError(
-                    message, state=payload.get("state", "")
-                )
-            return JobStateError(message, state=payload.get("state", ""))
-        if exc.code == 503:
-            return ServiceUnavailableError(message)
-        if exc.code == 400:
-            if payload.get("error") == "bad_delta":
-                return StreamError(message)
-            return JobSpecError(message)
-        return ServiceError(f"HTTP {exc.code}: {message}")
+        cls = _declared_codes().get(payload.get("error"))
+        if cls is None:
+            cls = _BY_STATUS.get(exc.code)
+        if cls is None:
+            return ServiceError(f"HTTP {exc.code}: {message}")
+        # Rebuild from the payload, not the constructor (which derives
+        # its message from the fields); a field the payload lacks reads
+        # the class default, if it has one.
+        err = cls.__new__(cls)
+        Exception.__init__(err, message)
+        for name in cls.wire_fields:
+            setattr(err, name, payload.get(name, getattr(cls, name, None)))
+        return err
 
     # -- endpoints ------------------------------------------------------
 
@@ -141,24 +131,6 @@ class ServiceClient:
 
     def metrics(self) -> Dict[str, Any]:
         return self._request("GET", "/metrics")
-
-    def metrics_prom(self) -> str:
-        """The Prometheus text exposition (``/metrics?format=prom``)."""
-        request = urllib.request.Request(
-            self.base_url + "/metrics?format=prom",
-            headers={"Accept": "text/plain"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise self._to_error(exc) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc.reason}"
-            ) from None
 
     def submit(
         self,

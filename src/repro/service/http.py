@@ -26,9 +26,11 @@ third-party web framework -- exposing the evaluation service:
   :mod:`repro.obs.prom`.
 
 Requests carrying an ``X-Repro-Trace-Id`` traceparent header join
-that distributed trace: the context is activated around routing, and
-a submitted spec without its own ``trace`` field inherits it, so the
-server's spans (and its forked run's) stitch under the caller's span.
+that distributed trace: the context is activated around routing,
+``asyncio.to_thread`` carries it into every blocking call, and the
+scheduler stamps it onto a submitted spec without its own ``trace``,
+so the server's spans (and its forked run's) stitch under the caller's
+span.  Errors answer from their :mod:`repro.errors` declarations.
 
 :class:`ReproService` composes store + scheduler + HTTP listener and
 owns the lifecycle: SIGTERM/SIGINT trigger a drain (running jobs
@@ -38,10 +40,11 @@ finish, queued jobs persist for the next boot) before the loop exits.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
+import math
 import signal
 import time
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -50,20 +53,13 @@ from repro.core.metrics import RunResult
 from repro.errors import (
     JobSpecError,
     JobStateError,
-    QueueFullError,
-    QuotaExceededError,
-    RateLimitedError,
     ReproError,
-    ServiceUnavailableError,
-    SessionStateError,
-    StreamError,
     ThrottledError,
     UnknownJobError,
-    UnknownSessionError,
 )
 from repro.obs import prom
 from repro.obs.counters import FAULT_COUNTERS
-from repro.obs.trace_context import activate, current, extract_headers
+from repro.obs.trace_context import activate, extract_headers
 from repro.obs.tracing import trace_event
 from repro.runner.cache import RunCache
 from repro.runner.sweep import SweepRunner
@@ -72,19 +68,6 @@ from repro.service.store import DONE, JobSpec, JobStore
 
 #: Largest accepted request body (a job spec is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
-
-_STATUS_TEXT = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 
 def _jsonable(value: Any) -> Any:
@@ -156,13 +139,13 @@ class ServiceHTTP:
         scheduler: JobScheduler,
         store: JobStore,
         cache: Optional[RunCache],
-        sessions=None,
+        sessions,
     ) -> None:
         self.scheduler = scheduler
         self.store = store
         self.cache = cache
-        #: Optional :class:`~repro.stream.session.SessionManager`
-        #: backing the ``/v1/sessions`` routes.
+        #: The :class:`~repro.stream.session.SessionManager` backing
+        #: the ``/v1/sessions`` routes.
         self.sessions = sessions
         #: Monotonic birth stamp backing ``/healthz``'s
         #: ``uptime_seconds``; :meth:`ReproService.start` re-stamps it
@@ -208,51 +191,15 @@ class ServiceHTTP:
             return status, payload, {}
         except _HttpError as exc:
             return exc.status, {"error": exc.code, "message": str(exc)}, {}
-        except ThrottledError as exc:
-            FAULT_COUNTERS.increment("service.http.429")
-            payload = {
-                "message": str(exc),
-                "retry_after_seconds": exc.retry_after_seconds,
-            }
-            if isinstance(exc, QueueFullError):
-                payload.update(
-                    error="queue_full", depth=exc.depth, limit=exc.limit
-                )
-            elif isinstance(exc, QuotaExceededError):
-                payload.update(
-                    error="quota_exceeded",
-                    tenant=exc.tenant,
-                    active=exc.active,
-                    limit=exc.limit,
-                )
-            elif isinstance(exc, RateLimitedError):
-                payload.update(
-                    error="rate_limited", tenant=exc.tenant, rate=exc.rate
-                )
-            else:
-                payload["error"] = "throttled"
-            headers = {"Retry-After": f"{exc.retry_after_seconds:.0f}"}
-            return 429, payload, headers
-        except UnknownJobError as exc:
-            return 404, {"error": "unknown_job", "message": str(exc),
-                         "job_id": exc.job_id}, {}
-        except UnknownSessionError as exc:
-            return 404, {"error": "unknown_session", "message": str(exc),
-                         "session_id": exc.session_id}, {}
-        except JobStateError as exc:
-            return 409, {"error": "job_state", "message": str(exc),
-                         "state": exc.state}, {}
-        except SessionStateError as exc:
-            return 409, {"error": "session_state", "message": str(exc),
-                         "state": exc.state}, {}
-        except StreamError as exc:
-            return 400, {"error": "bad_delta", "message": str(exc)}, {}
-        except ServiceUnavailableError as exc:
-            return 503, {"error": "draining", "message": str(exc)}, {}
-        except JobSpecError as exc:
-            return 400, {"error": "bad_spec", "message": str(exc)}, {}
-        except ReproError as exc:
-            return 400, {"error": "bad_request", "message": str(exc)}, {}
+        except ReproError as exc:  # answered from its class's declaration
+            payload = {"error": exc.error_code, "message": str(exc)}
+            for name in exc.wire_fields:
+                payload[name] = getattr(exc, name)
+            headers = {}
+            if isinstance(exc, ThrottledError):
+                FAULT_COUNTERS.increment("service.http.429")
+                headers["Retry-After"] = f"{exc.retry_after_seconds:.0f}"
+            return exc.http_status, payload, headers
         except Exception as exc:  # noqa: BLE001 -- last-resort 500
             FAULT_COUNTERS.increment("service.http.500")
             return 500, {"error": "internal",
@@ -276,7 +223,11 @@ class ServiceHTTP:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, "bad_request",
+                             f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "body_too_large",
                              f"request body exceeds {MAX_BODY_BYTES} bytes")
@@ -313,7 +264,7 @@ class ServiceHTTP:
             "Server": f"repro-service/{__version__}",
         }
         headers.update(extra_headers)
-        head = f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+        head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         head += "".join(f"{k}: {v}\r\n" for k, v in headers.items())
         writer.write(head.encode("latin-1") + b"\r\n" + body)
         await writer.drain()
@@ -434,13 +385,13 @@ class ServiceHTTP:
         if not isinstance(body, dict):
             raise JobSpecError("POST /v1/jobs needs a JSON object body")
         spec = JobSpec.from_dict(body.get("spec", {}))
-        if spec.trace is None:
-            # The spec's own trace field wins; otherwise inherit the
-            # request header's context (activated by _dispatch_safe) so
-            # the scheduler's spans stitch under the caller's span.
-            ctx = current()
-            if ctx is not None:
-                spec = dataclasses.replace(spec, trace=ctx.traceparent())
+        return await self._enqueue(spec, body)
+
+    async def _enqueue(
+        self, spec: JobSpec, body: Dict[str, Any]
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Submit ``spec`` as ``body``'s client and priority: 201 when
+        queued, 200 when answered from the run cache."""
         client = str(body.get("client", "anonymous"))
         try:
             priority = int(body.get("priority", 0))
@@ -485,18 +436,9 @@ class ServiceHTTP:
 
     # -- streaming sessions --------------------------------------------
 
-    def _need_sessions(self):
-        if self.sessions is None:
-            raise _HttpError(
-                404, "no_sessions",
-                "this service has no streaming session manager",
-            )
-        return self.sessions
-
     async def _create_session(
         self, body: Optional[Dict[str, Any]]
     ) -> Tuple[int, Dict[str, Any]]:
-        sessions = self._need_sessions()
         if not isinstance(body, dict) or "graph" not in body:
             raise JobSpecError(
                 "POST /v1/sessions needs a JSON body with 'graph'"
@@ -507,32 +449,23 @@ class ServiceHTTP:
         except (TypeError, ValueError):
             raise JobSpecError("seed must be an integer") from None
         client = str(body.get("client", "anonymous"))
-        loop = asyncio.get_running_loop()
-        ctx = current()
-
-        def build():
-            # Executor thread: re-join the request's trace explicitly.
-            with activate(ctx):
-                return sessions.create(graph, seed=seed, client=client)
-
-        session = await loop.run_in_executor(None, build)
+        session = await asyncio.to_thread(
+            self.sessions.create, graph, seed=seed, client=client
+        )
         return 201, {"session": session.to_dict()}
 
     def _list_sessions(self) -> Tuple[int, Dict[str, Any]]:
-        sessions = self._need_sessions()
         return 200, {
-            "sessions": [s.to_dict() for s in sessions.store.sessions()]
+            "sessions": [s.to_dict() for s in self.sessions.store.sessions()]
         }
 
     def _get_session(self, session_id: str) -> Tuple[int, Dict[str, Any]]:
-        sessions = self._need_sessions()
-        return 200, {"session": sessions.store.get(session_id).to_dict()}
+        return 200, {"session": self.sessions.store.get(session_id).to_dict()}
 
     async def _close_session(
         self, session_id: str
     ) -> Tuple[int, Dict[str, Any]]:
-        sessions = self._need_sessions()
-        session = sessions.close(session_id)
+        session = self.sessions.close(session_id)
         return 200, {"session": session.to_dict()}
 
     async def _apply_delta(
@@ -540,7 +473,6 @@ class ServiceHTTP:
     ) -> Tuple[int, Dict[str, Any]]:
         from repro.stream.delta import EdgeDeltaBatch
 
-        sessions = self._need_sessions()
         if not isinstance(body, dict):
             raise JobSpecError(
                 "POST /v1/sessions/<id>/deltas needs a JSON object body"
@@ -548,28 +480,15 @@ class ServiceHTTP:
         batch = EdgeDeltaBatch.from_dict(
             body["batch"] if "batch" in body else body
         )
-        loop = asyncio.get_running_loop()
-        ctx = current()
-
-        def apply():
-            with activate(ctx):
-                return sessions.apply(session_id, batch)
-
-        session = await loop.run_in_executor(None, apply)
+        session = await asyncio.to_thread(
+            self.sessions.apply, session_id, batch
+        )
         return 200, {"session": session.to_dict()}
 
     async def _compact_session(
         self, session_id: str
     ) -> Tuple[int, Dict[str, Any]]:
-        sessions = self._need_sessions()
-        loop = asyncio.get_running_loop()
-        ctx = current()
-
-        def compact():
-            with activate(ctx):
-                return sessions.compact(session_id)
-
-        session = await loop.run_in_executor(None, compact)
+        session = await asyncio.to_thread(self.sessions.compact, session_id)
         return 200, {"session": session.to_dict()}
 
     async def _submit_session_job(
@@ -582,7 +501,6 @@ class ServiceHTTP:
         so a resubmission at an unchanged version digests to the same
         cache key and resolves as a pure cache hit.
         """
-        sessions = self._need_sessions()
         if not isinstance(body, dict):
             raise JobSpecError(
                 "POST /v1/sessions/<id>/jobs needs a JSON object body"
@@ -594,19 +512,16 @@ class ServiceHTTP:
             source = None if raw_source is None else int(raw_source)
         except (TypeError, ValueError):
             raise JobSpecError("source must be an integer") from None
-        loop = asyncio.get_running_loop()
-        ctx = current()
 
         def prepare():
-            with activate(ctx):
-                record = sessions.store.get(session_id)
-                overlay = sessions.overlay(session_id)
-                resolved = sessions.resolve_job_source(
-                    session_id, workload, source
-                )
-                return record, overlay.version_digest, resolved
+            record = self.sessions.store.get(session_id)
+            overlay = self.sessions.overlay(session_id)
+            resolved = self.sessions.resolve_job_source(
+                session_id, workload, source
+            )
+            return record, overlay.version_digest, resolved
 
-        record, digest, resolved = await loop.run_in_executor(None, prepare)
+        record, digest, resolved = await asyncio.to_thread(prepare)
         spec = JobSpec(
             workload=workload,
             graph=record.graph,
@@ -616,19 +531,7 @@ class ServiceHTTP:
             graph_digest=digest,
             mode=mode,
         )
-        if spec.trace is None:
-            if ctx is not None:
-                spec = dataclasses.replace(spec, trace=ctx.traceparent())
-        client = str(body.get("client", "anonymous"))
-        try:
-            priority = int(body.get("priority", 0))
-        except (TypeError, ValueError):
-            raise JobSpecError("priority must be an integer") from None
-        job = await self.scheduler.submit(
-            spec, client=client, priority=priority
-        )
-        status = 200 if job.cached else 201
-        return status, {"job": job.to_dict()}
+        return await self._enqueue(spec, body)
 
     async def _events(
         self, job_id: str, query: Dict[str, list]
@@ -638,15 +541,20 @@ class ServiceHTTP:
             if not values:
                 return default
             try:
-                return float(values[-1])
+                value = float(values[-1])
             except ValueError:
                 raise _HttpError(400, "bad_query",
                                  f"{name} must be a number") from None
+            if not math.isfinite(value):
+                raise _HttpError(400, "bad_query", f"{name} must be finite")
+            return value
 
-        since = int(_one("since", 0))
+        since = _one("since", 0)
+        if since < 0:
+            raise _HttpError(400, "bad_query", "since must be >= 0")
         timeout = min(120.0, max(0.0, _one("timeout", 30.0)))
         events, nxt = await self.scheduler.events_since(
-            job_id, since=since, timeout=timeout
+            job_id, since=int(since), timeout=timeout
         )
         job = self.store.get(job_id)
         return 200, {

@@ -3,8 +3,8 @@
 The scheduler is the concurrency seam of the service: an asyncio front
 end (submission, cancellation, long-poll events, shutdown drain) over
 the existing *blocking* sweep machinery
-(:class:`~repro.runner.sweep.SweepRunner` driven inside
-``loop.run_in_executor``).  The runner forks each job's run into a
+(:class:`~repro.runner.sweep.SweepRunner` driven through
+``asyncio.to_thread``).  The runner forks each job's run into a
 supervised child from the executor thread, so per-run timeouts
 (``REPRO_RUN_TIMEOUT``), crash isolation, and retries come from
 :class:`~repro.runner.fault.RetryPolicy` unchanged: a hanging job
@@ -37,16 +37,19 @@ metrics: ``service.queue_depth`` / ``service.running_jobs`` gauges
 ``service.queue_wait_seconds`` (enqueue-to-dispatch latency) and
 ``service.run_seconds`` (dispatch-to-settle latency) histograms.
 
-Jobs whose spec carries a ``trace`` traceparent re-join their
-distributed trace here: ``_execute`` activates the context around the
-dispatch events, and the executor-thread half (``_run_blocking``)
-re-activates it itself because ``run_in_executor`` does not propagate
-contextvars.
+Every blocking call leaves the loop through ``asyncio.to_thread``, which
+runs it in a copy of the caller's contextvars, so the thread's spans
+and events join the caller's trace.  ``submit`` stamps the active
+context (the request's) onto a spec that carries no ``trace`` of its
+own, and admission's graph build runs under it; ``_execute`` activates
+the job's recorded ``trace`` around dispatch, so ``_run_blocking`` and
+the child it forks run under the job's trace, after a restart too.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import math
 import threading
 import time
@@ -64,7 +67,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.obs.counters import FAULT_COUNTERS
-from repro.obs.trace_context import activate, parse_traceparent
+from repro.obs.trace_context import activate, current, parse_traceparent
 from repro.obs.tracing import trace_event, trace_span
 from repro.runner.cache import spec_key
 from repro.runner.fault import RunFailure
@@ -337,7 +340,15 @@ class JobScheduler:
         client: str = "anonymous",
         priority: int = 0,
     ) -> Job:
-        """Admit one job: quotas, backpressure check, cache dedupe, enqueue."""
+        """Admit one job: quotas, backpressure check, cache dedupe, enqueue.
+
+        A spec without its own ``trace`` takes the active context (the
+        request's, activated by the HTTP layer), so the job's spans
+        stitch under the caller's span.
+        """
+        ctx = current()
+        if spec.trace is None and ctx is not None:
+            spec = dataclasses.replace(spec, trace=ctx.traceparent())
         if self.draining:
             raise ServiceUnavailableError(
                 "service is draining and not accepting new jobs"
@@ -365,10 +376,9 @@ class JobScheduler:
 
             # Digest the lowered spec and consult the run cache *before*
             # queueing -- graph building happens off-loop.
-            loop = asyncio.get_running_loop()
             try:
-                key, cached, warmed = await loop.run_in_executor(
-                    None, self._admit, spec
+                key, cached, warmed = await asyncio.to_thread(
+                    self._admit, spec
                 )
             except Exception as exc:
                 # The spec failed to lower (bad graph specifier, bad
@@ -506,7 +516,6 @@ class JobScheduler:
         FAULT_COUNTERS.set_gauge("service.running_jobs", len(self._running))
 
     async def _execute(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
         # Time in queue: the QUEUED transition stamped updated_at when
         # the job (or its crash-recovery requeue) was enqueued.
         FAULT_COUNTERS.observe(
@@ -527,9 +536,7 @@ class JobScheduler:
             trace_event("service.dispatch", job=job.id, client=job.client,
                         priority=job.priority)
             try:
-                outcome = await loop.run_in_executor(
-                    None, self._run_blocking, job
-                )
+                outcome = await asyncio.to_thread(self._run_blocking, job)
             except Exception as exc:  # defensive: the runner returns failures
                 outcome = RunFailure(
                     key=job.key or "",
@@ -589,9 +596,8 @@ class JobScheduler:
             # process; the result still lands in the run cache under the
             # version-digest key so a resubmit at the same version is a
             # pure cache hit.
-            with activate(parse_traceparent(job.spec.trace)):
-                with trace_span("service.run", job=job.id):
-                    result = self.sessions.execute_job(job.spec)
+            with trace_span("service.run", job=job.id):
+                result = self.sessions.execute_job(job.spec)
             if job.key is None:
                 job.key = spec_key(job.spec.to_run_spec())
             if self.runner.cache is not None:
@@ -605,13 +611,10 @@ class JobScheduler:
             # Recovered from a crash that hit before admission finished
             # digesting the spec; the result endpoint needs the key.
             job.key = spec_key(run_spec)
-        # Executor thread: re-join the job's trace explicitly (the
-        # loop task's contextvars do not cross run_in_executor).  The
-        # runner's own sweep.run span -- and, via fork, the child's
+        # The runner's own sweep.run span -- and, via fork, the child's
         # nova.run span -- nest under service.run.
-        with activate(parse_traceparent(job.spec.trace)):
-            with trace_span("service.run", job=job.id):
-                results, _ = self.runner.run([run_spec], on_failure="return")
+        with trace_span("service.run", job=job.id):
+            results, _ = self.runner.run([run_spec], on_failure="return")
         return results[0]
 
     # ------------------------------------------------------------------
@@ -635,10 +638,6 @@ class JobScheduler:
                 asyncio.get_running_loop().create_task(_notify())
             except RuntimeError:
                 pass  # posted before start() / after shutdown
-
-    def events(self, job_id: str) -> List[Dict[str, Any]]:
-        self.store.get(job_id)  # raises UnknownJobError
-        return list(self._events.get(job_id, ()))
 
     async def events_since(
         self,

@@ -40,7 +40,6 @@ class BSPAdapter(VertexProgram):
         self.inner = inner
         self.name = f"{inner.name}-bsp"
         self.needs_weights = inner.needs_weights
-        self.combine = inner.combine
 
     # ------------------------------------------------------------------
     # Delegation with barrier bookkeeping

@@ -67,18 +67,6 @@ class VertexProgram(ABC):
     mode: str = "async"
     #: Whether edges must carry weights.
     needs_weights: bool = False
-    #: How two messages to the same vertex combine ("min" or "sum").
-    #: Used by replica/coalescing structures (e.g. PolyGraph's on-chip
-    #: replica tables) that merge messages before the reduce proper.
-    combine: str = "min"
-
-    @property
-    def combine_ufunc(self) -> np.ufunc:
-        return np.minimum if self.combine == "min" else np.add
-
-    @property
-    def combine_identity(self) -> float:
-        return np.inf if self.combine == "min" else 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle

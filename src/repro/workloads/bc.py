@@ -33,7 +33,6 @@ class BetweennessCentrality(VertexProgram):
 
     name = "bc"
     mode = "bsp"
-    combine = "sum"
 
     def create_state(self, graph: CSRGraph, source: Optional[int]) -> ProgramState:
         if source is None:

@@ -23,7 +23,6 @@ class PageRank(VertexProgram):
 
     name = "pr"
     mode = "bsp"
-    combine = "sum"
 
     def __init__(
         self,

@@ -38,7 +38,6 @@ class PageRankDelta(VertexProgram):
 
     name = "pr-delta"
     mode = "async"
-    combine = "sum"
 
     def __init__(
         self, damping: float = 0.85, threshold: float = 1e-7

@@ -116,13 +116,6 @@ class TestMetricsRegistry:
         assert snap["count"] == 1
         assert snap["sum"] >= 0.0
 
-    def test_quantile_accessor(self):
-        reg = MetricsRegistry()
-        assert reg.quantile("nope", 0.5) is None
-        for value in (0.001, 0.01, 0.01, 0.5):
-            reg.observe("lat", value)
-        assert reg.quantile("lat", 0.5) is not None
-
     def test_reset_preserves_declared_families(self):
         reg = MetricsRegistry()
         reg.declare_histogram("kept")

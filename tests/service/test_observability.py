@@ -104,14 +104,6 @@ class TestMetricsEndpoint:
 
         serve(tmp_path, body)
 
-    def test_client_metrics_prom_helper(self, tmp_path):
-        async def body(svc, port):
-            client = ServiceClient(f"http://127.0.0.1:{port}")
-            text = await call(client.metrics_prom)
-            assert "repro_service_run_seconds_bucket" in text
-
-        serve(tmp_path, body)
-
 
 class TestTracePropagation:
     def test_header_context_lands_on_job_spec(self, tmp_path):

@@ -364,7 +364,6 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "by class:" in text and "by resource:" in text
         assert "phase profile" in text
-        assert "fault counters" in text
         with open(out, encoding="utf-8") as f:
             payload = json.load(f)
         assert payload["timeline"]["schema"] == 1
@@ -373,31 +372,6 @@ class TestCommands:
             "bandwidth", "compute", "queue"
         )
         assert payload["phases"]["quanta_sampled"] > 0
-        assert "fault_counters" in payload
-
-    def test_profile_counter_line_shows_only_sweep_counters(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        from repro.obs import FAULT_COUNTERS
-
-        FAULT_COUNTERS.increment("sweep.retries")
-        FAULT_COUNTERS.increment("graph_store.builds")
-        out = str(tmp_path / "profile.json")
-        assert main(["profile", "--graph", "rmat:8:4", "--workload", "bfs",
-                     "--no-phases", "--json", out]) == 0
-        (line,) = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("fault counters:")
-        ]
-        names = [item.split("=")[0] for item in line.split()[2:]]
-        assert "sweep.retries" in names
-        assert all(name.startswith("sweep.") for name in names)
-        with open(out, encoding="utf-8") as f:
-            counters = json.load(f)["fault_counters"]
-        assert counters["sweep.retries"] >= 1
-        assert all(name.startswith("sweep.") for name in counters)
 
     def test_profile_scalar_engine_no_phases(self, tmp_path, capsys):
         import json

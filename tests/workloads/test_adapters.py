@@ -19,7 +19,6 @@ class TestAdapterSemantics:
         assert adapter.name == "sssp-bsp"
         assert adapter.mode == "bsp"
         assert adapter.needs_weights
-        assert adapter.combine == "min"
 
     def test_functional_fixed_point_matches_async(self, rmat_graph, rmat_source):
         sync = run_functional(

@@ -1,4 +1,4 @@
-"""Vertex-program base utilities: edge expansion, id dedupe, combine semantics."""
+"""Vertex-program base utilities: edge expansion, id dedupe, metadata."""
 
 import numpy as np
 import pytest
@@ -147,19 +147,6 @@ class TestUniqueIds:
 
 
 class TestProgramMetadata:
-    def test_combine_kinds(self):
-        assert get_workload("bfs").combine == "min"
-        assert get_workload("sssp").combine == "min"
-        assert get_workload("cc").combine == "min"
-        assert get_workload("pr").combine == "sum"
-        assert get_workload("bc").combine == "sum"
-
-    def test_combine_ufuncs(self):
-        assert get_workload("bfs").combine_ufunc is np.minimum
-        assert get_workload("pr").combine_ufunc is np.add
-        assert get_workload("bfs").combine_identity == np.inf
-        assert get_workload("pr").combine_identity == 0.0
-
     def test_modes(self):
         assert get_workload("bfs").mode == "async"
         assert get_workload("cc").mode == "async"

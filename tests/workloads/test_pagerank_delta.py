@@ -28,7 +28,6 @@ class TestConvergence:
     def test_registry_name(self):
         assert isinstance(get_workload("pr-delta"), PageRankDelta)
         assert get_workload("pr-delta").mode == "async"
-        assert get_workload("pr-delta").combine == "sum"
 
 
 class TestOnEngine:

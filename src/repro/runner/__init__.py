@@ -12,16 +12,16 @@ suite recomputes nothing that already ran.
 Execution is fault-tolerant: a spec that raises, exceeds its timeout,
 or kills its child process yields a structured
 :class:`~repro.runner.fault.RunFailure` while sibling runs complete and
-store normally; transient failures retry with exponential backoff
-(:class:`~repro.runner.fault.RetryPolicy`); and completed results flush
-to the cache as they finish, so an interrupted sweep resumes with zero
-recomputation: the run cache is the one record of what finished
-(``repro sweep --resume`` counts it).
+store normally; transient failures re-enter the running pool after an
+exponential backoff (:class:`~repro.runner.fault.RetryPolicy`); and
+completed results flush to the cache as they finish, so an interrupted
+sweep resumes with zero recomputation: the run cache is the one record
+of what finished (``repro sweep --resume`` counts it).
 
 Environment knobs:
 
-- ``REPRO_WORKERS``: most child processes per sweep round (default:
-  ``os.cpu_count()``).
+- ``REPRO_WORKERS``: most child processes a sweep runs at once
+  (default: ``os.cpu_count()``).
 - ``REPRO_CACHE_DIR``: cache root (default ``~/.cache/repro-nova``).
 - ``REPRO_CACHE_MAX_BYTES``: if set, prune least-recently-used entries
   past this size after each sweep.
@@ -29,8 +29,6 @@ Environment knobs:
   by killing the run's child (default: none).
 - ``REPRO_RUN_RETRIES``: extra attempts granted to transient failures
   (default 1).
-- ``REPRO_RETRY_BACKOFF``: base backoff seconds between retry rounds
-  (default 0.25, doubling per round).
 - ``REPRO_GRAPH_STORE_DIR`` / ``REPRO_GRAPH_STORE_MAX_BYTES``: the
   content-addressed mmap graph artifact store GraphSpec recipes
   resolve through (see :mod:`repro.graph.store`).

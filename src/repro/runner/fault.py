@@ -13,10 +13,11 @@ A sweep run can end three ways short of a result:
 
 The last two, plus ``OSError`` / ``MemoryError`` (cache I/O hiccups,
 transient allocation failures), are classified *transient* and retried
-with exponential backoff up to :attr:`RetryPolicy.retries` extra
-attempts.  Whatever remains becomes a :class:`RunFailure` -- a plain
-data record the sweep returns (or wraps in
-:class:`~repro.errors.SweepFailure`) instead of aborting sibling runs.
+up to :attr:`RetryPolicy.retries` extra attempts, each re-entering the
+sweep's running pool after an exponential backoff.  Whatever remains
+becomes a :class:`RunFailure` -- a plain data record the sweep returns
+(or wraps in :class:`~repro.errors.SweepFailure`) instead of aborting
+sibling runs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def is_transient(exc: BaseException) -> bool:
     return isinstance(exc, TRANSIENT_EXCEPTIONS)
 
 
+#: The longest wait before a retry, however many attempts came before.
+MAX_BACKOFF_SECONDS = 30.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Per-run timeout and bounded exponential-backoff retry.
@@ -48,16 +53,14 @@ class RetryPolicy:
     ``timeout_seconds`` bounds one attempt's wall clock (``None``
     disables the deadline); ``retries`` is the number of *extra*
     attempts granted to transient failures, so every key executes at
-    most ``1 + retries`` times.  Retry round *n* sleeps
-    ``backoff_seconds * backoff_factor**(n-1)`` capped at
-    ``max_backoff_seconds``.
+    most ``1 + retries`` times.  Retry *n* of a key waits
+    ``backoff_seconds * 2**(n-1)``, capped at
+    :data:`MAX_BACKOFF_SECONDS`.
     """
 
     timeout_seconds: Optional[float] = None
     retries: int = 1
     backoff_seconds: float = 0.25
-    backoff_factor: float = 2.0
-    max_backoff_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -70,26 +73,24 @@ class RetryPolicy:
             raise ConfigError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
             )
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
 
     def allows_retry(self, attempts: int) -> bool:
         """True if a key that has run ``attempts`` times may run again."""
         return attempts < 1 + self.retries
 
-    def backoff_delay(self, round_index: int) -> float:
-        """Seconds to sleep before retry round ``round_index`` (1-based)."""
-        if round_index <= 0:
+    def backoff_delay(self, attempts: int) -> float:
+        """Seconds a key that has run ``attempts`` times waits before
+        its next attempt."""
+        if attempts <= 0:
             return 0.0
-        delay = self.backoff_seconds * self.backoff_factor ** (round_index - 1)
-        return min(self.max_backoff_seconds, delay)
+        # 2.0 ** n raises OverflowError past n = 1023.
+        delay = self.backoff_seconds * 2.0 ** min(attempts - 1, 1023)
+        return min(MAX_BACKOFF_SECONDS, delay)
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        """Build a policy from ``REPRO_RUN_TIMEOUT`` / ``REPRO_RUN_RETRIES``
-        / ``REPRO_RETRY_BACKOFF``, validated, defaults where unset."""
+        """Build a policy from ``REPRO_RUN_TIMEOUT`` /
+        ``REPRO_RUN_RETRIES``, validated, defaults where unset."""
         kwargs = {}
         timeout = env_float("REPRO_RUN_TIMEOUT")
         if timeout is not None:
@@ -101,9 +102,6 @@ class RetryPolicy:
         retries = env_int("REPRO_RUN_RETRIES", minimum=0)
         if retries is not None:
             kwargs["retries"] = retries
-        backoff = env_float("REPRO_RETRY_BACKOFF", minimum=0.0)
-        if backoff is not None:
-            kwargs["backoff_seconds"] = backoff
         return cls(**kwargs)
 
 

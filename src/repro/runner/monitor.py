@@ -109,7 +109,7 @@ class SweepMonitor:
         self._emit()
 
     def retry(self, key: str) -> None:
-        """One key failed transiently and is queued for another round."""
+        """One key failed transiently and is queued to run again."""
         self.retries[key] = self.retries.get(key, 0) + 1
         self.status[key] = PENDING
         self._emit()

@@ -12,16 +12,16 @@ and returns their :class:`~repro.core.metrics.RunResult` in order:
    cache *the moment it finishes*, so an interrupted sweep resumes
    with zero recomputation.
 
-Every computed cell runs the same way, whatever ``workers`` is: once a
-round's cells are known, the parent forks up to ``min(workers, cells)``
-children, sends each one cell index at a time, and enforces each cell's
-deadline by killing its child.  One spec that raises, times out, or
-kills its child does not abort its siblings: a death charges only the
-cell that child was running, and a fresh child takes the remaining
-cells.  Failed keys yield structured
-:class:`~repro.runner.fault.RunFailure` records; transient failures
-(child deaths, OOM, cache I/O, timeouts) are retried with exponential
-backoff per the runner's :class:`~repro.runner.fault.RetryPolicy`.
+Every computed cell runs the same way, whatever ``workers`` is: the
+parent forks up to ``min(workers, cells)`` children, sends each one cell
+index at a time, and enforces each cell's deadline by killing its child.
+One spec that raises, times out, or kills its child does not abort its
+siblings: a death charges only the cell that child was running, and a
+replacement child takes the remaining cells.  Failed keys yield
+structured :class:`~repro.runner.fault.RunFailure` records; transient
+failures (child deaths, OOM, cache I/O, timeouts) re-enter the running
+pool after an exponential backoff per the runner's
+:class:`~repro.runner.fault.RetryPolicy`.
 ``on_failure="raise"`` (default) raises :class:`~repro.errors.SweepFailure`
 *after* every sibling has completed and stored; ``on_failure="return"``
 places the ``RunFailure`` records in the results list instead.
@@ -39,13 +39,13 @@ deterministic, so a cache hit is bit-identical to recomputing.
 
 from __future__ import annotations
 
+import heapq
 import os
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.metrics import RunResult
 from repro.env import env_int
@@ -194,6 +194,8 @@ class _Child:
 
     def close(self, kill: bool = False) -> None:
         """Stop the child (at once if ``kill``) and reap it."""
+        from multiprocessing.connection import wait
+
         if kill:
             self.process.kill()
         else:
@@ -202,9 +204,13 @@ class _Child:
             except OSError:
                 pass
         self.conn.close()
-        self.process.join()
-        self.exitcode = self.process.exitcode
-        self.process.close()
+        # Reap the exited child under the fork lock: ``Process.start``
+        # in another thread polls (so may reap) every child we have.
+        wait([self.process.sentinel])
+        with _FORK_LOCK:
+            self.process.join()
+            self.exitcode = self.process.exitcode
+            self.process.close()
 
     def died(self) -> _Outcome:
         code = self.exitcode
@@ -280,15 +286,14 @@ class SweepRunner:
     spec that kills its process kills only its child.
 
     Args:
-        workers: most children forked per round; ``None`` reads
+        workers: most children running at once; ``None`` reads
             ``REPRO_WORKERS`` and falls back to ``os.cpu_count()``.
         cache_dir: cache root; ``None`` uses
             :func:`~repro.runner.cache.default_cache_dir`.
         use_cache: set ``False`` to always recompute (and not store).
         policy: per-run timeout/retry policy; ``None`` reads
-            ``REPRO_RUN_TIMEOUT`` / ``REPRO_RUN_RETRIES`` /
-            ``REPRO_RETRY_BACKOFF`` with defaults (no timeout, one
-            retry for transient failures).
+            ``REPRO_RUN_TIMEOUT`` / ``REPRO_RUN_RETRIES`` with defaults
+            (no timeout, one retry for transient failures).
     """
 
     def __init__(
@@ -366,9 +371,12 @@ class SweepRunner:
             }
             if todo:
                 resolved.update(self._execute(todo, stats, monitor))
-            stats.failed = sum(
-                1 for value in resolved.values() if isinstance(value, RunFailure)
-            )
+            failures = [
+                value
+                for value in resolved.values()
+                if isinstance(value, RunFailure)
+            ]
+            stats.failed = len(failures)
             stats.computed = len(todo) - stats.failed
 
             if self.cache is not None and max_bytes is not None:
@@ -396,11 +404,6 @@ class SweepRunner:
                 deduped=stats.deduped,
                 fault_counters=stats.fault_counters,
             )
-            failures = [
-                value
-                for value in resolved.values()
-                if isinstance(value, RunFailure)
-            ]
             if failures and on_failure == "raise":
                 raise SweepFailure(failures, stats=stats)
             return [resolved[key] for key in keys], stats
@@ -415,116 +418,15 @@ class SweepRunner:
         stats: SweepStats,
         monitor: Optional[SweepMonitor] = None,
     ) -> Dict[str, Union[RunResult, RunFailure]]:
-        """Round-based attempt loop: run, classify, retry."""
-        policy = self.policy
-        resolved: Dict[str, Union[RunResult, RunFailure]] = {}
-        attempts: Dict[str, int] = {key: 0 for key in todo}
-        pending: Dict[str, RunSpec] = dict(todo)
-        round_index = 0
+        """Run ``todo``'s cells in forked children under their deadlines.
 
-        def complete(key: str, outcome: _Outcome) -> None:
-            attempts[key] += 1
-            if outcome.ok:
-                resolved[key] = outcome.result
-                self._flush(key, outcome.result, stored=outcome.stored)
-                FAULT_COUNTERS.observe(
-                    "sweep.run_seconds", outcome.elapsed_seconds
-                )
-                if monitor is not None:
-                    monitor.finish(key, ok=True,
-                                   elapsed_seconds=outcome.elapsed_seconds)
-                return
-            if outcome.timed_out:
-                FAULT_COUNTERS.increment("sweep.timeouts")
-            if outcome.worker_died:
-                FAULT_COUNTERS.increment("sweep.worker_deaths")
-            if outcome.transient and policy.allows_retry(attempts[key]):
-                retries[key] = todo[key]
-                stats.retried += 1
-                FAULT_COUNTERS.increment("sweep.retries")
-                if monitor is not None:
-                    monitor.retry(key)
-                trace_event(
-                    "sweep.retry",
-                    key=key,
-                    attempt=attempts[key],
-                    error=outcome.error_type,
-                )
-                return
-            failure = RunFailure(
-                key=key,
-                spec=todo[key],
-                kind=(
-                    "timeout"
-                    if outcome.timed_out
-                    else "worker-died" if outcome.worker_died else "error"
-                ),
-                error_type=outcome.error_type,
-                message=outcome.message,
-                attempts=attempts[key],
-                elapsed_seconds=outcome.elapsed_seconds,
-            )
-            resolved[key] = failure
-            FAULT_COUNTERS.increment("sweep.failures")
-            if monitor is not None:
-                monitor.finish(key, ok=False,
-                               elapsed_seconds=outcome.elapsed_seconds)
-            trace_event(
-                "sweep.run_failed",
-                key=key,
-                kind=failure.kind,
-                error=failure.error_type,
-                attempts=failure.attempts,
-            )
-
-        while pending:
-            if round_index:
-                delay = policy.backoff_delay(round_index)
-                if delay:
-                    time.sleep(delay)
-            retries: Dict[str, RunSpec] = {}
-            if monitor is not None:
-                for key in pending:
-                    monitor.running(key)
-            with trace_span(
-                "sweep.execute", runs=len(pending), round=round_index
-            ):
-                self._run_round(pending, complete)
-            pending = retries
-            round_index += 1
-        return resolved
-
-    def _flush(
-        self, key: str, result: RunResult, stored: bool = False
-    ) -> None:
-        """Store one completed run in the cache the moment it finishes."""
-        if self.cache is not None:
-            if stored:
-                # The child already stored this result; count the
-                # flush, skip the redundant store.
-                FAULT_COUNTERS.increment("sweep.checkpoint_flushes")
-            else:
-                try:
-                    self.cache.store(key, result)
-                    FAULT_COUNTERS.increment("sweep.checkpoint_flushes")
-                except OSError:
-                    # A full or flaky disk must not kill a completed run
-                    # -- the result is still returned, it just won't be
-                    # reused.
-                    FAULT_COUNTERS.increment("sweep.cache_errors")
-
-    def _run_round(
-        self,
-        pending: Dict[str, RunSpec],
-        complete: Callable[[str, _Outcome], None],
-    ) -> None:
-        """Run one round's cells in forked children under their deadlines.
-
-        Each child gets one cell index at a time.  An answer settles the
-        cell and the child gets the next index; a passed deadline kills
-        the child and settles its cell as a timeout; a child that dies
-        without answering settles exactly its own cell as a death.  A
-        fresh child takes the remaining cells.
+        Each child takes one ready cell index at a time from one queue
+        of ``(ready_at, index)`` entries.  A transient failure with
+        retries left goes back in after its backoff, for whichever
+        child is idle then, the one that raised included.  A passed
+        deadline kills the child (a timeout), a child that dies without
+        answering charges only its own cell, and only those two fork a
+        replacement.
         """
         # Fork keeps parent-built graphs shared copy-on-write and is the
         # only start method that needs no spawn-safe __main__ guard in
@@ -532,61 +434,131 @@ class SweepRunner:
         import multiprocessing
         from multiprocessing.connection import wait
 
-        cells = list(pending.items())
+        policy = self.policy
+        timeout = policy.timeout_seconds
+        cells = list(todo.items())
         _preload_executors({spec.system for _, spec in cells})
         context = multiprocessing.get_context("fork")
-        timeout = self.policy.timeout_seconds
         slots = min(self.workers, len(cells))
-        todo = deque(range(len(cells)))
+        # A heap: every first attempt is ready at once, in input order.
+        queue = [(0.0, index) for index in range(len(cells))]
+        attempts = [0] * len(cells)
+        resolved: Dict[str, Union[RunResult, RunFailure]] = {}
         children: List[_Child] = []
         settled: List[Tuple[int, _Outcome]] = []
-        try:
-            while True:
-                # Hand out the next cells before settling the last ones,
-                # so no child idles while the parent stores answers.
-                for child in children:
-                    if child.index is None and todo:
-                        child.assign(todo.popleft(), timeout)
-                while todo and len(children) < slots:
-                    child = _Child(context, cells, self.cache, children)
-                    children.append(child)
-                    child.assign(todo.popleft(), timeout)
-                for index, outcome in settled:
-                    complete(cells[index][0], outcome)
-                settled = []
-                busy = [child for child in children if child.index is not None]
-                if not busy:
-                    break
-                deadlines = [c.deadline for c in busy if c.deadline is not None]
-                ready = wait(
-                    [c.conn for c in busy] + [c.process.sentinel for c in busy],
-                    None if not deadlines
-                    else max(0.0, min(deadlines) - time.monotonic()),
-                )
-                now = time.monotonic()
-                for child in busy:
-                    exited = child.process.sentinel in ready
-                    if child.conn in ready:
-                        outcome = child.receive()
-                    elif exited:
-                        outcome = None
-                    elif child.deadline is not None and now >= child.deadline:
-                        exited = True
-                        outcome = _Outcome(
-                            ok=False,
-                            error_type="RunTimeoutError",
-                            message=f"run exceeded {timeout:g}s timeout",
-                            transient=True,
-                            timed_out=True,
-                            elapsed_seconds=now - child.started,
+
+        def due(now: float) -> bool:
+            return bool(queue) and queue[0][0] <= now
+
+        def hand_out(child: _Child) -> None:
+            index = heapq.heappop(queue)[1]
+            if attempts[index] and monitor is not None:
+                monitor.running(cells[index][0])  # its backoff ran out
+            child.assign(index, timeout)
+
+        def settle(index: int, outcome: _Outcome) -> None:
+            key, spec = cells[index]
+            attempts[index] += 1
+            seconds = outcome.elapsed_seconds
+            if outcome.ok:
+                resolved[key] = outcome.result
+                if self.cache is not None:
+                    try:  # the child stored it, unless its store failed
+                        if not outcome.stored:
+                            self.cache.store(key, outcome.result)
+                        FAULT_COUNTERS.increment("sweep.checkpoint_flushes")
+                    except OSError:  # still returned, just not reused
+                        FAULT_COUNTERS.increment("sweep.cache_errors")
+                FAULT_COUNTERS.observe("sweep.run_seconds", seconds)
+                if monitor is not None:
+                    monitor.finish(key, ok=True, elapsed_seconds=seconds)
+                return
+            if outcome.timed_out:
+                FAULT_COUNTERS.increment("sweep.timeouts")
+            if outcome.worker_died:
+                FAULT_COUNTERS.increment("sweep.worker_deaths")
+            if outcome.transient and policy.allows_retry(attempts[index]):
+                delay = policy.backoff_delay(attempts[index])
+                heapq.heappush(queue, (time.monotonic() + delay, index))
+                stats.retried += 1
+                FAULT_COUNTERS.increment("sweep.retries")
+                if monitor is not None:
+                    monitor.retry(key)
+                trace_event("sweep.retry", key=key, attempt=attempts[index],
+                            error=outcome.error_type)
+                return
+            kind = ("timeout" if outcome.timed_out
+                    else "worker-died" if outcome.worker_died else "error")
+            resolved[key] = RunFailure(
+                key=key, spec=spec, kind=kind, error_type=outcome.error_type,
+                message=outcome.message, attempts=attempts[index],
+                elapsed_seconds=seconds,
+            )
+            FAULT_COUNTERS.increment("sweep.failures")
+            if monitor is not None:
+                monitor.finish(key, ok=False, elapsed_seconds=seconds)
+            trace_event("sweep.run_failed", key=key, kind=kind,
+                        error=outcome.error_type, attempts=attempts[index])
+
+        if monitor is not None:
+            for key, _ in cells:
+                monitor.running(key)
+        with trace_span("sweep.execute", runs=len(cells)):
+            try:
+                while True:
+                    # Hand out the ready cells before settling the last
+                    # answers, so no child idles while the parent stores.
+                    now = time.monotonic()
+                    for child in children:
+                        if child.index is None and due(now):
+                            hand_out(child)
+                    while due(now) and len(children) < slots:
+                        children.append(
+                            _Child(context, cells, self.cache, children)
                         )
-                    else:
-                        continue
-                    if exited or outcome is None:
-                        child.close(kill=True)
-                        children.remove(child)
-                    settled.append((child.index, outcome or child.died()))
-                    child.index = None
-        finally:
-            for child in children:
-                child.close(kill=child.index is not None)
+                        hand_out(children[-1])
+                    for index, outcome in settled:
+                        settle(index, outcome)
+                    settled = []
+                    busy = [c for c in children if c.index is not None]
+                    if not busy and not queue:
+                        break
+                    # Wake at the earliest deadline, and when the next
+                    # queued cell is due if a child is free to take it.
+                    wakes = [c.deadline for c in busy
+                             if c.deadline is not None]
+                    if queue and len(busy) < slots:
+                        wakes.append(queue[0][0])
+                    ready = wait(
+                        [c.conn for c in busy]
+                        + [c.process.sentinel for c in busy],
+                        None if not wakes
+                        else max(0.0, min(wakes) - time.monotonic()),
+                    )
+                    now = time.monotonic()
+                    for child in busy:
+                        exited = child.process.sentinel in ready
+                        if child.conn in ready:
+                            outcome = child.receive()
+                        elif exited:
+                            outcome = None
+                        elif (child.deadline is not None
+                              and now >= child.deadline):
+                            exited = True
+                            outcome = _Outcome(
+                                ok=False, error_type="RunTimeoutError",
+                                message=f"run exceeded {timeout:g}s timeout",
+                                transient=True, timed_out=True,
+                                elapsed_seconds=now - child.started,
+                            )
+                        else:
+                            continue
+                        if exited or outcome is None:
+                            child.close(kill=True)
+                            children.remove(child)
+                        settled.append((child.index, outcome or child.died()))
+                        child.index = None
+            finally:
+                for child in children:
+                    child.close(kill=child.index is not None)
+        return resolved

@@ -45,7 +45,7 @@ import math
 import signal
 import time
 from http import HTTPStatus
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
@@ -68,6 +68,10 @@ from repro.service.store import DONE, JobSpec, JobStore
 
 #: Largest accepted request body (a job spec is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection has to deliver its whole request (line, headers
+#: and body) before it is answered 408 and closed.
+READ_TIMEOUT_SECONDS = 10.0
 
 
 def _jsonable(value: Any) -> Any:
@@ -151,10 +155,29 @@ class ServiceHTTP:
         #: ``uptime_seconds``; :meth:`ReproService.start` re-stamps it
         #: when the listener actually binds.
         self.started_monotonic = time.monotonic()
+        #: The handler task of every open connection.
+        self._handlers: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+
+    def accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Handle one connection in a task that :meth:`close` can end."""
+        task = asyncio.get_running_loop().create_task(
+            self.handle(reader, writer)
+        )
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+
+    async def close(self) -> None:
+        """End every open connection and wait for its handler."""
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
 
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -175,9 +198,15 @@ class ServiceHTTP:
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Union[Dict[str, Any], str], Dict[str, str]]:
         try:
-            method, path, query, body, req_headers = (
-                await self._read_request(reader)
+            method, path, query, body, req_headers = await asyncio.wait_for(
+                self._read_request(reader), READ_TIMEOUT_SECONDS
             )
+        except asyncio.TimeoutError:
+            return 408, {
+                "error": "request_timeout",
+                "message": f"request not received within "
+                           f"{READ_TIMEOUT_SECONDS:g}s",
+            }, {}
         except _HttpError as exc:
             return exc.status, {"error": exc.code, "message": str(exc)}, {}
         try:
@@ -465,7 +494,7 @@ class ServiceHTTP:
     async def _close_session(
         self, session_id: str
     ) -> Tuple[int, Dict[str, Any]]:
-        session = self.sessions.close(session_id)
+        session = await asyncio.to_thread(self.sessions.close, session_id)
         return 200, {"session": session.to_dict()}
 
     async def _apply_delta(
@@ -647,7 +676,7 @@ class ReproService:
         self._stop = asyncio.Event()
         resumed = await self.scheduler.start()
         self._server = await asyncio.start_server(
-            self.http.handle, host=host, port=port
+            self.http.accept, host=host, port=port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.http.started_monotonic = time.monotonic()
@@ -684,11 +713,13 @@ class ReproService:
         return await self.stop()
 
     async def stop(self) -> Dict[str, int]:
-        """Close the listener, drain the scheduler, compact the store."""
+        """Close the listener, drain the scheduler, end every open
+        connection, compact the store."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         summary = await self.scheduler.drain(timeout=self.drain_timeout)
+        await self.http.close()
         self.store.compact()
         self.session_store.compact()
         trace_event("service.stop", **summary)

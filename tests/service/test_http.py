@@ -11,6 +11,7 @@ import asyncio
 import json
 import threading
 import urllib.error
+from concurrent.futures import ThreadPoolExecutor
 import urllib.request
 
 import pytest
@@ -76,6 +77,50 @@ def serve(tmp_path, body, **service_kwargs):
 async def call(fn, *args, **kwargs):
     loop = asyncio.get_running_loop()
     return await loop.run_in_executor(None, lambda: fn(*args, **kwargs))
+
+
+class TestJobBurst:
+    def test_uncached_burst_settles_every_job_done(self, tmp_path):
+        """Twelve distinct uncached jobs submitted at once, run two at a
+        time by the default runner (one runner, two executor threads):
+        every job settles ``done``."""
+        specs = [
+            make_spec(workload=workload, graph="rmat:9:8", gpns=gpns,
+                      **({"workload_kwargs": {"max_supersteps": 5}}
+                         if workload == "pr" else {}))
+            for workload in ("bfs", "sssp", "pr")
+            for gpns in (1, 2, 4, 8)
+        ]
+
+        async def body(svc, port):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            loop = asyncio.get_running_loop()
+            # The clients get threads of their own: the server's blocking
+            # calls take the loop's default executor.
+            with ThreadPoolExecutor(len(specs)) as pool:
+
+                def each(fn, items):
+                    return asyncio.gather(*(
+                        loop.run_in_executor(pool, fn, item)
+                        for item in items
+                    ))
+
+                jobs = await each(client.submit, specs)
+                assert not any(job["cached"] for job in jobs)
+                assert svc.scheduler.job_workers == 2
+                return await each(
+                    lambda job: client.wait(job["id"], 120.0), jobs
+                )
+
+        settled = serve(tmp_path, body)
+        assert len({job["key"] for job in settled}) == len(specs)
+        others = [
+            (job["spec"]["workload"], job["spec"]["gpns"], job["state"],
+             job["error_kind"], job["error_type"], job["error_message"])
+            for job in settled
+            if job["state"] != "done"
+        ]
+        assert not others, f"jobs not done: {others}"
 
 
 class TestBasicRoutes:

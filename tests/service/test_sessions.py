@@ -4,6 +4,8 @@ vs cold query equivalence, version-keyed caching, journal recovery."""
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +56,46 @@ class TestSessionLifecycle:
             assert [s["id"] for s in listing] == [record["id"]]
             closed = await call(client.close_session, record["id"])
             assert closed["state"] == "closed"
+            with pytest.raises(UnknownSessionError):
+                await call(client.session, record["id"])
+
+        serve(tmp_path, body)
+
+    def test_close_waits_off_the_event_loop(self, tmp_path):
+        """Regression: DELETE ran ``SessionManager.close`` on the event
+        loop, which then waited for the manager's lock (held through a
+        whole query elsewhere), and every other request waited too."""
+
+        async def body(svc, port):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            record = await call(client.create_session, GRAPH, 42, "t")
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with svc.sessions._lock:
+                    held.set()
+                    release.wait(2.0)
+
+            def probe():
+                closer = threading.Thread(
+                    target=client.close_session, args=(record["id"],)
+                )
+                closer.start()
+                time.sleep(0.2)  # the DELETE is waiting for the lock
+                start = time.monotonic()
+                health = client.health()
+                seconds = time.monotonic() - start
+                release.set()
+                closer.join()
+                return health, seconds
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            held.wait(10.0)
+            health, seconds = await call(probe)
+            holder.join()
+            assert health["status"] == "ok"
+            assert seconds < 0.5
             with pytest.raises(UnknownSessionError):
                 await call(client.session, record["id"])
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import logging
+import time
 import urllib.error
 
 import pytest
@@ -31,7 +33,9 @@ from repro.errors import (
     UnknownSessionError,
 )
 from repro.obs.counters import FAULT_COUNTERS
+from repro.service import http
 from repro.service.client import ServiceClient
+from repro.service.http import ReproService
 
 from tests.service.test_http import call, make_spec, serve
 
@@ -215,6 +219,53 @@ class TestMalformedRequests:
         status, _, raw = serve(tmp_path, body)
         assert status == 400
         assert json.loads(raw)["error"] == "bad_query"
+
+
+class TestUnfinishedRequests:
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\n{}",
+    ], ids=["idle", "short-body"])
+    def test_unfinished_request_is_408(self, tmp_path, monkeypatch, data):
+        """Regression: a request that never finished arriving got no
+        answer and held its handler until the client hung up."""
+        monkeypatch.setattr(http, "READ_TIMEOUT_SECONDS", 0.2)
+
+        async def body(svc, port):
+            start = time.monotonic()
+            got = await raw_request(port, data)
+            return got, time.monotonic() - start
+
+        (status, headers, raw), seconds = serve(tmp_path, body)
+        assert status == 408
+        assert headers["Connection"] == "close"
+        assert json.loads(raw) == {
+            "error": "request_timeout",
+            "message": "request not received within 0.2s",
+        }
+        assert seconds < 5.0
+
+    def test_stop_ends_open_connections(self, tmp_path, caplog):
+        """Regression: ``stop()`` left an idle connection's handler
+        reading, and the loop's teardown cancelled it with an error
+        logged from asyncio."""
+
+        async def main():
+            svc = ReproService(str(tmp_path / "state"),
+                               cache_dir=str(tmp_path / "cache"))
+            port = await svc.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                await asyncio.sleep(0.1)  # the handler is reading
+                await svc.stop()
+                return await asyncio.wait_for(reader.read(), 2.0)
+            finally:
+                writer.close()
+
+        with caplog.at_level(logging.DEBUG):
+            assert asyncio.run(main()) == b""
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.WARNING] == []
 
 
 def test_admission_graph_build_joins_the_callers_trace(

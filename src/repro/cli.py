@@ -423,7 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     scompact = ssub.add_parser(
         "compact",
-        help="merge a session's deltas into a fresh published CSR",
+        help="merge a session's deltas into its base graph",
     )
     add_client_args(scompact)
     scompact.add_argument("session", help="session id")
@@ -454,15 +454,11 @@ def make_parser() -> argparse.ArgumentParser:
     gbuild.add_argument("--seed", type=int, default=42)
     gbuild.add_argument("--scale", type=float, default=None,
                         help="suite: graph scale (default: suite default)")
-    gbuild.add_argument("--weighted", action="store_true",
-                        help="attach uniform edge weights (the sssp variant)")
-    gbuild.add_argument("--symmetrized", action="store_true",
-                        help="symmetrize edges (the cc variant)")
-    gbuild.add_argument("--workloads", default=None,
+    gbuild.add_argument("--workloads", default="bfs",
                         help="comma-separated workload list; builds the "
                              "exact per-workload variants a sweep over "
-                             "these workloads will map (overrides "
-                             "--weighted/--symmetrized)")
+                             "these workloads will map (default: bfs, "
+                             "the plain variant pr and bc map too)")
     add_store_arg(gbuild)
     gbuild.set_defaults(handler="repro.commands.graph:cmd_graph_build")
 

@@ -15,29 +15,18 @@ def _graph_variants(args: argparse.Namespace):
     (sssp runs weighted, cc symmetrized), so prebuilding with the same
     workload list guarantees the sweep's exact artifacts exist.
     """
-    from repro.runner import GraphSpec
+    from repro.runner.spec import GraphSpec, parse_workloads
 
-    if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        variants = {}
-        for workload in workloads:
-            # --scale reaches the recipe as given, so a non-suite graph
-            # refuses it here too instead of building unscaled.
-            gspec = dataclasses.replace(
-                GraphSpec.for_workload(args.graph, workload, seed=args.seed),
-                scale=args.scale,
-            )
-            variants[gspec] = None  # de-dup, preserve order
-        return list(variants)
-    return [
-        GraphSpec(
-            args.graph,
-            seed=args.seed,
+    variants = {}
+    for workload in parse_workloads(args.workloads):
+        # --scale reaches the recipe as given, so a non-suite graph
+        # refuses it here too instead of building unscaled.
+        gspec = dataclasses.replace(
+            GraphSpec.for_workload(args.graph, workload, seed=args.seed),
             scale=args.scale,
-            weighted=args.weighted,
-            symmetrized=args.symmetrized,
         )
-    ]
+        variants[gspec] = None  # de-dup, preserve order
+    return list(variants)
 
 
 def cmd_graph_build(args: argparse.Namespace) -> int:

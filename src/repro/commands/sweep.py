@@ -23,21 +23,11 @@ def _sweep_grid(args: argparse.Namespace):
         SOURCELESS_WORKLOADS,
         GraphSpec,
         lower_run,
+        parse_workloads,
         sample_sources,
     )
 
-    known = ("bfs", "cc", "sssp", "pr", "bc")
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    if not workloads:
-        raise ConfigError(
-            f"--workloads needs at least one of {', '.join(known)}, "
-            "comma-separated, e.g. bfs,sssp"
-        )
-    for workload in workloads:
-        if workload not in known:
-            raise ConfigError(
-                f"unknown workload {workload!r}; choose from {', '.join(known)}"
-            )
+    workloads = parse_workloads(args.workloads)
     try:
         gpn_counts = [int(g) for g in args.gpns.split(",")]
     except ValueError:

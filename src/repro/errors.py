@@ -42,10 +42,6 @@ class WorkloadError(ReproError):
     """A vertex program was configured or invoked incorrectly."""
 
 
-class RunTimeoutError(ReproError):
-    """A single sweep run exceeded its configured wall-clock timeout."""
-
-
 class ServiceError(ReproError):
     """Base class for job-service failures (see :mod:`repro.service`)."""
 

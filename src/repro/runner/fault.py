@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.env import env_float, env_int
-from repro.errors import ConfigError, RunTimeoutError
+from repro.errors import ConfigError
 
 #: Exception types worth retrying: they depend on machine state, not on
 #: the spec.  Everything else (ConfigError, ValueError, ...) is
 #: deterministic -- retrying would fail identically.
-TRANSIENT_EXCEPTIONS = (MemoryError, OSError, RunTimeoutError)
+TRANSIENT_EXCEPTIONS = (MemoryError, OSError)
 
 #: RunFailure.kind values.
 FAILURE_KINDS = ("error", "timeout", "worker-died")

@@ -211,6 +211,28 @@ _GRAPH_MEMO = _GraphMemo()
 #: Workloads that take no source vertex.
 SOURCELESS_WORKLOADS = ("cc", "pr", "pr-delta")
 
+#: The paper's five workloads, in its order: the names ``sweep``,
+#: ``graph build`` and job specs accept.
+FRONT_END_WORKLOADS = ("bfs", "cc", "sssp", "pr", "bc")
+
+
+def parse_workloads(text: str) -> list:
+    """The names in a comma-separated ``--workloads`` list; ConfigError
+    on none or on one outside :data:`FRONT_END_WORKLOADS`."""
+    known = ", ".join(FRONT_END_WORKLOADS)
+    workloads = [w.strip() for w in text.split(",") if w.strip()]
+    if not workloads:
+        raise ConfigError(
+            f"--workloads needs at least one of {known}, "
+            "comma-separated, e.g. bfs,sssp"
+        )
+    for workload in workloads:
+        if workload not in FRONT_END_WORKLOADS:
+            raise ConfigError(
+                f"unknown workload {workload!r}; choose from {known}"
+            )
+    return workloads
+
 
 def resolve_source(
     graph: Union[GraphSpec, CSRGraph],

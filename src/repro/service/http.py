@@ -157,6 +157,8 @@ class ServiceHTTP:
         self.started_monotonic = time.monotonic()
         #: The handler task of every open connection.
         self._handlers: Set[asyncio.Task] = set()
+        #: :meth:`_session_call`'s turn, built on the running loop.
+        self._session_turn: Optional[asyncio.Lock] = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -491,10 +493,23 @@ class ServiceHTTP:
     def _get_session(self, session_id: str) -> Tuple[int, Dict[str, Any]]:
         return 200, {"session": self.sessions.store.get(session_id).to_dict()}
 
+    async def _session_call(self, fn, *args):
+        """``fn(*args)`` off the loop, one session call at a time.
+
+        Delta, compact, close and a session job's admission wait on the
+        session manager's lock, which a query holds throughout; queued
+        here, they hold at most one thread of the default executor that
+        every ``asyncio.to_thread`` call (job admission included) shares.
+        """
+        if self._session_turn is None:
+            self._session_turn = asyncio.Lock()
+        async with self._session_turn:
+            return await asyncio.to_thread(fn, *args)
+
     async def _close_session(
         self, session_id: str
     ) -> Tuple[int, Dict[str, Any]]:
-        session = await asyncio.to_thread(self.sessions.close, session_id)
+        session = await self._session_call(self.sessions.close, session_id)
         return 200, {"session": session.to_dict()}
 
     async def _apply_delta(
@@ -506,10 +521,8 @@ class ServiceHTTP:
             raise JobSpecError(
                 "POST /v1/sessions/<id>/deltas needs a JSON object body"
             )
-        batch = EdgeDeltaBatch.from_dict(
-            body["batch"] if "batch" in body else body
-        )
-        session = await asyncio.to_thread(
+        batch = EdgeDeltaBatch.from_dict(body)
+        session = await self._session_call(
             self.sessions.apply, session_id, batch
         )
         return 200, {"session": session.to_dict()}
@@ -517,7 +530,7 @@ class ServiceHTTP:
     async def _compact_session(
         self, session_id: str
     ) -> Tuple[int, Dict[str, Any]]:
-        session = await asyncio.to_thread(self.sessions.compact, session_id)
+        session = await self._session_call(self.sessions.compact, session_id)
         return 200, {"session": session.to_dict()}
 
     async def _submit_session_job(
@@ -550,7 +563,7 @@ class ServiceHTTP:
             )
             return record, overlay.version_digest, resolved
 
-        record, digest, resolved = await asyncio.to_thread(prepare)
+        record, digest, resolved = await self._session_call(prepare)
         spec = JobSpec(
             workload=workload,
             graph=record.graph,

@@ -39,7 +39,12 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import JobSpecError, JobStateError, UnknownJobError
 from repro.journal import Journal
-from repro.runner.spec import GraphSpec, RunSpec, lower_run
+from repro.runner.spec import (
+    FRONT_END_WORKLOADS,
+    GraphSpec,
+    RunSpec,
+    lower_run,
+)
 
 #: Journal format version (header record of every journal file).
 SERVICE_SCHEMA = 1
@@ -75,7 +80,6 @@ TRANSITIONS: Dict[str, tuple] = {
 # Job specification
 # ----------------------------------------------------------------------
 
-_KNOWN_WORKLOADS = ("bfs", "cc", "sssp", "pr", "bc")
 _SYSTEMS = ("nova", "polygraph", "ligra")
 _PLACEMENTS = ("interleave", "random", "load_balanced", "locality")
 
@@ -150,10 +154,10 @@ class JobSpec:
                     "session jobs need a graph_digest (the session "
                     "version the job is pinned to)"
                 )
-        if self.workload not in _KNOWN_WORKLOADS:
+        if self.workload not in FRONT_END_WORKLOADS:
             raise JobSpecError(
                 f"unknown workload {self.workload!r}; choose from "
-                f"{', '.join(_KNOWN_WORKLOADS)}"
+                f"{', '.join(FRONT_END_WORKLOADS)}"
             )
         if not isinstance(self.graph, str) or not self.graph:
             raise JobSpecError("graph must be a non-empty specifier string")

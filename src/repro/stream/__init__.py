@@ -6,8 +6,8 @@ while preserving the immutability discipline everywhere else:
 - :mod:`repro.stream.delta` -- validated, content-addressed
   :class:`EdgeDeltaBatch` insert/delete sets;
 - :mod:`repro.stream.overlay` -- :class:`DeltaOverlayGraph`, per-vertex
-  deltas over a read-only base CSR, with ``compact()`` publishing
-  merged versions through the content-addressed graph store;
+  deltas over a read-only base CSR, with ``compact()`` re-basing onto
+  the merged version in memory;
 - :mod:`repro.stream.incremental` -- incremental BFS / CC / PageRank
   seeded only from delta-touched vertices, converging to the cold
   fixed point on the post-delta graph;

@@ -26,16 +26,14 @@ Every applied batch advances a rolling **version digest**::
 which the service layer embeds into run-spec cache keys, so results
 computed at one version can never alias another.
 
-:meth:`DeltaOverlayGraph.compact` merges the deltas into a fresh CSR
-and publishes it through the content-addressed
-:class:`~repro.graph.store.GraphStore` under the *current version
-digest*; the overlay then re-bases onto the published (mmap-backed)
-artifact with empty deltas.  The version digest is unchanged, and so
-is the graph it names: how many copies of a pair an insert adds is
-read from the original base (:attr:`DeltaOverlayGraph.origin`), which
-compaction never replaces, so compacted, uncompacted and
-journal-replayed overlays hold the same edge multiset at every
-version and cached results stay valid across compaction and restart.
+:meth:`DeltaOverlayGraph.compact` merges the deltas into a fresh
+in-memory CSR and re-bases the overlay onto it with empty deltas.  The
+version digest is unchanged, and so is the graph it names: how many
+copies of a pair an insert adds is read from the original base
+(:attr:`DeltaOverlayGraph.origin`), which compaction never replaces,
+so compacted, uncompacted and journal-replayed overlays hold the same
+edge multiset at every version and cached results stay valid across
+compaction and restart.
 """
 
 from __future__ import annotations
@@ -273,37 +271,22 @@ class DeltaOverlayGraph:
             dst = np.concatenate([dst, ev])
         return CSRGraph.from_edges(src, dst, self.num_vertices)
 
-    def compact(self, store) -> Tuple[str, CSRGraph]:
-        """Merge deltas into a CSR, publish it, re-base onto the artifact.
+    def compact(self) -> None:
+        """Re-base onto :meth:`materialize`'s merge, with empty deltas.
 
-        The artifact is published to the
-        :class:`~repro.graph.store.GraphStore` under the current
-        version digest, then mapped back so the new base is
-        memmap-backed like any other artifact; :attr:`origin` stays
-        the original base.  Returns ``(digest,
-        graph)``; on a publish failure (full disk) the in-memory merge
-        becomes the base and the digest is still returned -- the next
-        compaction retries the publish.
+        Only the side tables reset: :attr:`version_digest`,
+        :attr:`batches` and :attr:`origin` are unchanged, so the graph
+        the digest names is too.
         """
         merged = self.materialize()
-        digest = self.version_digest
-        graph: Optional[CSRGraph]
-        try:
-            store.put(digest, merged)
-            graph = store.load(digest)
-        except OSError:
-            graph = None
-        if graph is None:
-            graph = merged
-        self.base = graph
-        self.base_digest = digest
+        self.base = merged
+        self.base_digest = self.version_digest
         self._extra.clear()
         self._extra_in.clear()
         self._deleted.clear()
         self._deleted_in.clear()
         self._base_in = None
-        self._num_edges = graph.num_edges
-        return digest, graph
+        self._num_edges = merged.num_edges
 
     def __repr__(self) -> str:
         return (

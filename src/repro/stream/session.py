@@ -18,9 +18,9 @@ refuses a stale digest with
 alias a different graph version.
 
 Pruning the graph store needs no pins: a session's mapped base
-outlives the unlink of its artifact, a compaction whose map-back
-misses keeps its in-memory merge, and a restart rebuilds the base from
-its deterministic recipe and replays the journal.
+outlives the unlink of its artifact, a compaction re-bases in memory
+and publishes nothing, and a restart rebuilds the base from its
+deterministic recipe and replays the journal.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.errors import (
     StreamError,
     UnknownSessionError,
 )
-from repro.graph.store import GraphStore, spec_digest
+from repro.graph.store import spec_digest
 from repro.journal import Journal
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_span
@@ -271,11 +271,8 @@ class SessionManager:
     match the journal's record.
     """
 
-    def __init__(
-        self, store: SessionStore, graph_store: Optional[GraphStore] = None
-    ) -> None:
+    def __init__(self, store: SessionStore) -> None:
         self.store = store
-        self.graph_store = graph_store or GraphStore()
         self._lock = threading.Lock()
         self._overlays: Dict[str, DeltaOverlayGraph] = {}
         #: (session, workload, source) -> incremental state
@@ -376,7 +373,7 @@ class SessionManager:
         return session
 
     def compact(self, session_id: str) -> SessionRecord:
-        """Merge the overlay into a published artifact and re-base."""
+        """Merge the overlay's deltas into its base, in memory."""
         session = self.store.get(session_id)
         overlay = self.overlay(session_id)
         with trace_span(
@@ -385,7 +382,7 @@ class SessionManager:
             dirty_edges=overlay.dirty_edges,
         ), FAULT_COUNTERS.time_histogram("stream.compact_seconds"):
             with self._lock:
-                overlay.compact(self.graph_store)
+                overlay.compact()
         FAULT_COUNTERS.increment("stream.compactions")
         self.store.put(session)
         return session

@@ -67,7 +67,9 @@ def get_workload(name: str, **kwargs) -> VertexProgram:
 
 def workload_names() -> list:
     """Paper order: BFS, CC, SSSP (async); PR, BC (BSP)."""
-    return ["bfs", "cc", "sssp", "pr", "bc"]
+    from repro.runner.spec import FRONT_END_WORKLOADS
+
+    return list(FRONT_END_WORKLOADS)
 
 
 __all__ = [

@@ -103,14 +103,15 @@ class VertexProgram(ABC):
         moment the vertex is pulled from the vertex set.
         """
 
-    @abstractmethod
     def propagate_values(
         self,
         state: ProgramState,
         src_values: np.ndarray,
         weights: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Per-edge message values from expanded source values."""
+        """Per-edge message values from expanded source values
+        (by default the snapshot itself)."""
+        return src_values
 
     def propagation_graph(self, state: ProgramState) -> CSRGraph:
         """CSR whose edges propagation expands (BC overrides per phase)."""
@@ -150,6 +151,45 @@ class VertexProgram(ABC):
         """Validate workload prerequisites (weights etc.)."""
         if self.needs_weights and not graph.has_weights:
             raise WorkloadError(f"{self.name} requires edge weights")
+
+
+class MinReduce(VertexProgram):
+    """Algorithm 1's reduce, ``value[u] = min(value[u], message)``, over
+    the one property array ``array`` (BFS, SSSP and CC).
+
+    The default start is source-rooted: the source at 0 and active,
+    every other vertex at infinity.
+    """
+
+    array: str = "dist"
+
+    def create_state(self, graph: CSRGraph, source: Optional[int]) -> ProgramState:
+        if source is None:
+            raise WorkloadError(f"{self.name.upper()} needs a source vertex")
+        if not 0 <= source < graph.num_vertices:
+            raise WorkloadError(f"source {source} out of range")
+        dist = np.full(graph.num_vertices, np.inf)
+        dist[source] = 0.0
+        return ProgramState(graph=graph, source=source, arrays={self.array: dist})
+
+    def initial_active(self, state: ProgramState) -> np.ndarray:
+        return np.array([state.source], dtype=np.int64)
+
+    def reduce(
+        self, state: ProgramState, dest: np.ndarray, values: np.ndarray
+    ) -> ReduceOutcome:
+        value = state[self.array]
+        old = value.take(dest)  # pre-batch values, per message
+        np.minimum.at(value, dest, values)
+        useful = int(np.count_nonzero(values < old))
+        improved = unique_ids(dest.compress(value.take(dest) < old), value.shape[0])
+        return ReduceOutcome(useful_messages=useful, improved=improved)
+
+    def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:
+        return state[self.array][vertices]
+
+    def result(self, state: ProgramState) -> np.ndarray:
+        return state[self.array]
 
 
 def unique_ids(ids: np.ndarray, bound: Optional[int] = None) -> np.ndarray:

@@ -96,14 +96,6 @@ class BetweennessCentrality(VertexProgram):
         sigma = state["sigma"][vertices]
         return (1.0 + state["delta"][vertices]) / sigma
 
-    def propagate_values(
-        self,
-        state: ProgramState,
-        src_values: np.ndarray,
-        weights: Optional[np.ndarray],
-    ) -> np.ndarray:
-        return src_values
-
     def propagation_graph(self, state: ProgramState) -> CSRGraph:
         if state.scalars["phase"] == "forward":
             return state.graph

@@ -13,44 +13,13 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.workloads import reference
-from repro.workloads.base import (
-    ProgramState,
-    ReduceOutcome,
-    VertexProgram,
-    unique_ids,
-)
+from repro.workloads.base import MinReduce, ProgramState
 
 
-class BFS(VertexProgram):
+class BFS(MinReduce):
     """dist[u] = min(dist[u], message); propagate dist[v] + 1."""
 
     name = "bfs"
-    mode = "async"
-
-    def create_state(self, graph: CSRGraph, source: Optional[int]) -> ProgramState:
-        if source is None:
-            raise WorkloadError("BFS needs a source vertex")
-        if not 0 <= source < graph.num_vertices:
-            raise WorkloadError(f"source {source} out of range")
-        dist = np.full(graph.num_vertices, np.inf)
-        dist[source] = 0.0
-        return ProgramState(graph=graph, source=source, arrays={"dist": dist})
-
-    def initial_active(self, state: ProgramState) -> np.ndarray:
-        return np.array([state.source], dtype=np.int64)
-
-    def reduce(
-        self, state: ProgramState, dest: np.ndarray, values: np.ndarray
-    ) -> ReduceOutcome:
-        dist = state["dist"]
-        old = dist.take(dest)  # pre-batch values, per message
-        np.minimum.at(dist, dest, values)
-        useful = int(np.count_nonzero(values < old))
-        improved = unique_ids(dest.compress(dist.take(dest) < old), dist.shape[0])
-        return ReduceOutcome(useful_messages=useful, improved=improved)
-
-    def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:
-        return state["dist"][vertices]
 
     def propagate_values(
         self,
@@ -59,9 +28,6 @@ class BFS(VertexProgram):
         weights: Optional[np.ndarray],
     ) -> np.ndarray:
         return src_values + 1.0
-
-    def result(self, state: ProgramState) -> np.ndarray:
-        return state["dist"]
 
     def reference(
         self, graph: CSRGraph, source: Optional[int]

@@ -16,50 +16,21 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.workloads import reference
-from repro.workloads.base import (
-    ProgramState,
-    ReduceOutcome,
-    VertexProgram,
-    unique_ids,
-)
+from repro.workloads.base import MinReduce, ProgramState
 
 
-class ConnectedComponents(VertexProgram):
+class ConnectedComponents(MinReduce):
     """label[u] = min(label[u], message); propagate label[v]."""
 
     name = "cc"
-    mode = "async"
+    array = "labels"
 
     def create_state(self, graph: CSRGraph, source: Optional[int]) -> ProgramState:
         labels = np.arange(graph.num_vertices, dtype=np.float64)
-        return ProgramState(graph=graph, source=None, arrays={"labels": labels})
+        return ProgramState(graph=graph, source=None, arrays={self.array: labels})
 
     def initial_active(self, state: ProgramState) -> np.ndarray:
         return np.arange(state.graph.num_vertices, dtype=np.int64)
-
-    def reduce(
-        self, state: ProgramState, dest: np.ndarray, values: np.ndarray
-    ) -> ReduceOutcome:
-        labels = state["labels"]
-        old = labels.take(dest)  # pre-batch values, per message
-        np.minimum.at(labels, dest, values)
-        useful = int(np.count_nonzero(values < old))
-        improved = unique_ids(dest.compress(labels.take(dest) < old), labels.shape[0])
-        return ReduceOutcome(useful_messages=useful, improved=improved)
-
-    def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:
-        return state["labels"][vertices]
-
-    def propagate_values(
-        self,
-        state: ProgramState,
-        src_values: np.ndarray,
-        weights: Optional[np.ndarray],
-    ) -> np.ndarray:
-        return src_values
-
-    def result(self, state: ProgramState) -> np.ndarray:
-        return state["labels"]
 
     def reference(
         self, graph: CSRGraph, source: Optional[int]

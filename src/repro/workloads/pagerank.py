@@ -63,14 +63,6 @@ class PageRank(VertexProgram):
     def snapshot(self, state: ProgramState, vertices: np.ndarray) -> np.ndarray:
         return state["rank"][vertices] / state["safe_deg"][vertices]
 
-    def propagate_values(
-        self,
-        state: ProgramState,
-        src_values: np.ndarray,
-        weights: Optional[np.ndarray],
-    ) -> np.ndarray:
-        return src_values
-
     def superstep_end(self, state: ProgramState) -> np.ndarray:
         n = state.graph.num_vertices
         rank, accum = state["rank"], state["accum"]

@@ -82,14 +82,6 @@ class PageRankDelta(VertexProgram):
         residual[vertices] = 0.0
         return self.damping * harvested / state["safe_deg"][vertices]
 
-    def propagate_values(
-        self,
-        state: ProgramState,
-        src_values: np.ndarray,
-        weights: Optional[np.ndarray],
-    ) -> np.ndarray:
-        return src_values
-
     def result(self, state: ProgramState) -> np.ndarray:
         # Un-harvested residual is committed mass that never got pushed;
         # folding it in tightens the estimate by up to threshold * N.

@@ -4,8 +4,10 @@ vs cold query equivalence, version-keyed caching, journal recovery."""
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.errors import (
 from repro.service.client import ServiceClient
 from repro.service.http import ReproService
 
-from tests.service.test_http import call, http_request, serve
+from tests.service.test_http import call, http_request, make_spec, serve
 
 GRAPH = "rmat:8:4"
 
@@ -98,6 +100,49 @@ class TestSessionLifecycle:
             assert seconds < 0.5
             with pytest.raises(UnknownSessionError):
                 await call(client.session, record["id"])
+
+        serve(tmp_path, body)
+
+    def test_waiting_session_calls_leave_the_pool_free(self, tmp_path):
+        """Regression: every delta POST waiting on the session manager's
+        lock held a thread of the loop's default executor, so as many of
+        them as it has threads left job admission none, and a plain
+        ``POST /v1/jobs`` waited for the lock too."""
+        threads = min(32, (os.cpu_count() or 1) + 4)
+        inserts = find_absent_edges(GRAPH, threads)
+
+        async def body(svc, port):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            sid = (await call(client.create_session, GRAPH, 42, "t"))["id"]
+            held = threading.Event()
+
+            def hold():
+                with svc.sessions._lock:
+                    held.set()
+                    time.sleep(2.0)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            held.wait(10.0)
+            loop = asyncio.get_running_loop()
+            # The clients get threads of their own (see TestJobBurst).
+            with ThreadPoolExecutor(threads + 1) as pool:
+                deltas = [
+                    loop.run_in_executor(
+                        pool, client.apply_delta, sid, [edge], []
+                    )
+                    for edge in inserts
+                ]
+                await asyncio.sleep(0.3)  # every delta POST is waiting
+                start = time.monotonic()
+                await loop.run_in_executor(pool, client.submit, make_spec())
+                seconds = time.monotonic() - start
+                applied = await asyncio.gather(*deltas)
+            holder.join()
+            assert seconds < 0.5
+            assert sorted(r["delta_seq"] for r in applied) == list(
+                range(1, threads + 1)
+            )
 
         serve(tmp_path, body)
 
@@ -223,6 +268,41 @@ class TestDeltasAndQueries:
 
         serve(tmp_path, body)
 
+    def test_query_behind_a_delta_is_refused(self, tmp_path):
+        """A query admitted at version v that runs after a delta moved
+        the session to v+1 fails on the version guard, and its answer
+        never reaches the run cache under v's key."""
+        from repro.stream.delta import EdgeDeltaBatch
+
+        inserts = find_absent_edges(GRAPH, 1)
+
+        async def body(svc, port):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            sid = (await call(client.create_session, GRAPH, 42, "t"))["id"]
+            execute = svc.sessions.execute_job
+            refused = []
+
+            def execute_behind_a_delta(spec):
+                svc.sessions.apply(sid, EdgeDeltaBatch(inserts=inserts))
+                try:
+                    return execute(spec)
+                except SessionStateError as exc:
+                    refused.append(exc)
+                    raise
+
+            svc.sessions.execute_job = execute_behind_a_delta
+            job = await call(client.session_submit, sid, "pr")
+            assert not job.get("cached"), job
+            job = await call(client.wait, job["id"])
+            assert job["state"] == "failed", job
+            assert job["error_type"] == "SessionStateError"
+            assert [exc.state for exc in refused] == ["version_mismatch"]
+            assert (await call(client.session, sid))["delta_seq"] == 1
+            assert not svc.runner.cache.contains(job["key"])
+            assert list(svc.runner.cache.entries()) == []
+
+        serve(tmp_path, body)
+
     def test_closed_session_rejects_work(self, tmp_path):
         async def body(svc, port):
             client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -273,7 +353,7 @@ class TestDefaultSource:
 class TestStorePrune:
     def test_session_outlives_its_pruned_artifacts(self, tmp_path, monkeypatch):
         """Pruning the graph store to nothing under a live session (its
-        base and compaction artifacts) costs it nothing: deltas,
+        base artifact; compaction publishes none) costs it nothing: deltas,
         queries, a second compaction and a restart all still answer as
         a cold run on the replayed overlay."""
         from types import SimpleNamespace
@@ -331,11 +411,8 @@ class TestStorePrune:
         check(live, sid)
         live.compact(sid)
         published = {digest for digest, _, _, _ in store.entries()}
-        assert published == {
-            live.store.get(sid).base_digest,
-            live.overlay(sid).base_digest,
-        }
-        assert store.prune(0) == 2
+        assert published == {live.store.get(sid).base_digest}
+        assert store.prune(0) == 1
         assert list(store.entries()) == []
 
         live.apply(sid, EdgeDeltaBatch(inserts=inserts[3:5]))

@@ -14,14 +14,11 @@ PageRank against cold.
 
 from __future__ import annotations
 
-import tempfile
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import rmat
-from repro.graph.store import GraphStore
 from repro.stream.delta import EdgeDeltaBatch, edge_keys, net_delta
 from repro.stream.incremental import (
     cold_answer,
@@ -88,58 +85,56 @@ class TestCompactionKeepsTheGraph:
         }
         lagging = seed_state("pr", live)[0]
         gone: set = set()
-        with tempfile.TemporaryDirectory() as root:
-            store = GraphStore(root)
-            for compact in compactions:
-                batch = restore_heavy_batch(live, rng, multi, gone)
-                if batch.empty:
-                    continue
-                live.apply(batch)
-                replay.apply(batch)
-                gone -= {tuple(p) for p in batch.inserts.tolist()}
-                gone |= {tuple(p) for p in batch.deletes.tolist()}
-                if compact:
-                    live.compact(store)
-                assert live.version_digest == replay.version_digest
-                merged = live.materialize()
-                replayed = replay.materialize()
-                assert live.num_edges == merged.num_edges
-                assert replay.num_edges == replayed.num_edges
-                assert np.array_equal(merged.row_ptr, replayed.row_ptr)
-                assert np.array_equal(merged.col_idx, replayed.col_idx)
-                for workload, state in states.items():
-                    ins, dels = net_delta(live.batches[state.seq:])
-                    answer, stats = incremental_update(
-                        workload, live, state, ins, dels
+        for compact in compactions:
+            batch = restore_heavy_batch(live, rng, multi, gone)
+            if batch.empty:
+                continue
+            live.apply(batch)
+            replay.apply(batch)
+            gone -= {tuple(p) for p in batch.inserts.tolist()}
+            gone |= {tuple(p) for p in batch.deletes.tolist()}
+            if compact:
+                live.compact()
+            assert live.version_digest == replay.version_digest
+            merged = live.materialize()
+            replayed = replay.materialize()
+            assert live.num_edges == merged.num_edges
+            assert replay.num_edges == replayed.num_edges
+            assert np.array_equal(merged.row_ptr, replayed.row_ptr)
+            assert np.array_equal(merged.col_idx, replayed.col_idx)
+            for workload, state in states.items():
+                ins, dels = net_delta(live.batches[state.seq:])
+                answer, stats = incremental_update(
+                    workload, live, state, ins, dels
+                )
+                cold = cold_answer(workload, merged, source=source)
+                if workload == "pr":
+                    np.testing.assert_allclose(
+                        answer, cold, atol=PR_ATOL, rtol=0
                     )
-                    cold = cold_answer(workload, merged, source=source)
-                    if workload == "pr":
-                        np.testing.assert_allclose(
-                            answer, cold, atol=PR_ATOL, rtol=0
-                        )
-                    else:
-                        assert np.array_equal(answer, cold), (
-                            workload, stats
-                        )
-            # A state left behind by every batch catches up across all
-            # the compactions in one net-delta pass.
-            ins, dels = net_delta(live.batches[lagging.seq:])
-            answer, _ = incremental_update("pr", live, lagging, ins, dels)
-            np.testing.assert_allclose(
-                answer,
-                cold_answer("pr", live.materialize()),
-                atol=PR_ATOL,
-                rtol=0,
-            )
+                else:
+                    assert np.array_equal(answer, cold), (
+                        workload, stats
+                    )
+        # A state left behind by every batch catches up across all
+        # the compactions in one net-delta pass.
+        ins, dels = net_delta(live.batches[lagging.seq:])
+        answer, _ = incremental_update("pr", live, lagging, ins, dels)
+        np.testing.assert_allclose(
+            answer,
+            cold_answer("pr", live.materialize()),
+            atol=PR_ATOL,
+            rtol=0,
+        )
 
-    def test_reinsert_after_compaction_restores_every_copy(self, tmp_path):
+    def test_reinsert_after_compaction_restores_every_copy(self):
         base = rmat(7, 8, seed=3)
         u, v = (int(x) for x in multi_copy_pairs(base)[0])
         copies = int(np.count_nonzero(base.neighbors(u) == v))
         assert copies >= 2
         overlay = DeltaOverlayGraph(base, base_digest="test")
         overlay.apply(EdgeDeltaBatch(deletes=[(u, v)]))
-        overlay.compact(GraphStore(str(tmp_path)))
+        overlay.compact()
         assert overlay.num_edges == base.num_edges - copies
         overlay.apply(EdgeDeltaBatch(inserts=[(u, v)]))
         assert overlay.num_edges == base.num_edges

@@ -1,6 +1,6 @@
 """DeltaOverlayGraph: strict apply semantics, adjacency equivalence
-with materialization, version digest chaining, and compaction through
-the graph store."""
+with materialization, version digest chaining, and in-memory
+compaction."""
 
 from __future__ import annotations
 
@@ -126,21 +126,19 @@ class TestMaterialize:
 
 
 class TestCompact:
-    def test_compact_publishes_and_rebases(self, tmp_path):
-        from repro.graph.store import GraphStore
-
-        store = GraphStore(str(tmp_path / "store"))
+    def test_compact_rebases_in_memory(self):
         ov = DeltaOverlayGraph(tiny_base(), base_digest="d0")
         ov.apply(EdgeDeltaBatch(inserts=[(5, 0)], deletes=[(0, 1)]))
         version = ov.version_digest
-        digest, graph = ov.compact(store)
-        assert digest == version
+        merged = ov.materialize()
+        ov.compact()
         assert ov.version_digest == version  # logical graph unchanged
         assert ov.base_digest == version
         assert ov.dirty_edges == 0
         assert len(ov.batches) == 1  # replay journal survives compaction
-        assert store.load(digest) is not None
-        assert graph.num_edges == 5
+        assert ov.base.num_edges == 5
+        assert np.array_equal(ov.base.row_ptr, merged.row_ptr)
+        assert np.array_equal(ov.base.col_idx, merged.col_idx)
         # The overlay still answers through the new base.
         assert ov.has_edge(5, 0) and not ov.has_edge(0, 1)
         # Further deltas chain on top of the compacted version.

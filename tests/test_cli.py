@@ -350,6 +350,25 @@ class TestCommands:
             "error: GraphSpec.scale only applies to suite: graphs"
         ]
 
+    @pytest.mark.parametrize("verb", [["sweep"], ["graph", "build"]],
+                             ids=" ".join)
+    def test_unknown_workload_is_one_error_line(self, verb, tmp_path, capsys):
+        assert main([*verb, "--graph", "rmat:6:4", "--workloads", "bfs,bfss",
+                     "--store-dir" if verb[0] == "graph" else "--cache-dir",
+                     str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unknown workload 'bfss'; choose from bfs, cc, sssp, pr, bc"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--weighted", "--symmetrized"])
+    def test_graph_build_names_variants_only_by_workload(self, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["graph", "build", "--graph", "rmat:6:4", flag])
+        assert exit_info.value.code == 2
+
     def test_status_unreachable_service(self, capsys):
         # Nothing listens on a reserved port: a clean error, not a dump.
         assert main(["status", "--url", "http://127.0.0.1:1"]) == 1

@@ -423,7 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     scompact = ssub.add_parser(
         "compact",
-        help="merge a session's deltas into its base graph",
+        help="a no-op kept for clients: each version is one CSR",
     )
     add_client_args(scompact)
     scompact.add_argument("session", help="session id")

@@ -33,7 +33,13 @@ class GraphSummary:
 
 
 def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
-    """Hop distance from ``source``; -1 for unreachable vertices."""
+    """Hop distance from ``source``; -1 for unreachable vertices.
+
+    The one level-synchronous BFS outside the engines, which the BFS
+    oracle and :func:`~repro.graph.reorder.bfs_order` read.  Each level
+    gathers its frontier's out-edges with one ragged index and
+    deduplicates only the newly reached vertices.
+    """
     if not 0 <= source < graph.num_vertices:
         raise GraphFormatError(f"source {source} out of range")
     level = np.full(graph.num_vertices, -1, dtype=np.int64)
@@ -42,15 +48,16 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
     depth = 0
     while frontier.size:
         depth += 1
-        chunks = [
-            graph.col_idx[graph.row_ptr[v] : graph.row_ptr[v + 1]] for v in frontier
-        ]
-        if not chunks:
-            break
-        neighbors = np.unique(np.concatenate(chunks))
-        fresh = neighbors[level[neighbors] < 0]
-        level[fresh] = depth
-        frontier = fresh
+        starts = graph.row_ptr[frontier]
+        lens = graph.row_ptr[frontier + 1] - starts
+        ends = np.cumsum(lens)
+        # One ragged index of the frontier's out-edges, rebound to the
+        # edges' heads so that the index is freed at the gather.
+        heads = np.repeat(starts - (ends - lens), lens)
+        heads += np.arange(ends[-1])
+        heads = graph.col_idx[heads]
+        frontier = np.unique(heads[level[heads] < 0])
+        level[frontier] = depth
     return level
 
 

@@ -24,31 +24,16 @@ from repro.graph.csr import CSRGraph
 def bfs_order(graph: CSRGraph, source: int = 0) -> np.ndarray:
     """Vertices in BFS discovery order; unreached vertices appended by id.
 
-    Runs level-synchronous BFS with vectorized frontier expansion.
+    A stable argsort of :func:`~repro.graph.properties.bfs_levels`:
+    level by level, each level by id.
     """
     if not 0 <= source < graph.num_vertices:
         raise GraphFormatError(f"source {source} out of range")
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    visited[source] = True
-    order = [np.array([source], dtype=np.int64)]
-    frontier = order[0]
-    while frontier.size:
-        starts = graph.row_ptr[frontier]
-        ends = graph.row_ptr[frontier + 1]
-        neighbor_chunks = [
-            graph.col_idx[s:e] for s, e in zip(starts, ends) if e > s
-        ]
-        if not neighbor_chunks:
-            break
-        neighbors = np.unique(np.concatenate(neighbor_chunks))
-        fresh = neighbors[~visited[neighbors]]
-        visited[fresh] = True
-        if fresh.size:
-            order.append(fresh)
-        frontier = fresh
-    ordered = np.concatenate(order) if order else np.empty(0, dtype=np.int64)
-    unreached = np.flatnonzero(~visited)
-    return np.concatenate([ordered, unreached]).astype(np.int64)
+    from repro.graph.properties import bfs_levels
+
+    level = bfs_levels(graph, source)
+    level[level < 0] = graph.num_vertices
+    return np.argsort(level, kind="stable").astype(np.int64)
 
 
 def degree_order(graph: CSRGraph) -> np.ndarray:

@@ -114,7 +114,6 @@ DEFAULT_HISTOGRAMS: Tuple[str, ...] = (
     "sweep.run_seconds",
     "graph_store.build_seconds",
     "stream.delta_apply_seconds",
-    "stream.compact_seconds",
     "stream.query_seconds",
 )
 

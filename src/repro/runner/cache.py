@@ -43,8 +43,8 @@ if TYPE_CHECKING:
 #: Bump when the digest recipe or entry format changes.
 CACHE_SCHEMA = 2
 #: Bump when a session version digest may name a different graph than
-#: before (2: a re-insert after compaction restores every copy of a
-#: multigraph pair); it keys session queries only.
+#: before (2: a re-insert restores every copy a multigraph pair held in
+#: the session's original base); it keys session queries only.
 SESSION_QUERY_SCHEMA = 2
 #: Entry layout: magic, SHA-256 of the rest, the header's length (4
 #: bytes, big-endian), the header (a JSON list of the lines ``repro

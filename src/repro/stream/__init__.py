@@ -5,12 +5,12 @@ while preserving the immutability discipline everywhere else:
 
 - :mod:`repro.stream.delta` -- validated, content-addressed
   :class:`EdgeDeltaBatch` insert/delete sets;
-- :mod:`repro.stream.overlay` -- :class:`DeltaOverlayGraph`, per-vertex
-  deltas over a read-only base CSR, with ``compact()`` re-basing onto
-  the merged version in memory;
+- :mod:`repro.stream.overlay` -- :class:`DeltaOverlayGraph`, one
+  immutable CSR per version: each batch is spliced into the head's
+  rows, and the read-only base the session opened on is never written;
 - :mod:`repro.stream.incremental` -- incremental BFS / CC / PageRank
-  seeded only from delta-touched vertices, converging to the cold
-  fixed point on the post-delta graph;
+  seeded only from delta-touched vertices (CC merges component labels),
+  converging to the cold fixed point on the post-delta graph;
 - :mod:`repro.stream.session` -- journaled resident sessions the job
   service exposes as ``/v1/sessions``.
 

@@ -101,14 +101,6 @@ class EdgeDeltaBatch:
                 best = max(best, int(array.max()))
         return best
 
-    def touched(self) -> np.ndarray:
-        """Sorted unique vertex ids appearing as any endpoint."""
-        if self.empty:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.concatenate([self.inserts.ravel(), self.deletes.ravel()])
-        )
-
     def digest(self) -> str:
         """SHA-256 over the normalized arrays (content address)."""
         h = hashlib.sha256()
@@ -149,20 +141,6 @@ class EdgeDeltaBatch:
             f"EdgeDeltaBatch(+{self.num_inserts} edges, "
             f"-{self.num_deletes} edges)"
         )
-
-
-def edge_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Collision-free int64 key per edge (``src * V + dst``).
-
-    Safe while ``V**2`` fits in int64 -- far beyond anything this
-    simulator materializes; guarded anyway so a silent overflow can
-    never alias two edges.
-    """
-    if num_vertices and num_vertices > (1 << 31):
-        raise StreamError(
-            f"graph too large for edge keying ({num_vertices} vertices)"
-        )
-    return src.astype(np.int64) * np.int64(num_vertices) + dst.astype(np.int64)
 
 
 def net_delta(

@@ -1,11 +1,12 @@
-"""Incremental BFS / CC / PageRank over a delta overlay graph.
+"""Incremental BFS / CC / PageRank over a session's head CSR.
 
 Each workload keeps a small *state* (the previous converged answer plus
 whatever bookkeeping its algorithm needs) and exposes an incremental
 update that seeds activation **only from delta-touched vertices**, in
 the spirit of NOVA's message-driven activation model: work is
 proportional to the region the deltas actually perturb, not to the
-graph.
+graph.  Every update reads the overlay's head, one immutable CSR per
+version, so no query builds a graph.
 
 Correctness contract (the randomized equivalence suite in
 ``tests/stream`` exercises it):
@@ -19,12 +20,13 @@ Correctness contract (the randomized equivalence suite in
   recomputation -- equivalence is guaranteed either way.
 - **CC** -- labels are min-member-ids (matching
   :func:`repro.workloads.reference.connected_components`).  Inserts
-  only merge components: min-label propagation seeded at the inserted
-  endpoints converges to the exact post-delta labeling.  Any deletion
-  may split a component, so deletions always fall back to cold.
-- **PageRank** -- repair, then the cold loop on the merged CSR.  Each
-  query merges the overlay into a CSR (``materialize()``, O(E), as a
-  cold answer does).  On it the residual-push invariant of
+  only merge whole components, labelled by the least of their parts'
+  labels: a few array passes over the inserted edges' label pairs join
+  them, and every vertex is relabelled through that map, visiting no
+  neighbor.  Any deletion may split a component, so deletions always
+  fall back to cold.
+- **PageRank** -- repair, then the cold loop on the head.  The
+  residual-push invariant of
   :class:`~repro.workloads.pagerank_delta.PageRankDelta`, ``p[v] + r[v]
   = (1-d)/n + d * sum_{(u,v)} p[u]/deg[u]``, is *repaired* by adjusting
   residuals at the changed sources' neighbors: degree rescaling for
@@ -38,18 +40,16 @@ Correctness contract (the randomized equivalence suite in
   ``threshold=1e-12`` that is orders of magnitude below any meaningful
   tolerance, and the equivalence suite asserts it.
 
-Cold recomputation runs on the overlay's materialized CSR through the
-same oracles the rest of the repo trusts
-(:mod:`repro.workloads.reference` for BFS/CC, :func:`push_pagerank`
-below for PR), so "incremental == cold" is a statement about the
-*published* semantics, not a private pair of algorithms agreeing with
-each other.
+Cold recomputation runs on the head through the same oracles the rest
+of the repo trusts (:mod:`repro.workloads.reference` for BFS/CC,
+:func:`push_pagerank` below for PR), so "incremental == cold" is a
+statement about the *published* semantics, not a private pair of
+algorithms agreeing with each other.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -190,7 +190,7 @@ def push_pagerank(
 
 
 # ----------------------------------------------------------------------
-# Cold answers + state seeding (materialized post-delta graph)
+# Cold answers + state seeding (the head's CSR)
 # ----------------------------------------------------------------------
 
 
@@ -201,7 +201,7 @@ def cold_answer(
     damping: float = PR_DAMPING,
     threshold: float = PR_THRESHOLD,
 ) -> np.ndarray:
-    """The from-scratch answer on a materialized CSR graph."""
+    """The from-scratch answer on a CSR graph."""
     if workload == "bfs":
         if source is None:
             raise ValueError("bfs needs a source")
@@ -223,7 +223,7 @@ def seed_state(
     damping: float = PR_DAMPING,
     threshold: float = PR_THRESHOLD,
 ):
-    """Cold-compute on the overlay's current graph and wrap as a state.
+    """Cold-compute on the overlay's head and wrap as a state.
 
     Returns ``(state, answer)``.
     """
@@ -289,37 +289,29 @@ def _incremental_bfs(
 
 
 def _incremental_cc(
-    overlay: DeltaOverlayGraph,
     state: CCState,
     inserts: np.ndarray,
     deletes: np.ndarray,
 ) -> Optional[Tuple[np.ndarray, Dict[str, int]]]:
     if deletes.shape[0]:
         return None  # a deletion may split a component
-    labels = state.labels.copy()
-    queue: deque = deque()
-    for u, v in inserts:
-        u, v = int(u), int(v)
-        lu, lv = int(labels[u]), int(labels[v])
-        if lu == lv:
-            continue
-        if lu < lv:
-            labels[v] = lu
-            queue.append(v)
-        else:
-            labels[u] = lv
-            queue.append(u)
+    labels = state.labels
+    a = labels[inserts[:, 0]]
+    b = labels[inserts[:, 1]]
+    ends = np.concatenate([a, b])
+    # join[x]: the least label that label x is joined to so far.
+    join = np.arange(labels.shape[0], dtype=np.int64)
     relaxations = 0
-    while queue:
-        v = queue.popleft()
-        lv = labels[v]
-        for w in overlay.undirected_neighbors(v):
-            w = int(w)
-            relaxations += 1
-            if labels[w] > lv:
-                labels[w] = lv
-                queue.append(w)
-    return labels, {"relaxations": relaxations}
+    while True:
+        before = join[ends]
+        low = np.minimum(join[a], join[b])
+        np.minimum.at(join, a, low)
+        np.minimum.at(join, b, low)
+        join[ends] = join[join[ends]]
+        relaxations += int(a.shape[0])
+        if np.array_equal(join[ends], before):
+            break
+    return join[labels], {"relaxations": relaxations}
 
 
 def _incremental_pr(
@@ -392,7 +384,7 @@ def incremental_update(
     ``inserts`` / ``deletes`` are the *net* edge changes since
     ``state.seq`` (see :func:`repro.stream.delta.net_delta`).  On an
     unsafe update (tight BFS deletion, any CC deletion) the answer is
-    recomputed cold on the materialized graph and the state re-seeded;
+    recomputed cold on the head and the state re-seeded;
     ``stats["fallback"]`` reports which path ran.  Either way the
     returned answer equals cold recomputation on the post-delta graph
     (exactly for BFS/CC; within the residual bound for PR).
@@ -403,7 +395,7 @@ def incremental_update(
         if outcome is not None:
             state.dist = outcome[0]
     elif workload == "cc":
-        outcome = _incremental_cc(overlay, state, inserts, deletes)
+        outcome = _incremental_cc(state, inserts, deletes)
         if outcome is not None:
             state.labels = outcome[0]
     elif workload == "pr":

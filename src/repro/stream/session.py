@@ -18,9 +18,9 @@ refuses a stale digest with
 alias a different graph version.
 
 Pruning the graph store needs no pins: a session's mapped base
-outlives the unlink of its artifact, a compaction re-bases in memory
-and publishes nothing, and a restart rebuilds the base from its
-deterministic recipe and replays the journal.
+outlives the unlink of its artifact, every later version is an
+in-memory CSR that publishes nothing, and a restart rebuilds the base
+from its deterministic recipe and replays the journal.
 """
 
 from __future__ import annotations
@@ -292,13 +292,15 @@ class SessionManager:
                 "streaming sessions require an unweighted base graph"
             )
         base_digest = spec_digest(gspec)
+        overlay = DeltaOverlayGraph(base, base_digest=base_digest)
         session = self.store.create(
             graph, seed=int(seed), client=client, base_digest=base_digest
         )
-        with self._lock:
-            self._overlays[session.id] = DeltaOverlayGraph(
-                base, base_digest=base_digest
-            )
+        # Not under the lock, which a query holds throughout: the id is
+        # new, so only a journal replay can race this (a client that
+        # listed the session and sent a delta first), and its overlay is
+        # this one plus that delta.
+        self._overlays.setdefault(session.id, overlay)
         FAULT_COUNTERS.increment("stream.sessions_opened")
         return session
 
@@ -373,18 +375,11 @@ class SessionManager:
         return session
 
     def compact(self, session_id: str) -> SessionRecord:
-        """Merge the overlay's deltas into its base, in memory."""
+        """The unchanged session record: every version is already one
+        CSR, so there is nothing to merge.  Kept for clients that
+        compact."""
         session = self.store.get(session_id)
-        overlay = self.overlay(session_id)
-        with trace_span(
-            "stream.compact",
-            session=session_id,
-            dirty_edges=overlay.dirty_edges,
-        ), FAULT_COUNTERS.time_histogram("stream.compact_seconds"):
-            with self._lock:
-                overlay.compact()
         FAULT_COUNTERS.increment("stream.compactions")
-        self.store.put(session)
         return session
 
     # -- queries --------------------------------------------------------
@@ -395,9 +390,8 @@ class SessionManager:
         """Deterministic default source from the session's *original* base.
 
         Resolved against the graph the session was opened on -- not the
-        overlay, and not the merged graph a compaction re-bases onto --
-        so the default is stable across versions, compactions and
-        restarts of one session: resubmitting the same query at a new
+        head -- so the default is stable across versions and restarts
+        of one session: resubmitting the same query at a new
         version changes only the version digest in the cache key, never
         the source.  The source comes from the base recipe's facts, so
         no array is mapped or scanned.

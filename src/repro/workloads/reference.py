@@ -57,27 +57,16 @@ def _as_scipy(graph: CSRGraph, weighted: bool):
 
 
 def bfs_distances(graph: CSRGraph, source: int) -> Tuple[np.ndarray, int]:
-    """Hop distances (UNREACHED where unreachable) + sequential edge count."""
+    """Hop distances (UNREACHED where unreachable) + sequential edge count,
+    the out-degree sum over reached vertices."""
     if not 0 <= source < graph.num_vertices:
         raise WorkloadError(f"source {source} out of range")
-    dist = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    edges = 0
-    degrees = graph.out_degrees()
-    while frontier.size:
-        edges += int(degrees[frontier].sum())
-        depth += 1
-        chunks = [
-            graph.col_idx[graph.row_ptr[v] : graph.row_ptr[v + 1]] for v in frontier
-        ]
-        if not chunks:
-            break
-        neighbors = np.unique(np.concatenate(chunks))
-        fresh = neighbors[dist[neighbors] == UNREACHED]
-        dist[fresh] = depth
-        frontier = fresh
+    from repro.graph.properties import bfs_levels
+
+    dist = bfs_levels(graph, source)
+    unreached = dist < 0
+    dist[unreached] = UNREACHED
+    edges = int(graph.out_degrees()[~unreached].sum())
     return dist, edges
 
 

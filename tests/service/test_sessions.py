@@ -103,11 +103,15 @@ class TestSessionLifecycle:
 
         serve(tmp_path, body)
 
-    def test_waiting_session_calls_leave_the_pool_free(self, tmp_path):
+    @pytest.mark.parametrize("waiting", ["delta", "create"])
+    def test_waiting_session_calls_leave_the_pool_free(
+        self, tmp_path, waiting
+    ):
         """Regression: every delta POST waiting on the session manager's
         lock held a thread of the loop's default executor, so as many of
         them as it has threads left job admission none, and a plain
-        ``POST /v1/jobs`` waited for the lock too."""
+        ``POST /v1/jobs`` waited for the lock too.  A session create
+        waited on that lock to register its overlay."""
         threads = min(32, (os.cpu_count() or 1) + 4)
         inserts = find_absent_edges(GRAPH, threads)
 
@@ -127,22 +131,33 @@ class TestSessionLifecycle:
             loop = asyncio.get_running_loop()
             # The clients get threads of their own (see TestJobBurst).
             with ThreadPoolExecutor(threads + 1) as pool:
-                deltas = [
-                    loop.run_in_executor(
-                        pool, client.apply_delta, sid, [edge], []
-                    )
-                    for edge in inserts
-                ]
-                await asyncio.sleep(0.3)  # every delta POST is waiting
+                if waiting == "delta":
+                    calls = [
+                        loop.run_in_executor(
+                            pool, client.apply_delta, sid, [edge], []
+                        )
+                        for edge in inserts
+                    ]
+                else:
+                    calls = [
+                        loop.run_in_executor(
+                            pool, client.create_session, GRAPH, 42, "t"
+                        )
+                        for _ in range(threads)
+                    ]
+                await asyncio.sleep(0.3)  # every session POST is waiting
                 start = time.monotonic()
                 await loop.run_in_executor(pool, client.submit, make_spec())
                 seconds = time.monotonic() - start
-                applied = await asyncio.gather(*deltas)
+                records = await asyncio.gather(*calls)
             holder.join()
             assert seconds < 0.5
-            assert sorted(r["delta_seq"] for r in applied) == list(
-                range(1, threads + 1)
-            )
+            if waiting == "delta":
+                assert sorted(r["delta_seq"] for r in records) == list(
+                    range(1, threads + 1)
+                )
+            else:
+                assert len({r["id"] for r in records} - {sid}) == threads
 
         serve(tmp_path, body)
 
@@ -317,9 +332,9 @@ class TestDeltasAndQueries:
 class TestDefaultSource:
     def test_default_source_survives_compaction_and_restart(self, tmp_path):
         """An omitted BFS source resolves against the session's original
-        base.  Compaction re-bases the live overlay onto the merged
-        graph, while a restart replays onto the original base: the two
-        managers must still agree at the same version digest."""
+        base, not the head: a compaction and a restart, which replays
+        the journal onto the original base to the same head, leave it
+        unchanged."""
         from repro.runner.spec import GraphSpec
         from repro.stream.delta import EdgeDeltaBatch
         from repro.stream.session import SessionManager, SessionStore
@@ -343,9 +358,14 @@ class TestDefaultSource:
         before = live.resolve_job_source(sid, "bfs", None)
         live.apply(sid, EdgeDeltaBatch(inserts=inserts))
         live.compact(sid)
-        assert int(np.argmax(live.overlay(sid).base.out_degrees())) == 3
+        head = live.overlay(sid).materialize()
+        assert int(np.argmax(head.out_degrees())) == 3
         after = live.resolve_job_source(sid, "bfs", None)
-        restarted = manager().resolve_job_source(sid, "bfs", None)
+        restart = manager()
+        replayed = restart.overlay(sid).materialize()
+        assert np.array_equal(replayed.row_ptr, head.row_ptr)
+        assert np.array_equal(replayed.col_idx, head.col_idx)
+        restarted = restart.resolve_job_source(sid, "bfs", None)
         live.close(sid)  # release the process-wide store pins
         assert before == after == restarted == top
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StreamError
-from repro.stream.delta import EdgeDeltaBatch, edge_keys, net_delta
+from repro.stream.delta import EdgeDeltaBatch, net_delta
 
 
 class TestNormalization:
@@ -27,11 +27,9 @@ class TestNormalization:
         batch = EdgeDeltaBatch()
         assert batch.empty
         assert batch.max_vertex() == -1
-        assert batch.touched().shape == (0,)
 
-    def test_touched_and_max_vertex(self):
+    def test_max_vertex(self):
         batch = EdgeDeltaBatch(inserts=[(1, 9)], deletes=[(4, 1)])
-        assert batch.touched().tolist() == [1, 4, 9]
         assert batch.max_vertex() == 9
 
 
@@ -78,18 +76,6 @@ class TestDigest:
         a = EdgeDeltaBatch(inserts=[(0, 1)])
         b = EdgeDeltaBatch(inserts=[(0, 2)])
         assert a.digest() != b.digest()
-
-
-class TestEdgeKeys:
-    def test_keys_unique_per_edge(self):
-        src = np.array([0, 0, 1, 5], dtype=np.int64)
-        dst = np.array([1, 2, 0, 5], dtype=np.int64)
-        keys = edge_keys(src, dst, 6)
-        assert len(set(keys.tolist())) == 4
-
-    def test_oversized_graph_rejected(self):
-        with pytest.raises(StreamError, match="too large"):
-            edge_keys(np.array([0]), np.array([0]), (1 << 31) + 1)
 
 
 class TestNetDelta:

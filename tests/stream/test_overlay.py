@@ -1,6 +1,5 @@
 """DeltaOverlayGraph: strict apply semantics, adjacency equivalence
-with materialization, version digest chaining, and in-memory
-compaction."""
+with materialization, and version digest chaining."""
 
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ class TestApply:
         assert ov.num_edges == 5
         assert ov.neighbors(0).tolist() == [2]
         assert ov.neighbors(5).tolist() == [0]
-        assert 5 in ov.in_neighbors(0).tolist()
 
     def test_insert_existing_edge_rejected(self):
         ov = DeltaOverlayGraph(tiny_base())
@@ -62,15 +60,16 @@ class TestApply:
         ov.apply(EdgeDeltaBatch(deletes=[(0, 1)]))
         ov.apply(EdgeDeltaBatch(inserts=[(0, 1)]))
         assert ov.has_edge(0, 1)
-        assert ov.dirty_edges == 0  # undelete, not a stacked extra
-        assert ov.num_edges == 5
+        assert ov.num_edges == 5  # one copy back, not a stacked extra
+        assert ov.neighbors(0).tolist() == [1, 2]
 
     def test_delete_of_inserted_extra_removes_it(self):
         ov = DeltaOverlayGraph(tiny_base())
         ov.apply(EdgeDeltaBatch(inserts=[(5, 0)]))
         ov.apply(EdgeDeltaBatch(deletes=[(5, 0)]))
         assert not ov.has_edge(5, 0)
-        assert ov.dirty_edges == 0
+        assert ov.num_edges == 5
+        assert ov.neighbors(5).tolist() == []
 
     def test_weighted_base_rejected(self):
         weighted = with_uniform_weights(tiny_base(), seed=1)
@@ -123,24 +122,3 @@ class TestMaterialize:
         assert merged.num_edges == ov.num_edges
         for v in range(g.num_vertices):
             assert np.array_equal(merged.neighbors(v), ov.neighbors(v)), v
-
-
-class TestCompact:
-    def test_compact_rebases_in_memory(self):
-        ov = DeltaOverlayGraph(tiny_base(), base_digest="d0")
-        ov.apply(EdgeDeltaBatch(inserts=[(5, 0)], deletes=[(0, 1)]))
-        version = ov.version_digest
-        merged = ov.materialize()
-        ov.compact()
-        assert ov.version_digest == version  # logical graph unchanged
-        assert ov.base_digest == version
-        assert ov.dirty_edges == 0
-        assert len(ov.batches) == 1  # replay journal survives compaction
-        assert ov.base.num_edges == 5
-        assert np.array_equal(ov.base.row_ptr, merged.row_ptr)
-        assert np.array_equal(ov.base.col_idx, merged.col_idx)
-        # The overlay still answers through the new base.
-        assert ov.has_edge(5, 0) and not ov.has_edge(0, 1)
-        # Further deltas chain on top of the compacted version.
-        ov.apply(EdgeDeltaBatch(inserts=[(0, 1)]))
-        assert ov.version_digest != version
